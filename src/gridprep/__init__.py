@@ -37,15 +37,12 @@ from .basis import (
     IntegrationSpec,
     Orbital,
     box_sine,
-    build_fock_matrix,
     delta_at_site,
     harmonic_hermite,
     kronecker_delta,
     mc_sample_count,
     normal_quantile,
-    perturb_fock,
     ring_plane_wave,
-    split_ratio,
     tabulated,
     uniform,
 )
@@ -70,11 +67,9 @@ from .discriminate import (
     identify_and_decrement,
     misidentification_probability,
     phase_estimate,
-    symmetry_discriminate,
     verify_uncomputation,
 )
 from .errors import (
-    AmbiguousIdentificationError,
     DegeneracyError,
     GridprepError,
     ImpossibleOutcomeError,
@@ -96,12 +91,11 @@ from .statevec import (
     QuantumState,
     RegisterLayout,
     Segment,
-    apply_diagonal_phase,
-    apply_rotation,
     apply_unitary_on_segment,
     extract_segment_vector,
     measure_segment,
     partial_trace,
+    permute_basis,
     qft,
     qft_matrix,
     qubit_cap,

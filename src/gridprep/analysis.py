@@ -109,7 +109,7 @@ class PreparationReport:
     kind: str
     l: int = 0
     m: int = 0
-    statistics: str = "fermion"
+    statistics: str = "fermionic"
     qubits: int = 0
     attempts: int = 1
     retries: int = 0
@@ -117,7 +117,6 @@ class PreparationReport:
     error_bound: float | None = None
     counters: dict = field(default_factory=dict)
     bound_checks: list[BoundCheck] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
     def all_bounds_hold(self) -> bool:
         return verify_bounds(self.bound_checks)
@@ -142,8 +141,6 @@ class PreparationReport:
                     f"    {name}: measured {measured} <= bound {bound} "
                     f"[{status}]"
                 )
-        for note in self.notes:
-            lines.append(f"  note: {note}")
         return "\n".join(lines) + "\n"
 
     def to_rows(self) -> list[tuple[str, str]]:

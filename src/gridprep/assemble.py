@@ -114,11 +114,6 @@ def prepare_hartree_product(
     return state, plans
 
 
-def _quword_values(state: QuantumState, names: list[str]) -> list[np.ndarray]:
-    idx = np.arange(state.layout.dim)
-    return [state.layout.values(name, idx) for name in names]
-
-
 def generate_permutation_superposition(
     state: QuantumState, b_segments: list[str], m: int
 ) -> QuantumState:

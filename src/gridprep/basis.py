@@ -1,10 +1,9 @@
-"""Orbital families, integration backends, and the Fock operator model.
+"""Orbital families, integration settings, and the Fock operator model.
 
-An orbital carries three oracles: the probability density |phi(x)|^2, the
-phase arg phi(x), and (when available in closed form) the cumulative
-integral C(x) = int_0^x |phi|^2.  Grid-native families (kronecker-delta,
-tabulated) define their mass directly on sites; their cumulative oracle is
-a step function evaluated in time independent of the grid resolution.
+An orbital carries two continuum oracles, the probability density
+|phi(x)|^2 and the phase arg phi(x), which are point-sampled on the grid.
+Grid-native families (kronecker-delta, tabulated) define their amplitudes
+directly on sites.
 """
 from __future__ import annotations
 
@@ -13,13 +12,14 @@ import statistics
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ValidationError
 
+#: Both exact names compute exact split ratios of the point-sampled grid
+#: distribution; monte-carlo estimates them by sampling grid sites.
 BACKENDS = ("analytic-cdf", "adaptive-quadrature", "monte-carlo")
 
-#: Returned by split_ratio when the block carries no probability mass.
+#: Split ratio of a dyadic block pair that carries no probability mass.
 EMPTY_BLOCK = "empty-block"
 
 #: Denominator mass below this is treated as zero (double-precision noise).
@@ -78,49 +78,6 @@ class Orbital:
             return np.zeros_like(x)
         raise ValidationError(f"family {self.family!r} has no phase oracle")
 
-    def cdf(self, x):
-        """Closed-form cumulative integral of |phi|^2, or None."""
-        if not self.has_cdf:
-            return None
-        x = np.asarray(x, dtype=float)
-        L = self.length
-        if self.family in ("uniform", "ring-plane-wave"):
-            return np.clip(x / L, 0.0, 1.0)
-        if self.family == "box-sine":
-            n = self.params[0]
-            return x / L - np.sin(2 * n * np.pi * x / L) / (2 * n * np.pi)
-        if self.family == "kronecker-delta":
-            return (x > self.params[0]).astype(float)
-        if self.family == "tabulated":
-            values = self.params[0]
-            prob = np.abs(np.asarray(values)) ** 2
-            prob = prob / prob.sum()
-            edges = np.arange(1, prob.size + 1) * (L / prob.size)
-            cum = np.concatenate([[0.0], np.cumsum(prob)])
-            return cum[np.searchsorted(edges, x, side="right")]
-        raise AssertionError("unreachable")
-
-    @property
-    def has_cdf(self) -> bool:
-        return self.family in ("uniform", "box-sine", "ring-plane-wave",
-                               "kronecker-delta", "tabulated")
-
-    @property
-    def is_grid_family(self) -> bool:
-        return self.family in ("kronecker-delta", "tabulated")
-
-    def density_bound(self) -> float | None:
-        """Upper bound on the density, used as a rejection envelope."""
-        L = self.length
-        if self.family in ("uniform", "ring-plane-wave"):
-            return 1.0 / L
-        if self.family == "box-sine":
-            return 2.0 / L
-        if self.family == "harmonic-hermite":
-            xs = np.linspace(0.0, L, 4097)
-            return float(self.density(xs).max()) * 1.05
-        return None
-
     # -- grid oracles ------------------------------------------------------
     def grid_values(self, l: int) -> np.ndarray:
         """Normalized complex amplitudes at the sites x_j = j*L/2^l."""
@@ -148,17 +105,6 @@ class Orbital:
 
     def grid_prob(self, l: int) -> np.ndarray:
         return np.abs(self.grid_values(l)) ** 2
-
-    def check_normalization(self, tol: float = 1e-8) -> None:
-        """Quadrature check that the continuum density integrates to 1."""
-        if self.is_grid_family:
-            return
-        total, _ = integrate.quad(lambda x: float(self.density(x)),
-                                  0.0, self.length, limit=200)
-        if abs(total - 1.0) > tol:
-            raise ValidationError(
-                f"{self.family} orbital density integrates to {total}"
-            )
 
 
 def _hermite_value(n: int, u: np.ndarray) -> np.ndarray:
@@ -245,10 +191,6 @@ def normal_quantile(p: float) -> float:
     return statistics.NormalDist().inv_cdf(p)
 
 
-def normal_cdf(z: float) -> float:
-    return statistics.NormalDist().cdf(z)
-
-
 def mc_sample_count(spec: IntegrationSpec, bounded: bool = True) -> int:
     """Worst-case Monte Carlo sample count for an (epsilon_i, delta)
     absolute-error estimate: the bounded-range formula when `bounded`,
@@ -263,82 +205,6 @@ def mc_sample_count(spec: IntegrationSpec, bounded: bool = True) -> int:
     if spec.sigma2 is None:
         raise ValidationError("variance sample count needs sigma2")
     return math.ceil(z**2 * spec.sigma2 / spec.epsilon_i**2)
-
-
-def _interval_mass(orbital: Orbital, a: float, b: float,
-                   spec: IntegrationSpec) -> float:
-    if orbital.is_grid_family or orbital.has_cdf and \
-            spec.backend == "analytic-cdf":
-        return float(orbital.cdf(b) - orbital.cdf(a))
-    if spec.backend == "analytic-cdf":
-        raise ValidationError(
-            f"family {orbital.family!r} has no closed-form cumulative oracle"
-        )
-    val, _ = integrate.quad(lambda x: float(orbital.density(x)), a, b,
-                            epsabs=1e-12, limit=200)
-    return val
-
-
-def split_ratio(orbital: Orbital, i: int, k: int, spec: IntegrationSpec):
-    """Probability that mass in the dyadic block [k, k+2)*L/2^i lies in the
-    left half, estimated to (epsilon_i, delta) absolute error.
-
-    Returns EMPTY_BLOCK when the block carries no mass.
-    """
-    if i < 1:
-        raise ValidationError("subdivision level must be >= 1")
-    if not 0 <= k <= (1 << i) - 2:
-        raise ValidationError(f"block index {k} out of range at level {i}")
-    L = orbital.length
-    a = k * L / (1 << i)
-    mid = (k + 1) * L / (1 << i)
-    b = (k + 2) * L / (1 << i)
-    if spec.backend == "monte-carlo" and not orbital.is_grid_family:
-        return _mc_split_ratio(orbital, a, mid, b, spec)
-    num = _interval_mass(orbital, a, mid, spec)
-    den = _interval_mass(orbital, a, b, spec)
-    if den < EMPTY_MASS_THRESHOLD:
-        return EMPTY_BLOCK
-    return float(np.clip(num / den, 0.0, 1.0))
-
-
-def _mc_split_ratio(orbital: Orbital, a: float, mid: float, b: float,
-                    spec: IntegrationSpec):
-    """Rejection-sampled Bernoulli estimate of the left-half probability.
-
-    Candidates are uniform on the block and accepted against the family's
-    density envelope; the accepted fraction below `mid` estimates the
-    ratio.  The sample count follows the worst-case formulas.
-    """
-    if spec.bounds is None and spec.sigma2 is None:
-        raise ValidationError(
-            "monte-carlo backend needs bounds or a variance estimate"
-        )
-    envelope = orbital.density_bound()
-    if envelope is None:
-        raise ValidationError(
-            f"family {orbital.family!r} has no density bound for sampling"
-        )
-    n = mc_sample_count(spec, bounded=spec.bounds is not None)
-    n = max(n, 1)
-    rng = np.random.default_rng(spec.seed)
-    accepted = np.empty(0)
-    candidates = 0
-    mass_sum = 0.0
-    while accepted.size < n:
-        batch = max(4 * n, 256)
-        xs = rng.uniform(a, b, size=batch)
-        dens = orbital.density(xs)
-        mass_sum += dens.sum()
-        candidates += batch
-        keep = rng.uniform(0.0, envelope, size=batch) < dens
-        accepted = np.concatenate([accepted, xs[keep]])
-        if candidates >= 64 * n:
-            mass = mass_sum / candidates * (b - a)
-            if mass < EMPTY_MASS_THRESHOLD or accepted.size == 0:
-                return EMPTY_BLOCK
-    accepted = accepted[:n]
-    return float(np.clip(np.mean(accepted < mid), 0.0, 1.0))
 
 
 # -- basis set and Fock operator -------------------------------------------
@@ -444,10 +310,3 @@ class BasisSet:
         out._grid_cache = dict(self._grid_cache)
         return out
 
-
-def build_fock_matrix(basis: BasisSet, l: int) -> np.ndarray:
-    return basis.fock_matrix(l)
-
-
-def perturb_fock(basis: BasisSet, target: int, strength: float) -> BasisSet:
-    return basis.perturbed(target, strength)

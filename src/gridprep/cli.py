@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import sys
 from pathlib import Path
 
@@ -51,7 +52,6 @@ from .compose import (
 from .discriminate import SymmetryOperator
 from .errors import (
     GridprepError,
-    PipelineError,
     ResourceError,
     ValidationError,
 )
@@ -60,6 +60,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PIPELINE = 3
 EXIT_RESOURCE = 4
+
+#: Rows rendered per format operation when writing state.csv and rho.csv.
+CSV_BLOCK_ROWS = 1 << 16
 
 
 def read_orbital_csv(path: Path) -> np.ndarray:
@@ -204,31 +207,44 @@ def write_report(out_dir: Path, report: PreparationReport) -> None:
         w.writerows(report.to_rows())
 
 
+def write_table(path: Path, header: list[str], columns) -> None:
+    """CSV of integer and float columns, byte-identical to csv.writer rows
+    with every float rendered by format_float ("%.12g", CRLF line ends).
+    Each block of rows is rendered by one format operation.
+    """
+    fmt = ",".join("%d" if c.dtype.kind in "iu" else "%.12g"
+                   for c in columns) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, columns[0].size, CSV_BLOCK_ROWS):
+            block = [c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns]
+            fh.write(fmt * len(block[0])
+                     % tuple(itertools.chain.from_iterable(zip(*block))))
+
+
 def write_state(out_dir: Path, vector: np.ndarray) -> None:
-    with open(out_dir / "state.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "re", "im"])
-        for i, a in enumerate(vector):
-            w.writerow([i, format_float(a.real), format_float(a.imag)])
+    write_table(out_dir / "state.csv", ["index", "re", "im"],
+                [np.arange(vector.size), vector.real, vector.imag])
 
 
 def write_rho(out_dir: Path, rho) -> None:
-    matrix = rho.matrix
-    with open(out_dir / "rho.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["row", "col", "re", "im"])
-        for r in range(matrix.shape[0]):
-            for c in range(matrix.shape[1]):
-                w.writerow([r, c, format_float(matrix[r, c].real),
-                            format_float(matrix[r, c].imag)])
+    d = rho.dim
+    values = rho.matrix.ravel()
+    write_table(out_dir / "rho.csv", ["row", "col", "re", "im"],
+                [np.repeat(np.arange(d), d), np.tile(np.arange(d), d),
+                 values.real, values.imag])
 
 
-def _emit(out_dir: Path, prepared: PreparedState) -> None:
-    write_report(out_dir, prepared.report)
+def _emit(out_dir: Path, prepared: PreparedState) -> int:
+    """Write the artifacts, print the report, and return the exit code."""
+    report = prepared.report
+    write_report(out_dir, report)
     if prepared.vector is not None:
         write_state(out_dir, prepared.vector)
     if prepared.rho is not None:
         write_rho(out_dir, prepared.rho)
+    print(report.to_text(), end="")
+    return EXIT_OK if report.all_bounds_hold() else EXIT_PIPELINE
 
 
 def _occupation(cfg: dict, key: str = "occupation") -> OccupationVector:
@@ -248,9 +264,66 @@ def _noise_perturb(cfg: dict, spec: IntegrationSpec):
     return lambda i, k, ratio: ratio - eps
 
 
+def _task_orbital(cfg, bas, l, spec, seed, perturb):
+    orbital = bas.orbitals[int(cfg.get("orbital", 0))]
+    prepared = prepare_orbital(orbital, l, spec, ratio_perturb=perturb)
+    return prepared, lambda: pure_infidelity(prepared.vector,
+                                             orbital.grid_values(l))
+
+
+def _task_slater(cfg, bas, l, spec, seed, perturb):
+    occ = _occupation(cfg)
+    prepared = prepare_slater(occ, bas, l, spec, ratio_perturb=perturb)
+    return prepared, lambda: pure_infidelity(prepared.vector,
+                                             slater_oracle(occ, bas, l))
+
+
+def _task_superposition(cfg, bas, l, spec, seed, perturb):
+    sup = _build_superposition(cfg)
+    pe = cfg.get("phase_estimation", {}) or {}
+    prepared = prepare_superposition(
+        sup, bas, l, spec,
+        t=pe.get("t"), eps_pe=pe.get("eps_pe"),
+        symmetry=_build_symmetry(cfg), seed=seed,
+        max_attempts=int(cfg.get("max_attempts", 20)),
+    )
+    return prepared, lambda: pure_infidelity(
+        prepared.vector, superposition_oracle(sup, bas, l))
+
+
+def _task_mixed(cfg, bas, l, spec, seed, perturb):
+    mix = _build_mixed(cfg)
+    prepared = prepare_mixed(mix, bas, l, spec)
+    return prepared, lambda: mixed_infidelity(prepared.rho,
+                                              mixed_oracle(mix, bas, l))
+
+
+#: task -> builder that reads the rest of its inputs from the config and
+#: runs one preparation; it returns the prepared state and a function
+#: computing the infidelity against the task's brute-force oracle.
+TASKS = {
+    "orbital": _task_orbital,
+    "slater": _task_slater,
+    "superposition": _task_superposition,
+    "mixed": _task_mixed,
+}
+
+
+def _prepare(task: str, cfg: dict, config_dir: Path, seed: int | None,
+             noisy: bool = False):
+    """Run TASKS[task]; `noisy` applies the config's noise model."""
+    if task not in TASKS:
+        raise ValidationError(f"unknown task {task!r}")
+    l = _require_l(cfg)
+    spec = _build_integration(cfg, seed)
+    return TASKS[task](cfg, _build_basis(cfg, config_dir), l, spec, seed,
+                       _noise_perturb(cfg, spec) if noisy else None)
+
+
 def _run_preparation(cfg: dict, config_dir: Path, seed: int | None):
-    """Dispatch on the config 'task' (or infer it) and run one preparation;
-    used by verify-bounds, sweep, and cost-table.
+    """Run the config's 'task' (inferred when absent) with its noise model
+    and record the infidelity against the oracle; used by verify-bounds,
+    sweep, and cost-table.
     """
     task = cfg.get("task")
     if task is None:
@@ -262,41 +335,9 @@ def _run_preparation(cfg: dict, config_dir: Path, seed: int | None):
             task = "slater"
         else:
             task = "orbital"
-    l = _require_l(cfg)
-    spec = _build_integration(cfg, seed)
-    perturb = _noise_perturb(cfg, spec)
-    if task == "orbital":
-        bas = _build_basis(cfg, config_dir)
-        prepared = prepare_orbital(bas.orbitals[int(cfg.get("orbital", 0))],
-                                   l, spec, ratio_perturb=perturb)
-        oracle = bas.orbitals[int(cfg.get("orbital", 0))].grid_values(l)
-        infid = pure_infidelity(prepared.vector, oracle)
-    elif task == "slater":
-        bas = _build_basis(cfg, config_dir)
-        occ = _occupation(cfg)
-        prepared = prepare_slater(occ, bas, l, spec, ratio_perturb=perturb)
-        infid = pure_infidelity(prepared.vector, slater_oracle(occ, bas, l))
-    elif task == "superposition":
-        bas = _build_basis(cfg, config_dir)
-        sup = _build_superposition(cfg)
-        pe = cfg.get("phase_estimation", {}) or {}
-        prepared = prepare_superposition(
-            sup, bas, l, spec,
-            t=pe.get("t"), eps_pe=pe.get("eps_pe"),
-            symmetry=_build_symmetry(cfg),
-            seed=seed,
-            max_attempts=int(cfg.get("max_attempts", 20)),
-        )
-        infid = pure_infidelity(prepared.vector,
-                                superposition_oracle(sup, bas, l))
-    elif task == "mixed":
-        bas = _build_basis(cfg, config_dir)
-        mix = _build_mixed(cfg)
-        prepared = prepare_mixed(mix, bas, l, spec)
-        infid = mixed_infidelity(prepared.rho, mixed_oracle(mix, bas, l))
-    else:
-        raise ValidationError(f"unknown task {task!r}")
-    prepared.report.infidelity = infid
+    prepared, infidelity = _prepare(task, cfg, config_dir, seed,
+                                    noisy=True)
+    prepared.report.infidelity = infidelity()
     return prepared
 
 
@@ -318,42 +359,12 @@ def cmd_validate(cfg, config_dir, seed, out_dir):
     return EXIT_OK
 
 
-def cmd_prepare_orbital(cfg, config_dir, seed, out_dir):
-    l = _require_l(cfg)
-    spec = _build_integration(cfg, seed)
-    bas = _build_basis(cfg, config_dir)
-    prepared = prepare_orbital(bas.orbitals[int(cfg.get("orbital", 0))], l,
-                               spec)
-    _emit(out_dir, prepared)
-    print(prepared.report.to_text(), end="")
-    return EXIT_OK
-
-
-def cmd_prepare_slater(cfg, config_dir, seed, out_dir):
-    l = _require_l(cfg)
-    spec = _build_integration(cfg, seed)
-    bas = _build_basis(cfg, config_dir)
-    prepared = prepare_slater(_occupation(cfg), bas, l, spec)
-    _emit(out_dir, prepared)
-    print(prepared.report.to_text(), end="")
-    return EXIT_OK
-
-
-def cmd_prepare_superposition(cfg, config_dir, seed, out_dir):
-    l = _require_l(cfg)
-    spec = _build_integration(cfg, seed)
-    bas = _build_basis(cfg, config_dir)
-    sup = _build_superposition(cfg)
-    pe = cfg.get("phase_estimation", {}) or {}
-    prepared = prepare_superposition(
-        sup, bas, l, spec,
-        t=pe.get("t"), eps_pe=pe.get("eps_pe"),
-        symmetry=_build_symmetry(cfg), seed=seed,
-        max_attempts=int(cfg.get("max_attempts", 20)),
-    )
-    _emit(out_dir, prepared)
-    print(prepared.report.to_text(), end="")
-    return EXIT_OK
+def _prepare_command(task: str):
+    """prepare-<task>: run one preparation, without noise or oracle."""
+    def command(cfg, config_dir, seed, out_dir):
+        prepared, _ = _prepare(task, cfg, config_dir, seed)
+        return _emit(out_dir, prepared)
+    return command
 
 
 def cmd_prepare_two_species(cfg, config_dir, seed, out_dir):
@@ -373,19 +384,7 @@ def cmd_prepare_two_species(cfg, config_dir, seed, out_dir):
         sections.append((occ, bas))
     (occ_a, bas_a), (occ_b, bas_b) = sections
     prepared = prepare_two_species(occ_a, occ_b, bas_a, bas_b, l, spec)
-    _emit(out_dir, prepared)
-    print(prepared.report.to_text(), end="")
-    return EXIT_OK
-
-
-def cmd_prepare_mixed(cfg, config_dir, seed, out_dir):
-    l = _require_l(cfg)
-    spec = _build_integration(cfg, seed)
-    bas = _build_basis(cfg, config_dir)
-    prepared = prepare_mixed(_build_mixed(cfg), bas, l, spec)
-    _emit(out_dir, prepared)
-    print(prepared.report.to_text(), end="")
-    return EXIT_OK
+    return _emit(out_dir, prepared)
 
 
 def cmd_verify_bounds(cfg, config_dir, seed, out_dir):
@@ -396,9 +395,7 @@ def cmd_verify_bounds(cfg, config_dir, seed, out_dir):
         measured=report.infidelity,
         bound=report.error_bound,
     ))
-    _emit(out_dir, prepared)
-    print(report.to_text(), end="")
-    return EXIT_OK if report.all_bounds_hold() else EXIT_PIPELINE
+    return _emit(out_dir, prepared)
 
 
 def _sweep_cells(cfg, config_dir, seed):
@@ -478,11 +475,11 @@ def cmd_cost_table(cfg, config_dir, seed, out_dir):
 
 COMMANDS = {
     "validate": cmd_validate,
-    "prepare-orbital": cmd_prepare_orbital,
-    "prepare-slater": cmd_prepare_slater,
-    "prepare-superposition": cmd_prepare_superposition,
+    "prepare-orbital": _prepare_command("orbital"),
+    "prepare-slater": _prepare_command("slater"),
+    "prepare-superposition": _prepare_command("superposition"),
     "prepare-two-species": cmd_prepare_two_species,
-    "prepare-mixed": cmd_prepare_mixed,
+    "prepare-mixed": _prepare_command("mixed"),
     "verify-bounds": cmd_verify_bounds,
     "sweep": cmd_sweep,
     "cost-table": cmd_cost_table,
@@ -526,9 +523,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PIPELINE
     except GridprepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE

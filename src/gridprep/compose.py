@@ -23,47 +23,49 @@ from .assemble import (
     particle_segments,
     permutation_segments,
     prepare_hartree_product,
-    quword_width,
+    slater_oracle,
 )
 from .basis import BasisSet, IntegrationSpec, Orbital
 from .discriminate import PhaseEstimationConfig, SymmetryOperator, \
     identify_and_decrement, verify_uncomputation
-from .errors import RetryBudgetError, StructuralError, ValidationError
+from .errors import RetryBudgetError, ValidationError
 from .loader import LoadPlan, load_amplitude_table, load_orbital, \
     load_error_bound
 from .statevec import DensityMatrix, QuantumState, RegisterLayout, \
-    extract_segment_vector, partial_trace
+    extract_segment_vector, partial_trace, permute_basis
 
 
 def boson_counter_width(max_count: int) -> int:
-    """Bits per orbital counter; must hold counts 0..max_count."""
+    """Bits per orbital counter; must hold counts 0..max_count.  Fermion
+    counts never exceed 1, so their counters are single bits.
+    """
     return max(1, math.ceil(math.log2(max_count + 1)))
 
 
-def fock_width(num_orbitals: int, statistics: str,
-               counter_width: int = 1) -> int:
-    if statistics == "fermionic":
-        return num_orbitals
-    return num_orbitals * counter_width
-
-
 def fock_encode(occupation: OccupationVector, counter_width: int = 1) -> int:
-    """Occupation register value: bit i per orbital for fermions, packed
-    little-endian counters for bosons.
+    """Occupation register value: one `counter_width`-bit counter per
+    orbital, packed little-endian (one bit per orbital for fermions).
     """
+    cap = (1 << counter_width) - 1
     code = 0
-    if occupation.statistics == "fermionic":
-        for i, v in enumerate(occupation.n):
-            code |= v << i
-    else:
-        cap = (1 << counter_width) - 1
-        for i, v in enumerate(occupation.n):
-            if v > cap:
-                raise ValidationError(
-                    f"count {v} exceeds the {counter_width}-bit counter"
-                )
-            code |= v << (i * counter_width)
+    for i, v in enumerate(occupation.n):
+        if v > cap:
+            raise ValidationError(
+                f"count {v} exceeds the {counter_width}-bit counter"
+            )
+        code |= v << (i * counter_width)
     return code
+
+
+def _check_shared(occs: list[OccupationVector], what: str) -> None:
+    """Raise unless the occupations share orbital count, statistics, and
+    particle number.
+    """
+    for attr, label in (("num_orbitals", "the orbital count"),
+                        ("statistics", "particle statistics"),
+                        ("m", "the particle number")):
+        if len({getattr(occ, attr) for occ in occs}) != 1:
+            raise ValidationError(f"{what} must share {label}")
 
 
 @dataclass(frozen=True)
@@ -81,12 +83,7 @@ class FockSuperposition:
         if not self.terms:
             raise ValidationError("superposition needs at least one term")
         occs = [occ for _, occ in self.terms]
-        if len({occ.num_orbitals for occ in occs}) != 1:
-            raise ValidationError("terms must share the orbital count")
-        if len({occ.statistics for occ in occs}) != 1:
-            raise ValidationError("terms must share particle statistics")
-        if len({occ.m for occ in occs}) != 1:
-            raise ValidationError("terms must share the particle number")
+        _check_shared(occs, "terms")
         if len({occ.n for occ in occs}) != len(occs):
             raise ValidationError("duplicate occupation term")
         norm = math.sqrt(sum(abs(a) ** 2 for a, _ in self.terms))
@@ -148,13 +145,7 @@ class MixedSpec:
             raise ValidationError(
                 f"ensemble weights sum to {sum(probs)}, expected 1"
             )
-        occs = [occ for _, occ in self.components]
-        if len({occ.num_orbitals for occ in occs}) != 1:
-            raise ValidationError("components must share the orbital count")
-        if len({occ.statistics for occ in occs}) != 1:
-            raise ValidationError("components must share particle statistics")
-        if len({occ.m for occ in occs}) != 1:
-            raise ValidationError("components must share the particle number")
+        _check_shared([occ for _, occ in self.components], "components")
 
     @classmethod
     def from_probabilities(cls, pairs, statistics: str = "fermionic"):
@@ -195,49 +186,53 @@ class PreparedState:
 
 def _merge_plans(counters: dict, plans: list[LoadPlan]) -> None:
     for plan in plans:
-        counters["integral_requests"] = (
-            counters.get("integral_requests", 0) + plan.integral_requests)
-        counters["integral_evaluations"] = (
-            counters.get("integral_evaluations", 0)
-            + plan.integral_evaluations)
-        counters["rotation_applications"] = (
-            counters.get("rotation_applications", 0)
-            + plan.rotation_applications)
-        counters["empty_blocks"] = (
-            counters.get("empty_blocks", 0) + plan.empty_blocks)
+        for key in ("integral_requests", "integral_evaluations",
+                    "rotation_applications", "empty_blocks"):
+            counters[key] = counters.get(key, 0) + getattr(plan, key)
         if plan.mc_samples_per_integral:
             counters["mc_samples_per_integral"] = plan.mc_samples_per_integral
 
 
-def _relabel_segment(state: QuantumState, segment: str,
-                     mapping: np.ndarray) -> QuantumState:
-    """Branch-wise classical relabeling value -> mapping[value] (must be a
-    permutation of the segment's value range).
+def _load_branches(
+    layout: RegisterLayout, segment: str, branches, basis: BasisSet,
+    spec: IntegrationSpec, counters: dict, cache: dict,
+) -> QuantumState:
+    """Prepare sum_b a_b |code_b> |Hartree product of occupation_b> from
+    |0>, for (a_b, code_b, occupation_b) branches.
+
+    The amplitude table is loaded on branch-register indices 0..K-1 and
+    relabeled from index to code (unused indices fill the unused codes in
+    ascending order); each branch's orbitals then load conditioned on its
+    code.
     """
-    seg = state.layout.segment(segment)
-    mapping = np.asarray(mapping, dtype=np.int64)
-    if sorted(mapping.tolist()) != list(range(seg.dim)):
-        raise StructuralError("relabeling must be a permutation")
-    idx = np.arange(state.layout.dim)
-    vals = (idx >> seg.offset) & seg.mask
-    dest = (idx & ~(seg.mask << seg.offset)) | (mapping[vals] << seg.offset)
-    amps = np.empty_like(state.amplitudes)
-    amps[dest] = state.amplitudes
-    return QuantumState(state.layout, amps)
+    state, plan = load_amplitude_table(
+        QuantumState.zero(layout), segment,
+        np.array([a for a, _, _ in branches], dtype=complex), spec,
+        cache=cache)
+    _merge_plans(counters, [plan])
+    seg = layout.segment(segment)
+    codes = [code for _, code, _ in branches]
+    mapping = np.array(codes + sorted(set(range(seg.dim)) - set(codes)))
+    idx = np.arange(layout.dim)
+    state = permute_basis(
+        state, (idx & ~(seg.mask << seg.offset))
+        | (mapping[(idx >> seg.offset) & seg.mask] << seg.offset))
+    for _, code, occ in branches:
+        state, plans = prepare_hartree_product(
+            state, occ, basis, spec, _particle_names(occ.m),
+            controls=[(segment, code)], cache=cache)
+        _merge_plans(counters, plans)
+    return state
 
 
-def _index_to_code_permutation(codes: list[int], dim: int) -> np.ndarray:
-    """Permutation sending loader index i to the i-th branch code; unused
-    indices fill the unused codes in ascending order.
+def _fock_branches(sup: FockSuperposition):
+    """Counter width and (amplitude, occupation code, occupation) branches
+    of a superposition, in ascending code order.
     """
-    if len(set(codes)) != len(codes):
-        raise ValidationError("duplicate occupation code")
-    mapping = np.full(dim, -1, dtype=np.int64)
-    mapping[: len(codes)] = codes
-    leftovers = iter(sorted(set(range(dim)) - set(codes)))
-    for i in range(len(codes), dim):
-        mapping[i] = next(leftovers)
-    return mapping
+    width = boson_counter_width(sup.max_count)
+    return width, sorted(
+        ((a, fock_encode(occ, width), occ) for a, occ in sup.terms),
+        key=lambda branch: branch[1])
 
 
 def prepare_orbital(
@@ -360,40 +355,6 @@ def prepare_two_species(
     return PreparedState(vector=vec, rho=None, report=report, state=state)
 
 
-def _superposition_layout(
-    sup: FockSuperposition, l: int, config: PhaseEstimationConfig,
-    counter_width: int,
-) -> RegisterLayout:
-    m = sup.m
-    w_fock = fock_width(sup.num_orbitals, sup.statistics, counter_width)
-    segments = [("fock", "fock", w_fock)]
-    segments += particle_segments(m, l)
-    segments += permutation_segments(m)
-    segments += [("readout", "readout", config.q)]
-    if config.symmetry is not None:
-        segments += [("symread", "readout", config.q_sym)]
-    return RegisterLayout(segments)
-
-
-def _load_branch_amplitudes(
-    state: QuantumState, sup: FockSuperposition, spec: IntegrationSpec,
-    counter_width: int, counters: dict, cache: dict | None,
-) -> tuple[QuantumState, list[int]]:
-    """Load the superposition amplitudes onto the occupation register:
-    amplitude table on indices 0..K-1, then a classical relabeling from
-    index to occupation code (codes ascending).
-    """
-    terms = sorted(sup.terms, key=lambda t: fock_encode(t[1], counter_width))
-    amps = np.array([a for a, _ in terms], dtype=complex)
-    codes = [fock_encode(occ, counter_width) for _, occ in terms]
-    state, plan = load_amplitude_table(state, "fock", amps, spec, cache=cache)
-    _merge_plans(counters, [plan])
-    seg = state.layout.segment("fock")
-    state = _relabel_segment(
-        state, "fock", _index_to_code_permutation(codes, seg.dim))
-    return state, codes
-
-
 def prepare_superposition(
     sup: FockSuperposition,
     basis: BasisSet,
@@ -416,12 +377,16 @@ def prepare_superposition(
         raise ValidationError("superposition refers to orbitals outside "
                               "the basis")
     m = sup.m
-    statistics = ("fermion" if sup.statistics == "fermionic" else "boson")
-    counter_width = (1 if statistics == "fermion"
-                     else boson_counter_width(sup.max_count))
+    counter_width, branches = _fock_branches(sup)
     config = PhaseEstimationConfig.build(
         basis, l, t=t, eps_pe=eps_pe, symmetry=symmetry)
-    layout = _superposition_layout(sup, l, config, counter_width)
+    layout = RegisterLayout(
+        [("fock", "fock", sup.num_orbitals * counter_width)]
+        + particle_segments(m, l) + permutation_segments(m)
+        + [("readout", "readout", config.q)]
+        + ([("symread", "readout", config.q_sym)]
+           if symmetry is not None else [])
+    )
     if cache is None:
         cache = {}
 
@@ -430,17 +395,8 @@ def prepare_superposition(
     retries = 0
     for attempt in range(1, max_attempts + 1):
         rng = np.random.default_rng(seed_seq.spawn(1)[0])
-        state = QuantumState.zero(layout)
-        state, codes = _load_branch_amplitudes(
-            state, sup, spec, counter_width, counters, cache)
-
-        terms = sorted(sup.terms,
-                       key=lambda trm: fock_encode(trm[1], counter_width))
-        for code, (_, occ) in zip(codes, terms):
-            state, plans = prepare_hartree_product(
-                state, occ, basis, spec, _particle_names(m),
-                controls=[("fock", code)], cache=cache)
-            _merge_plans(counters, plans)
+        state = _load_branches(layout, "fock", branches, basis, spec,
+                               counters, cache)
 
         ambiguous = 0.0
         for b in range(m):
@@ -448,7 +404,6 @@ def prepare_superposition(
                 state, config, "fock", f"particle{b}", "readout",
                 sym_readout_segment=("symread" if symmetry is not None
                                      else None),
-                statistics=statistics,
                 counter_width=counter_width,
                 rng=rng,
             )
@@ -485,8 +440,6 @@ def superposition_oracle(sup: FockSuperposition, basis: BasisSet,
     """Ground truth sum_w alpha_w |Psi_w> from the brute-force
     determinant/permanent oracle.
     """
-    from .assemble import slater_oracle
-
     total = None
     for a, occ in sup.terms:
         term = a * slater_oracle(occ, basis, l)
@@ -509,38 +462,37 @@ def prepare_mixed(
     phase estimation is required.
     """
     comps = mixed.components
-    k = len(comps)
-    w_spec = max(1, math.ceil(math.log2(k)))
-    m = mixed.m
+    amps = np.sqrt([p for p, _ in comps])
+    branches = [(a, i, occ) for i, (a, (_, occ))
+                in enumerate(zip(amps, comps))]
+    w_spec = max(1, math.ceil(math.log2(len(comps))))
+    return _traced_branches("mixed", ("branch", "spec", w_spec), branches,
+                            mixed.statistics, basis, l, spec, cache)
+
+
+def _traced_branches(
+    kind: str, branch_segment: tuple[str, str, int], branches,
+    statistics: str, basis: BasisSet, l: int, spec: IntegrationSpec,
+    cache: dict | None,
+) -> PreparedState:
+    """Load the branches, (anti)symmetrize the particle bank, and trace
+    out the branch register.
+    """
+    m = branches[0][2].m
     layout = RegisterLayout(
-        [("branch", "spec", w_spec)]
-        + particle_segments(m, l)
-        + permutation_segments(m)
+        [branch_segment] + particle_segments(m, l) + permutation_segments(m)
     )
-    state = QuantumState.zero(layout)
     counters: dict = {}
-    if cache is None:
-        cache = {}
-
-    amps = np.sqrt(np.array([p for p, _ in comps], dtype=float))
-    state, plan = load_amplitude_table(state, "branch", amps, spec,
-                                       cache=cache)
-    _merge_plans(counters, [plan])
-
-    for i, (_, occ) in enumerate(comps):
-        state, plans = prepare_hartree_product(
-            state, occ, basis, spec, _particle_names(m),
-            controls=[("branch", i)], cache=cache)
-        _merge_plans(counters, plans)
-
+    state = _load_branches(layout, branch_segment[0], branches, basis, spec,
+                           counters, {} if cache is None else cache)
     state, sym_counters = antisymmetrize(
-        state, _perm_names(m), _particle_names(m), mixed.statistics)
+        state, _perm_names(m), _particle_names(m), statistics)
     counters.update(sym_counters)
 
     rho = partial_trace(state, _particle_names(m))
     eps_phi = load_error_bound(l, spec.epsilon_i)
     report = PreparationReport(
-        kind="mixed", l=l, m=m, statistics=mixed.statistics,
+        kind=kind, l=l, m=m, statistics=statistics,
         qubits=layout.n_total, counters=counters,
         error_bound=(m + 1) * eps_phi,
     )
@@ -548,8 +500,6 @@ def prepare_mixed(
 
 
 def mixed_oracle(mixed: MixedSpec, basis: BasisSet, l: int) -> DensityMatrix:
-    from .assemble import slater_oracle
-
     dim = 1 << (mixed.m * l)
     rho = np.zeros((dim, dim), dtype=complex)
     for p, occ in mixed.components:
@@ -569,36 +519,7 @@ def prepare_diagonal_mixed(
     and trace it out, yielding the dephased ensemble with weights
     |alpha_w|^2.
     """
-    statistics = ("fermion" if sup.statistics == "fermionic" else "boson")
-    counter_width = (1 if statistics == "fermion"
-                     else boson_counter_width(sup.max_count))
-    m = sup.m
-    w_fock = fock_width(sup.num_orbitals, sup.statistics, counter_width)
-    layout = RegisterLayout(
-        [("fock", "fock", w_fock)]
-        + particle_segments(m, l)
-        + permutation_segments(m)
-    )
-    state = QuantumState.zero(layout)
-    counters: dict = {}
-    if cache is None:
-        cache = {}
-    state, codes = _load_branch_amplitudes(
-        state, sup, spec, counter_width, counters, cache)
-    terms = sorted(sup.terms,
-                   key=lambda trm: fock_encode(trm[1], counter_width))
-    for code, (_, occ) in zip(codes, terms):
-        state, plans = prepare_hartree_product(
-            state, occ, basis, spec, _particle_names(m),
-            controls=[("fock", code)], cache=cache)
-        _merge_plans(counters, plans)
-    state, sym_counters = antisymmetrize(
-        state, _perm_names(m), _particle_names(m), sup.statistics)
-    counters.update(sym_counters)
-    rho = partial_trace(state, _particle_names(m))
-    report = PreparationReport(
-        kind="diagonal-mixed", l=l, m=m, statistics=sup.statistics,
-        qubits=layout.n_total, counters=counters,
-        error_bound=(m + 1) * load_error_bound(l, spec.epsilon_i),
-    )
-    return PreparedState(vector=None, rho=rho, report=report, state=state)
+    counter_width, branches = _fock_branches(sup)
+    return _traced_branches(
+        "diagonal-mixed", ("fock", "fock", sup.num_orbitals * counter_width),
+        branches, sup.statistics, basis, l, spec, cache)

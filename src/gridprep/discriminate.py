@@ -17,7 +17,7 @@ import numpy as np
 from .basis import BasisSet
 from .errors import DegeneracyError, StructuralError, ValidationError
 from .statevec import QuantumState, apply_unitary_on_segment, check_unitary, \
-    measure_segment, qft
+    measure_segment, permute_basis, qft
 
 
 def extra_qubits_for(eps_pe: float) -> int:
@@ -137,7 +137,6 @@ class PhaseEstimationConfig:
     symmetry: SymmetryOperator | None = None
     n_sym: int = 0
     sym_phases: np.ndarray | None = None
-    retry_seed_salt: int = 0
     _lookup: np.ndarray = field(default=None, repr=False)
 
     @property
@@ -212,38 +211,20 @@ class PhaseEstimationConfig:
                    n_energy=n_energy, thetas=thetas, symmetry=symmetry,
                    n_sym=n_sym, sym_phases=sym_phases)
 
-    def window_centers(self) -> np.ndarray:
-        scale = 1 << self.n_energy
-        return (_round_half_up(self.thetas * scale) % scale) / scale
-
     def lookup_table(self) -> np.ndarray:
         """orbital index per (energy readout, symmetry readout) pair;
         -1 marks an ambiguous readout.
         """
         if self._lookup is not None:
             return self._lookup
-        dim_e = 1 << self.q
-        dim_s = 1 << self.q_sym if self.symmetry is not None else 1
-        table = np.full((dim_e, dim_s), -1, dtype=np.int64)
-        half_e = 0.5 / (1 << self.n_energy)
-        centers = self.window_centers()
-        re = np.arange(dim_e) / dim_e
-        if self.symmetry is not None:
-            half_s = 0.5 / (1 << self.n_sym)
-            scale_s = 1 << self.n_sym
-            centers_s = (_round_half_up(self.sym_phases * scale_s)
-                         % scale_s) / scale_s
-            rs = np.arange(dim_s) / dim_s
+        in_e = _windows(self.thetas, self.n_energy, self.q)
+        in_s = (_windows(self.sym_phases, self.n_sym, self.q_sym)
+                if self.symmetry is not None
+                else np.ones((self.basis.size, 1), dtype=bool))
+        table = np.full((in_e.shape[1], in_s.shape[1]), -1, dtype=np.int64)
         claimed = np.zeros_like(table, dtype=bool)
         for i in range(self.basis.size):
-            de = (re - centers[i]) % 1.0
-            in_e = (de < half_e) | (de >= 1.0 - half_e)
-            if self.symmetry is not None:
-                ds = (rs - centers_s[i]) % 1.0
-                in_s = (ds < half_s) | (ds >= 1.0 - half_s)
-                cell = np.outer(in_e, in_s)
-            else:
-                cell = in_e[:, None]
+            cell = np.outer(in_e[i], in_s[i])
             if np.any(claimed & cell):
                 raise DegeneracyError(
                     f"lookup window of orbital {i} overlaps another window"
@@ -252,6 +233,17 @@ class PhaseEstimationConfig:
             table[cell] = i
         self._lookup = table
         return table
+
+
+def _windows(phases: np.ndarray, n: int, width: int) -> np.ndarray:
+    """(orbital, readout) mask: readout k / 2^width lies in the half-open
+    window of width 2^-n centered on the orbital's phase rounded to n bits.
+    """
+    scale = 1 << n
+    centers = (_round_half_up(phases * scale) % scale) / scale
+    d = (np.arange(1 << width) / (1 << width) - centers[:, None]) % 1.0
+    half = 0.5 / scale
+    return (d < half) | (d >= 1.0 - half)
 
 
 def _phase_clusters(phases: np.ndarray, tol: float = 1e-9):
@@ -304,24 +296,6 @@ def phase_estimate(
     return qft(state, readout_segment, inverse=True)
 
 
-def symmetry_discriminate(
-    state: QuantumState,
-    readout_segment: str,
-    target_segment: str,
-    symmetry: SymmetryOperator,
-) -> tuple[QuantumState, np.ndarray]:
-    """Phase-estimate the symmetry operator; returns the post-circuit state
-    and the readout probability distribution (phase k/2^q at index k).
-    """
-    seg = state.layout.segment(target_segment)
-    l = seg.width
-    state = phase_estimate(state, readout_segment, target_segment,
-                           symmetry.unitary(l))
-    from .statevec import segment_probabilities
-
-    return state, segment_probabilities(state, readout_segment)
-
-
 @dataclass
 class IdentificationRecord:
     """Diagnostics from one identify-and-decrement pass."""
@@ -342,13 +316,13 @@ def _decrement_fock(
     fock_segment: str,
     readout_segment: str,
     sym_readout_segment: str | None,
-    statistics: str,
-    counter_width: int | None,
+    counter_width: int,
 ) -> tuple[QuantumState, np.ndarray, float]:
     """Relabeling permutation: on branches whose readout(s) land in orbital
     i's window, remove one quantum of orbital i from the occupation
-    register (bit flip for fermions, modular counter decrement for bosons).
-    Branches with an ambiguous readout are left untouched.
+    register, a modular decrement of its counter (a bit flip when the
+    counter is one bit wide, as for fermions).  Branches with an ambiguous
+    readout are left untouched.
     """
     fock = state.layout.segment(fock_segment)
     lookup = config.lookup_table()
@@ -367,26 +341,16 @@ def _decrement_fock(
     orbital_mass = mass[1:]
 
     fvals = (idx >> fock.offset) & fock.mask
-    if statistics == "fermion":
-        flip = np.where(orb >= 0, 1 << np.maximum(orb, 0), 0)
-        new_f = fvals ^ flip
-    else:
-        wc = counter_width
-        if wc is None:
-            raise ValidationError("boson decrement needs a counter width")
-        cmask = (1 << wc) - 1
-        shift = np.maximum(orb, 0) * wc
-        v = (fvals >> shift) & cmask
-        v_new = (v - 1) % (1 << wc)
-        new_f = np.where(
-            orb >= 0,
-            (fvals & ~(cmask << shift)) | (v_new << shift),
-            fvals,
-        )
+    cmask = (1 << counter_width) - 1
+    shift = np.maximum(orb, 0) * counter_width
+    v_new = (((fvals >> shift) & cmask) - 1) & cmask
+    new_f = np.where(
+        orb >= 0,
+        (fvals & ~(cmask << shift)) | (v_new << shift),
+        fvals,
+    )
     dest = (idx & ~(fock.mask << fock.offset)) | (new_f << fock.offset)
-    amps = np.empty_like(state.amplitudes)
-    amps[dest] = state.amplitudes
-    return QuantumState(state.layout, amps), orbital_mass, ambiguous_mass
+    return permute_basis(state, dest), orbital_mass, ambiguous_mass
 
 
 def _measured_reset(state: QuantumState, segment: str, rng):
@@ -399,10 +363,8 @@ def _measured_reset(state: QuantumState, segment: str, rng):
     seg = state.layout.segment(segment)
     outcome, state = measure_segment(state, segment, rng)
     if outcome != 0:
-        idx = np.arange(state.layout.dim)
-        amps = np.empty_like(state.amplitudes)
-        amps[idx ^ (outcome << seg.offset)] = state.amplitudes
-        state = QuantumState(state.layout, amps)
+        state = permute_basis(
+            state, np.arange(state.layout.dim) ^ (outcome << seg.offset))
     return outcome, state
 
 
@@ -413,14 +375,14 @@ def identify_and_decrement(
     particle_segment: str,
     readout_segment: str,
     sym_readout_segment: str | None = None,
-    statistics: str = "fermion",
-    counter_width: int | None = None,
+    counter_width: int = 1,
     rng=None,
 ) -> tuple[QuantumState, IdentificationRecord]:
     """One pass of the disentangling step for a single particle register:
     phase-estimate which orbital the register holds, remove that orbital's
     quantum from the occupation register, undo the estimation, and recycle
-    the readout(s) by measured reset.
+    the readout(s) by measured reset.  The occupation register holds one
+    `counter_width`-bit counter per orbital.
     """
     readout = state.layout.segment(readout_segment)
     if readout.width != config.q:
@@ -444,7 +406,7 @@ def identify_and_decrement(
 
     state, orbital_mass, ambiguous_mass = _decrement_fock(
         state, config, fock_segment, readout_segment, sym_readout_segment,
-        statistics, counter_width,
+        counter_width,
     )
 
     if sym_readout_segment is not None:

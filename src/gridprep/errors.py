@@ -31,10 +31,6 @@ class DegeneracyError(PipelineError):
     """Phase-estimation windows collide; identification is impossible."""
 
 
-class AmbiguousIdentificationError(PipelineError):
-    """A readout fell outside every lookup window."""
-
-
 class RetryBudgetError(PipelineError):
     """The repeat-until-success loop exhausted its retry budget."""
 

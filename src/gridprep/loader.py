@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import EMPTY_BLOCK, EMPTY_MASS_THRESHOLD, IntegrationSpec, Orbital, \
-    mc_sample_count
+    mc_sample_count, tabulated
 from .errors import ValidationError
-from .statevec import QuantumState
+from .statevec import QuantumState, control_masks
 
 Controls = list[tuple[str, int]]
 
@@ -64,7 +64,7 @@ def _control_bits(state: QuantumState, controls: Controls | None):
 
 
 def _grid_ratio(prob: np.ndarray, prefix: np.ndarray, l: int, i: int, k: int,
-                orbital: Orbital, spec: IntegrationSpec):
+                spec: IntegrationSpec):
     """Split ratio of the discrete site distribution for block pair k at
     level i; EMPTY_BLOCK when the pair carries no mass.
     """
@@ -124,16 +124,8 @@ def _multiplexed_rotation(state: QuantumState, segment: str, level: int,
     lo_n = (1 << seg.offset) * (1 << target_bit)
     cube = amps.reshape(hi_n, n_pref, 2, lo_n)
 
-    hi_sel = np.ones(hi_n, dtype=bool)
-    lo_sel = np.ones(lo_n, dtype=bool)
-    for q, bit in _control_bits(state, controls):
-        if seg.offset <= q < seg.offset + seg.width:
-            raise ValidationError("control qubit inside the load target")
-        if q < seg.offset:
-            lo_sel &= ((np.arange(lo_n) >> q) & 1) == bit
-        else:
-            shift = q - seg.offset - seg.width
-            hi_sel &= ((np.arange(hi_n) >> shift) & 1) == bit
+    hi_sel, lo_sel = control_masks(state, seg, _control_bits(state, controls),
+                                   hi_n, lo_n)
 
     ang = np.where(active, angles, 0.0)
     c = np.cos(ang)[None, :, None]
@@ -197,7 +189,7 @@ def load_orbital(
             if cache is not None and key in cache:
                 ratio = cache[key]
             else:
-                ratio = _grid_ratio(prob, prefix, l, i, k, orbital, spec)
+                ratio = _grid_ratio(prob, prefix, l, i, k, spec)
                 plan.integral_evaluations += 1
                 if cache is not None:
                     cache[key] = ratio
@@ -227,12 +219,12 @@ def apply_phases(state: QuantumState, segment: str, orbital: Orbital,
     if not np.any(table):
         return state
     amps = state.amplitudes.copy()
-    idx = np.arange(amps.size)
-    ok = np.ones(amps.size, dtype=bool)
-    for q, bit in _control_bits(state, controls):
-        ok &= ((idx >> q) & 1) == bit
-    vals = (idx >> seg.offset) & seg.mask
-    amps[ok] = amps[ok] * np.exp(1j * table[vals[ok]])
+    cube = amps.reshape(amps.size >> (seg.offset + seg.width), seg.dim,
+                        1 << seg.offset)
+    hi_sel, lo_sel = control_masks(state, seg, _control_bits(state, controls),
+                                   cube.shape[0], cube.shape[2])
+    sel = np.ix_(hi_sel, np.arange(seg.dim), lo_sel)
+    cube[sel] = cube[sel] * np.exp(1j * table)[None, :, None]
     return QuantumState(state.layout, amps)
 
 
@@ -247,8 +239,6 @@ def load_amplitude_table(
     """Load an arbitrary normalized amplitude table via the tabulated-orbital
     path (pads with zeros up to the segment dimension).
     """
-    from .basis import tabulated
-
     seg = state.layout.segment(segment)
     table = np.zeros(seg.dim, dtype=np.complex128)
     amplitudes = np.asarray(amplitudes, dtype=np.complex128)

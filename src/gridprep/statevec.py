@@ -171,51 +171,29 @@ def _check_qubit(state: QuantumState, qubit: int) -> None:
         raise StructuralError(f"qubit index {qubit} outside layout")
 
 
-def apply_rotation(
-    state: QuantumState,
-    target: int,
-    angle: float,
-    controls: list[tuple[int, int]] | None = None,
-) -> QuantumState:
-    """Real rotation |0> -> cos t|0> + sin t|1>, |1> -> -sin t|0> + cos t|1>
-    on `target`, applied only where every (qubit, bit) control matches.
-    """
-    _check_qubit(state, target)
-    if not np.isfinite(angle):
-        raise ValidationError("rotation angle must be finite")
-    controls = controls or []
-    for q, _ in controls:
-        _check_qubit(state, q)
-        if q == target:
-            raise StructuralError("rotation target cannot be its own control")
-
-    amps = state.amplitudes.copy()
-    idx = np.arange(amps.size)
-    ok = np.ones(amps.size, dtype=bool)
-    for q, bit in controls:
-        ok &= ((idx >> q) & 1) == bit
-    sel = ok & (((idx >> target) & 1) == 0)
-    i0 = idx[sel]
-    i1 = i0 | (1 << target)
-    c, s = np.cos(angle), np.sin(angle)
-    a0, a1 = amps[i0], amps[i1]
-    amps[i0] = c * a0 - s * a1
-    amps[i1] = s * a0 + c * a1
-    return QuantumState(state.layout, amps)
-
-
-def apply_diagonal_phase(state: QuantumState, segment: str, phase_fn) -> QuantumState:
-    """Multiply each amplitude by exp(i * phase_fn(x)), x = segment value."""
-    seg = state.layout.segment(segment)
-    table = np.array([phase_fn(x) for x in range(seg.dim)], dtype=float)
-    vals = state.segment_values(segment)
-    amps = state.amplitudes * np.exp(1j * table[vals])
-    return QuantumState(state.layout, amps)
-
-
-def _reshape_on_segment(amps: np.ndarray, layout: RegisterLayout, seg: Segment):
+def _reshape_on_segment(amps: np.ndarray, seg: Segment):
     hi = amps.size >> (seg.offset + seg.width)
     return amps.reshape(hi, seg.dim, 1 << seg.offset)
+
+
+def control_masks(state: QuantumState, seg: Segment, controls,
+                  hi_n: int, lo_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks over the qubits above (hi_n values) and below (lo_n values,
+    bit 0 = qubit 0) the target segment that select the branch where every
+    (global qubit, bit) control matches.
+    """
+    hi_sel = np.ones(hi_n, dtype=bool)
+    lo_sel = np.ones(lo_n, dtype=bool)
+    for q, bit in controls or []:
+        _check_qubit(state, q)
+        if seg.offset <= q < seg.offset + seg.width:
+            raise StructuralError("control qubit lies inside the target segment")
+        if q < seg.offset:
+            lo_sel &= ((np.arange(lo_n) >> q) & 1) == bit
+        else:
+            shift = q - seg.offset - seg.width
+            hi_sel &= ((np.arange(hi_n) >> shift) & 1) == bit
+    return hi_sel, lo_sel
 
 
 def check_unitary(u: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -246,19 +224,9 @@ def apply_unitary_on_segment(
             f"unitary dimension {u.shape[0]} != segment dimension {seg.dim}"
         )
     amps = state.amplitudes.copy()
-    cube = _reshape_on_segment(amps, state.layout, seg)
+    cube = _reshape_on_segment(amps, seg)
     hi_n, _, lo_n = cube.shape
-    hi_sel = np.ones(hi_n, dtype=bool)
-    lo_sel = np.ones(lo_n, dtype=bool)
-    for q, bit in controls or []:
-        _check_qubit(state, q)
-        if seg.offset <= q < seg.offset + seg.width:
-            raise StructuralError("control qubit lies inside the target segment")
-        if q < seg.offset:
-            lo_sel &= ((np.arange(lo_n) >> q) & 1) == bit
-        else:
-            shift = q - seg.offset - seg.width
-            hi_sel &= ((np.arange(hi_n) >> shift) & 1) == bit
+    hi_sel, lo_sel = control_masks(state, seg, controls, hi_n, lo_n)
     block = cube[np.ix_(hi_sel, np.arange(seg.dim), lo_sel)]
     cube[np.ix_(hi_sel, np.arange(seg.dim), lo_sel)] = np.einsum(
         "ab,hbl->hal", u, block
@@ -278,6 +246,22 @@ def qft(state: QuantumState, segment: str, inverse: bool = False) -> QuantumStat
         state.layout.segment(segment).width, inverse))
 
 
+def permute_basis(state: QuantumState, dest: np.ndarray) -> QuantumState:
+    """Classical relabeling of the basis: the amplitude at index i moves to
+    index dest[i].  `dest` must be a permutation of the index range.
+    """
+    dest = np.asarray(dest)
+    dim = state.layout.dim
+    hit = np.zeros(dim, dtype=bool)
+    if dest.shape == (dim,) and dest.min() >= 0 and dest.max() < dim:
+        hit[dest] = True
+    if not hit.all():
+        raise StructuralError("relabeling must be a permutation")
+    amps = np.empty_like(state.amplitudes)
+    amps[dest] = state.amplitudes
+    return QuantumState(state.layout, amps)
+
+
 def swap_segments(state: QuantumState, seg_a: str, seg_b: str) -> QuantumState:
     a = state.layout.segment(seg_a)
     b = state.layout.segment(seg_b)
@@ -289,10 +273,8 @@ def swap_segments(state: QuantumState, seg_a: str, seg_b: str) -> QuantumState:
     va = (idx >> a.offset) & a.mask
     vb = (idx >> b.offset) & b.mask
     stripped = idx & ~(a.mask << a.offset) & ~(b.mask << b.offset)
-    dest = stripped | (vb << a.offset) | (va << b.offset)
-    amps = np.empty_like(state.amplitudes)
-    amps[dest] = state.amplitudes[idx]
-    return QuantumState(state.layout, amps)
+    return permute_basis(
+        state, stripped | (vb << a.offset) | (va << b.offset))
 
 
 def measure_segment(
@@ -328,6 +310,18 @@ def segment_probabilities(state: QuantumState, segment: str) -> np.ndarray:
                        minlength=seg.dim)
 
 
+def _packed_values(idx: np.ndarray, segments) -> tuple[np.ndarray, int]:
+    """Values of `segments` at each basis index, packed into one integer
+    (first segment least significant), and their total width.
+    """
+    packed = np.zeros(idx.size, dtype=np.int64)
+    shift = 0
+    for s in segments:
+        packed |= (((idx >> s.offset) & s.mask).astype(np.int64)) << shift
+        shift += s.width
+    return packed, shift
+
+
 def partial_trace(
     state: QuantumState,
     keep_segments: list[str],
@@ -345,20 +339,10 @@ def partial_trace(
             f"partial trace over {k_width} qubits exceeds the cap of {cap}"
         )
     idx = np.arange(state.layout.dim)
-    kvals = np.zeros(idx.size, dtype=np.int64)
-    shift = 0
-    for s in kept:
-        kvals |= (((idx >> s.offset) & s.mask).astype(np.int64)) << shift
-        shift += s.width
-    keep_names = set(keep_segments)
-    rvals = np.zeros(idx.size, dtype=np.int64)
-    shift = 0
-    for s in state.layout:
-        if s.name in keep_names or s.width == 0:
-            continue
-        rvals |= (((idx >> s.offset) & s.mask).astype(np.int64)) << shift
-        shift += s.width
-    table = np.zeros((1 << k_width, 1 << max(shift, 0)), dtype=np.complex128)
+    kvals, _ = _packed_values(idx, kept)
+    rvals, r_width = _packed_values(
+        idx, [s for s in state.layout if s.name not in keep_segments])
+    table = np.zeros((1 << k_width, 1 << r_width), dtype=np.complex128)
     table[kvals, rvals] = state.amplitudes
     return DensityMatrix(table @ table.conj().T)
 
@@ -383,12 +367,8 @@ def extract_segment_vector(
         raise ValidationError(
             f"segments outside {keep_segments} are not blank (leak {leak:.3g})"
         )
-    kvals = np.zeros(idx.size, dtype=np.int64)
-    shift = 0
-    for s in kept:
-        kvals |= (((idx >> s.offset) & s.mask).astype(np.int64)) << shift
-        shift += s.width
-    vec = np.zeros(1 << shift, dtype=np.complex128)
+    kvals, width = _packed_values(idx, kept)
+    vec = np.zeros(1 << width, dtype=np.complex128)
     vec[kvals[rest_zero]] = state.amplitudes[rest_zero]
     n = np.linalg.norm(vec)
     return vec / n

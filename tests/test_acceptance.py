@@ -26,7 +26,6 @@ from gridprep.basis import (
     harmonic_hermite,
     mc_sample_count,
     ring_plane_wave,
-    split_ratio,
     uniform,
 )
 from gridprep.compose import (
@@ -41,7 +40,7 @@ from gridprep.compose import (
 )
 from gridprep.discriminate import SymmetryOperator, extra_qubits_for
 from gridprep.errors import DegeneracyError
-from gridprep.loader import load_error_bound, load_orbital
+from gridprep.loader import _mc_grid_ratio, load_error_bound, load_orbital
 from gridprep.statevec import QuantumState, RegisterLayout, partial_trace
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
@@ -119,13 +118,16 @@ class TestAcceptance:
 
     def test_criterion_3_monte_carlo_confidence(self):
         start = time.perf_counter()
-        truth = 0.5 - 1.0 / np.pi  # box-sine n=1, level 2, block 0
-        orb = box_sine(1)
+        # box-sine n=1 on 16 sites, level 2, block pair 0: sites [0, 8),
+        # left half [0, 4); truth is the exact grid ratio (0.14090...)
+        prob = box_sine(1).grid_prob(4)
+        truth = prob[:4].sum() / prob[:8].sum()
         hits = 0
         for seed in range(200):
             spec = IntegrationSpec(backend="monte-carlo", epsilon_i=0.02,
                                    delta=0.1, bounds=(0.0, 1.0), seed=seed)
-            if abs(split_ratio(orb, 2, 0, spec) - truth) <= 0.02:
+            estimate = _mc_grid_ratio(prob, 0, 4, 8, spec, level=2, block=0)
+            if abs(estimate - truth) <= 0.02:
                 hits += 1
         elapsed = time.perf_counter() - start
         print(f"\ncriterion 3: {hits}/200 trials within epsilon, "

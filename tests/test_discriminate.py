@@ -11,7 +11,6 @@ from gridprep.discriminate import (
     identify_and_decrement,
     misidentification_probability,
     phase_estimate,
-    symmetry_discriminate,
     verify_uncomputation,
 )
 from gridprep.errors import DegeneracyError, ValidationError
@@ -180,8 +179,9 @@ class TestPhaseEstimate:
         for k, expected in ((1, 1), (-1, 7)):
             state = QuantumState.zero(layout)
             state, _ = load_orbital(state, "x", ring_plane_wave(k), CDF)
-            _, probs = symmetry_discriminate(
-                state, "r", "x", SymmetryOperator("cyclic-shift"))
+            state = phase_estimate(
+                state, "r", "x", SymmetryOperator("cyclic-shift").unitary(3))
+            probs = segment_probabilities(state, "r")
             assert probs[expected] == pytest.approx(1.0, abs=1e-10)
 
 
@@ -255,7 +255,7 @@ class TestIdentifyAndDecrement:
         state, _ = load_orbital(state, "particle0", bas.orbitals[0], CDF)
         state, record = identify_and_decrement(
             state, cfg, "fock", "particle0", "readout",
-            statistics="boson", counter_width=2, rng=0)
+            counter_width=2, rng=0)
         vals = segment_probabilities(state, "fock")
         assert vals[0b0001] == pytest.approx(1.0, abs=1e-10)
 

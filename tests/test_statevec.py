@@ -10,15 +10,16 @@ from gridprep.errors import (
     StructuralError,
     ValidationError,
 )
+from gridprep.loader import _multiplexed_rotation
 from gridprep.statevec import (
     DensityMatrix,
     QuantumState,
     RegisterLayout,
-    apply_rotation,
     apply_unitary_on_segment,
     extract_segment_vector,
     measure_segment,
     partial_trace,
+    permute_basis,
     qft,
     qft_matrix,
     qubit_cap,
@@ -88,27 +89,35 @@ class TestQuantumState:
 
 
 class TestRotation:
+    """The loader's multiplexed rotation, the one rotation primitive."""
+
     def test_rotation_action(self):
         layout = RegisterLayout([("a", "particle", 1)])
-        state = QuantumState.zero(layout)
-        out = apply_rotation(state, 0, np.pi / 6)
+        out = _multiplexed_rotation(QuantumState.zero(layout), "a", 1,
+                                    np.array([np.pi / 6]), np.array([True]),
+                                    None)
         assert out.amplitudes[0] == pytest.approx(np.cos(np.pi / 6))
         assert out.amplitudes[1] == pytest.approx(np.sin(np.pi / 6))
 
     @settings(max_examples=30, deadline=None)
-    @given(st.floats(-10, 10), st.integers(0, 4))
-    def test_rotation_preserves_norm(self, angle, target):
+    @given(st.floats(-10, 10), st.integers(1, 3))
+    def test_rotation_preserves_norm(self, angle, level):
         layout = small_layout()
         rng = np.random.default_rng(1)
         amps = rng.normal(size=32) + 1j * rng.normal(size=32)
         amps /= np.linalg.norm(amps)
-        out = apply_rotation(QuantumState(layout, amps), target, angle)
+        n_pref = 1 << (level - 1)
+        out = _multiplexed_rotation(
+            QuantumState(layout, amps), "b", level,
+            angle * np.arange(1, n_pref + 1), np.ones(n_pref, dtype=bool),
+            None)
         assert out.norm == pytest.approx(1.0)
 
     def test_controlled_rotation_only_touches_branch(self):
         layout = RegisterLayout([("a", "particle", 1), ("c", "scratch", 1)])
         state = QuantumState(layout, np.array([1, 0, 1, 0]) / np.sqrt(2))
-        out = apply_rotation(state, 0, np.pi / 2, controls=[(1, 1)])
+        out = _multiplexed_rotation(state, "a", 1, np.array([np.pi / 2]),
+                                    np.array([True]), [("c", 1)])
         # c=0 branch untouched, c=1 branch fully rotated
         assert out.amplitudes[0] == pytest.approx(1 / np.sqrt(2))
         assert out.amplitudes[3] == pytest.approx(1 / np.sqrt(2))
@@ -116,7 +125,8 @@ class TestRotation:
     def test_control_on_target_rejected(self):
         state = QuantumState.zero(small_layout())
         with pytest.raises(StructuralError):
-            apply_rotation(state, 0, 0.3, controls=[(0, 1)])
+            _multiplexed_rotation(state, "a", 1, np.array([0.3]),
+                                  np.array([True]), [("a", 1)])
 
 
 class TestSegmentUnitary:
@@ -170,6 +180,33 @@ class TestQft:
         state = QuantumState(layout, amps)
         back = qft(qft(state, "a"), "a", inverse=True)
         np.testing.assert_allclose(back.amplitudes, amps, atol=1e-12)
+
+
+class TestPermuteBasis:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 3), min_size=1, max_size=3).flatmap(
+        lambda widths: st.tuples(
+            st.just(widths), st.permutations(range(1 << sum(widths))),
+            st.integers(0, 2**31 - 1))))
+    def test_matches_gather_reference(self, case):
+        widths, perm, seed = case
+        layout = RegisterLayout([(f"s{i}", "scratch", w)
+                                 for i, w in enumerate(widths)])
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+        dest = np.array(perm)
+        out = permute_basis(QuantumState(layout, amps), dest)
+        # gather: the amplitude landing on j comes from the preimage of j
+        np.testing.assert_array_equal(out.amplitudes, amps[np.argsort(dest)])
+
+    def test_rejects_non_permutation(self):
+        state = QuantumState.zero(small_layout())
+        dest = np.arange(state.layout.dim)
+        dest[1] = 0  # not injective
+        with pytest.raises(StructuralError):
+            permute_basis(state, dest)
+        with pytest.raises(StructuralError):
+            permute_basis(state, np.arange(state.layout.dim) + 1)
 
 
 class TestSwapAndMeasure:
