@@ -466,11 +466,11 @@ def prepare_mixed(
     branches = [(a, i, occ) for i, (a, (_, occ))
                 in enumerate(zip(amps, comps))]
     w_spec = max(1, math.ceil(math.log2(len(comps))))
-    return _traced_branches("mixed", ("branch", "spec", w_spec), branches,
+    return _purified_mixture("mixed", ("branch", "spec", w_spec), branches,
                             mixed.statistics, basis, l, spec, cache)
 
 
-def _traced_branches(
+def _purified_mixture(
     kind: str, branch_segment: tuple[str, str, int], branches,
     statistics: str, basis: BasisSet, l: int, spec: IntegrationSpec,
     cache: dict | None,
@@ -520,6 +520,6 @@ def prepare_diagonal_mixed(
     |alpha_w|^2.
     """
     counter_width, branches = _fock_branches(sup)
-    return _traced_branches(
+    return _purified_mixture(
         "diagonal-mixed", ("fock", "fock", sup.num_orbitals * counter_width),
         branches, sup.statistics, basis, l, spec, cache)
