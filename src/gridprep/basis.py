@@ -19,9 +19,6 @@ from .errors import ValidationError
 #: distribution; monte-carlo estimates them by sampling grid sites.
 BACKENDS = ("analytic-cdf", "adaptive-quadrature", "monte-carlo")
 
-#: Split ratio of a dyadic block pair that carries no probability mass.
-EMPTY_BLOCK = "empty-block"
-
 #: Denominator mass below this is treated as zero (double-precision noise).
 EMPTY_MASS_THRESHOLD = 1e-14
 

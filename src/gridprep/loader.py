@@ -1,20 +1,19 @@
-"""Single-particle state loading: l levels of multiplexed rotations that
-redistribute amplitude across dyadic blocks, then phase kickback.
-
-The grid-discretized orbital (point samples, renormalized) is the loading
-target; the split ratios that drive the rotations are conditional
-probabilities of the discrete site distribution.  Grid sampling is treated
-as exact, so with an exact backend the loaded magnitudes match the sampled
-orbital to machine precision, and all loader error is attributed to the
-integration backend.
+"""Single-particle state loading: l levels of multiplexed rotations, each
+turning a dyadic block pair by arccos(sqrt(split ratio)), then phase
+kickback.  Site x ends up with the product of the cos/sin factors along its
+dyadic path (Grover & Rudolph, quant-ph/0208112), and `load_orbital`
+evaluates that product directly; the tests keep the gate-level circuit as
+its bitwise reference.  The split ratios are conditional probabilities of
+the point-sampled grid distribution, so with an exact backend the loaded
+magnitudes match the sampled orbital to machine precision.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import EMPTY_BLOCK, EMPTY_MASS_THRESHOLD, IntegrationSpec, Orbital, \
+from .basis import EMPTY_MASS_THRESHOLD, IntegrationSpec, Orbital, \
     mc_sample_count, tabulated
 from .errors import ValidationError
 from .statevec import QuantumState, control_masks
@@ -24,10 +23,12 @@ Controls = list[tuple[str, int]]
 
 @dataclass
 class LoadPlan:
-    """Per-level rotation schedule plus cost counters for one orbital load."""
+    """Cost counters of the circuit: per dyadic block pair (2^l - 1 in all)
+    one integral request, one evaluation unless cached, and one rotation or
+    empty block.
+    """
 
     l: int
-    levels: list[list[tuple[int, float, float]]] = field(default_factory=list)
     integral_requests: int = 0
     integral_evaluations: int = 0
     rotation_applications: int = 0
@@ -36,7 +37,8 @@ class LoadPlan:
 
     @property
     def stages(self) -> int:
-        return len(self.levels)
+        """Rotation stages of the circuit, one per grid qubit."""
+        return self.l
 
 
 def load_error_bound(l: int, epsilon_i: float) -> float:
@@ -63,25 +65,38 @@ def _control_bits(state: QuantumState, controls: Controls | None):
     return bits
 
 
-def _grid_ratio(prob: np.ndarray, prefix: np.ndarray, l: int, i: int, k: int,
-                spec: IntegrationSpec):
-    """Split ratio of the discrete site distribution for block pair k at
-    level i; EMPTY_BLOCK when the pair carries no mass.
+def _split_ratios(prob: np.ndarray, l: int,
+                  spec: IntegrationSpec) -> list[np.ndarray]:
+    """Split ratios of the discrete site distribution, one array per level:
+    entry b of level i belongs to block pair (2b, 2b + 1) of the 2^i blocks
+    at that level.  NaN marks pairs that carry no mass.
     """
-    stride = 1 << (l - i)
-    lo, mid, hi = k * stride, (k + 1) * stride, (k + 2) * stride
-    den = prefix[hi] - prefix[lo]
-    if den < EMPTY_MASS_THRESHOLD:
-        return EMPTY_BLOCK
-    if spec.backend != "monte-carlo":
-        return float(np.clip((prefix[mid] - prefix[lo]) / den, 0.0, 1.0))
-    return _mc_grid_ratio(prob, lo, mid, hi, spec, level=i, block=k)
+    prefix = np.concatenate([[0.0], np.cumsum(prob)])
+    table = []
+    for i in range(1, l + 1):
+        stride = 1 << (l - i)
+        edges = prefix[::stride]
+        lo, mid, hi = edges[:-1:2], edges[1::2], edges[2::2]
+        den = hi - lo
+        full = den >= EMPTY_MASS_THRESHOLD
+        ratio = np.full(den.size, np.nan)
+        if spec.backend != "monte-carlo":
+            np.divide(mid - lo, den, out=ratio, where=full)
+            np.clip(ratio, 0.0, 1.0, out=ratio)
+        else:
+            for b in map(int, np.flatnonzero(full)):
+                ratio[b] = _mc_grid_ratio(
+                    prob, 2 * b * stride, (2 * b + 1) * stride,
+                    (2 * b + 2) * stride, spec, level=i, block=2 * b)
+        table.append(ratio)
+    return table
 
 
 def _mc_grid_ratio(prob: np.ndarray, lo: int, mid: int, hi: int,
-                   spec: IntegrationSpec, level: int, block: int):
+                   spec: IntegrationSpec, level: int, block: int) -> float:
     """Bernoulli estimate: rejection-sample sites proportionally to their
-    mass, return the fraction that landed in the left half.
+    mass (the pair must carry some), return the fraction that landed in the
+    left half.
     """
     if spec.bounds is None and spec.sigma2 is None:
         raise ValidationError(
@@ -89,8 +104,6 @@ def _mc_grid_ratio(prob: np.ndarray, lo: int, mid: int, hi: int,
         )
     block_prob = prob[lo:hi]
     envelope = block_prob.max()
-    if envelope <= 0:
-        return EMPTY_BLOCK
     n = max(mc_sample_count(spec, bounded=spec.bounds is not None), 1)
     rng = np.random.default_rng(
         np.random.SeedSequence([0 if spec.seed is None else spec.seed,
@@ -106,47 +119,18 @@ def _mc_grid_ratio(prob: np.ndarray, lo: int, mid: int, hi: int,
     return float(np.mean(hits < (mid - lo)))
 
 
-def _multiplexed_rotation(state: QuantumState, segment: str, level: int,
-                          angles: np.ndarray, active: np.ndarray,
-                          controls: Controls | None) -> QuantumState:
-    """One pass of the level-`level` rotations: every amplitude pair whose
-    high segment bits select prefix b rotates by angles[b].
-
-    Works on the amplitude tensor reshaped as (spectator-high, prefix,
-    target bit, low bits); inactive prefixes rotate by zero.
+def _split(values: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """One level of the product: prefix b of `values` (spectators above,
+    prefixes, spectators below) becomes prefixes 2b <- c[b] t and
+    2b + 1 <- s[b] t + 0.0.  The `+ 0.0` is what the rotation adds from
+    the blank partner (s a0 + c 0); it turns -0 into +0.
     """
-    seg = state.layout.segment(segment)
-    l = seg.width
-    target_bit = l - level
-    n_pref = 1 << (level - 1)
-    amps = state.amplitudes.copy()
-    hi_n = amps.size >> (seg.offset + seg.width)
-    lo_n = (1 << seg.offset) * (1 << target_bit)
-    cube = amps.reshape(hi_n, n_pref, 2, lo_n)
-
-    hi_sel, lo_sel = control_masks(state, seg, _control_bits(state, controls),
-                                   hi_n, lo_n)
-
-    ang = np.where(active, angles, 0.0)
-    c = np.cos(ang)[None, :, None]
-    s = np.sin(ang)[None, :, None]
-    if hi_sel.all() and lo_sel.all():
-        a0 = cube[:, :, 0].copy()
-        a1 = cube[:, :, 1]
-        cube[:, :, 0] = c * a0 - s * a1
-        cube[:, :, 1] = s * a0 + c * a1
-    else:
-        hi_idx = np.flatnonzero(hi_sel)
-        lo_idx = np.flatnonzero(lo_sel)
-        sub0 = cube[np.ix_(hi_idx, np.arange(n_pref), [0], lo_idx)]
-        sub1 = cube[np.ix_(hi_idx, np.arange(n_pref), [1], lo_idx)]
-        cc = c[..., None]
-        ss = s[..., None]
-        cube[np.ix_(hi_idx, np.arange(n_pref), [0], lo_idx)] = \
-            cc * sub0 - ss * sub1
-        cube[np.ix_(hi_idx, np.arange(n_pref), [1], lo_idx)] = \
-            ss * sub0 + cc * sub1
-    return QuantumState(state.layout, amps)
+    h, n, lo = values.shape
+    out = np.empty((h, n, 2, lo), dtype=np.complex128)
+    np.multiply(c[:, None], values, out=out[:, :, 0])
+    np.multiply(s[:, None], values, out=out[:, :, 1])
+    np.add(out[:, :, 1], 0.0, out=out[:, :, 1])
+    return out.reshape(h, 2 * n, lo)
 
 
 def load_orbital(
@@ -158,74 +142,71 @@ def load_orbital(
     ratio_perturb=None,
     cache: dict | None = None,
 ) -> tuple[QuantumState, LoadPlan]:
-    """Prepare sum_x |phi(x L/2^l)| |x> on the segment, then add phases.
+    """Prepare sum_x phi(x L/2^l) |x> on the segment, on the branch that
+    `controls` select (the whole state without controls).
 
-    With `controls` the load acts only on the matching branch (the segment
-    must be blank there); `ratio_perturb(i, k, ratio)` lets callers inject
-    integral noise; `cache` memoizes ratios across repeated loads of the
-    same orbital.
+    Precondition, enforced for controlled and uncontrolled loads alike: the
+    segment is blank on that branch, or ValidationError is raised.  The
+    amplitude at segment value 0 then fans out over the 2^l sites as the
+    product of the split factors along each dyadic path, one level at a
+    time; sites of an empty pair get no rotation.  `ratio_perturb(i, k,
+    ratio)` lets callers inject integral noise; it is called once per pair
+    with mass, in level order, with k = 2b for pair b.  `cache` holds one
+    ratio table per (orbital, l, spec) across loads.
     """
     seg = state.layout.segment(segment)
     l = seg.width
-    if controls is None and not state.segment_is_blank(segment):
+    bits = _control_bits(state, controls)
+    if not state.segment_is_blank(segment, controls=bits):
         raise ValidationError(
-            f"segment {segment!r} must be blank before an unconditional load"
+            f"segment {segment!r} must be blank on the branch it loads"
         )
-    prob = orbital.grid_prob(l)
-    prefix = np.concatenate([[0.0], np.cumsum(prob)])
-    plan = LoadPlan(l=l)
+    cube = state.amplitudes.reshape(state.layout.dim >> (seg.offset + l),
+                                    seg.dim, 1 << seg.offset)
+    hi_sel, lo_sel = control_masks(state, seg, bits, cube.shape[0],
+                                   cube.shape[2])
+    plan = LoadPlan(l=l, integral_requests=(1 << l) - 1)
     if spec.backend == "monte-carlo" and spec.bounds is not None:
         plan.mc_samples_per_integral = mc_sample_count(spec, bounded=True)
+    key = (orbital, l, spec)
+    table = None if cache is None else cache.get(key)
+    if table is None:
+        table = _split_ratios(orbital.grid_prob(l), l, spec)
+        plan.integral_evaluations = plan.integral_requests
+        if cache is not None:
+            cache[key] = table
 
-    for i in range(1, l + 1):
-        n_blocks = 1 << (i - 1)
-        angles = np.zeros(n_blocks)
-        active = np.zeros(n_blocks, dtype=bool)
-        entries = []
-        for b in range(n_blocks):
-            k = 2 * b
-            plan.integral_requests += 1
-            key = (orbital, l, i, k, spec)
-            if cache is not None and key in cache:
-                ratio = cache[key]
-            else:
-                ratio = _grid_ratio(prob, prefix, l, i, k, spec)
-                plan.integral_evaluations += 1
-                if cache is not None:
-                    cache[key] = ratio
-            if ratio is EMPTY_BLOCK or ratio == EMPTY_BLOCK:
-                plan.empty_blocks += 1
-                continue
-            if ratio_perturb is not None:
-                ratio = float(np.clip(ratio_perturb(i, k, ratio), 0.0, 1.0))
-            angle = float(np.arccos(np.sqrt(ratio)))
-            angles[b] = angle
-            active[b] = True
-            entries.append((k, ratio, angle))
-            plan.rotation_applications += 1
-        plan.levels.append(entries)
-        if entries:
-            state = _multiplexed_rotation(state, segment, i, angles, active,
-                                          controls)
-    state = apply_phases(state, segment, orbital, controls)
-    return state, plan
+    values = cube[np.ix_(hi_sel, [0], lo_sel)]
+    for i, ratio in enumerate(table, start=1):
+        active = ~np.isnan(ratio)
+        plan.rotation_applications += int(np.count_nonzero(active))
+        if ratio_perturb is not None:
+            ratio = ratio.copy()
+            for b in map(int, np.flatnonzero(active)):
+                ratio[b] = ratio_perturb(i, 2 * b, float(ratio[b]))
+            np.clip(ratio, 0.0, 1.0, out=ratio)
+        angle = np.where(active, np.arccos(np.sqrt(ratio)), 0.0)
+        values = _split(values, np.cos(angle), np.sin(angle))
+    plan.empty_blocks = plan.integral_requests - plan.rotation_applications
+    values = apply_phases(values, orbital)
+
+    if hi_sel.all() and lo_sel.all():
+        amps = values.reshape(-1)
+    else:
+        amps = state.amplitudes.copy()
+        amps.reshape(cube.shape)[np.ix_(hi_sel, np.arange(seg.dim),
+                                        lo_sel)] = values
+    return QuantumState(state.layout, amps), plan
 
 
-def apply_phases(state: QuantumState, segment: str, orbital: Orbital,
-                 controls: Controls | None = None) -> QuantumState:
-    """Phase kickback |x> -> exp(i arg phi(x)) |x> on the segment."""
-    seg = state.layout.segment(segment)
-    table = np.angle(orbital.grid_values(seg.width))
-    if not np.any(table):
-        return state
-    amps = state.amplitudes.copy()
-    cube = amps.reshape(amps.size >> (seg.offset + seg.width), seg.dim,
-                        1 << seg.offset)
-    hi_sel, lo_sel = control_masks(state, seg, _control_bits(state, controls),
-                                   cube.shape[0], cube.shape[2])
-    sel = np.ix_(hi_sel, np.arange(seg.dim), lo_sel)
-    cube[sel] = cube[sel] * np.exp(1j * table)[None, :, None]
-    return QuantumState(state.layout, amps)
+def apply_phases(values: np.ndarray, orbital: Orbital) -> np.ndarray:
+    """Phase kickback x -> exp(i arg phi(x)), in place, on loaded register
+    values shaped (spectators above, 2^l sites, spectators below).
+    """
+    table = np.angle(orbital.grid_values(values.shape[1].bit_length() - 1))
+    if np.any(table):
+        values *= np.exp(1j * table)[:, None]
+    return values
 
 
 def load_amplitude_table(

@@ -32,7 +32,11 @@ SEGMENT_ROLES = ("fock", "particle", "readout", "spec", "scratch")
 def qubit_cap() -> int:
     """Total-width cap; override with the GRIDPREP_QUBIT_CAP env var."""
     raw = os.environ.get("GRIDPREP_QUBIT_CAP")
-    return int(raw) if raw else DEFAULT_QUBIT_CAP
+    try:
+        return int(raw) if raw else DEFAULT_QUBIT_CAP
+    except ValueError:
+        raise ValidationError(
+            f"GRIDPREP_QUBIT_CAP must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -101,7 +105,8 @@ class QuantumState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
+        self.amplitudes = np.ascontiguousarray(self.amplitudes,
+                                               dtype=np.complex128)
         if self.amplitudes.shape != (self.layout.dim,):
             raise StructuralError(
                 f"amplitude vector has length {self.amplitudes.size}, "
@@ -133,10 +138,23 @@ class QuantumState:
     def segment_values(self, name: str) -> np.ndarray:
         return self.layout.values(name, np.arange(self.layout.dim))
 
-    def segment_is_blank(self, name: str, tol: float = 1e-9) -> bool:
-        vals = self.segment_values(name)
-        stray = np.linalg.norm(self.amplitudes[vals != 0])
-        return stray <= tol
+    def segment_is_blank(self, name: str, tol: float = 1e-9,
+                         controls=None) -> bool:
+        """Whether the norm off segment value 0 is at most `tol` on the
+        branch that (global qubit, bit) `controls` select (everywhere
+        without them).  Sums squares of the interleaved real and imaginary
+        parts, copying only when controls lie below the segment.
+        """
+        seg = self.layout.segment(name)
+        cube = _reshape_on_segment(self.amplitudes, seg)
+        hi_sel, lo_sel = control_masks(self, seg, controls, cube.shape[0],
+                                       cube.shape[2])
+        rest = cube[:, 1:, :]
+        if not lo_sel.all():
+            rest = np.compress(lo_sel, rest, axis=2)
+        rest = rest.view(np.float64)
+        sq = np.einsum("hxl,hxl->h", rest, rest)
+        return sq[hi_sel].sum() <= tol * tol
 
 
 @dataclass
@@ -351,8 +369,8 @@ def extract_segment_vector(
     state: QuantumState, keep_segments: list[str], tol: float = 1e-8
 ) -> np.ndarray:
     """Pure-state shortcut for partial_trace: slice out the kept segments
-    assuming every other segment sits in |0>.  Raises if leakage outside
-    that slice exceeds `tol`.
+    assuming every other segment sits in |0>, and normalize.  Raises if
+    leakage outside that slice exceeds `tol` or the slice is zero.
     """
     kept = [state.layout.segment(name) for name in keep_segments]
     idx = np.arange(state.layout.dim)
@@ -371,4 +389,6 @@ def extract_segment_vector(
     vec = np.zeros(1 << width, dtype=np.complex128)
     vec[kvals[rest_zero]] = state.amplitudes[rest_zero]
     n = np.linalg.norm(vec)
+    if n == 0:
+        raise ValidationError(f"segments {keep_segments} carry no amplitude")
     return vec / n

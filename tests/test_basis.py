@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from gridprep.basis import (
-    EMPTY_BLOCK,
     BasisSet,
     IntegrationSpec,
     box_sine,
@@ -22,17 +21,17 @@ from gridprep.basis import (
     uniform,
 )
 from gridprep.errors import ValidationError
-from gridprep.loader import _grid_ratio
+from gridprep.loader import _split_ratios
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
 QUAD = IntegrationSpec(backend="adaptive-quadrature", epsilon_i=1e-9)
 
 
 def grid_ratio(orb, l, i, k, spec):
-    """Split ratio the loader uses for block pair k at level i on 2^l sites."""
-    prob = orb.grid_prob(l)
-    prefix = np.concatenate([[0.0], np.cumsum(prob)])
-    return _grid_ratio(prob, prefix, l, i, k, spec)
+    """Split ratio the loader uses for block pair k at level i on 2^l sites
+    (NaN when the pair carries no mass).
+    """
+    return _split_ratios(orb.grid_prob(l), l, spec)[i - 1][k // 2]
 
 
 class TestOrbitalFamilies:
@@ -116,7 +115,7 @@ class TestSplitRatio:
     def test_empty_block_sentinel(self):
         # delta at site 0 of 8: the right half of [0, 1) has no mass
         orb = delta_at_site(0, 3)
-        assert grid_ratio(orb, 3, 2, 2, CDF) == EMPTY_BLOCK
+        assert np.isnan(grid_ratio(orb, 3, 2, 2, CDF))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 3))
@@ -124,7 +123,7 @@ class TestSplitRatio:
         ks = range(0, (1 << i) - 1, 2)
         for k in ks:
             r = grid_ratio(box_sine(n), 4, i, k, CDF)
-            if r != EMPTY_BLOCK:
+            if not np.isnan(r):
                 assert 0.0 <= r <= 1.0
 
 

@@ -141,6 +141,15 @@ class TestPrepareCommands:
         assert run(["prepare-slater", "--config", cfg,
                     "--out", str(tmp_path / "out")]) == 4
 
+    def test_bad_qubit_cap_is_config_error(self, tmp_path, monkeypatch,
+                                           capsys):
+        monkeypatch.setenv("GRIDPREP_QUBIT_CAP", "lots")
+        cfg = write_config(tmp_path, "c.yaml", {
+            "l": 3, "occupation": "110", "basis": BOX_BASIS})
+        assert run(["prepare-slater", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 2
+        assert "GRIDPREP_QUBIT_CAP" in capsys.readouterr().err
+
 
 class TestVerifyAndSweep:
     def test_verify_bounds_pass(self, tmp_path):

@@ -10,7 +10,8 @@ from gridprep.errors import (
     StructuralError,
     ValidationError,
 )
-from gridprep.loader import _multiplexed_rotation
+from gridprep.basis import IntegrationSpec, tabulated, uniform
+from gridprep.loader import load_orbital
 from gridprep.statevec import (
     DensityMatrix,
     QuantumState,
@@ -26,6 +27,9 @@ from gridprep.statevec import (
     segment_probabilities,
     swap_segments,
 )
+
+
+CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
 
 
 def small_layout():
@@ -87,37 +91,48 @@ class TestQuantumState:
         assert state.segment_is_blank("a")
         assert not state.segment_is_blank("b")
 
+    def test_segment_blankness_on_branch(self):
+        layout = RegisterLayout([("lo", "scratch", 1), ("a", "particle", 2),
+                                 ("hi", "scratch", 1)])
+        state = QuantumState.from_basis_index(layout, 0b0101)  # lo=1, a=2
+        assert not state.segment_is_blank("a")
+        assert not state.segment_is_blank("a", controls=[(0, 1)])
+        assert state.segment_is_blank("a", controls=[(0, 0)])
+        assert state.segment_is_blank("a", controls=[(3, 1)])
+        assert not state.segment_is_blank("a", controls=[(3, 0)])
+
 
 class TestRotation:
-    """The loader's multiplexed rotation, the one rotation primitive."""
+    """The loader's rotations, evaluated as a product of cos/sin splits."""
 
     def test_rotation_action(self):
+        # one qubit: split ratio cos^2(pi/6) rotates |0> by pi/6
         layout = RegisterLayout([("a", "particle", 1)])
-        out = _multiplexed_rotation(QuantumState.zero(layout), "a", 1,
-                                    np.array([np.pi / 6]), np.array([True]),
-                                    None)
+        orb = tabulated([np.cos(np.pi / 6), np.sin(np.pi / 6)], length=1.0)
+        out, _ = load_orbital(QuantumState.zero(layout), "a", orb, CDF)
         assert out.amplitudes[0] == pytest.approx(np.cos(np.pi / 6))
         assert out.amplitudes[1] == pytest.approx(np.sin(np.pi / 6))
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(-10, 10), st.integers(1, 3))
     def test_rotation_preserves_norm(self, angle, level):
+        # arbitrary split ratios at one level keep the spectators' norm
         layout = small_layout()
         rng = np.random.default_rng(1)
-        amps = rng.normal(size=32) + 1j * rng.normal(size=32)
+        amps = np.zeros(32, dtype=complex)
+        amps[:4] = rng.normal(size=4) + 1j * rng.normal(size=4)  # b = 0
         amps /= np.linalg.norm(amps)
-        n_pref = 1 << (level - 1)
-        out = _multiplexed_rotation(
-            QuantumState(layout, amps), "b", level,
-            angle * np.arange(1, n_pref + 1), np.ones(n_pref, dtype=bool),
-            None)
+        perturb = lambda i, k, r: \
+            np.cos(angle * (k // 2 + 1)) ** 2 if i == level else r
+        out, _ = load_orbital(QuantumState(layout, amps), "b", uniform(), CDF,
+                              ratio_perturb=perturb)
         assert out.norm == pytest.approx(1.0)
 
     def test_controlled_rotation_only_touches_branch(self):
         layout = RegisterLayout([("a", "particle", 1), ("c", "scratch", 1)])
         state = QuantumState(layout, np.array([1, 0, 1, 0]) / np.sqrt(2))
-        out = _multiplexed_rotation(state, "a", 1, np.array([np.pi / 2]),
-                                    np.array([True]), [("c", 1)])
+        out, _ = load_orbital(state, "a", tabulated([0, 1], length=1.0), CDF,
+                              controls=[("c", 1)])
         # c=0 branch untouched, c=1 branch fully rotated
         assert out.amplitudes[0] == pytest.approx(1 / np.sqrt(2))
         assert out.amplitudes[3] == pytest.approx(1 / np.sqrt(2))
@@ -125,8 +140,7 @@ class TestRotation:
     def test_control_on_target_rejected(self):
         state = QuantumState.zero(small_layout())
         with pytest.raises(StructuralError):
-            _multiplexed_rotation(state, "a", 1, np.array([0.3]),
-                                  np.array([True]), [("a", 1)])
+            load_orbital(state, "a", uniform(), CDF, controls=[("a", 1)])
 
 
 class TestSegmentUnitary:
@@ -284,6 +298,12 @@ class TestDensityOps:
         amps[0b0110] = 0.8  # b = 1: leakage
         with pytest.raises(ValidationError):
             extract_segment_vector(QuantumState(layout, amps), ["a"])
+
+    def test_extract_rejects_zero_state(self):
+        layout = RegisterLayout([("a", "particle", 2), ("b", "scratch", 2)])
+        state = QuantumState(layout, np.zeros(16, dtype=complex))
+        with pytest.raises(ValidationError):
+            extract_segment_vector(state, ["a"])
 
     def test_density_matrix_validation(self):
         with pytest.raises(ValidationError):
