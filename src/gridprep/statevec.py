@@ -159,6 +159,17 @@ class QuantumState:
 
 @dataclass
 class DensityMatrix:
+    """A validated density matrix ρ, stored as complex128.
+
+    Construction raises `ValidationError` unless ρ is square, every entry
+    is finite, |tr ρ − 1| ≤ 1e-8, ρ is Hermitian to 1e-8 entrywise, and
+    λ_min(ρ) ≥ −1e-8.  The last is decided by whether ρ + 1e-8·I has a
+    Cholesky factor (Cholesky is backward stable, so this is as strict as
+    an eigensolve at a fraction of its cost).  The shift is written into
+    the diagonal in place and the saved diagonal assigned back afterwards,
+    so no shifted copy is held and the caller's array comes back
+    byte-identical; a read-only array is shifted in a copy.
+    """
     matrix: np.ndarray
 
     def __post_init__(self):
@@ -166,19 +177,31 @@ class DensityMatrix:
         d = self.matrix.shape[0]
         if self.matrix.shape != (d, d):
             raise ValidationError("density matrix must be square")
+        if not np.isfinite(self.matrix).all():
+            raise ValidationError("density matrix has non-finite entries")
         if abs(np.trace(self.matrix).real - 1.0) > 1e-8:
             raise ValidationError(f"trace {np.trace(self.matrix)} != 1")
         if np.max(np.abs(self.matrix - self.matrix.conj().T)) > 1e-8:
             raise ValidationError("density matrix is not Hermitian")
-        if np.min(np.linalg.eigvalsh(self.matrix)) < -1e-8:
-            raise ValidationError("density matrix has negative eigenvalues")
+        shifted = (self.matrix if self.matrix.flags.writeable
+                   else self.matrix.copy())
+        diagonal = shifted.diagonal().copy()
+        np.fill_diagonal(shifted, diagonal + 1e-8)
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            raise ValidationError(
+                "density matrix has negative eigenvalues") from None
+        finally:
+            np.fill_diagonal(shifted, diagonal)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
+        """Tr ρ² = Σ|ρ_ij|², which holds because ρ is Hermitian."""
+        return float(np.vdot(self.matrix, self.matrix).real)
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)

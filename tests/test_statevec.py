@@ -312,3 +312,63 @@ class TestDensityOps:
             DensityMatrix(np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative
         rho = DensityMatrix(np.eye(2) / 2)
         assert rho.eigenvalues() == pytest.approx([0.5, 0.5])
+
+    @pytest.mark.parametrize("entry,value", [
+        ((0, 0), np.nan), ((0, 1), np.nan), ((1, 0), 1j * np.inf)])
+    def test_density_matrix_rejects_non_finite(self, entry, value):
+        rho = np.eye(2, dtype=complex) / 2
+        rho[entry] = value
+        with pytest.raises(ValidationError):
+            DensityMatrix(rho)
+
+    def test_diagonal_restored_bytewise(self):
+        # -0.0 + s - s is +0.0: the diagonal must be assigned back.
+        rho = np.diag([1.0, -0.0]).astype(complex)
+        before = rho.tobytes()
+        DensityMatrix(rho)
+        assert rho.tobytes() == before
+
+    def test_read_only_density_matrix_validates(self):
+        good = np.diag([0.25, 0.75]).astype(complex)
+        bad = np.diag([1.5, -0.5]).astype(complex)
+        for rho in (good, bad):
+            rho.flags.writeable = False
+        assert DensityMatrix(good).purity() == pytest.approx(0.625)
+        with pytest.raises(ValidationError):
+            DensityMatrix(bad)
+        assert good.tobytes() == np.diag([0.25, 0.75]).astype(complex).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1),
+           rank_share=st.floats(0.0, 1.0), margin=st.sampled_from([-1, 1]))
+    def test_psd_check_matches_eigensolve(self, n, seed, rank_share, margin):
+        # Hermitian, unit trace, λ_min = -1e-8 ± 1e-11, and any number of
+        # zero eigenvalues: the shifted Cholesky must decide exactly as
+        # the eigensolve does, and leave the input bytes alone.
+        rng = np.random.default_rng(seed)
+        positive = 1 + int(rank_share * (n - 2))
+        lam = np.zeros(n)
+        lam[0] = -1e-8 + margin * 1e-11
+        weights = rng.random(positive) + 1e-3
+        lam[1:1 + positive] = weights / weights.sum() * (1 - lam[0])
+        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        v, _ = np.linalg.qr(z)
+        rho = (v * lam) @ v.conj().T
+        rho = (rho + rho.conj().T) / 2
+        before = rho.tobytes()
+        expect_ok = np.linalg.eigvalsh(rho).min() >= -1e-8
+        try:
+            DensityMatrix(rho)
+            accepted = True
+        except ValidationError:
+            accepted = False
+        assert accepted == expect_ok
+        assert rho.tobytes() == before
+
+    def test_purity_matches_trace_of_square(self):
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        rho = z @ z.conj().T
+        rho /= np.trace(rho).real
+        expected = np.trace(rho @ rho).real
+        assert DensityMatrix(rho).purity() == pytest.approx(expected, rel=1e-12)
