@@ -7,6 +7,7 @@ from .analysis import (
     BoundCheck,
     CostRow,
     PreparationReport,
+    angle_error_bound,
     cost_table,
     fit_exponent,
     format_float,

@@ -73,6 +73,23 @@ def product_error_bound(epsilons) -> float:
     return float(1.0 - np.prod(1.0 - epsilons))
 
 
+def angle_error_bound(epsilons) -> float:
+    """Infidelity bound for a chain of approximations psi -> phi_1 -> ...
+    of one state, where step i has infidelity at most eps_i.
+
+    With infidelity 1 - |<a|b>|, the angle arccos |<a|b>| between pure
+    states is a metric, so the angles arccos(1 - eps_i) of the steps add;
+    from pi / 2 on the bound is 1.  A step bound above 1 is read as 1.
+    """
+    epsilons = np.asarray(list(epsilons), dtype=float)
+    if np.any(epsilons < 0):
+        raise ValidationError("infidelities must be nonnegative")
+    angle = np.sum(np.arccos(1.0 - np.minimum(epsilons, 1.0)))
+    if angle >= np.pi / 2:
+        return 1.0
+    return float(1.0 - np.cos(angle))
+
+
 def linear_error_bound(m: int, eps: float) -> float:
     """First-order bound m * eps dominating the exact product bound."""
     if m < 0:

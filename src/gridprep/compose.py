@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import PreparationReport
+from .analysis import PreparationReport, angle_error_bound
 from .assemble import (
     OccupationVector,
     antisymmetrize,
@@ -372,6 +372,12 @@ def prepare_superposition(
     Repeat-until-success: an attempt whose occupation register fails to
     verify as empty after disentangling is discarded and the whole
     preparation restarts with fresh measurement randomness.
+
+    The error bound is m + 1 times the load bound of one register, which
+    bounds the infidelity of the state exact phase estimation returns.
+    With eps_pe set, `phase_estimation_error_bound` bounds the infidelity
+    of the returned state against that one, and `angle_error_bound` adds
+    the two steps.
     """
     if sup.num_orbitals > basis.size:
         raise ValidationError("superposition refers to orbitals outside "
@@ -419,12 +425,14 @@ def prepare_superposition(
             state, _perm_names(m), _particle_names(m), sup.statistics)
         counters.update(sym_counters)
 
-        eps_phi = load_error_bound(l, spec.epsilon_i)
+        bound = (m + 1) * load_error_bound(l, spec.epsilon_i)
+        if eps_pe is not None:
+            bound = angle_error_bound(
+                [bound, phase_estimation_error_bound(m, eps_pe)])
         report = PreparationReport(
             kind="superposition", l=l, m=m, statistics=sup.statistics,
             qubits=layout.n_total, attempts=attempt, retries=retries,
-            counters=counters,
-            error_bound=(m + 1) * eps_phi,
+            counters=counters, error_bound=bound,
         )
         vec = extract_segment_vector(state, _particle_names(m))
         return PreparedState(vector=vec, rho=None, report=report,
@@ -433,6 +441,25 @@ def prepare_superposition(
         f"occupation register failed to verify empty in {max_attempts} "
         "attempts"
     )
+
+
+def phase_estimation_error_bound(m: int, eps_pe: float) -> float:
+    """Infidelity bound 1 - 2 sqrt(1 - delta) / (2 - delta), delta = m eps_pe,
+    for the amplitude distortion of m inexact phase estimations, measured
+    against the state exact phase estimation returns.
+
+    Each of the m identifications misreads an occupation with probability
+    at most eps_pe, so every branch w of the returned state carries the
+    amplitude a_w of the exact-estimation state scaled by some c_w in
+    [1 - delta, 1], then renormalized.  With weights w_w = |a_w|^2 (summing to 1) the overlap is
+    sum_w c_w w_w / sqrt(sum_w c_w^2 w_w).  The Kantorovich inequality
+    (sum w c^2)(sum w) <= (M + m')^2 / (4 M m') (sum w c)^2 for c in
+    [m', M] bounds the overlap below by 2 sqrt(m' M) / (m' + M), which with
+    m' = 1 - delta and M = 1 is 2 sqrt(1 - delta) / (2 - delta).  delta is
+    clipped to 1, where the bound becomes the trivial 1.
+    """
+    delta = min(1.0, m * eps_pe)
+    return 1.0 - 2.0 * math.sqrt(1.0 - delta) / (2.0 - delta)
 
 
 def superposition_oracle(sup: FockSuperposition, basis: BasisSet,
@@ -500,12 +527,12 @@ def _purified_mixture(
 
 
 def mixed_oracle(mixed: MixedSpec, basis: BasisSet, l: int) -> DensityMatrix:
-    dim = 1 << (mixed.m * l)
-    rho = np.zeros((dim, dim), dtype=complex)
-    for p, occ in mixed.components:
-        v = slater_oracle(occ, basis, l)
-        rho += p * np.outer(v, v.conj())
-    return DensityMatrix(rho)
+    """Ground truth sum_i p_i |Psi_i><Psi_i|, built from the factor whose
+    columns are sqrt(p_i) |Psi_i>.
+    """
+    return DensityMatrix.from_factor(np.column_stack(
+        [np.sqrt(p) * slater_oracle(occ, basis, l)
+         for p, occ in mixed.components]))
 
 
 def prepare_diagonal_mixed(

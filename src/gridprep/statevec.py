@@ -161,19 +161,24 @@ class QuantumState:
 class DensityMatrix:
     """A validated density matrix ρ, stored as complex128.
 
-    Construction raises `ValidationError` unless ρ is square, every entry
-    is finite, |tr ρ − 1| ≤ 1e-8, ρ is Hermitian to 1e-8 entrywise, and
-    λ_min(ρ) ≥ −1e-8.  The last is decided by whether ρ + 1e-8·I has a
-    Cholesky factor (Cholesky is backward stable, so this is as strict as
-    an eigensolve at a fraction of its cost).  The shift is written into
-    the diagonal in place and the saved diagonal assigned back afterwards,
-    so no shifted copy is held and the caller's array comes back
-    byte-identical; a read-only array is shifted in a copy.
+    There are two ways to build one:
+
+    * `DensityMatrix(matrix)`, for a matrix the caller supplies, copies the
+      matrix and raises `ValidationError` unless ρ is square, every entry
+      is finite, |tr ρ − 1| ≤ 1e-8, ρ is Hermitian to 1e-8 entrywise, and
+      λ_min(ρ) ≥ −1e-8.  Positivity is decided by whether ρ + 1e-8·I has
+      a Cholesky factor (Cholesky is backward stable, so this is as strict
+      as an eigensolve at a fraction of its cost).
+    * `DensityMatrix.from_factor(table)` forms ρ = T·T† from a purification
+      factor T and checks only that T is a finite 2-D array with
+      |‖T‖_F² − 1| ≤ 1e-8.  ρ is then Hermitian and positive semidefinite
+      (to rounding) with trace ‖T‖_F² by construction, so the dense checks
+      are skipped.
     """
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.complex128)
+        self.matrix = np.array(self.matrix, dtype=np.complex128)
         d = self.matrix.shape[0]
         if self.matrix.shape != (d, d):
             raise ValidationError("density matrix must be square")
@@ -183,17 +188,28 @@ class DensityMatrix:
             raise ValidationError(f"trace {np.trace(self.matrix)} != 1")
         if np.max(np.abs(self.matrix - self.matrix.conj().T)) > 1e-8:
             raise ValidationError("density matrix is not Hermitian")
-        shifted = (self.matrix if self.matrix.flags.writeable
-                   else self.matrix.copy())
-        diagonal = shifted.diagonal().copy()
-        np.fill_diagonal(shifted, diagonal + 1e-8)
         try:
-            np.linalg.cholesky(shifted)
+            np.linalg.cholesky(self.matrix + 1e-8 * np.eye(d))
         except np.linalg.LinAlgError:
             raise ValidationError(
                 "density matrix has negative eigenvalues") from None
-        finally:
-            np.fill_diagonal(shifted, diagonal)
+
+    @classmethod
+    def from_factor(cls, table: np.ndarray) -> DensityMatrix:
+        """ρ = T·T† for a (kept × traced) amplitude table T."""
+        table = np.asarray(table, dtype=np.complex128)
+        if table.ndim != 2:
+            raise ValidationError("density-matrix factor must be 2-D")
+        if not np.isfinite(table).all():
+            raise ValidationError(
+                "density-matrix factor has non-finite entries")
+        norm = np.vdot(table, table).real
+        if abs(norm - 1.0) > 1e-8:
+            raise ValidationError(
+                f"density-matrix factor has squared norm {norm} != 1")
+        rho = object.__new__(cls)
+        rho.matrix = table @ table.conj().T
+        return rho
 
     @property
     def dim(self) -> int:
@@ -368,7 +384,8 @@ def partial_trace(
     keep_segments: list[str],
     cap: int = DENSITY_MATRIX_CAP,
 ) -> DensityMatrix:
-    """Reduced density matrix over the kept segments.
+    """Reduced density matrix ρ = T·T† over the kept segments, where T is
+    the (kept × traced) amplitude table.
 
     The kept segments contribute to the row/column index in list order,
     first segment least significant.
@@ -385,7 +402,7 @@ def partial_trace(
         idx, [s for s in state.layout if s.name not in keep_segments])
     table = np.zeros((1 << k_width, 1 << r_width), dtype=np.complex128)
     table[kvals, rvals] = state.amplitudes
-    return DensityMatrix(table @ table.conj().T)
+    return DensityMatrix.from_factor(table)
 
 
 def extract_segment_vector(

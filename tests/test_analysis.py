@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from gridprep.analysis import (
     BoundCheck,
+    angle_error_bound,
     CostRow,
     PreparationReport,
     cost_table,
@@ -88,6 +89,28 @@ class TestBoundComposition:
     @given(st.lists(st.floats(0, 0.2), min_size=1, max_size=6))
     def test_product_bound_below_sum(self, eps):
         assert product_error_bound(eps) <= sum(eps) + 1e-12
+
+    def test_angle_bound_of_one_step(self):
+        assert angle_error_bound([0.2]) == pytest.approx(0.2, abs=1e-15)
+
+    def test_angle_bound_is_reached_by_aligned_errors(self):
+        # two rotations in one plane: the infidelities do not compose as
+        # independent factors, and the angle bound is exact
+        a, b = 0.3, 0.2
+        psi = np.array([1.0, 0.0])
+        phi = np.array([np.cos(a + b), np.sin(a + b)])
+        measured = pure_infidelity(psi, phi)
+        eps = [1 - np.cos(a), 1 - np.cos(b)]
+        assert angle_error_bound(eps) == pytest.approx(measured, abs=1e-14)
+        assert product_error_bound(eps) < measured
+
+    def test_angle_bound_saturates_at_one(self):
+        assert angle_error_bound([1.2, 0.1]) == 1.0
+        assert angle_error_bound([0.9, 0.9]) == 1.0
+
+    def test_angle_bound_rejects_negative(self):
+        with pytest.raises(ValidationError):
+            angle_error_bound([0.1, -0.1])
 
     def test_bound_check_ledger(self):
         ok = BoundCheck("a", 0.01, 0.05)

@@ -161,6 +161,27 @@ class TestVerifyAndSweep:
                     "--out", str(out)]) == 0
         assert "[ok]" in (out / "report.txt").read_text()
 
+    def test_verify_bounds_with_inexact_phase_estimation(self, tmp_path):
+        # irrational phases at eps_pe = 0.05: the bound adds the angles of
+        # the load term and of 1 - 2 sqrt(1 - d) / (2 - d), d = m eps_pe
+        cfg = write_config(tmp_path, "c.yaml", {
+            "l": 2, "statistics": "fermionic",
+            "basis": [
+                {"family": "box-sine", "n": 1, "energy": 0.0},
+                {"family": "box-sine", "n": 2, "energy": float(np.sqrt(2))},
+                {"family": "box-sine", "n": 3, "energy": float(np.sqrt(5))}],
+            "superposition": [{"amplitude": 0.6, "occupation": "110"},
+                              {"amplitude": 0.8, "occupation": "101"}],
+            "phase_estimation": {"t": float(2 * np.pi * 0.3 / np.sqrt(2)),
+                                 "eps_pe": 0.05},
+            "integration": {"backend": "analytic-cdf", "epsilon_i": 1e-9}})
+        out = tmp_path / "out"
+        assert run(["verify-bounds", "--config", cfg, "--seed", "3",
+                    "--out", str(out)]) == 0
+        report = (out / "report.txt").read_text()
+        assert "error bound: 0.00139008187252" in report
+        assert "[ok]" in report
+
     def test_sweep_grid(self, tmp_path):
         cfg = write_config(tmp_path, "c.yaml", {
             "l": 4, "statistics": "fermionic", "noise": "adversarial",

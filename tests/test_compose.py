@@ -113,6 +113,16 @@ class TestPureDrivers:
                                superposition_oracle(sup, bas, 3)) < 1e-10
         assert prep.report.retries == 0
 
+    def test_vacuous_load_bound_with_inexact_phases(self):
+        # (m + 1) l eps_i / 2 = 1.5 exceeds 1; composing it with the
+        # phase-estimation term must still report a bound, not raise
+        bas = dyadic_basis(3)
+        sup = FockSuperposition.from_strings([(0.6, "110"), (0.8, "101")])
+        spec = IntegrationSpec(backend="analytic-cdf", epsilon_i=0.5)
+        prep = prepare_superposition(sup, bas, 2, spec, t=2 * np.pi / 4,
+                                     eps_pe=0.05, seed=0)
+        assert prep.report.error_bound == 1.0
+
     def test_superposition_with_phases_in_amplitudes(self):
         bas = dyadic_basis(3)
         sup = FockSuperposition.from_terms(

@@ -10,7 +10,10 @@ from gridprep.errors import (
     StructuralError,
     ValidationError,
 )
-from gridprep.basis import IntegrationSpec, tabulated, uniform
+from gridprep.assemble import OccupationVector, slater_oracle
+from gridprep.basis import BasisSet, IntegrationSpec, box_sine, tabulated, \
+    uniform
+from gridprep.compose import MixedSpec, mixed_oracle, prepare_mixed
 from gridprep.loader import load_orbital
 from gridprep.statevec import (
     DensityMatrix,
@@ -322,11 +325,74 @@ class TestDensityOps:
             DensityMatrix(rho)
 
     def test_diagonal_restored_bytewise(self):
-        # -0.0 + s - s is +0.0: the diagonal must be assigned back.
+        # -0.0 + s - s is +0.0: validation must leave ρ's bytes alone.
         rho = np.diag([1.0, -0.0]).astype(complex)
         before = rho.tobytes()
-        DensityMatrix(rho)
+        validated = DensityMatrix(rho)
         assert rho.tobytes() == before
+        assert validated.matrix.tobytes() == before
+
+    def test_density_matrix_copies_its_input(self):
+        a = np.eye(2, dtype=complex) / 2
+        rho = DensityMatrix(a)
+        a[0, 0] = 5
+        assert rho.matrix is not a
+        assert np.trace(rho.matrix).real == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 64), k=st.integers(1, 16),
+           seed=st.integers(0, 2**32 - 1), zero_share=st.floats(0.0, 0.9))
+    def test_from_factor_matches_dense_product(self, n, k, seed,
+                                               zero_share):
+        rng = np.random.default_rng(seed)
+        t = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+        zero = rng.random(k) < zero_share
+        zero[rng.integers(k)] = False
+        t[:, zero] = 0
+        t /= np.linalg.norm(t)
+        rho = DensityMatrix.from_factor(t)
+        assert rho.matrix.tobytes() == (t @ t.conj().T).tobytes()
+        DensityMatrix(rho.matrix)
+
+    @pytest.mark.parametrize("entry,value", [
+        ((0, 0), np.nan), ((1, 1), 1j * np.nan), ((1, 0), np.inf)])
+    def test_from_factor_rejects_non_finite(self, entry, value):
+        t = np.full((2, 2), 0.5, dtype=complex)
+        t[entry] = value
+        with pytest.raises(ValidationError):
+            DensityMatrix.from_factor(t)
+
+    @pytest.mark.parametrize("factor", [1 - 2e-8, 1 + 2e-8, 0.0])
+    def test_from_factor_rejects_wrong_norm(self, factor):
+        t = np.full((2, 2), 0.5, dtype=complex) * np.sqrt(factor)
+        with pytest.raises(ValidationError):
+            DensityMatrix.from_factor(t)
+
+    def test_from_factor_rejects_non_matrix(self):
+        with pytest.raises(ValidationError):
+            DensityMatrix.from_factor(np.array([0.6, 0.8]))
+
+    def test_mixed_oracle_matches_dense_mixture(self, monkeypatch):
+        # the golden mixed-l4-m2 ensemble; the factor form must agree with
+        # the dense sum of outer products and never take the dense checks
+        bas = BasisSet([box_sine(n) for n in (1, 2, 3)])
+        mix = MixedSpec.thermal(0.7, [
+            (1.0, OccupationVector.parse("110")),
+            (2.0, OccupationVector.parse("101")),
+            (3.0, OccupationVector.parse("011"))])
+        dense = 0
+        for p, occ in mix.components:
+            v = slater_oracle(occ, bas, 4)
+            dense = dense + p * np.outer(v, v.conj())
+
+        def refuse(self):
+            raise AssertionError("dense density-matrix validation ran")
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", refuse)
+        rho = mixed_oracle(mix, bas, 4)
+        assert np.max(np.abs(rho.matrix - dense)) <= 1e-14
+        prep = prepare_mixed(mix, bas, 4, CDF)
+        assert np.max(np.abs(prep.rho.matrix - dense)) <= 1e-8
 
     def test_read_only_density_matrix_validates(self):
         good = np.diag([0.25, 0.75]).astype(complex)
