@@ -92,6 +92,7 @@ from .statevec import (
     QuantumState,
     RegisterLayout,
     Segment,
+    SparseState,
     apply_unitary_on_segment,
     extract_segment_vector,
     measure_segment,

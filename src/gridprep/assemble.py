@@ -20,7 +20,7 @@ import numpy as np
 from .basis import BasisSet, IntegrationSpec
 from .errors import StructuralError, ValidationError
 from .loader import LoadPlan, load_orbital
-from .statevec import QuantumState
+from .statevec import QuantumState, SparseState
 
 
 @dataclass(frozen=True)
@@ -115,27 +115,47 @@ def prepare_hartree_product(
 
 
 def generate_permutation_superposition(
-    state: QuantumState, b_segments: list[str], m: int
-) -> QuantumState:
+    support: SparseState, b_segments: list[str], m: int
+) -> SparseState:
     """Expand blank quwords into the uniform superposition of all m!
     mixed-radix tuples, amplitude 1/sqrt(m!) each (values stored 0-based).
+
+    Works on the populated amplitudes only, with the bytes of the dense
+    circuit step `amps[index | shift] += base` per tuple on a zero vector:
+    when sub-tolerance junk in the quwords makes two indices of one tuple
+    meet, the later one overwrites, and the tuples that meet at one index
+    add up in tuple order.
     """
     if len(b_segments) != m:
         raise StructuralError("one quword per particle is required")
+    layout = support.layout
     for name in b_segments:
-        if not state.segment_is_blank(name):
+        off = support.values[layout.values(name, support.index) != 0]
+        if np.vdot(off, off).real > 1e-9 * 1e-9:
             raise ValidationError(f"quword {name!r} must be blank")
     if m == 1:
-        return state
-    segs = [state.layout.segment(name) for name in b_segments]
-    tuples = list(product(*[range(m - i) for i in range(m)]))
-    amps = np.zeros_like(state.amplitudes)
-    support = np.flatnonzero(np.abs(state.amplitudes) > 0)
-    base = state.amplitudes[support] / math.sqrt(math.factorial(m))
-    for digits in tuples:
-        shift = sum(d << seg.offset for d, seg in zip(digits, segs))
-        amps[support | shift] += base
-    return QuantumState(state.layout, amps)
+        return support
+    segs = [layout.segment(name) for name in b_segments]
+    shifts = np.array([sum(d << seg.offset for d, seg in zip(digits, segs))
+                       for digits in product(*[range(m - i)
+                                               for i in range(m)])])
+    nonzero = support.values != 0
+    index = support.index[nonzero]
+    base = support.values[nonzero] / math.sqrt(math.factorial(m))
+    dest = (shifts[:, None] | index[None, :]).ravel()
+    order = np.argsort(dest, kind="stable")
+    dest = dest[order]
+    tuple_of, source = np.divmod(order, max(index.size, 1))
+    # of equal indices within one tuple only the last is written; the
+    # writes left at one index then add up, from +0.0, in tuple order
+    last = np.ones(dest.size, dtype=bool)
+    last[:-1] = (dest[1:] != dest[:-1]) | (tuple_of[1:] != tuple_of[:-1])
+    dest, source = dest[last], source[last]
+    first = np.ones(dest.size, dtype=bool)
+    first[1:] = dest[1:] != dest[:-1]
+    acc = np.zeros(np.count_nonzero(first), dtype=np.complex128)
+    np.add.at(acc, np.cumsum(first) - 1, base[source])
+    return SparseState(layout, dest[first], acc)
 
 
 def rank_to_permutation(digits: tuple[int, ...]) -> tuple[int, ...]:
@@ -155,22 +175,23 @@ def rank_to_permutation(digits: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def apply_rank_to_permutation(
-    state: QuantumState, b_segments: list[str]
-) -> QuantumState:
+    support: SparseState, b_segments: list[str]
+) -> SparseState:
     """Rewrite the quword register branch-wise from mixed-radix tuples to
     0-based permutation entries.
     """
     m = len(b_segments)
     if m == 1:
-        return state
-    segs = [state.layout.segment(name) for name in b_segments]
-    # only the populated amplitudes matter; everything else stays zero
-    idx = np.flatnonzero(np.abs(state.amplitudes) > 0)
+        return support
+    layout = support.layout
+    segs = [layout.segment(name) for name in b_segments]
+    nonzero = support.values != 0
+    idx, amps = support.index[nonzero], support.values[nonzero]
     vals = [(idx >> seg.offset) & seg.mask for seg in segs]
     valid = np.ones(idx.size, dtype=bool)
     for i, v in enumerate(vals):
         valid &= v < (m - i)
-    stray = np.linalg.norm(state.amplitudes[idx[~valid]])
+    stray = np.linalg.norm(amps[~valid])
     if stray > 1e-10:
         raise ValidationError(
             f"quword register holds amplitude outside the tuple range ({stray:.3g})"
@@ -192,9 +213,9 @@ def apply_rank_to_permutation(
     dest = strip.copy()
     for i, seg in enumerate(segs):
         dest |= ((mapped >> (i * w)) & seg.mask) << seg.offset
-    amps = np.zeros_like(state.amplitudes)
-    amps[dest[valid]] = state.amplitudes[idx[valid]]
-    return QuantumState(state.layout, amps)
+    dest = dest[valid]
+    order = np.argsort(dest, kind="stable")
+    return SparseState(layout, dest[order], amps[valid][order])
 
 
 def odd_even_network(m: int) -> list[list[tuple[int, int]]]:
@@ -210,7 +231,7 @@ def network_comparator_count(m: int) -> int:
 
 
 def sort_and_entangle(
-    state: QuantumState,
+    support: SparseState,
     b_segments: list[str],
     p_segments: list[str],
     statistics: str = "fermionic",
@@ -218,7 +239,9 @@ def sort_and_entangle(
     """Sort the quword register with the fixed network, performing the same
     conditional swaps on the particle registers; apply (-1)^parity for
     fermions; uncompute the (now constant) quword register to zero and
-    renormalize.
+    renormalize.  The signed amplitudes accumulate into a dense zero vector
+    in ascending order of their source index, and the norm is that
+    vector's.
 
     Returns the state and a counter dict (comparators, swap cost).
     """
@@ -228,23 +251,23 @@ def sort_and_entangle(
     if len(p_segments) != m:
         raise StructuralError("need one quword per particle register")
     if m == 1:
-        return state, {"comparators": 0, "swapped_qubits": 0}
-    b_segs = [state.layout.segment(n) for n in b_segments]
-    p_segs = [state.layout.segment(n) for n in p_segments]
+        return support.to_state(), {"comparators": 0, "swapped_qubits": 0}
+    layout = support.layout
+    b_segs = [layout.segment(n) for n in b_segments]
+    p_segs = [layout.segment(n) for n in p_segments]
     l = p_segs[0].width
 
-    idx = np.flatnonzero(np.abs(state.amplitudes) > 0)
-    bvals = [state.layout.values(n, idx).copy() for n in b_segments]
-    pvals = [state.layout.values(n, idx).copy() for n in p_segments]
+    nonzero = support.values != 0
+    idx, values = support.index[nonzero], support.values[nonzero]
+    bvals = [layout.values(n, idx) for n in b_segments]
+    pvals = [layout.values(n, idx) for n in p_segments]
 
-    valid = np.ones(idx.size, dtype=bool)
-    seen = np.zeros((idx.size, m), dtype=bool)
+    # a permutation sets each of the bits 0..m-1 once, and no other bit
+    seen = np.zeros(idx.size, dtype=np.int64)
     for v in bvals:
-        valid &= v < m
-        inrange = v < m
-        seen[np.arange(idx.size)[inrange], v[inrange]] = True
-    valid &= seen.all(axis=1)
-    stray = np.linalg.norm(state.amplitudes[idx[~valid]])
+        seen |= np.left_shift(1, v)
+    valid = seen == (1 << m) - 1
+    stray = np.linalg.norm(values[~valid])
     if stray > 1e-10:
         raise ValidationError(
             f"quword register is not a permutation on the support ({stray:.3g})"
@@ -256,11 +279,9 @@ def sort_and_entangle(
         for a, b in layer:
             comparators += 1
             fire = bvals[a] > bvals[b]
-            for arr_pair in ((bvals, a, b), (pvals, a, b)):
-                arrs, i, j = arr_pair
-                tmp = arrs[i][fire].copy()
-                arrs[i][fire] = arrs[j][fire]
-                arrs[j][fire] = tmp
+            for arrs in (bvals, pvals):
+                arrs[a], arrs[b] = (np.where(fire, arrs[b], arrs[a]),
+                                    np.where(fire, arrs[a], arrs[b]))
             parity ^= fire
 
     strip = idx.copy()
@@ -272,18 +293,21 @@ def sort_and_entangle(
     sign = np.ones(idx.size)
     if statistics == "fermionic":
         sign[parity] = -1.0
-    amps = np.zeros_like(state.amplitudes)
-    np.add.at(amps, dest[valid], (sign * state.amplitudes[idx])[valid])
+    dest = dest[valid]
+    amps = np.zeros(layout.dim, dtype=np.complex128)
+    np.add.at(amps, dest, (sign * values)[valid])
     norm = np.linalg.norm(amps)
     if norm < 1e-12:
         raise ValidationError("symmetrization annihilated the state "
                               "(repeated fermionic orbital?)")
+    # amps / norm where add.at wrote; elsewhere +0.0 / norm is +0.0 already
+    amps[dest] = amps[dest] / norm
     counters = {
         "comparators": comparators,
         "swapped_qubits": comparators * l,
         "symmetrization_norm": float(norm),
     }
-    return QuantumState(state.layout, amps / norm), counters
+    return QuantumState(layout, amps), counters
 
 
 def antisymmetrize(
@@ -293,12 +317,17 @@ def antisymmetrize(
     statistics: str = "fermionic",
 ) -> tuple[QuantumState, dict]:
     """Full permutation-register pipeline: expand, map onto the symmetric
-    group, sort into the particle registers.
+    group, sort into the particle registers.  The stages pass the support
+    along, found once here.  With one particle they only check their
+    inputs, and the state comes back as it was, signed zeros included.
     """
     m = len(p_segments)
-    state = generate_permutation_superposition(state, b_segments, m)
-    state = apply_rank_to_permutation(state, b_segments)
-    return sort_and_entangle(state, b_segments, p_segments, statistics)
+    support = generate_permutation_superposition(
+        SparseState.from_state(state), b_segments, m)
+    support = apply_rank_to_permutation(support, b_segments)
+    out, counters = sort_and_entangle(support, b_segments, p_segments,
+                                      statistics)
+    return (state if m == 1 else out), counters
 
 
 def _permutation_sign(perm: tuple[int, ...]) -> int:

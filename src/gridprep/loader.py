@@ -20,6 +20,9 @@ from .statevec import QuantumState, control_masks
 
 Controls = list[tuple[str, int]]
 
+#: Amplitudes per block when a load writes its branch.
+GATHER_BLOCK = 1 << 16
+
 
 @dataclass
 class LoadPlan:
@@ -120,17 +123,53 @@ def _mc_grid_ratio(prob: np.ndarray, lo: int, mid: int, hi: int,
 
 
 def _split(values: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """One level of the product: prefix b of `values` (spectators above,
-    prefixes, spectators below) becomes prefixes 2b <- c[b] t and
-    2b + 1 <- s[b] t + 0.0.  The `+ 0.0` is what the rotation adds from
-    the blank partner (s a0 + c 0); it turns -0 into +0.
+    """One level of the product on rows of prefixes: prefix b becomes
+    prefixes 2b <- c[b] t and 2b + 1 <- s[b] t + 0.0.  The `+ 0.0` is what
+    the rotation adds from the blank partner (s a0 + c 0); it turns -0
+    into +0.
     """
-    h, n, lo = values.shape
-    out = np.empty((h, n, 2, lo), dtype=np.complex128)
-    np.multiply(c[:, None], values, out=out[:, :, 0])
-    np.multiply(s[:, None], values, out=out[:, :, 1])
+    rows, n = values.shape
+    out = np.empty((rows, n, 2), dtype=np.complex128)
+    np.multiply(c, values, out=out[:, :, 0])
+    np.multiply(s, values, out=out[:, :, 1])
     np.add(out[:, :, 1], 0.0, out=out[:, :, 1])
-    return out.reshape(h, 2 * n, lo)
+    return out.reshape(rows, 2 * n)
+
+
+def _fan_seeds(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The target-0 amplitudes worth fanning out, and which one each entry
+    of `first` takes: every nonzero amplitude, then one representative per
+    signed-zero class (sign bits of the real and imaginary parts) present.
+    All zeros of one class have the same bytes, so they fan out alike.
+    """
+    flat = first.ravel()
+    nonzero = flat != 0
+    zero_class = 2 * np.signbit(flat.real) + np.signbit(flat.imag)
+    _, rep, which = np.unique(zero_class[~nonzero], return_index=True,
+                              return_inverse=True)
+    count = np.count_nonzero(nonzero)
+    seed_of = np.empty(flat.size, dtype=np.intp)
+    seed_of[nonzero] = np.arange(count)
+    seed_of[~nonzero] = count + which
+    seeds = np.concatenate([flat[nonzero], flat[~nonzero][rep]])
+    return seeds, seed_of.reshape(first.shape)
+
+
+def _gather_rows(fanned: np.ndarray, seed_of: np.ndarray) -> np.ndarray:
+    """Register values shaped (spectators above, 2^l sites, spectators
+    below) with out[h, :, lo] = fanned[seed_of[h, lo]], gathered in blocks
+    of about GATHER_BLOCK amplitudes so no full-size temporary is held.
+    """
+    h_rows, lo = seed_of.shape
+    sites = fanned.shape[1]
+    if lo == 1 and np.array_equal(seed_of[:, 0], np.arange(len(fanned))):
+        return fanned.reshape(h_rows, sites, 1)  # each row its own seed
+    out = np.empty((h_rows, sites, lo), dtype=np.complex128)
+    step = max(1, GATHER_BLOCK // (sites * lo))
+    for h in range(0, h_rows, step):
+        out[h:h + step] = np.take(fanned, seed_of[h:h + step],
+                                  axis=0).transpose(0, 2, 1)
+    return out
 
 
 def load_orbital(
@@ -146,13 +185,17 @@ def load_orbital(
     `controls` select (the whole state without controls).
 
     Precondition, enforced for controlled and uncontrolled loads alike: the
-    segment is blank on that branch, or ValidationError is raised.  The
+    segment is blank on that branch, or ValidationError is raised.  Each
     amplitude at segment value 0 then fans out over the 2^l sites as the
     product of the split factors along each dyadic path, one level at a
-    time; sites of an empty pair get no rotation.  `ratio_perturb(i, k,
-    ratio)` lets callers inject integral noise; it is called once per pair
-    with mass, in level order, with k = 2b for pair b.  `cache` holds one
-    ratio table per (orbital, l, spec) across loads.
+    time; sites of an empty pair get no rotation.  The fan-out depends on
+    that amplitude alone, so it runs once per nonzero amplitude and once
+    per signed-zero class, and the branch is written from those rows in
+    one gather; what sat off value 0 on the branch is overwritten.
+    `ratio_perturb(i, k, ratio)` lets callers inject integral noise; it is
+    called once per pair with mass, in level order, with k = 2b for pair b.
+    `cache` holds one ratio table and phase table per (orbital, l, spec)
+    across loads.
     """
     seg = state.layout.segment(segment)
     l = seg.width
@@ -169,14 +212,16 @@ def load_orbital(
     if spec.backend == "monte-carlo" and spec.bounds is not None:
         plan.mc_samples_per_integral = mc_sample_count(spec, bounded=True)
     key = (orbital, l, spec)
-    table = None if cache is None else cache.get(key)
-    if table is None:
-        table = _split_ratios(orbital.grid_prob(l), l, spec)
+    tables = None if cache is None else cache.get(key)
+    if tables is None:
+        tables = _load_tables(orbital, l, spec)
         plan.integral_evaluations = plan.integral_requests
         if cache is not None:
-            cache[key] = table
+            cache[key] = tables
+    table, phases = tables
 
-    values = cube[np.ix_(hi_sel, [0], lo_sel)]
+    seeds, seed_of = _fan_seeds(cube[:, 0, :][np.ix_(hi_sel, lo_sel)])
+    values = seeds[:, None]
     for i, ratio in enumerate(table, start=1):
         active = ~np.isnan(ratio)
         plan.rotation_applications += int(np.count_nonzero(active))
@@ -188,24 +233,33 @@ def load_orbital(
         angle = np.where(active, np.arccos(np.sqrt(ratio)), 0.0)
         values = _split(values, np.cos(angle), np.sin(angle))
     plan.empty_blocks = plan.integral_requests - plan.rotation_applications
-    values = apply_phases(values, orbital)
+    block = _gather_rows(apply_phases(values, phases), seed_of)
 
     if hi_sel.all() and lo_sel.all():
-        amps = values.reshape(-1)
+        amps = block.reshape(-1)
     else:
         amps = state.amplitudes.copy()
         amps.reshape(cube.shape)[np.ix_(hi_sel, np.arange(seg.dim),
-                                        lo_sel)] = values
+                                        lo_sel)] = block
     return QuantumState(state.layout, amps), plan
 
 
-def apply_phases(values: np.ndarray, orbital: Orbital) -> np.ndarray:
-    """Phase kickback x -> exp(i arg phi(x)), in place, on loaded register
-    values shaped (spectators above, 2^l sites, spectators below).
+def _load_tables(orbital: Orbital, l: int, spec: IntegrationSpec):
+    """Split ratios and phase-kickback factors (None when every arg phi(x)
+    is 0), both from one evaluation of the orbital on the grid.
     """
-    table = np.angle(orbital.grid_values(values.shape[1].bit_length() - 1))
-    if np.any(table):
-        values *= np.exp(1j * table)[:, None]
+    values = orbital.grid_values(l)
+    angle = np.angle(values)
+    phases = np.exp(1j * angle) if np.any(angle) else None
+    return _split_ratios(np.abs(values) ** 2, l, spec), phases
+
+
+def apply_phases(values: np.ndarray, phases: np.ndarray | None) -> np.ndarray:
+    """Phase kickback x -> exp(i arg phi(x)), in place, on fanned-out rows
+    of 2^l sites; `phases` holds the factors, None for none.
+    """
+    if phases is not None:
+        values *= phases
     return values
 
 

@@ -25,6 +25,9 @@ from .errors import (
 DEFAULT_QUBIT_CAP = 26
 DENSITY_MATRIX_CAP = 12
 NORM_TOL = 1e-10
+#: Entries per block of rows in the Hermiticity check, which compares ρ
+#: with ρ† one block at a time instead of forming ρ − ρ† whole.
+HERMITIAN_BLOCK = 1 << 16
 
 SEGMENT_ROLES = ("fock", "particle", "readout", "spec", "scratch")
 
@@ -157,6 +160,48 @@ class QuantumState:
         return sq[hi_sel].sum() <= tol * tol
 
 
+def _entries(words: np.ndarray) -> np.ndarray:
+    """Ascending indices of the amplitudes with a True in either of their
+    two words, given a mask over the interleaved real and imaginary parts.
+    """
+    found = np.flatnonzero(words) >> 1
+    first = np.ones(found.size, dtype=bool)
+    first[1:] = found[1:] != found[:-1]
+    return found[first]
+
+
+def _populated(amps: np.ndarray) -> np.ndarray:
+    """Ascending indices of the amplitudes with any bit set.  −0.0 counts,
+    so copying these entries into +0.0 everywhere else is bitwise exact.
+    """
+    return _entries(amps.view(np.uint64) != 0)
+
+
+@dataclass(frozen=True)
+class SparseState:
+    """A state held as its nonzero amplitudes: `values[k]` sits at basis
+    index `index[k]`, indices ascend, and every other amplitude is zero.
+    """
+
+    layout: RegisterLayout
+    index: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def from_state(cls, state: QuantumState) -> "SparseState":
+        """The amplitudes of nonzero magnitude, the support that `abs > 0`
+        selects; signed zeros are left out.
+        """
+        index = _entries(state.amplitudes.view(np.float64) != 0)
+        return cls(state.layout, index, state.amplitudes[index])
+
+    def to_state(self) -> QuantumState:
+        """The dense vector, +0.0 off the stored indices."""
+        amps = np.zeros(self.layout.dim, dtype=np.complex128)
+        amps[self.index] = self.values
+        return QuantumState(self.layout, amps)
+
+
 @dataclass
 class DensityMatrix:
     """A validated density matrix ρ, stored as complex128.
@@ -165,7 +210,8 @@ class DensityMatrix:
 
     * `DensityMatrix(matrix)`, for a matrix the caller supplies, copies the
       matrix and raises `ValidationError` unless ρ is square, every entry
-      is finite, |tr ρ − 1| ≤ 1e-8, ρ is Hermitian to 1e-8 entrywise, and
+      is finite, |tr ρ − 1| ≤ 1e-8, ρ is Hermitian to 1e-8 entrywise
+      (compared with ρ† one block of rows at a time), and
       λ_min(ρ) ≥ −1e-8.  Positivity is decided by whether ρ + 1e-8·I has
       a Cholesky factor (Cholesky is backward stable, so this is as strict
       as an eigensolve at a fraction of its cost).
@@ -186,8 +232,12 @@ class DensityMatrix:
             raise ValidationError("density matrix has non-finite entries")
         if abs(np.trace(self.matrix).real - 1.0) > 1e-8:
             raise ValidationError(f"trace {np.trace(self.matrix)} != 1")
-        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > 1e-8:
-            raise ValidationError("density matrix is not Hermitian")
+        rows = max(1, HERMITIAN_BLOCK // d)
+        for r in range(0, d, rows):
+            block = self.matrix[r:r + rows]
+            if np.max(np.abs(block - self.matrix[:, r:r + rows].conj().T)) \
+                    > 1e-8:
+                raise ValidationError("density matrix is not Hermitian")
         try:
             np.linalg.cholesky(self.matrix + 1e-8 * np.eye(d))
         except np.linalg.LinAlgError:
@@ -396,12 +446,12 @@ def partial_trace(
         raise ResourceError(
             f"partial trace over {k_width} qubits exceeds the cap of {cap}"
         )
-    idx = np.arange(state.layout.dim)
+    idx = _populated(state.amplitudes)
     kvals, _ = _packed_values(idx, kept)
     rvals, r_width = _packed_values(
         idx, [s for s in state.layout if s.name not in keep_segments])
     table = np.zeros((1 << k_width, 1 << r_width), dtype=np.complex128)
-    table[kvals, rvals] = state.amplitudes
+    table[kvals, rvals] = state.amplitudes[idx]
     return DensityMatrix.from_factor(table)
 
 
@@ -413,21 +463,22 @@ def extract_segment_vector(
     leakage outside that slice exceeds `tol` or the slice is zero.
     """
     kept = [state.layout.segment(name) for name in keep_segments]
-    idx = np.arange(state.layout.dim)
+    idx = _populated(state.amplitudes)
+    vals = state.amplitudes[idx]
     keep_names = set(keep_segments)
     rest_zero = np.ones(idx.size, dtype=bool)
     for s in state.layout:
         if s.name in keep_names:
             continue
         rest_zero &= ((idx >> s.offset) & s.mask) == 0
-    leak = np.linalg.norm(state.amplitudes[~rest_zero])
+    leak = np.linalg.norm(vals[~rest_zero])
     if leak > tol:
         raise ValidationError(
             f"segments outside {keep_segments} are not blank (leak {leak:.3g})"
         )
-    kvals, width = _packed_values(idx, kept)
+    kvals, width = _packed_values(idx[rest_zero], kept)
     vec = np.zeros(1 << width, dtype=np.complex128)
-    vec[kvals[rest_zero]] = state.amplitudes[rest_zero]
+    vec[kvals] = vals[rest_zero]
     n = np.linalg.norm(vec)
     if n == 0:
         raise ValidationError(f"segments {keep_segments} carry no amplitude")

@@ -171,6 +171,203 @@ class TestAntisymmetrization:
         assert counters["comparators"] == 0
 
 
+# -- dense reference --------------------------------------------------------
+# The three-pass dense pipeline the sparse stages replace: each pass scans
+# the whole vector for its support and writes a fresh dense vector.
+
+def dense_generate(
+    state: QuantumState, b_segments: list[str], m: int
+) -> QuantumState:
+    if len(b_segments) != m:
+        raise StructuralError("one quword per particle is required")
+    for name in b_segments:
+        if not state.segment_is_blank(name):
+            raise ValidationError(f"quword {name!r} must be blank")
+    if m == 1:
+        return state
+    segs = [state.layout.segment(name) for name in b_segments]
+    tuples = list(product(*[range(m - i) for i in range(m)]))
+    amps = np.zeros_like(state.amplitudes)
+    support = np.flatnonzero(np.abs(state.amplitudes) > 0)
+    base = state.amplitudes[support] / math.sqrt(math.factorial(m))
+    for digits in tuples:
+        shift = sum(d << seg.offset for d, seg in zip(digits, segs))
+        amps[support | shift] += base
+    return QuantumState(state.layout, amps)
+
+
+def dense_rank(
+    state: QuantumState, b_segments: list[str]
+) -> QuantumState:
+    m = len(b_segments)
+    if m == 1:
+        return state
+    segs = [state.layout.segment(name) for name in b_segments]
+    # only the populated amplitudes matter; everything else stays zero
+    idx = np.flatnonzero(np.abs(state.amplitudes) > 0)
+    vals = [(idx >> seg.offset) & seg.mask for seg in segs]
+    valid = np.ones(idx.size, dtype=bool)
+    for i, v in enumerate(vals):
+        valid &= v < (m - i)
+    stray = np.linalg.norm(state.amplitudes[idx[~valid]])
+    if stray > 1e-10:
+        raise ValidationError(
+            f"quword register holds amplitude outside the tuple range ({stray:.3g})"
+        )
+    strip = idx.copy()
+    for seg in segs:
+        strip &= ~(seg.mask << seg.offset)
+    # combined-quword lookup: tuple code -> permutation code (0-based entries)
+    w = segs[0].width
+    table = np.full(1 << (m * w), -1, dtype=np.int64)
+    for digits in product(*[range(m - i) for i in range(m)]):
+        code = sum(d << (i * w) for i, d in enumerate(digits))
+        perm = rank_to_permutation(tuple(d + 1 for d in digits))
+        table[code] = sum((p - 1) << (i * w) for i, p in enumerate(perm))
+    combined = np.zeros(idx.size, dtype=np.int64)
+    for i, v in enumerate(vals):
+        combined |= v.astype(np.int64) << (i * w)
+    mapped = table[combined]
+    dest = strip.copy()
+    for i, seg in enumerate(segs):
+        dest |= ((mapped >> (i * w)) & seg.mask) << seg.offset
+    amps = np.zeros_like(state.amplitudes)
+    amps[dest[valid]] = state.amplitudes[idx[valid]]
+    return QuantumState(state.layout, amps)
+
+
+def dense_sort(
+    state: QuantumState,
+    b_segments: list[str],
+    p_segments: list[str],
+    statistics: str = "fermionic",
+) -> tuple[QuantumState, dict]:
+    if statistics not in ("fermionic", "bosonic"):
+        raise ValidationError(f"unknown statistics {statistics!r}")
+    m = len(b_segments)
+    if len(p_segments) != m:
+        raise StructuralError("need one quword per particle register")
+    if m == 1:
+        return state, {"comparators": 0, "swapped_qubits": 0}
+    b_segs = [state.layout.segment(n) for n in b_segments]
+    p_segs = [state.layout.segment(n) for n in p_segments]
+    l = p_segs[0].width
+
+    idx = np.flatnonzero(np.abs(state.amplitudes) > 0)
+    bvals = [state.layout.values(n, idx).copy() for n in b_segments]
+    pvals = [state.layout.values(n, idx).copy() for n in p_segments]
+
+    valid = np.ones(idx.size, dtype=bool)
+    seen = np.zeros((idx.size, m), dtype=bool)
+    for v in bvals:
+        valid &= v < m
+        inrange = v < m
+        seen[np.arange(idx.size)[inrange], v[inrange]] = True
+    valid &= seen.all(axis=1)
+    stray = np.linalg.norm(state.amplitudes[idx[~valid]])
+    if stray > 1e-10:
+        raise ValidationError(
+            f"quword register is not a permutation on the support ({stray:.3g})"
+        )
+
+    parity = np.zeros(idx.size, dtype=bool)
+    comparators = 0
+    for layer in odd_even_network(m):
+        for a, b in layer:
+            comparators += 1
+            fire = bvals[a] > bvals[b]
+            for arr_pair in ((bvals, a, b), (pvals, a, b)):
+                arrs, i, j = arr_pair
+                tmp = arrs[i][fire].copy()
+                arrs[i][fire] = arrs[j][fire]
+                arrs[j][fire] = tmp
+            parity ^= fire
+
+    strip = idx.copy()
+    for seg in (*b_segs, *p_segs):
+        strip &= ~(seg.mask << seg.offset)
+    dest = strip  # quwords land on the constant identity and are cleared
+    for v, seg in zip(pvals, p_segs):
+        dest = dest | (v << seg.offset)
+    sign = np.ones(idx.size)
+    if statistics == "fermionic":
+        sign[parity] = -1.0
+    amps = np.zeros_like(state.amplitudes)
+    np.add.at(amps, dest[valid], (sign * state.amplitudes[idx])[valid])
+    norm = np.linalg.norm(amps)
+    if norm < 1e-12:
+        raise ValidationError("symmetrization annihilated the state "
+                              "(repeated fermionic orbital?)")
+    counters = {
+        "comparators": comparators,
+        "swapped_qubits": comparators * l,
+        "symmetrization_norm": float(norm),
+    }
+    return QuantumState(state.layout, amps / norm), counters
+
+
+def dense_antisymmetrize(state, b_segments, p_segments, statistics):
+    m = len(p_segments)
+    state = dense_generate(state, b_segments, m)
+    state = dense_rank(state, b_segments)
+    return dense_sort(state, b_segments, p_segments, statistics)
+
+
+AMPLITUDE_PARTS = np.array([0.0, -0.0, 1.0, -0.5, 0.3, 5e-324])
+
+
+@st.composite
+def symmetrization_cases(draw):
+    """A particle bank and its quwords between spectator registers, with
+    amplitudes drawn from signed zeros, ordinary values and the smallest
+    subnormal (which 1/sqrt(m!) rounds to zero), and sometimes
+    sub-tolerance junk or -0.0 where the quwords are not blank.
+    """
+    m = draw(st.integers(1, 4))
+    l = draw(st.integers(1, 2))
+    below, above = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    if m == 4 and l == 2:
+        below = above = min(below, 1)
+    layout = RegisterLayout([("below", "fock", below)]
+                            + particle_segments(m, l)
+                            + permutation_segments(m)
+                            + [("above", "readout", above)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    index = np.arange(layout.dim)
+    blank = np.ones(layout.dim, dtype=bool)
+    for i in range(m):
+        blank &= layout.values(f"perm{i}", index) == 0
+    parts = rng.choice(AMPLITUDE_PARTS, size=(layout.dim, 2),
+                       p=[0.5, 0.1, 0.1, 0.1, 0.1, 0.1])
+    amps = parts[:, 0] + 1j * parts[:, 1]
+    amps.real, amps.imag = parts[:, 0], parts[:, 1]  # keep signed zeros
+    amps[~blank] = 0.0
+    if draw(st.booleans()) and not blank.all():
+        junk = rng.choice(np.flatnonzero(~blank), size=3)
+        amps[junk] = rng.choice([1e-12, -1e-13j, -0.0, 1e-300], size=3)
+    statistics = draw(st.sampled_from(["fermionic", "bosonic"]))
+    return QuantumState(layout, amps), m, statistics
+
+
+def _outcome(fn, state, m, statistics):
+    try:
+        out, counters = fn(state, [f"perm{i}" for i in range(m)],
+                           [f"particle{i}" for i in range(m)], statistics)
+    except (ValidationError, StructuralError) as err:
+        return type(err)
+    return out.amplitudes.tobytes(), counters
+
+
+class TestAgainstDensePipeline:
+    @settings(max_examples=120, deadline=None)
+    @given(symmetrization_cases())
+    def test_bitwise_equal_to_dense_pipeline(self, case):
+        state, m, statistics = case
+        got = _outcome(antisymmetrize, state, m, statistics)
+        ref = _outcome(dense_antisymmetrize, state, m, statistics)
+        assert got == ref
+
+
 class TestOracle:
     def test_determinant_antisymmetry(self):
         bas = BasisSet([box_sine(1), box_sine(2), box_sine(3)])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gridprep.basis import (
     EMPTY_MASS_THRESHOLD,
     IntegrationSpec,
+    Orbital,
     box_sine,
     delta_at_site,
     harmonic_hermite,
@@ -224,6 +225,24 @@ class TestLoadOrbital:
         assert p2.integral_evaluations == 0
         assert p2.integral_requests == 7
 
+    def test_one_grid_evaluation_per_load(self, monkeypatch):
+        # ratios and phases come from one evaluation, and a cache hit
+        # needs none
+        calls = []
+        evaluate = Orbital.grid_values
+
+        def counted(orbital, l):
+            calls.append(l)
+            return evaluate(orbital, l)
+
+        monkeypatch.setattr(Orbital, "grid_values", counted)
+        cache = {}
+        for expected in (1, 1):
+            load_orbital(fresh(3), "x", ring_plane_wave(1), CDF, cache=cache)
+            assert len(calls) == expected
+        load_orbital(fresh(3), "x", ring_plane_wave(1), CDF)
+        assert len(calls) == 2
+
     def test_phase_kickback(self):
         l = 3
         orb = ring_plane_wave(1)
@@ -251,6 +270,67 @@ class TestAgainstCircuit:
             assert getattr(plan, key) == value
         if spec.backend == "monte-carlo":
             assert plan.mc_samples_per_integral > 0
+
+    def _signed_zero_branch(self):
+        """Target x between spectators `below` and `above`, controlled on
+        c = 1.  On that branch the rows above = 0 hold the four signed-zero
+        classes at x = 0, the rows above = 1 nonzero amplitudes; the c = 0
+        branch holds amplitude at x != 0.
+        """
+        layout = RegisterLayout([("below", "scratch", 2), ("x", "particle", 3),
+                                 ("c", "scratch", 1), ("above", "scratch", 1)])
+        amps = np.zeros(layout.dim, dtype=complex)
+        zeros = [complex(0.0, 0.0), complex(0.0, -0.0), complex(-0.0, 0.0),
+                 complex(-0.0, -0.0)]
+        for below, (zero, value) in enumerate(zip(zeros,
+                                                  [0.5, -0.5j, 0.3, -0.1])):
+            amps[0b0_1_000_00 | below] = zero
+            amps[0b1_1_000_00 | below] = value
+            amps[0b0_0_101_00 | below] = 0.2
+        return QuantumState(layout, amps), [("c", 1)]
+
+    @pytest.mark.parametrize("orbital", [ring_plane_wave(1), box_sine(2)])
+    def test_signed_zero_classes_on_controlled_branch(self, orbital):
+        state, controls = self._signed_zero_branch()
+        got, _ = load_orbital(state, "x", orbital, CDF, controls=controls)
+        ref, _ = circuit_load(state, "x", orbital, CDF, controls=controls)
+        assert got.amplitudes.tobytes() == ref.amplitudes.tobytes()
+        rows = got.amplitudes.reshape(2, 2, 8, 4)[0, 1]  # above=0, c=1
+        assert len({rows[:, below].tobytes() for below in range(4)}) > 1
+
+    def test_orbital_without_phase(self):
+        # every arg phi(x) is 0, so there is no phase pass; the signed
+        # zeros on the branch still fan out through the splits as in the
+        # circuit
+        orbital = box_sine(1)
+        assert not np.any(np.angle(orbital.grid_values(3)))
+        state, controls = self._signed_zero_branch()
+        got, _ = load_orbital(state, "x", orbital, CDF, controls=controls)
+        ref, _ = circuit_load(state, "x", orbital, CDF, controls=controls)
+        assert got.amplitudes.tobytes() == ref.amplitudes.tobytes()
+
+    def test_sub_tolerance_junk_is_overwritten(self):
+        # A row whose target-0 amplitude is zero carries 1e-10 and -0.0 at
+        # x != 0, within the blank check's 1e-9.  The load writes the
+        # branch as the circuit writes it from the blank register; the
+        # circuit itself would rotate the junk into the loaded sites.
+        layout = RegisterLayout([("below", "scratch", 1), ("x", "particle", 2),
+                                 ("c", "scratch", 1)])
+        amps = np.zeros(layout.dim, dtype=complex)
+        amps[0b1_00_0] = -0.0
+        amps[0b1_01_0] = 1e-10
+        amps[0b1_10_0] = complex(-0.0, -0.0)
+        amps[0b1_00_1] = 0.8
+        amps[0b0_11_0] = 0.6
+        state = QuantumState(layout, amps)
+        blank = amps.copy()
+        blank[[0b1_01_0, 0b1_10_0]] = 0.0
+        for orbital in (ring_plane_wave(1), box_sine(1)):
+            got, _ = load_orbital(state, "x", orbital, CDF,
+                                  controls=[("c", 1)])
+            ref, _ = circuit_load(QuantumState(layout, blank), "x", orbital,
+                                  CDF, controls=[("c", 1)])
+            assert got.amplitudes.tobytes() == ref.amplitudes.tobytes()
 
     def test_controlled_load_needs_blank_branch(self):
         layout = RegisterLayout([("x", "particle", 2), ("c", "scratch", 1)])

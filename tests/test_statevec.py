@@ -16,6 +16,7 @@ from gridprep.basis import BasisSet, IntegrationSpec, box_sine, tabulated, \
 from gridprep.compose import MixedSpec, mixed_oracle, prepare_mixed
 from gridprep.loader import load_orbital
 from gridprep.statevec import (
+    HERMITIAN_BLOCK,
     DensityMatrix,
     QuantumState,
     RegisterLayout,
@@ -262,6 +263,102 @@ class TestSwapAndMeasure:
         assert probs[1] == 0.0
 
 
+# -- dense reference for the extraction ----------------------------------------
+# These index the whole basis with np.arange; the library indexes only the
+# populated entries.
+
+def _dense_packed(idx, segments):
+    packed = np.zeros(idx.size, dtype=np.int64)
+    shift = 0
+    for s in segments:
+        packed |= (((idx >> s.offset) & s.mask).astype(np.int64)) << shift
+        shift += s.width
+    return packed, shift
+
+
+def dense_partial_trace(state, keep_segments):
+    kept = [state.layout.segment(name) for name in keep_segments]
+    idx = np.arange(state.layout.dim)
+    kvals, k_width = _dense_packed(idx, kept)
+    rvals, r_width = _dense_packed(
+        idx, [s for s in state.layout if s.name not in keep_segments])
+    table = np.zeros((1 << k_width, 1 << r_width), dtype=np.complex128)
+    table[kvals, rvals] = state.amplitudes
+    return DensityMatrix.from_factor(table)
+
+
+def dense_extract(state, keep_segments, tol=1e-8):
+    kept = [state.layout.segment(name) for name in keep_segments]
+    idx = np.arange(state.layout.dim)
+    rest_zero = np.ones(idx.size, dtype=bool)
+    for s in state.layout:
+        if s.name not in keep_segments:
+            rest_zero &= ((idx >> s.offset) & s.mask) == 0
+    if np.linalg.norm(state.amplitudes[~rest_zero]) > tol:
+        raise ValidationError("segments outside the kept ones are not blank")
+    kvals, width = _dense_packed(idx, kept)
+    vec = np.zeros(1 << width, dtype=np.complex128)
+    vec[kvals[rest_zero]] = state.amplitudes[rest_zero]
+    n = np.linalg.norm(vec)
+    if n == 0:
+        raise ValidationError("the kept segments carry no amplitude")
+    return vec / n
+
+
+@st.composite
+def extraction_cases(draw):
+    """A layout of up to four segments, a nonempty subset of them kept in
+    any order, and a normalized state with signed zeros whose traced
+    segments are blank, blank up to sub-tolerance junk, or leaking.
+    """
+    widths = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    layout = RegisterLayout([(f"s{i}", "scratch", w)
+                             for i, w in enumerate(widths)])
+    names = layout.names()
+    keep = draw(st.lists(st.sampled_from(names), min_size=1,
+                         max_size=len(names), unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    parts = rng.choice([0.0, -0.0, 1.0, -0.5], size=(layout.dim, 2))
+    amps = np.empty(layout.dim, dtype=np.complex128)
+    amps.real, amps.imag = parts[:, 0], parts[:, 1]
+    index = np.arange(layout.dim)
+    traced = np.zeros(layout.dim, dtype=bool)
+    for name in names:
+        if name not in keep:
+            traced |= layout.values(name, index) != 0
+    off = draw(st.sampled_from(["blank", "junk", "leak"]))
+    if off != "leak":
+        amps[traced] = rng.choice([0.0, complex(0.0, -0.0),
+                                   complex(-0.0, -0.0)],
+                                  size=np.count_nonzero(traced))
+    if off == "junk" and traced.any():
+        amps[rng.choice(np.flatnonzero(traced))] = 1e-12
+    if np.any(amps):
+        amps /= np.linalg.norm(amps)
+    return QuantumState(layout, amps), keep
+
+
+def _result(fn, *args):
+    try:
+        out = fn(*args)
+    except ValidationError:
+        return "ValidationError"
+    return getattr(out, "matrix", out).tobytes()
+
+
+class TestAgainstDenseExtraction:
+    @settings(max_examples=200, deadline=None)
+    @given(extraction_cases())
+    def test_bitwise_equal_to_dense_indexing(self, case):
+        # Leaks are 0, 1e-12 or order 1, so the leak check, which sums the
+        # same entries in another order, decides alike.
+        state, keep = case
+        assert _result(extract_segment_vector, state, keep) == \
+            _result(dense_extract, state, keep)
+        assert _result(partial_trace, state, keep) == \
+            _result(dense_partial_trace, state, keep)
+
+
 class TestDensityOps:
     def test_partial_trace_of_product_is_pure(self):
         layout = RegisterLayout([("a", "particle", 2), ("b", "scratch", 2)])
@@ -430,6 +527,32 @@ class TestDensityOps:
             accepted = False
         assert accepted == expect_ok
         assert rho.tobytes() == before
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([2, 5, 300, 700]), seed=st.integers(0, 2**32 - 1),
+           excess=st.sampled_from([-1e-12, 1e-12]),
+           direction=st.sampled_from([1.0, 1j, -1j]))
+    def test_blockwise_hermiticity_matches_dense(self, d, seed, excess,
+                                                 direction):
+        # One off-diagonal entry off Hermitian by 1e-8 ± 1e-12, in matrices
+        # of one block of rows and of several: the blockwise check must
+        # decide exactly as the whole-matrix expression does.
+        assert HERMITIAN_BLOCK // 700 < 700
+        rng = np.random.default_rng(seed)
+        noise = 1e-6 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        noise = noise + noise.conj().T
+        np.fill_diagonal(noise, 0.0)
+        rho = np.eye(d, dtype=complex) / d + noise
+        i, j = rng.choice(d, size=2, replace=False)
+        rho[i, j] += direction * (1e-8 + excess)
+        dense_rejects = np.max(np.abs(rho - rho.conj().T)) > 1e-8
+        try:
+            DensityMatrix(rho)
+            rejected = False
+        except ValidationError as err:
+            assert "Hermitian" in str(err)
+            rejected = True
+        assert rejected == dense_rejects
 
     def test_purity_matches_trace_of_square(self):
         rng = np.random.default_rng(3)
