@@ -20,7 +20,7 @@ import numpy as np
 from .basis import BasisSet, IntegrationSpec
 from .errors import StructuralError, ValidationError
 from .loader import LoadPlan, load_orbital
-from .statevec import QuantumState, SparseState
+from .statevec import BLANK_TOL, QuantumState, SparseState
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,13 @@ class OccupationVector:
     def parse(cls, text: str, statistics: str = "fermionic") -> "OccupationVector":
         """Accepts a bitstring like "1100" or a count list like "2,0,1"."""
         text = text.strip()
-        if "," in text:
-            n = tuple(int(v) for v in text.split(","))
-        else:
-            n = tuple(int(c) for c in text)
+        try:
+            n = tuple(int(v) for v in
+                      (text.split(",") if "," in text else text))
+        except ValueError:
+            raise ValidationError(
+                f"occupation {text!r} is neither a bitstring nor a "
+                "comma-separated count list") from None
         return cls(n, statistics)
 
     @property
@@ -131,12 +134,11 @@ def generate_permutation_superposition(
     layout = support.layout
     for name in b_segments:
         off = support.values[layout.values(name, support.index) != 0]
-        if np.vdot(off, off).real > 1e-9 * 1e-9:
+        if np.vdot(off, off).real > BLANK_TOL * BLANK_TOL:
             raise ValidationError(f"quword {name!r} must be blank")
     if m == 1:
         return support
-    segs = [layout.segment(name) for name in b_segments]
-    shifts = np.array([sum(d << seg.offset for d, seg in zip(digits, segs))
+    shifts = np.array([layout.with_values(0, dict(zip(b_segments, digits)))
                        for digits in product(*[range(m - i)
                                                for i in range(m)])])
     nonzero = support.values != 0
@@ -184,10 +186,9 @@ def apply_rank_to_permutation(
     if m == 1:
         return support
     layout = support.layout
-    segs = [layout.segment(name) for name in b_segments]
     nonzero = support.values != 0
     idx, amps = support.index[nonzero], support.values[nonzero]
-    vals = [(idx >> seg.offset) & seg.mask for seg in segs]
+    vals = [layout.values(name, idx) for name in b_segments]
     valid = np.ones(idx.size, dtype=bool)
     for i, v in enumerate(vals):
         valid &= v < (m - i)
@@ -196,11 +197,8 @@ def apply_rank_to_permutation(
         raise ValidationError(
             f"quword register holds amplitude outside the tuple range ({stray:.3g})"
         )
-    strip = idx.copy()
-    for seg in segs:
-        strip &= ~(seg.mask << seg.offset)
     # combined-quword lookup: tuple code -> permutation code (0-based entries)
-    w = segs[0].width
+    w = layout.segment(b_segments[0]).width
     table = np.full(1 << (m * w), -1, dtype=np.int64)
     for digits in product(*[range(m - i) for i in range(m)]):
         code = sum(d << (i * w) for i, d in enumerate(digits))
@@ -210,10 +208,9 @@ def apply_rank_to_permutation(
     for i, v in enumerate(vals):
         combined |= v.astype(np.int64) << (i * w)
     mapped = table[combined]
-    dest = strip.copy()
-    for i, seg in enumerate(segs):
-        dest |= ((mapped >> (i * w)) & seg.mask) << seg.offset
-    dest = dest[valid]
+    dest = layout.with_values(idx, {
+        name: (mapped >> (i * w)) & ((1 << w) - 1)
+        for i, name in enumerate(b_segments)})[valid]
     order = np.argsort(dest, kind="stable")
     return SparseState(layout, dest[order], amps[valid][order])
 
@@ -234,7 +231,7 @@ def sort_and_entangle(
     support: SparseState,
     b_segments: list[str],
     p_segments: list[str],
-    statistics: str = "fermionic",
+    statistics: str,
 ) -> tuple[QuantumState, dict]:
     """Sort the quword register with the fixed network, performing the same
     conditional swaps on the particle registers; apply (-1)^parity for
@@ -253,9 +250,7 @@ def sort_and_entangle(
     if m == 1:
         return support.to_state(), {"comparators": 0, "swapped_qubits": 0}
     layout = support.layout
-    b_segs = [layout.segment(n) for n in b_segments]
-    p_segs = [layout.segment(n) for n in p_segments]
-    l = p_segs[0].width
+    l = layout.segment(p_segments[0]).width
 
     nonzero = support.values != 0
     idx, values = support.index[nonzero], support.values[nonzero]
@@ -284,12 +279,9 @@ def sort_and_entangle(
                                     np.where(fire, arrs[a], arrs[b]))
             parity ^= fire
 
-    strip = idx.copy()
-    for seg in (*b_segs, *p_segs):
-        strip &= ~(seg.mask << seg.offset)
-    dest = strip  # quwords land on the constant identity and are cleared
-    for v, seg in zip(pvals, p_segs):
-        dest = dest | (v << seg.offset)
+    # quwords land on the constant identity and are cleared
+    dest = layout.with_values(idx, {**dict.fromkeys(b_segments, 0),
+                                    **dict(zip(p_segments, pvals))})
     sign = np.ones(idx.size)
     if statistics == "fermionic":
         sign[parity] = -1.0
@@ -314,7 +306,7 @@ def antisymmetrize(
     state: QuantumState,
     b_segments: list[str],
     p_segments: list[str],
-    statistics: str = "fermionic",
+    statistics: str,
 ) -> tuple[QuantumState, dict]:
     """Full permutation-register pipeline: expand, map onto the symmetric
     group, sort into the particle registers.  The stages pass the support

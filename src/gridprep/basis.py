@@ -22,6 +22,9 @@ BACKENDS = ("analytic-cdf", "adaptive-quadrature", "monte-carlo")
 #: Denominator mass below this is treated as zero (double-precision noise).
 EMPTY_MASS_THRESHOLD = 1e-14
 
+#: Largest entry of Φ†Φ − I a re-orthonormalized grid matrix may leave.
+ORTHONORMALITY_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class Orbital:
@@ -209,23 +212,18 @@ def mc_sample_count(spec: IntegrationSpec, bounded: bool = True) -> int:
 class BasisSet:
     """M orthonormal orbitals plus the Fock operator they diagonalize."""
 
-    def __init__(self, orbitals: list[Orbital], orthonormality_tol: float = 1e-6):
+    def __init__(self, orbitals: list[Orbital]):
         if not orbitals:
             raise ValidationError("basis needs at least one orbital")
         lengths = {o.length for o in orbitals}
         if len(lengths) != 1:
             raise ValidationError("orbitals must share one domain length")
         self.orbitals = list(orbitals)
-        self.orthonormality_tol = orthonormality_tol
         self._grid_cache: dict[int, np.ndarray] = {}
 
     @property
     def size(self) -> int:
         return len(self.orbitals)
-
-    @property
-    def length(self) -> float:
-        return self.orbitals[0].length
 
     @property
     def energies(self) -> np.ndarray:
@@ -260,7 +258,7 @@ class BasisSet:
         inv_sqrt = evecs @ np.diag(evals**-0.5) @ evecs.conj().T
         ortho = raw @ inv_sqrt
         check = np.max(np.abs(ortho.conj().T @ ortho - np.eye(self.size)))
-        if check > self.orthonormality_tol:
+        if check > ORTHONORMALITY_TOL:
             raise ValidationError(
                 f"re-orthonormalization residual {check:.3g} exceeds tolerance"
             )
@@ -303,7 +301,7 @@ class BasisSet:
                         f"perturbation leaves orbitals {target} and {j} "
                         f"degenerate at energy {e_new}"
                     )
-        out = BasisSet(new, self.orthonormality_tol)
+        out = BasisSet(new)
         out._grid_cache = dict(self._grid_cache)
         return out
 

@@ -10,15 +10,19 @@ state.csv (index, re, im) for pure-state preparations; rho.csv
 (row, col, re, im) for mixed-state preparations.  Floats are rendered with
 12 significant digits so identical runs produce bit-identical files.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 pipeline error
-(degeneracy, retry budget, bound violation), 4 resource limit.
+Exit codes: 0 success, 2 configuration/validation error (the message
+names the offending config key), 3 pipeline error (degeneracy, retry
+budget, bound violation), 4 resource limit.  An internal fault is not
+mapped: it propagates with its traceback, exit code 1.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import itertools
+import operator
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -50,11 +54,7 @@ from .compose import (
     superposition_oracle,
 )
 from .discriminate import SymmetryOperator
-from .errors import (
-    GridprepError,
-    ResourceError,
-    ValidationError,
-)
+from .errors import PipelineError, ResourceError, ValidationError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -65,24 +65,42 @@ EXIT_RESOURCE = 4
 CSV_BLOCK_ROWS = 1 << 16
 
 
+@contextmanager
+def _reading(key: str):
+    """Re-raise what a malformed value raises while config section `key`
+    is read as a ValidationError that names the key.
+    """
+    try:
+        yield
+    except KeyError as exc:
+        raise ValidationError(f"{key}: missing key {exc}") from exc
+    except (AttributeError, IndexError, TypeError, ValueError,
+            ValidationError) as exc:
+        raise ValidationError(f"{key}: {exc}") from exc
+
+
 def read_orbital_csv(path: Path) -> np.ndarray:
     """Tabulated orbital: rows of (index, re, im); a header row is allowed.
-    Indices must form 0..2^l-1 for some l.
+    Indices must form 0..2^l-1 for some l.  An unreadable file or a
+    malformed value raises ValidationError.
     """
     rows = {}
-    with open(path, newline="") as fh:
-        for rec in csv.reader(fh):
-            if not rec:
-                continue
-            try:
-                i = int(rec[0])
-            except ValueError:
-                continue  # header
-            if len(rec) < 3:
-                raise ValidationError(
-                    f"{path}: rows need (index, re, im), got {rec}"
-                )
-            rows[i] = float(rec[1]) + 1j * float(rec[2])
+    try:
+        with open(path, newline="") as fh:
+            for rec in csv.reader(fh):
+                if not rec:
+                    continue
+                try:
+                    i = int(rec[0])
+                except ValueError:
+                    continue  # header
+                if len(rec) < 3:
+                    raise ValidationError(
+                        f"{path}: rows need (index, re, im), got {rec}"
+                    )
+                rows[i] = float(rec[1]) + 1j * float(rec[2])
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     n = len(rows)
     if n == 0 or n & (n - 1):
         raise ValidationError(
@@ -98,6 +116,8 @@ def _build_orbital(entry: dict, length: float, config_dir: Path) -> Orbital:
     if family is None:
         raise ValidationError("orbital entry needs a 'family'")
     energy = entry.get("energy")
+    if energy is not None:
+        energy = float(energy)
     if family == "uniform":
         return basis_mod.uniform(length, energy=energy or 0.0)
     if family == "box-sine":
@@ -124,38 +144,55 @@ def _build_orbital(entry: dict, length: float, config_dir: Path) -> Orbital:
     raise ValidationError(f"unknown orbital family {family!r}")
 
 
-def _build_basis(cfg: dict, config_dir: Path, key: str = "basis") -> BasisSet:
-    entries = cfg.get(key)
+def _build_basis(cfg: dict, config_dir: Path) -> BasisSet:
+    entries = cfg.get("basis")
     if not entries:
-        raise ValidationError(f"config needs a '{key}' orbital list")
-    length = float(cfg.get("length", 1.0))
-    orbs = [_build_orbital(e, length, config_dir) for e in entries]
-    return BasisSet(orbs)
+        raise ValidationError("config needs a 'basis' orbital list")
+    with _reading("length"):
+        length = float(cfg.get("length", 1.0))
+    with _reading("basis"):
+        return BasisSet([_build_orbital(e, length, config_dir)
+                         for e in entries])
+
+
+def _optional(raw: dict, key: str, cast):
+    return None if raw.get(key) is None else cast(raw[key])
 
 
 def _build_integration(cfg: dict, seed: int | None) -> IntegrationSpec:
-    raw = cfg.get("integration", {}) or {}
-    bounds = raw.get("bounds")
-    return IntegrationSpec(
-        backend=raw.get("backend", "analytic-cdf"),
-        epsilon_i=float(raw.get("epsilon_i", 0.01)),
-        delta=float(raw.get("delta", 0.05)),
-        sigma2=raw.get("sigma2"),
-        bounds=tuple(bounds) if bounds is not None else None,
-        seed=seed if seed is not None else raw.get("seed"),
-    )
+    with _reading("integration"):
+        raw = cfg.get("integration", {}) or {}
+        bounds = raw.get("bounds")
+        return IntegrationSpec(
+            backend=raw.get("backend", "analytic-cdf"),
+            epsilon_i=float(raw.get("epsilon_i", 0.01)),
+            delta=float(raw.get("delta", 0.05)),
+            sigma2=_optional(raw, "sigma2", float),
+            bounds=(tuple(float(b) for b in bounds)
+                    if bounds is not None else None),
+            seed=(seed if seed is not None
+                  else _optional(raw, "seed", operator.index)),
+        )
 
 
-def _build_symmetry(cfg: dict) -> SymmetryOperator | None:
-    raw = cfg.get("phase_estimation", {}) or {}
-    sym = raw.get("symmetry")
-    if sym is None:
-        return None
-    return SymmetryOperator(kind=sym["kind"], step=int(sym.get("step", 1)))
+def _build_phase_estimation(cfg: dict) -> dict:
+    """`prepare_superposition`'s t, eps_pe and symmetry arguments."""
+    with _reading("phase_estimation"):
+        raw = cfg.get("phase_estimation", {}) or {}
+        sym = raw.get("symmetry")
+        return {
+            "t": _optional(raw, "t", float),
+            "eps_pe": _optional(raw, "eps_pe", float),
+            "symmetry": None if sym is None else SymmetryOperator(
+                kind=sym["kind"], step=int(sym.get("step", 1))),
+        }
 
 
 def _amplitude(value) -> complex:
     if isinstance(value, (list, tuple)):
+        if len(value) != 2:
+            raise ValidationError(
+                f"amplitude {value!r} must be a number or [re, im]")
         return complex(float(value[0]), float(value[1]))
     return complex(float(value), 0.0)
 
@@ -164,11 +201,11 @@ def _build_superposition(cfg: dict) -> FockSuperposition:
     raw = cfg.get("superposition")
     if not raw:
         raise ValidationError("config needs a 'superposition' term list")
-    statistics = cfg.get("statistics", "fermionic")
-    return FockSuperposition.from_strings(
-        [(_amplitude(t["amplitude"]), str(t["occupation"])) for t in raw],
-        statistics,
-    )
+    with _reading("superposition"):
+        return FockSuperposition.from_strings(
+            [(_amplitude(t["amplitude"]), str(t["occupation"])) for t in raw],
+            cfg.get("statistics", "fermionic"),
+        )
 
 
 def _build_mixed(cfg: dict) -> MixedSpec:
@@ -176,24 +213,43 @@ def _build_mixed(cfg: dict) -> MixedSpec:
     if not raw:
         raise ValidationError("config needs a 'mixed' section")
     statistics = cfg.get("statistics", "fermionic")
-    if "thermal" in raw:
-        th = raw["thermal"]
-        pairs = [(float(c["energy"]), str(c["occupation"]))
-                 for c in th["components"]]
-        return MixedSpec.thermal(float(th["beta"]), pairs, statistics)
-    comps = raw.get("components")
-    if not comps:
-        raise ValidationError("'mixed' needs 'components' or 'thermal'")
-    return MixedSpec.from_probabilities(
-        [(float(c["probability"]), str(c["occupation"])) for c in comps],
-        statistics,
-    )
+    with _reading("mixed"):
+        if "thermal" in raw:
+            th = raw["thermal"]
+            pairs = [(float(c["energy"]), str(c["occupation"]))
+                     for c in th["components"]]
+            return MixedSpec.thermal(float(th["beta"]), pairs, statistics)
+        comps = raw.get("components")
+        if not comps:
+            raise ValidationError("needs 'components' or 'thermal'")
+        return MixedSpec.from_probabilities(
+            [(float(c["probability"]), str(c["occupation"])) for c in comps],
+            statistics,
+        )
+
+
+def _build_species(cfg: dict, config_dir: Path):
+    """(occupation, basis) of `species_a` and of `species_b`; a section
+    without its own basis uses the top-level one.
+    """
+    if "species_a" not in cfg or "species_b" not in cfg:
+        raise ValidationError(
+            "config needs 'species_a' and 'species_b' sections"
+        )
+    sections = []
+    for key in ("species_a", "species_b"):
+        with _reading(key):
+            sec = cfg[key]
+            bas = _build_basis(sec if "basis" in sec else cfg, config_dir)
+            sections.append((_occupation(sec), bas))
+    return sections
 
 
 def _require_l(cfg: dict) -> int:
     if "l" not in cfg:
         raise ValidationError("config needs grid width 'l'")
-    l = int(cfg["l"])
+    with _reading("l"):
+        l = int(cfg["l"])
     if l < 1:
         raise ValidationError("grid width l must be >= 1")
     return l
@@ -247,11 +303,12 @@ def _emit(out_dir: Path, prepared: PreparedState) -> int:
     return EXIT_OK if report.all_bounds_hold() else EXIT_PIPELINE
 
 
-def _occupation(cfg: dict, key: str = "occupation") -> OccupationVector:
-    if key not in cfg:
-        raise ValidationError(f"config needs an '{key}' string")
-    return OccupationVector.parse(str(cfg[key]),
-                                  cfg.get("statistics", "fermionic"))
+def _occupation(cfg: dict) -> OccupationVector:
+    if "occupation" not in cfg:
+        raise ValidationError("config needs an 'occupation' string")
+    with _reading("occupation"):
+        return OccupationVector.parse(str(cfg["occupation"]),
+                                      cfg.get("statistics", "fermionic"))
 
 
 def _noise_perturb(cfg: dict, spec: IntegrationSpec):
@@ -265,7 +322,12 @@ def _noise_perturb(cfg: dict, spec: IntegrationSpec):
 
 
 def _task_orbital(cfg, bas, l, spec, seed, perturb):
-    orbital = bas.orbitals[int(cfg.get("orbital", 0))]
+    with _reading("orbital"):
+        index = int(cfg.get("orbital", 0))
+    if not 0 <= index < bas.size:
+        raise ValidationError(
+            f"orbital: index {index} is outside the {bas.size}-orbital basis")
+    orbital = bas.orbitals[index]
     prepared = prepare_orbital(orbital, l, spec, ratio_perturb=perturb)
     return prepared, lambda: pure_infidelity(prepared.vector,
                                              orbital.grid_values(l))
@@ -280,12 +342,11 @@ def _task_slater(cfg, bas, l, spec, seed, perturb):
 
 def _task_superposition(cfg, bas, l, spec, seed, perturb):
     sup = _build_superposition(cfg)
-    pe = cfg.get("phase_estimation", {}) or {}
+    with _reading("max_attempts"):
+        max_attempts = int(cfg.get("max_attempts", 20))
     prepared = prepare_superposition(
-        sup, bas, l, spec,
-        t=pe.get("t"), eps_pe=pe.get("eps_pe"),
-        symmetry=_build_symmetry(cfg), seed=seed,
-        max_attempts=int(cfg.get("max_attempts", 20)),
+        sup, bas, l, spec, **_build_phase_estimation(cfg), seed=seed,
+        max_attempts=max_attempts,
     )
     return prepared, lambda: pure_infidelity(
         prepared.vector, superposition_oracle(sup, bas, l))
@@ -312,7 +373,7 @@ TASKS = {
 def _prepare(task: str, cfg: dict, config_dir: Path, seed: int | None,
              noisy: bool = False):
     """Run TASKS[task]; `noisy` applies the config's noise model."""
-    if task not in TASKS:
+    if not isinstance(task, str) or task not in TASKS:
         raise ValidationError(f"unknown task {task!r}")
     l = _require_l(cfg)
     spec = _build_integration(cfg, seed)
@@ -354,7 +415,11 @@ def cmd_validate(cfg, config_dir, seed, out_dir):
         _build_mixed(cfg)
     if "occupation" in cfg:
         _occupation(cfg)
-    _build_symmetry(cfg)
+    if "species_a" in cfg or "species_b" in cfg:
+        _build_species(cfg, config_dir)
+    if "sweep" in cfg:
+        _sweep_axes(cfg)
+    _build_phase_estimation(cfg)
     print("config ok")
     return EXIT_OK
 
@@ -370,19 +435,7 @@ def _prepare_command(task: str):
 def cmd_prepare_two_species(cfg, config_dir, seed, out_dir):
     l = _require_l(cfg)
     spec = _build_integration(cfg, seed)
-    if "species_a" not in cfg or "species_b" not in cfg:
-        raise ValidationError(
-            "config needs 'species_a' and 'species_b' sections"
-        )
-    sections = []
-    for key in ("species_a", "species_b"):
-        sec = cfg[key]
-        bas = _build_basis(sec, config_dir) if "basis" in sec \
-            else _build_basis(cfg, config_dir)
-        occ = OccupationVector.parse(
-            str(sec["occupation"]), sec.get("statistics", "fermionic"))
-        sections.append((occ, bas))
-    (occ_a, bas_a), (occ_b, bas_b) = sections
+    (occ_a, bas_a), (occ_b, bas_b) = _build_species(cfg, config_dir)
     prepared = prepare_two_species(occ_a, occ_b, bas_a, bas_b, l, spec)
     return _emit(out_dir, prepared)
 
@@ -398,32 +451,42 @@ def cmd_verify_bounds(cfg, config_dir, seed, out_dir):
     return _emit(out_dir, prepared)
 
 
-def _sweep_cells(cfg, config_dir, seed):
-    """Cartesian product of sweep axes (l, epsilon_i, occupations); every
-    cell runs one preparation with its own sub-config.
+def _sweep_axes(cfg):
+    """The sweep's l values, epsilon_i values (None: the config's own) and
+    occupations (None: the config's own).
     """
     sweep = cfg.get("sweep")
     if not sweep:
         raise ValidationError("config needs a 'sweep' section")
-    ls = sweep.get("l") or [cfg.get("l")]
-    if any(v is None for v in ls):
-        raise ValidationError("sweep needs 'l' values (or a top-level l)")
-    epss = sweep.get("epsilon_i") or [None]
-    occs = sweep.get("occupations") or [cfg.get("occupation")]
+    with _reading("sweep"):
+        ls = sweep.get("l") or [cfg.get("l")]
+        if any(v is None for v in ls):
+            raise ValidationError("sweep needs 'l' values (or a top-level l)")
+        epss = [None if v is None else float(v)
+                for v in sweep.get("epsilon_i") or [None]]
+        return ([int(v) for v in ls], epss,
+                sweep.get("occupations") or [cfg.get("occupation")])
+
+
+def _sweep_cells(cfg, config_dir, seed):
+    """Cartesian product of sweep axes (l, epsilon_i, occupations); every
+    cell runs one preparation with its own sub-config.
+    """
+    ls, epss, occs = _sweep_axes(cfg)
     cells = []
     for occ in occs:
         for l in ls:
             for eps in epss:
                 sub = dict(cfg)
-                sub["l"] = int(l)
+                sub["l"] = l
                 if occ is not None:
                     sub["occupation"] = occ
                 if eps is not None:
                     integ = dict(sub.get("integration", {}) or {})
-                    integ["epsilon_i"] = float(eps)
+                    integ["epsilon_i"] = eps
                     sub["integration"] = integ
                 prepared = _run_preparation(sub, config_dir, seed)
-                cells.append((occ, int(l), eps, prepared))
+                cells.append((occ, l, eps, prepared))
     return cells
 
 
@@ -520,10 +583,10 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValidationError, KeyError, TypeError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except GridprepError as exc:
+    except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
 

@@ -169,10 +169,6 @@ class MixedSpec:
     def statistics(self) -> str:
         return self.components[0][1].statistics
 
-    @property
-    def m(self) -> int:
-        return self.components[0][1].m
-
 
 @dataclass
 class PreparedState:
@@ -194,11 +190,12 @@ def _merge_plans(counters: dict, plans: list[LoadPlan]) -> None:
 
 
 def _load_branches(
-    layout: RegisterLayout, segment: str, branches, basis: BasisSet,
-    spec: IntegrationSpec, counters: dict, cache: dict,
+    layout: RegisterLayout, segment: str, branches, p_names: list[str],
+    basis: BasisSet, spec: IntegrationSpec, counters: dict, cache: dict,
 ) -> QuantumState:
     """Prepare sum_b a_b |code_b> |Hartree product of occupation_b> from
-    |0>, for (a_b, code_b, occupation_b) branches.
+    |0>, for (a_b, code_b, occupation_b) branches, the products on the
+    particle registers `p_names`.
 
     The amplitude table is loaded on branch-register indices 0..K-1 and
     relabeled from index to code (unused indices fill the unused codes in
@@ -210,16 +207,15 @@ def _load_branches(
         np.array([a for a, _, _ in branches], dtype=complex), spec,
         cache=cache)
     _merge_plans(counters, [plan])
-    seg = layout.segment(segment)
     codes = [code for _, code, _ in branches]
-    mapping = np.array(codes + sorted(set(range(seg.dim)) - set(codes)))
+    mapping = np.array(codes + sorted(
+        set(range(layout.segment(segment).dim)) - set(codes)))
     idx = np.arange(layout.dim)
-    state = permute_basis(
-        state, (idx & ~(seg.mask << seg.offset))
-        | (mapping[(idx >> seg.offset) & seg.mask] << seg.offset))
+    state = permute_basis(state, layout.with_values(
+        idx, {segment: mapping[layout.values(segment, idx)]}))
     for _, code, occ in branches:
         state, plans = prepare_hartree_product(
-            state, occ, basis, spec, _particle_names(occ.m),
+            state, occ, basis, spec, p_names,
             controls=[(segment, code)], cache=cache)
         _merge_plans(counters, plans)
     return state
@@ -242,9 +238,10 @@ def prepare_orbital(
     ratio_perturb=None,
 ) -> PreparedState:
     """Load one orbital onto a single grid register."""
-    layout = RegisterLayout([("particle0", "particle", l)])
+    parts = particle_segments(1, l)
+    layout = RegisterLayout(parts)
     state = QuantumState.zero(layout)
-    state, plan = load_orbital(state, "particle0", orbital, spec,
+    state, plan = load_orbital(state, _names(parts)[0], orbital, spec,
                                ratio_perturb=ratio_perturb)
     counters: dict = {}
     _merge_plans(counters, [plan])
@@ -253,16 +250,12 @@ def prepare_orbital(
         qubits=layout.n_total, counters=counters,
         error_bound=load_error_bound(l, spec.epsilon_i),
     )
-    return PreparedState(vector=extract_segment_vector(state, ["particle0"]),
+    return PreparedState(vector=extract_segment_vector(state, _names(parts)),
                          rho=None, report=report, state=state)
 
 
-def _particle_names(m: int) -> list[str]:
-    return [f"particle{i}" for i in range(m)]
-
-
-def _perm_names(m: int) -> list[str]:
-    return [f"perm{i}" for i in range(m)]
+def _names(segments: list[tuple[str, str, int]]) -> list[str]:
+    return [name for name, _, _ in segments]
 
 
 def prepare_slater(
@@ -279,19 +272,18 @@ def prepare_slater(
     estimation is needed.
     """
     m = occupation.m
-    layout = RegisterLayout(
-        particle_segments(m, l) + permutation_segments(m)
-    )
+    parts, perms = particle_segments(m, l), permutation_segments(m)
+    layout = RegisterLayout(parts + perms)
     state = QuantumState.zero(layout)
     counters: dict = {}
     state, plans = prepare_hartree_product(
-        state, occupation, basis, spec, _particle_names(m),
+        state, occupation, basis, spec, _names(parts),
         ratio_perturb=ratio_perturb, cache=cache,
     )
     _merge_plans(counters, plans)
     statistics = occupation.statistics
     state, sym_counters = antisymmetrize(
-        state, _perm_names(m), _particle_names(m), statistics)
+        state, _names(perms), _names(parts), statistics)
     counters.update(sym_counters)
     eps_phi = load_error_bound(l, spec.epsilon_i)
     report = PreparationReport(
@@ -300,7 +292,7 @@ def prepare_slater(
         counters=counters,
         error_bound=m * eps_phi,
     )
-    vec = extract_segment_vector(state, _particle_names(m))
+    vec = extract_segment_vector(state, _names(parts))
     return PreparedState(vector=vec, rho=None, report=report, state=state)
 
 
@@ -328,8 +320,7 @@ def prepare_two_species(
     state = QuantumState.zero(layout)
     counters: dict = {}
 
-    a_names = [n for n, _, _ in a_parts]
-    b_names = [n for n, _, _ in b_parts]
+    a_names, b_names = _names(a_parts), _names(b_parts)
     state, plans = prepare_hartree_product(
         state, occupation_a, basis_a, spec, a_names)
     _merge_plans(counters, plans)
@@ -337,9 +328,9 @@ def prepare_two_species(
         state, occupation_b, basis_b, spec, b_names)
     _merge_plans(counters, plans)
 
-    state, ca = antisymmetrize(state, [n for n, _, _ in a_perms], a_names,
+    state, ca = antisymmetrize(state, _names(a_perms), a_names,
                                occupation_a.statistics)
-    state, cb = antisymmetrize(state, [n for n, _, _ in b_perms], b_names,
+    state, cb = antisymmetrize(state, _names(b_perms), b_names,
                                occupation_b.statistics)
     counters["comparators"] = ca["comparators"] + cb["comparators"]
     counters["swapped_qubits"] = ca["swapped_qubits"] + cb["swapped_qubits"]
@@ -386,9 +377,9 @@ def prepare_superposition(
     counter_width, branches = _fock_branches(sup)
     config = PhaseEstimationConfig.build(
         basis, l, t=t, eps_pe=eps_pe, symmetry=symmetry)
+    parts, perms = particle_segments(m, l), permutation_segments(m)
     layout = RegisterLayout(
-        [("fock", "fock", sup.num_orbitals * counter_width)]
-        + particle_segments(m, l) + permutation_segments(m)
+        [("fock", "fock", sup.num_orbitals * counter_width)] + parts + perms
         + [("readout", "readout", config.q)]
         + ([("symread", "readout", config.q_sym)]
            if symmetry is not None else [])
@@ -401,13 +392,13 @@ def prepare_superposition(
     retries = 0
     for attempt in range(1, max_attempts + 1):
         rng = np.random.default_rng(seed_seq.spawn(1)[0])
-        state = _load_branches(layout, "fock", branches, basis, spec,
-                               counters, cache)
+        state = _load_branches(layout, "fock", branches, _names(parts),
+                               basis, spec, counters, cache)
 
         ambiguous = 0.0
-        for b in range(m):
+        for particle in _names(parts):
             state, record = identify_and_decrement(
-                state, config, "fock", f"particle{b}", "readout",
+                state, config, "fock", particle, "readout",
                 sym_readout_segment=("symread" if symmetry is not None
                                      else None),
                 counter_width=counter_width,
@@ -422,7 +413,7 @@ def prepare_superposition(
             continue
 
         state, sym_counters = antisymmetrize(
-            state, _perm_names(m), _particle_names(m), sup.statistics)
+            state, _names(perms), _names(parts), sup.statistics)
         counters.update(sym_counters)
 
         bound = (m + 1) * load_error_bound(l, spec.epsilon_i)
@@ -434,7 +425,7 @@ def prepare_superposition(
             qubits=layout.n_total, attempts=attempt, retries=retries,
             counters=counters, error_bound=bound,
         )
-        vec = extract_segment_vector(state, _particle_names(m))
+        vec = extract_segment_vector(state, _names(parts))
         return PreparedState(vector=vec, rho=None, report=report,
                              state=state)
     raise RetryBudgetError(
@@ -506,17 +497,17 @@ def _purified_mixture(
     out the branch register.
     """
     m = branches[0][2].m
-    layout = RegisterLayout(
-        [branch_segment] + particle_segments(m, l) + permutation_segments(m)
-    )
+    parts, perms = particle_segments(m, l), permutation_segments(m)
+    layout = RegisterLayout([branch_segment] + parts + perms)
     counters: dict = {}
-    state = _load_branches(layout, branch_segment[0], branches, basis, spec,
-                           counters, {} if cache is None else cache)
+    state = _load_branches(layout, branch_segment[0], branches, _names(parts),
+                           basis, spec, counters,
+                           {} if cache is None else cache)
     state, sym_counters = antisymmetrize(
-        state, _perm_names(m), _particle_names(m), statistics)
+        state, _names(perms), _names(parts), statistics)
     counters.update(sym_counters)
 
-    rho = partial_trace(state, _particle_names(m))
+    rho = partial_trace(state, _names(parts))
     eps_phi = load_error_bound(l, spec.epsilon_i)
     report = PreparationReport(
         kind=kind, l=l, m=m, statistics=statistics,

@@ -16,8 +16,13 @@ import numpy as np
 
 from .basis import BasisSet
 from .errors import DegeneracyError, StructuralError, ValidationError
-from .statevec import QuantumState, apply_unitary_on_segment, check_unitary, \
-    measure_segment, permute_basis, qft
+from .statevec import MATRIX_TOL, QuantumState, apply_unitary_on_segment, \
+    check_unitary, measure_segment, permute_basis, qft
+
+#: Widest phase readout tried when separating orbitals by their phases.
+MAX_PHASE_BITS = 16
+#: Phases closer than this coincide (with each other, or with a dyadic).
+PHASE_TOL = 1e-9
 
 
 def extra_qubits_for(eps_pe: float) -> int:
@@ -75,13 +80,13 @@ class SymmetryOperator:
                 f"(|overlap| = {abs(overlap):.6f})"
             )
         ph = float(np.angle(overlap) / (2 * np.pi) % 1.0)
-        return 0.0 if ph > 1.0 - 1e-9 else ph
+        return 0.0 if ph > 1.0 - PHASE_TOL else ph
 
-    def commutes_with(self, matrix: np.ndarray, tol: float = 1e-8) -> bool:
+    def commutes_with(self, matrix: np.ndarray) -> bool:
         l = int(np.log2(matrix.shape[0]))
         u = self.unitary(l)
         scale = max(np.max(np.abs(matrix)), 1.0)
-        return np.max(np.abs(u @ matrix - matrix @ u)) <= tol * scale
+        return np.max(np.abs(u @ matrix - matrix @ u)) <= MATRIX_TOL * scale
 
 
 def _round_half_up(x: np.ndarray) -> np.ndarray:
@@ -93,12 +98,12 @@ def _circular_distance(a, b):
     return np.minimum(d, 1.0 - d)
 
 
-def _resolving_bits(phases: np.ndarray, groups, max_bits: int) -> int | None:
+def _resolving_bits(phases: np.ndarray, groups) -> int | None:
     """Smallest n at which rounding to n bits separates every group that
     must be separated (groups: iterable of index collections whose members
-    carry identical secondary keys).  None if no n <= max_bits works.
+    carry identical secondary keys).  None if no n <= MAX_PHASE_BITS works.
     """
-    for n in range(1, max_bits + 1):
+    for n in range(1, MAX_PHASE_BITS + 1):
         keys = _round_half_up(phases * (1 << n)).astype(int) % (1 << n)
         ok = True
         for grp in groups:
@@ -110,22 +115,23 @@ def _resolving_bits(phases: np.ndarray, groups, max_bits: int) -> int | None:
     return None
 
 
-def _snap_to_exact(phases: np.ndarray, n0: int, max_bits: int,
-                   tol: float = 1e-9) -> int:
-    """Widen n0 to the smallest n <= max_bits at which every phase is an
-    exact n-bit dyadic, so the estimator reads it out deterministically;
+def _snap_to_exact(phases: np.ndarray, n0: int) -> int:
+    """Widen n0 to the smallest n <= MAX_PHASE_BITS at which every phase is
+    an exact n-bit dyadic, so the estimator reads it out deterministically;
     n0 itself if no such n exists (irrational phases).
     """
-    for n in range(n0, max_bits + 1):
+    for n in range(n0, MAX_PHASE_BITS + 1):
         scaled = phases * (1 << n)
-        if np.max(np.abs(scaled - np.round(scaled))) < tol:
+        if np.max(np.abs(scaled - np.round(scaled))) < PHASE_TOL:
             return n
     return n0
 
 
 @dataclass
 class PhaseEstimationConfig:
-    """Readout widths, evolution time, and the phase->orbital lookup."""
+    """Readout widths, evolution time, and the phase->orbital lookup: the
+    orbital index per (energy readout, symmetry readout), -1 if ambiguous.
+    """
 
     basis: BasisSet
     l: int
@@ -134,10 +140,10 @@ class PhaseEstimationConfig:
     p: int
     n_energy: int
     thetas: np.ndarray
+    lookup: np.ndarray = field(repr=False)
     symmetry: SymmetryOperator | None = None
     n_sym: int = 0
     sym_phases: np.ndarray | None = None
-    _lookup: np.ndarray = field(default=None, repr=False)
 
     @property
     def q(self) -> int:
@@ -155,7 +161,6 @@ class PhaseEstimationConfig:
         t: float | None = None,
         eps_pe: float | None = None,
         symmetry: SymmetryOperator | None = None,
-        max_bits: int = 16,
     ) -> "PhaseEstimationConfig":
         energies = basis.energies
         if t is None:
@@ -176,17 +181,13 @@ class PhaseEstimationConfig:
                 [symmetry.eigenphase(phi[:, j]) for j in range(basis.size)]
             )
             # symmetry must split every cluster of coinciding energy phases
-            n_sym = _resolving_bits(
-                sym_phases,
-                _phase_clusters(thetas),
-                max_bits,
-            )
+            n_sym = _resolving_bits(sym_phases, _phase_clusters(thetas))
             if n_sym is None:
                 raise DegeneracyError(
                     "symmetry eigenphases do not separate the degenerate "
                     "orbitals"
                 )
-            n_sym = _snap_to_exact(sym_phases, n_sym, max_bits)
+            n_sym = _snap_to_exact(sym_phases, n_sym)
 
         sym_keys = (
             _round_half_up(sym_phases * (1 << n_sym)).astype(int)
@@ -196,7 +197,7 @@ class PhaseEstimationConfig:
         groups: dict[int, list[int]] = {}
         for i, key in enumerate(sym_keys):
             groups.setdefault(int(key), []).append(i)
-        n_energy = _resolving_bits(thetas, groups.values(), max_bits)
+        n_energy = _resolving_bits(thetas, groups.values())
         if n_energy is None:
             collisions = _phase_clusters(thetas)
             raise DegeneracyError(
@@ -206,33 +207,25 @@ class PhaseEstimationConfig:
                 + f": orbital groups {collisions} at energies "
                 + f"{[list(np.round(energies[list(g)], 6)) for g in collisions]}"
             )
-        n_energy = _snap_to_exact(thetas, n_energy, max_bits)
-        return cls(basis=basis, l=l, t=float(t), eps_pe=eps_pe, p=p,
-                   n_energy=n_energy, thetas=thetas, symmetry=symmetry,
-                   n_sym=n_sym, sym_phases=sym_phases)
+        n_energy = _snap_to_exact(thetas, n_energy)
 
-    def lookup_table(self) -> np.ndarray:
-        """orbital index per (energy readout, symmetry readout) pair;
-        -1 marks an ambiguous readout.
-        """
-        if self._lookup is not None:
-            return self._lookup
-        in_e = _windows(self.thetas, self.n_energy, self.q)
-        in_s = (_windows(self.sym_phases, self.n_sym, self.q_sym)
-                if self.symmetry is not None
-                else np.ones((self.basis.size, 1), dtype=bool))
-        table = np.full((in_e.shape[1], in_s.shape[1]), -1, dtype=np.int64)
-        claimed = np.zeros_like(table, dtype=bool)
-        for i in range(self.basis.size):
+        in_e = _windows(thetas, n_energy, n_energy + p)
+        in_s = (_windows(sym_phases, n_sym, n_sym + p)
+                if symmetry is not None
+                else np.ones((basis.size, 1), dtype=bool))
+        lookup = np.full((in_e.shape[1], in_s.shape[1]), -1, dtype=np.int64)
+        claimed = np.zeros_like(lookup, dtype=bool)
+        for i in range(basis.size):
             cell = np.outer(in_e[i], in_s[i])
             if np.any(claimed & cell):
                 raise DegeneracyError(
                     f"lookup window of orbital {i} overlaps another window"
                 )
             claimed |= cell
-            table[cell] = i
-        self._lookup = table
-        return table
+            lookup[cell] = i
+        return cls(basis=basis, l=l, t=float(t), eps_pe=eps_pe, p=p,
+                   n_energy=n_energy, thetas=thetas, lookup=lookup,
+                   symmetry=symmetry, n_sym=n_sym, sym_phases=sym_phases)
 
 
 def _windows(phases: np.ndarray, n: int, width: int) -> np.ndarray:
@@ -246,12 +239,14 @@ def _windows(phases: np.ndarray, n: int, width: int) -> np.ndarray:
     return (d < half) | (d >= 1.0 - half)
 
 
-def _phase_clusters(phases: np.ndarray, tol: float = 1e-9):
-    """Groups (size >= 2) of orbital indices whose phases coincide within tol."""
+def _phase_clusters(phases: np.ndarray):
+    """Groups (size >= 2) of orbital indices whose phases coincide within
+    PHASE_TOL.
+    """
     clusters: list[list[int]] = []
     for i, th in enumerate(phases):
         for grp in clusters:
-            if _circular_distance(th, phases[grp[0]]) < tol:
+            if _circular_distance(th, phases[grp[0]]) < PHASE_TOL:
                 grp.append(i)
                 break
         else:
@@ -324,15 +319,14 @@ def _decrement_fock(
     counter is one bit wide, as for fermions).  Branches with an ambiguous
     readout are left untouched.
     """
-    fock = state.layout.segment(fock_segment)
-    lookup = config.lookup_table()
-    idx = np.arange(state.layout.dim)
-    rvals = state.layout.values(readout_segment, idx)
+    layout = state.layout
+    idx = np.arange(layout.dim)
+    rvals = layout.values(readout_segment, idx)
     if sym_readout_segment is not None:
-        svals = state.layout.values(sym_readout_segment, idx)
+        svals = layout.values(sym_readout_segment, idx)
     else:
         svals = np.zeros_like(idx)
-    orb = lookup[rvals, svals]
+    orb = config.lookup[rvals, svals]
 
     weights = np.abs(state.amplitudes) ** 2
     mass = np.bincount(orb + 1, weights=weights,
@@ -340,7 +334,7 @@ def _decrement_fock(
     ambiguous_mass = float(mass[0])
     orbital_mass = mass[1:]
 
-    fvals = (idx >> fock.offset) & fock.mask
+    fvals = layout.values(fock_segment, idx)
     cmask = (1 << counter_width) - 1
     shift = np.maximum(orb, 0) * counter_width
     v_new = (((fvals >> shift) & cmask) - 1) & cmask
@@ -349,7 +343,7 @@ def _decrement_fock(
         (fvals & ~(cmask << shift)) | (v_new << shift),
         fvals,
     )
-    dest = (idx & ~(fock.mask << fock.offset)) | (new_f << fock.offset)
+    dest = layout.with_values(idx, {fock_segment: new_f})
     return permute_basis(state, dest), orbital_mass, ambiguous_mass
 
 

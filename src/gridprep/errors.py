@@ -1,9 +1,11 @@
 """Exception hierarchy shared by all gridprep modules.
 
 Exit-code mapping used by the CLI:
-    ValidationError / StructuralError -> 2
-    PipelineError (and subclasses)    -> 3
-    ResourceError                     -> 4
+    ValidationError                 -> 2
+    PipelineError (and subclasses)  -> 3
+    ResourceError                   -> 4
+    anything else, StructuralError included: an internal fault, raised
+    with its traceback (exit code 1)
 """
 
 
@@ -15,7 +17,7 @@ class ValidationError(GridprepError):
     """Invalid values, malformed configs, non-unitary matrices, bad norms."""
 
 
-class StructuralError(ValidationError):
+class StructuralError(GridprepError):
     """Register/layout violations: bad indices, width mismatches, overlap."""
 
 

@@ -268,7 +268,6 @@ def load_amplitude_table(
     segment: str,
     amplitudes: np.ndarray,
     spec: IntegrationSpec,
-    controls: Controls | None = None,
     cache: dict | None = None,
 ) -> tuple[QuantumState, LoadPlan]:
     """Load an arbitrary normalized amplitude table via the tabulated-orbital
@@ -283,5 +282,4 @@ def load_amplitude_table(
         )
     table[: amplitudes.size] = amplitudes
     orb = tabulated(table, length=1.0)
-    return load_orbital(state, segment, orb, spec, controls=controls,
-                        cache=cache)
+    return load_orbital(state, segment, orb, spec, cache=cache)

@@ -25,9 +25,13 @@ from .errors import (
 DEFAULT_QUBIT_CAP = 26
 DENSITY_MATRIX_CAP = 12
 NORM_TOL = 1e-10
-#: Entries per block of rows in the Hermiticity check, which compares ρ
-#: with ρ† one block at a time instead of forming ρ − ρ† whole.
-HERMITIAN_BLOCK = 1 << 16
+#: Entrywise tolerance of the matrix checks: unitarity, commutation, and a
+#: density matrix's trace, Hermiticity, positivity shift and factor norm.
+MATRIX_TOL = 1e-8
+#: Norm off value 0 up to which a segment counts as blank.
+BLANK_TOL = 1e-9
+#: Norm outside the kept segments up to which a pure state is extracted.
+LEAK_TOL = 1e-8
 
 SEGMENT_ROLES = ("fock", "particle", "readout", "spec", "scratch")
 
@@ -90,9 +94,6 @@ class RegisterLayout:
         except KeyError:
             raise StructuralError(f"no segment named {name!r}") from None
 
-    def names(self) -> list[str]:
-        return list(self._segments)
-
     @property
     def dim(self) -> int:
         return 1 << self.n_total
@@ -100,6 +101,16 @@ class RegisterLayout:
     def values(self, name: str, indices: np.ndarray) -> np.ndarray:
         seg = self.segment(name)
         return (indices >> seg.offset) & seg.mask
+
+    def with_values(self, indices, fields: dict):
+        """`indices` with the field of each named segment replaced by the
+        given values (arrays broadcast against `indices`, or integers).
+        """
+        for name, values in fields.items():
+            seg = self.segment(name)
+            indices = (indices & ~(seg.mask << seg.offset)) \
+                | (values << seg.offset)
+        return indices
 
 
 @dataclass
@@ -141,9 +152,8 @@ class QuantumState:
     def segment_values(self, name: str) -> np.ndarray:
         return self.layout.values(name, np.arange(self.layout.dim))
 
-    def segment_is_blank(self, name: str, tol: float = 1e-9,
-                         controls=None) -> bool:
-        """Whether the norm off segment value 0 is at most `tol` on the
+    def segment_is_blank(self, name: str, controls=None) -> bool:
+        """Whether the norm off segment value 0 is at most BLANK_TOL on the
         branch that (global qubit, bit) `controls` select (everywhere
         without them).  Sums squares of the interleaved real and imaginary
         parts, copying only when controls lie below the segment.
@@ -157,7 +167,7 @@ class QuantumState:
             rest = np.compress(lo_sel, rest, axis=2)
         rest = rest.view(np.float64)
         sq = np.einsum("hxl,hxl->h", rest, rest)
-        return sq[hi_sel].sum() <= tol * tol
+        return sq[hi_sel].sum() <= BLANK_TOL * BLANK_TOL
 
 
 def _entries(words: np.ndarray) -> np.ndarray:
@@ -210,11 +220,11 @@ class DensityMatrix:
 
     * `DensityMatrix(matrix)`, for a matrix the caller supplies, copies the
       matrix and raises `ValidationError` unless ρ is square, every entry
-      is finite, |tr ρ − 1| ≤ 1e-8, ρ is Hermitian to 1e-8 entrywise
-      (compared with ρ† one block of rows at a time), and
-      λ_min(ρ) ≥ −1e-8.  Positivity is decided by whether ρ + 1e-8·I has
-      a Cholesky factor (Cholesky is backward stable, so this is as strict
-      as an eigensolve at a fraction of its cost).
+      is finite, |tr ρ − 1| ≤ 1e-8, ρ is Hermitian to 1e-8 entrywise, and
+      λ_min(ρ) ≥ −1e-8 (1e-8 is MATRIX_TOL).  Positivity is decided by
+      whether ρ + 1e-8·I has a Cholesky factor (Cholesky is backward
+      stable, so this is as strict as an eigensolve at a fraction of its
+      cost).
     * `DensityMatrix.from_factor(table)` forms ρ = T·T† from a purification
       factor T and checks only that T is a finite 2-D array with
       |‖T‖_F² − 1| ≤ 1e-8.  ρ is then Hermitian and positive semidefinite
@@ -230,16 +240,12 @@ class DensityMatrix:
             raise ValidationError("density matrix must be square")
         if not np.isfinite(self.matrix).all():
             raise ValidationError("density matrix has non-finite entries")
-        if abs(np.trace(self.matrix).real - 1.0) > 1e-8:
+        if abs(np.trace(self.matrix).real - 1.0) > MATRIX_TOL:
             raise ValidationError(f"trace {np.trace(self.matrix)} != 1")
-        rows = max(1, HERMITIAN_BLOCK // d)
-        for r in range(0, d, rows):
-            block = self.matrix[r:r + rows]
-            if np.max(np.abs(block - self.matrix[:, r:r + rows].conj().T)) \
-                    > 1e-8:
-                raise ValidationError("density matrix is not Hermitian")
+        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > MATRIX_TOL:
+            raise ValidationError("density matrix is not Hermitian")
         try:
-            np.linalg.cholesky(self.matrix + 1e-8 * np.eye(d))
+            np.linalg.cholesky(self.matrix + MATRIX_TOL * np.eye(d))
         except np.linalg.LinAlgError:
             raise ValidationError(
                 "density matrix has negative eigenvalues") from None
@@ -254,7 +260,7 @@ class DensityMatrix:
             raise ValidationError(
                 "density-matrix factor has non-finite entries")
         norm = np.vdot(table, table).real
-        if abs(norm - 1.0) > 1e-8:
+        if abs(norm - 1.0) > MATRIX_TOL:
             raise ValidationError(
                 f"density-matrix factor has squared norm {norm} != 1")
         rho = object.__new__(cls)
@@ -303,12 +309,12 @@ def control_masks(state: QuantumState, seg: Segment, controls,
     return hi_sel, lo_sel
 
 
-def check_unitary(u: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=np.complex128)
     d = u.shape[0]
     if u.shape != (d, d):
         raise ValidationError("matrix must be square")
-    if np.max(np.abs(u.conj().T @ u - np.eye(d))) > tol:
+    if np.max(np.abs(u.conj().T @ u - np.eye(d))) > MATRIX_TOL:
         raise ValidationError("matrix is not unitary")
     return u
 
@@ -376,12 +382,11 @@ def swap_segments(state: QuantumState, seg_a: str, seg_b: str) -> QuantumState:
         raise StructuralError(
             f"cannot swap segments of widths {a.width} and {b.width}"
         )
-    idx = np.arange(state.layout.dim)
-    va = (idx >> a.offset) & a.mask
-    vb = (idx >> b.offset) & b.mask
-    stripped = idx & ~(a.mask << a.offset) & ~(b.mask << b.offset)
-    return permute_basis(
-        state, stripped | (vb << a.offset) | (va << b.offset))
+    layout = state.layout
+    idx = np.arange(layout.dim)
+    return permute_basis(state, layout.with_values(
+        idx, {seg_a: layout.values(seg_b, idx),
+              seg_b: layout.values(seg_a, idx)}))
 
 
 def measure_segment(
@@ -429,11 +434,8 @@ def _packed_values(idx: np.ndarray, segments) -> tuple[np.ndarray, int]:
     return packed, shift
 
 
-def partial_trace(
-    state: QuantumState,
-    keep_segments: list[str],
-    cap: int = DENSITY_MATRIX_CAP,
-) -> DensityMatrix:
+def partial_trace(state: QuantumState,
+                  keep_segments: list[str]) -> DensityMatrix:
     """Reduced density matrix ρ = T·T† over the kept segments, where T is
     the (kept × traced) amplitude table.
 
@@ -442,9 +444,10 @@ def partial_trace(
     """
     kept = [state.layout.segment(name) for name in keep_segments]
     k_width = sum(s.width for s in kept)
-    if k_width > cap:
+    if k_width > DENSITY_MATRIX_CAP:
         raise ResourceError(
-            f"partial trace over {k_width} qubits exceeds the cap of {cap}"
+            f"partial trace over {k_width} qubits exceeds the cap of "
+            f"{DENSITY_MATRIX_CAP}"
         )
     idx = _populated(state.amplitudes)
     kvals, _ = _packed_values(idx, kept)
@@ -456,11 +459,11 @@ def partial_trace(
 
 
 def extract_segment_vector(
-    state: QuantumState, keep_segments: list[str], tol: float = 1e-8
+    state: QuantumState, keep_segments: list[str]
 ) -> np.ndarray:
     """Pure-state shortcut for partial_trace: slice out the kept segments
     assuming every other segment sits in |0>, and normalize.  Raises if
-    leakage outside that slice exceeds `tol` or the slice is zero.
+    leakage outside that slice exceeds LEAK_TOL or the slice is zero.
     """
     kept = [state.layout.segment(name) for name in keep_segments]
     idx = _populated(state.amplitudes)
@@ -470,9 +473,9 @@ def extract_segment_vector(
     for s in state.layout:
         if s.name in keep_names:
             continue
-        rest_zero &= ((idx >> s.offset) & s.mask) == 0
+        rest_zero &= state.layout.values(s.name, idx) == 0
     leak = np.linalg.norm(vals[~rest_zero])
-    if leak > tol:
+    if leak > LEAK_TOL:
         raise ValidationError(
             f"segments outside {keep_segments} are not blank (leak {leak:.3g})"
         )

@@ -1,12 +1,14 @@
 """CLI commands, config handling, artifacts, exit codes, determinism."""
 import csv
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
 from gridprep.cli import main, read_orbital_csv
-from gridprep.errors import ValidationError
+from gridprep.errors import StructuralError, ValidationError
 
 BOX_BASIS = [
     {"family": "box-sine", "n": 1},
@@ -47,6 +49,46 @@ class TestValidate:
             "basis": BOX_BASIS})
         assert run(["validate", "--config", cfg]) == 2
         assert "Pauli" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, cfg", [
+        ("validate", "l",
+         {"l": "three", "occupation": "110", "basis": BOX_BASIS}),
+        ("validate", "occupation",
+         {"l": 3, "occupation": "1a0", "basis": BOX_BASIS}),
+        ("validate", "integration",
+         {"l": 3, "basis": BOX_BASIS, "integration": {"epsilon_i": "tiny"}}),
+        ("prepare-orbital", "orbital",
+         {"l": 3, "orbital": 7, "basis": BOX_BASIS[:1]}),
+        ("validate", "superposition",
+         {"l": 3, "basis": BOX_BASIS, "superposition": [
+             {"amplitude": [0.6], "occupation": "110"},
+             {"amplitude": 0.8, "occupation": "011"}]}),
+        ("validate", "mixed",
+         {"l": 3, "basis": BOX_BASIS[:2],
+          "mixed": {"thermal": {"beta": 1.0}}}),
+        ("validate", "phase_estimation",
+         {"l": 3, "basis": BOX_BASIS, "phase_estimation": {"t": "fast"}}),
+        ("validate", "integration",
+         {"l": 3, "basis": BOX_BASIS, "integration": {"seed": 1.5}}),
+    ])
+    def test_malformed_value_names_its_key(self, tmp_path, capsys, command,
+                                           key, cfg):
+        path = write_config(tmp_path, "c.yaml", cfg)
+        assert run([command, "--config", path,
+                    "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {key}:" in capsys.readouterr().err
+
+    def test_readme_examples_validate(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent
+                  / "README.md").read_text()
+        blocks = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+        assert len(blocks) >= 5
+        (tmp_path / "orb.csv").write_text(
+            "index,re,im\n0,0.5,0\n1,0.5,0\n2,0.5,0\n3,0.5,0\n")
+        for i, block in enumerate(blocks):
+            path = tmp_path / f"readme{i}.yaml"
+            path.write_text(block)
+            assert run(["validate", "--config", str(path)]) == 0, block
 
 
 class TestPrepareCommands:
@@ -149,6 +191,18 @@ class TestPrepareCommands:
         assert run(["prepare-slater", "--config", cfg,
                     "--out", str(tmp_path / "out")]) == 2
         assert "GRIDPREP_QUBIT_CAP" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", [KeyError("particle0"),
+                                       StructuralError("bad layout")])
+    def test_internal_fault_propagates(self, tmp_path, monkeypatch, fault):
+        def prepare_slater(*args, **kwargs):
+            raise fault
+        monkeypatch.setattr("gridprep.cli.prepare_slater", prepare_slater)
+        cfg = write_config(tmp_path, "c.yaml", {
+            "l": 3, "occupation": "110", "basis": BOX_BASIS})
+        with pytest.raises(type(fault)):
+            run(["prepare-slater", "--config", cfg,
+                 "--out", str(tmp_path / "out")])
 
 
 class TestVerifyAndSweep:

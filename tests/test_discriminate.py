@@ -112,7 +112,7 @@ class TestConfigBuild:
         cfg = PhaseEstimationConfig.build(
             bas, 3, t=2 * np.pi / 4,
             symmetry=SymmetryOperator("cyclic-shift"))
-        table = cfg.lookup_table()
+        table = cfg.lookup
         # each orbital owns at least one readout cell, none overlap
         owners = {int(v) for v in np.unique(table) if v >= 0}
         assert owners == {0, 1, 2}

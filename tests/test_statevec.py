@@ -16,7 +16,6 @@ from gridprep.basis import BasisSet, IntegrationSpec, box_sine, tabulated, \
 from gridprep.compose import MixedSpec, mixed_oracle, prepare_mixed
 from gridprep.loader import load_orbital
 from gridprep.statevec import (
-    HERMITIAN_BLOCK,
     DensityMatrix,
     QuantumState,
     RegisterLayout,
@@ -314,7 +313,7 @@ def extraction_cases(draw):
     widths = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
     layout = RegisterLayout([(f"s{i}", "scratch", w)
                              for i, w in enumerate(widths)])
-    names = layout.names()
+    names = [s.name for s in layout]
     keep = draw(st.lists(st.sampled_from(names), min_size=1,
                          max_size=len(names), unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
@@ -534,10 +533,9 @@ class TestDensityOps:
            direction=st.sampled_from([1.0, 1j, -1j]))
     def test_blockwise_hermiticity_matches_dense(self, d, seed, excess,
                                                  direction):
-        # One off-diagonal entry off Hermitian by 1e-8 ± 1e-12, in matrices
-        # of one block of rows and of several: the blockwise check must
-        # decide exactly as the whole-matrix expression does.
-        assert HERMITIAN_BLOCK // 700 < 700
+        # One off-diagonal entry off Hermitian by 1e-8 ± 1e-12, in small and
+        # large matrices: the Hermiticity check must decide exactly as the
+        # whole-matrix expression at 1e-8 does.
         rng = np.random.default_rng(seed)
         noise = 1e-6 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
         noise = noise + noise.conj().T
