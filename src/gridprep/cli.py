@@ -321,13 +321,25 @@ def _noise_perturb(cfg: dict, spec: IntegrationSpec):
     return lambda i, k, ratio: ratio - eps
 
 
-def _task_orbital(cfg, bas, l, spec, seed, perturb):
+def _orbital(cfg: dict, bas: BasisSet) -> Orbital:
     with _reading("orbital"):
         index = int(cfg.get("orbital", 0))
-    if not 0 <= index < bas.size:
-        raise ValidationError(
-            f"orbital: index {index} is outside the {bas.size}-orbital basis")
-    orbital = bas.orbitals[index]
+        if not 0 <= index < bas.size:
+            raise ValidationError(
+                f"index {index} is outside the {bas.size}-orbital basis")
+    return bas.orbitals[index]
+
+
+def _max_attempts(cfg: dict) -> int:
+    with _reading("max_attempts"):
+        max_attempts = int(cfg.get("max_attempts", 20))
+        if max_attempts < 1:
+            raise ValidationError(f"{max_attempts} is not at least 1")
+    return max_attempts
+
+
+def _task_orbital(cfg, bas, l, spec, seed, perturb):
+    orbital = _orbital(cfg, bas)
     prepared = prepare_orbital(orbital, l, spec, ratio_perturb=perturb)
     return prepared, lambda: pure_infidelity(prepared.vector,
                                              orbital.grid_values(l))
@@ -342,11 +354,9 @@ def _task_slater(cfg, bas, l, spec, seed, perturb):
 
 def _task_superposition(cfg, bas, l, spec, seed, perturb):
     sup = _build_superposition(cfg)
-    with _reading("max_attempts"):
-        max_attempts = int(cfg.get("max_attempts", 20))
     prepared = prepare_superposition(
         sup, bas, l, spec, **_build_phase_estimation(cfg), seed=seed,
-        max_attempts=max_attempts,
+        max_attempts=_max_attempts(cfg),
     )
     return prepared, lambda: pure_infidelity(
         prepared.vector, superposition_oracle(sup, bas, l))
@@ -373,19 +383,14 @@ TASKS = {
 def _prepare(task: str, cfg: dict, config_dir: Path, seed: int | None,
              noisy: bool = False):
     """Run TASKS[task]; `noisy` applies the config's noise model."""
-    if not isinstance(task, str) or task not in TASKS:
-        raise ValidationError(f"unknown task {task!r}")
     l = _require_l(cfg)
     spec = _build_integration(cfg, seed)
     return TASKS[task](cfg, _build_basis(cfg, config_dir), l, spec, seed,
                        _noise_perturb(cfg, spec) if noisy else None)
 
 
-def _run_preparation(cfg: dict, config_dir: Path, seed: int | None):
-    """Run the config's 'task' (inferred when absent) with its noise model
-    and record the infidelity against the oracle; used by verify-bounds,
-    sweep, and cost-table.
-    """
+def _task_name(cfg: dict) -> str:
+    """The config's 'task', inferred from its sections when absent."""
     task = cfg.get("task")
     if task is None:
         if "superposition" in cfg:
@@ -396,18 +401,31 @@ def _run_preparation(cfg: dict, config_dir: Path, seed: int | None):
             task = "slater"
         else:
             task = "orbital"
-    prepared, infidelity = _prepare(task, cfg, config_dir, seed,
+    if not isinstance(task, str) or task not in TASKS:
+        raise ValidationError(f"task: unknown task {task!r}")
+    return task
+
+
+def _run_preparation(cfg: dict, config_dir: Path, seed: int | None):
+    """Run the config's task with its noise model and record the
+    infidelity against the oracle; used by verify-bounds, sweep, and
+    cost-table.
+    """
+    prepared, infidelity = _prepare(_task_name(cfg), cfg, config_dir, seed,
                                     noisy=True)
     prepared.report.infidelity = infidelity()
     return prepared
 
 
 def cmd_validate(cfg, config_dir, seed, out_dir):
-    # touch every section that is present so malformed ones are rejected
+    # read every section that is present, through the readers the commands
+    # use, so malformed ones are rejected
     if "basis" in cfg:
-        _build_basis(cfg, config_dir)
+        _orbital(cfg, _build_basis(cfg, config_dir))
     if "l" in cfg:
         _require_l(cfg)
+    _task_name(cfg)
+    _max_attempts(cfg)
     _build_integration(cfg, seed)
     if "superposition" in cfg:
         _build_superposition(cfg)
@@ -497,7 +515,7 @@ def cmd_sweep(cfg, config_dir, seed, out_dir):
     all_ok = True
     for occ, l, eps, prepared in cells:
         r = prepared.report
-        ok = r.infidelity <= r.error_bound + 1e-12
+        ok = BoundCheck("infidelity", r.infidelity, r.error_bound).satisfied
         all_ok &= ok
         lines.append(",".join([
             str(occ if occ is not None else ""),

@@ -27,34 +27,13 @@ from .assemble import (
 )
 from .basis import BasisSet, IntegrationSpec, Orbital
 from .discriminate import PhaseEstimationConfig, SymmetryOperator, \
-    identify_and_decrement, verify_uncomputation
+    boson_counter_width, fock_encode, identify_and_decrement, \
+    verify_uncomputation
 from .errors import RetryBudgetError, ValidationError
 from .loader import LoadPlan, load_amplitude_table, load_orbital, \
     load_error_bound
 from .statevec import DensityMatrix, QuantumState, RegisterLayout, \
     extract_segment_vector, partial_trace, permute_basis
-
-
-def boson_counter_width(max_count: int) -> int:
-    """Bits per orbital counter; must hold counts 0..max_count.  Fermion
-    counts never exceed 1, so their counters are single bits.
-    """
-    return max(1, math.ceil(math.log2(max_count + 1)))
-
-
-def fock_encode(occupation: OccupationVector, counter_width: int = 1) -> int:
-    """Occupation register value: one `counter_width`-bit counter per
-    orbital, packed little-endian (one bit per orbital for fermions).
-    """
-    cap = (1 << counter_width) - 1
-    code = 0
-    for i, v in enumerate(occupation.n):
-        if v > cap:
-            raise ValidationError(
-                f"count {v} exceeds the {counter_width}-bit counter"
-            )
-        code |= v << (i * counter_width)
-    return code
 
 
 def _check_shared(occs: list[OccupationVector], what: str) -> None:
@@ -380,10 +359,7 @@ def prepare_superposition(
     parts, perms = particle_segments(m, l), permutation_segments(m)
     layout = RegisterLayout(
         [("fock", "fock", sup.num_orbitals * counter_width)] + parts + perms
-        + [("readout", "readout", config.q)]
-        + ([("symread", "readout", config.q_sym)]
-           if symmetry is not None else [])
-    )
+        + config.segments())
     if cache is None:
         cache = {}
 
@@ -398,12 +374,8 @@ def prepare_superposition(
         ambiguous = 0.0
         for particle in _names(parts):
             state, record = identify_and_decrement(
-                state, config, "fock", particle, "readout",
-                sym_readout_segment=("symread" if symmetry is not None
-                                     else None),
-                counter_width=counter_width,
-                rng=rng,
-            )
+                state, config, "fock", particle,
+                counter_width=counter_width, rng=rng)
             ambiguous = max(ambiguous, record.ambiguous_mass)
         counters["max_ambiguous_mass"] = float(ambiguous)
 

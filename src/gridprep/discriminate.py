@@ -1,5 +1,6 @@
 """Orbital identification by phase estimation on the Fock propagator and on
-symmetry operators, enabling uncomputation of the occupation register.
+symmetry operators, enabling uncomputation of the occupation register,
+whose counter format (`fock_encode`) is defined here next to the decrement.
 
 Eigenphase convention: the estimated phase is the actual eigenphase of the
 unitary handed to the estimator, i.e. theta = (-E t / 2pi) mod 1 for the
@@ -11,9 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
+from .assemble import OccupationVector
 from .basis import BasisSet
 from .errors import DegeneracyError, StructuralError, ValidationError
 from .statevec import MATRIX_TOL, QuantumState, apply_unitary_on_segment, \
@@ -129,29 +132,31 @@ def _snap_to_exact(phases: np.ndarray, n0: int) -> int:
 
 @dataclass
 class PhaseEstimationConfig:
-    """Readout widths, evolution time, and the phase->orbital lookup: the
-    orbital index per (energy readout, symmetry readout), -1 if ambiguous.
+    """Readouts and the readout->orbital lookup.
+
+    Each readout is (segment name, width, unitary): phase estimation of the
+    unitary on a particle register writes its eigenphase into that segment.
+    The energy readout estimates exp(-i F t); a symmetry readout, present
+    when a grid symmetry is given, splits degenerate levels.  `lookup` has
+    one axis per readout and holds the orbital index of each tuple of
+    readout values, -1 if ambiguous.
     """
 
     basis: BasisSet
     l: int
-    t: float
-    eps_pe: float | None
     p: int
     n_energy: int
     thetas: np.ndarray
+    readouts: tuple[tuple[str, int, np.ndarray], ...] = field(repr=False)
     lookup: np.ndarray = field(repr=False)
-    symmetry: SymmetryOperator | None = None
-    n_sym: int = 0
-    sym_phases: np.ndarray | None = None
 
     @property
     def q(self) -> int:
         return self.n_energy + self.p
 
-    @property
-    def q_sym(self) -> int:
-        return self.n_sym + self.p if self.symmetry is not None else 0
+    def segments(self) -> list[tuple[str, str, int]]:
+        """Layout segments of the readouts, in readout order."""
+        return [(name, "readout", width) for name, width, _ in self.readouts]
 
     @classmethod
     def build(
@@ -168,8 +173,8 @@ class PhaseEstimationConfig:
         thetas = (-energies * t / (2 * np.pi)) % 1.0
         p = extra_qubits_for(eps_pe) if eps_pe is not None else 0
 
-        sym_phases = None
-        n_sym = 0
+        sym_keys = np.zeros(basis.size, dtype=int)
+        sym_readouts, sym_windows = [], []
         if symmetry is not None:
             fock = basis.fock_matrix(l)
             if not symmetry.commutes_with(fock):
@@ -188,12 +193,10 @@ class PhaseEstimationConfig:
                     "orbitals"
                 )
             n_sym = _snap_to_exact(sym_phases, n_sym)
+            sym_keys = _round_half_up(sym_phases * (1 << n_sym)).astype(int)
+            sym_readouts = [("symread", n_sym + p, symmetry.unitary(l))]
+            sym_windows = [_windows(sym_phases, n_sym, n_sym + p)]
 
-        sym_keys = (
-            _round_half_up(sym_phases * (1 << n_sym)).astype(int)
-            if sym_phases is not None
-            else np.zeros(basis.size, dtype=int)
-        )
         groups: dict[int, list[int]] = {}
         for i, key in enumerate(sym_keys):
             groups.setdefault(int(key), []).append(i)
@@ -209,23 +212,21 @@ class PhaseEstimationConfig:
             )
         n_energy = _snap_to_exact(thetas, n_energy)
 
-        in_e = _windows(thetas, n_energy, n_energy + p)
-        in_s = (_windows(sym_phases, n_sym, n_sym + p)
-                if symmetry is not None
-                else np.ones((basis.size, 1), dtype=bool))
-        lookup = np.full((in_e.shape[1], in_s.shape[1]), -1, dtype=np.int64)
-        claimed = np.zeros_like(lookup, dtype=bool)
+        readouts = [("readout", n_energy + p,
+                     basis.fock_unitary(l, float(t)))] + sym_readouts
+        windows = [_windows(thetas, n_energy, n_energy + p)] + sym_windows
+        lookup = np.full([w.shape[1] for w in windows], -1, dtype=np.int64)
+        claimed = np.zeros(lookup.shape, dtype=bool)
         for i in range(basis.size):
-            cell = np.outer(in_e[i], in_s[i])
+            cell = reduce(np.multiply.outer, [w[i] for w in windows])
             if np.any(claimed & cell):
                 raise DegeneracyError(
                     f"lookup window of orbital {i} overlaps another window"
                 )
             claimed |= cell
             lookup[cell] = i
-        return cls(basis=basis, l=l, t=float(t), eps_pe=eps_pe, p=p,
-                   n_energy=n_energy, thetas=thetas, lookup=lookup,
-                   symmetry=symmetry, n_sym=n_sym, sym_phases=sym_phases)
+        return cls(basis=basis, l=l, p=p, n_energy=n_energy, thetas=thetas,
+                   readouts=tuple(readouts), lookup=lookup)
 
 
 def _windows(phases: np.ndarray, n: int, width: int) -> np.ndarray:
@@ -293,40 +294,60 @@ def phase_estimate(
 
 @dataclass
 class IdentificationRecord:
-    """Diagnostics from one identify-and-decrement pass."""
+    """Diagnostics from one identify-and-decrement pass, with the outcome
+    of each readout's measured reset, in readout order.
+    """
 
     orbital_mass: np.ndarray
     ambiguous_mass: float
-    readout_outcome: int = 0
-    sym_readout_outcome: int = 0
+    readout_outcomes: tuple[int, ...]
 
     @property
     def leaked(self) -> bool:
-        return self.readout_outcome != 0 or self.sym_readout_outcome != 0
+        return any(self.readout_outcomes)
+
+
+def boson_counter_width(max_count: int) -> int:
+    """Bits per orbital counter; must hold counts 0..max_count.  Fermion
+    counts never exceed 1, so their counters are single bits.
+    """
+    return max(1, math.ceil(math.log2(max_count + 1)))
+
+
+def fock_encode(occupation: OccupationVector, counter_width: int = 1) -> int:
+    """Occupation register value: one `counter_width`-bit counter per
+    orbital, packed little-endian (one bit per orbital for fermions).
+    """
+    cap = (1 << counter_width) - 1
+    code = 0
+    for i, v in enumerate(occupation.n):
+        if v > cap:
+            raise ValidationError(
+                f"count {v} exceeds the {counter_width}-bit counter"
+            )
+        code |= v << (i * counter_width)
+    return code
 
 
 def _decrement_fock(
     state: QuantumState,
     config: PhaseEstimationConfig,
     fock_segment: str,
-    readout_segment: str,
-    sym_readout_segment: str | None,
     counter_width: int,
 ) -> tuple[QuantumState, np.ndarray, float]:
-    """Relabeling permutation: on branches whose readout(s) land in orbital
+    """Relabeling permutation: on branches whose readouts land in orbital
     i's window, remove one quantum of orbital i from the occupation
     register, a modular decrement of its counter (a bit flip when the
     counter is one bit wide, as for fermions).  Branches with an ambiguous
-    readout are left untouched.
+    readout, or one naming an orbital the register has no counter for,
+    are left untouched.
     """
     layout = state.layout
     idx = np.arange(layout.dim)
-    rvals = layout.values(readout_segment, idx)
-    if sym_readout_segment is not None:
-        svals = layout.values(sym_readout_segment, idx)
-    else:
-        svals = np.zeros_like(idx)
-    orb = config.lookup[rvals, svals]
+    n_counters = layout.segment(fock_segment).width // counter_width
+    lookup = np.where(config.lookup < n_counters, config.lookup, -1)
+    orb = lookup[tuple(layout.values(name, idx)
+                       for name, _, _ in config.readouts)]
 
     weights = np.abs(state.amplitudes) ** 2
     mass = np.bincount(orb + 1, weights=weights,
@@ -367,59 +388,36 @@ def identify_and_decrement(
     config: PhaseEstimationConfig,
     fock_segment: str,
     particle_segment: str,
-    readout_segment: str,
-    sym_readout_segment: str | None = None,
     counter_width: int = 1,
     rng=None,
 ) -> tuple[QuantumState, IdentificationRecord]:
     """One pass of the disentangling step for a single particle register:
     phase-estimate which orbital the register holds, remove that orbital's
     quantum from the occupation register, undo the estimation, and recycle
-    the readout(s) by measured reset.  The occupation register holds one
+    the readouts by measured reset.  The layout must hold each of the
+    config's readout segments; the occupation register holds one
     `counter_width`-bit counter per orbital.
     """
-    readout = state.layout.segment(readout_segment)
-    if readout.width != config.q:
-        raise StructuralError(
-            f"readout segment width {readout.width} != configured q={config.q}"
-        )
-    if (sym_readout_segment is None) != (config.symmetry is None):
-        raise StructuralError(
-            "symmetry readout segment must be supplied exactly when the "
-            "configuration carries a symmetry operator"
-        )
+    for name, width, _ in config.readouts:
+        if state.layout.segment(name).width != width:
+            raise StructuralError(
+                f"readout segment {name!r} is not {width} qubits wide")
     if rng is None or isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
 
-    u = config.basis.fock_unitary(config.l, config.t)
-    state = phase_estimate(state, readout_segment, particle_segment, u)
-    if sym_readout_segment is not None:
-        u_s = config.symmetry.unitary(config.l)
-        state = phase_estimate(state, sym_readout_segment, particle_segment,
-                               u_s)
-
+    for name, _, u in config.readouts:
+        state = phase_estimate(state, name, particle_segment, u)
     state, orbital_mass, ambiguous_mass = _decrement_fock(
-        state, config, fock_segment, readout_segment, sym_readout_segment,
-        counter_width,
-    )
+        state, config, fock_segment, counter_width)
+    for name, _, u in reversed(config.readouts):
+        state = phase_estimate(state, name, particle_segment, u, adjoint=True)
 
-    if sym_readout_segment is not None:
-        state = phase_estimate(state, sym_readout_segment, particle_segment,
-                               u_s, adjoint=True)
-    state = phase_estimate(state, readout_segment, particle_segment, u,
-                           adjoint=True)
-
-    outcome, state = _measured_reset(state, readout_segment, rng)
-    sym_outcome = 0
-    if sym_readout_segment is not None:
-        sym_outcome, state = _measured_reset(state, sym_readout_segment, rng)
-    record = IdentificationRecord(
-        orbital_mass=orbital_mass,
-        ambiguous_mass=ambiguous_mass,
-        readout_outcome=outcome,
-        sym_readout_outcome=sym_outcome,
-    )
-    return state, record
+    outcomes = []
+    for name, _, _ in config.readouts:
+        outcome, state = _measured_reset(state, name, rng)
+        outcomes.append(outcome)
+    return state, IdentificationRecord(orbital_mass, ambiguous_mass,
+                                       tuple(outcomes))
 
 
 def verify_uncomputation(

@@ -70,6 +70,19 @@ class TestValidate:
          {"l": 3, "basis": BOX_BASIS, "phase_estimation": {"t": "fast"}}),
         ("validate", "integration",
          {"l": 3, "basis": BOX_BASIS, "integration": {"seed": 1.5}}),
+        ("validate", "orbital",
+         {"l": 3, "orbital": 7, "basis": BOX_BASIS[:1]}),
+        ("validate", "task", {"l": 3, "task": "foo", "basis": BOX_BASIS}),
+        ("verify-bounds", "task",
+         {"l": 3, "task": "foo", "basis": BOX_BASIS}),
+        ("validate", "max_attempts",
+         {"l": 3, "max_attempts": "many", "basis": BOX_BASIS}),
+        ("validate", "max_attempts",
+         {"l": 3, "max_attempts": 0, "basis": BOX_BASIS}),
+        ("prepare-superposition", "max_attempts",
+         {"l": 3, "max_attempts": 0, "basis": BOX_BASIS, "superposition": [
+             {"amplitude": 0.6, "occupation": "110"},
+             {"amplitude": 0.8, "occupation": "011"}]}),
     ])
     def test_malformed_value_names_its_key(self, tmp_path, capsys, command,
                                            key, cfg):
@@ -130,6 +143,23 @@ class TestPrepareCommands:
         assert run(["prepare-superposition", "--config", cfg, "--seed", "1",
                     "--out", str(out)]) == 0
         assert (out / "state.csv").exists()
+
+    @pytest.mark.parametrize("statistics, occupations", [
+        ("fermionic", ["110", "011"]),
+        ("bosonic", ["2,0,0", "0,2,0"]),
+    ])
+    def test_superposition_on_wider_basis(self, tmp_path, statistics,
+                                          occupations):
+        cfg = write_config(tmp_path, "c.yaml", {
+            "l": 3, "statistics": statistics,
+            "basis": [{"family": "box-sine", "n": n, "energy": float(n - 1)}
+                      for n in (1, 2, 3, 4)],
+            "superposition": [
+                {"amplitude": a, "occupation": occ}
+                for a, occ in zip((0.6, 0.8), occupations)],
+            "phase_estimation": {"t": 2 * float(np.pi) / 8}})
+        assert run(["prepare-superposition", "--config", cfg, "--seed", "2",
+                    "--out", str(tmp_path / "out")]) == 0
 
     def test_degenerate_superposition_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.yaml", {

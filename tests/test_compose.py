@@ -142,6 +142,20 @@ class TestPureDrivers:
         assert pure_infidelity(prep.vector,
                                superposition_oracle(sup, bas, 2)) < 1e-10
 
+    @pytest.mark.parametrize("statistics, terms", [
+        ("fermionic", [(0.6, "110"), (0.8, "011")]),
+        ("bosonic", [(0.6, "2,0,0"), (0.8, "0,2,0")]),
+    ])
+    def test_basis_wider_than_terms(self, statistics, terms):
+        # three counters, four orbitals: readout mass in the window of the
+        # orbital without a counter is ambiguous, not a decrement
+        bas = dyadic_basis(4)
+        sup = FockSuperposition.from_strings(terms, statistics)
+        prep = prepare_superposition(sup, bas, 3, CDF, t=2 * np.pi / 8,
+                                     seed=2)
+        assert pure_infidelity(prep.vector, superposition_oracle(
+            sup, bas, 3)) <= prep.report.error_bound
+
     def test_superposition_with_symmetry_readout(self):
         ring = BasisSet([ring_plane_wave(0, energy=0.0),
                          ring_plane_wave(1, energy=1.0),

@@ -208,7 +208,7 @@ class TestIdentifyAndDecrement:
         for j in range(3):
             state = _loaded_state(self.bas, j, self.cfg)
             state, record = identify_and_decrement(
-                state, self.cfg, "fock", "particle0", "readout", rng=0)
+                state, self.cfg, "fock", "particle0", rng=0)
             assert record.orbital_mass[j] == pytest.approx(1.0, abs=1e-10)
             assert record.ambiguous_mass == pytest.approx(0.0, abs=1e-10)
             assert not record.leaked
@@ -218,7 +218,7 @@ class TestIdentifyAndDecrement:
     def test_particle_state_survives(self):
         state = _loaded_state(self.bas, 1, self.cfg)
         state, _ = identify_and_decrement(
-            state, self.cfg, "fock", "particle0", "readout", rng=0)
+            state, self.cfg, "fock", "particle0", rng=0)
         from gridprep.statevec import extract_segment_vector
         vec = extract_segment_vector(state, ["particle0"])
         target = self.bas.orbitals[1].grid_values(3)
@@ -238,7 +238,7 @@ class TestIdentifyAndDecrement:
             amps[0b010 | (x << 3)] = 0.8 * phi1[x]
         state = QuantumState(layout, amps)
         state, record = identify_and_decrement(
-            state, self.cfg, "fock", "particle0", "readout", rng=0)
+            state, self.cfg, "fock", "particle0", rng=0)
         assert record.orbital_mass[0] == pytest.approx(0.36, abs=1e-10)
         assert record.orbital_mass[1] == pytest.approx(0.64, abs=1e-10)
         ok, _, _ = verify_uncomputation(state, "fock", 0)
@@ -254,7 +254,7 @@ class TestIdentifyAndDecrement:
         state = QuantumState.from_basis_index(layout, 0b0010)
         state, _ = load_orbital(state, "particle0", bas.orbitals[0], CDF)
         state, record = identify_and_decrement(
-            state, cfg, "fock", "particle0", "readout",
+            state, cfg, "fock", "particle0",
             counter_width=2, rng=0)
         vals = segment_probabilities(state, "fock")
         assert vals[0b0001] == pytest.approx(1.0, abs=1e-10)
@@ -267,4 +267,4 @@ class TestIdentifyAndDecrement:
         state = QuantumState.zero(layout)
         with pytest.raises(StructuralError):
             identify_and_decrement(state, self.cfg, "fock", "particle0",
-                                   "readout", rng=0)
+                                   rng=0)

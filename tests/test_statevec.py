@@ -65,6 +65,25 @@ class TestRegisterLayout:
         with pytest.raises(StructuralError):
             small_layout().segment("zzz")
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_field_write_round_trips(self, data):
+        widths = data.draw(st.lists(st.integers(0, 5), min_size=1,
+                                    max_size=5))
+        layout = RegisterLayout([(f"s{i}", "scratch", w)
+                                 for i, w in enumerate(widths)])
+        idx = np.array(data.draw(st.lists(
+            st.integers(0, layout.dim - 1), min_size=1, max_size=8)))
+        name = data.draw(st.sampled_from([s.name for s in layout]))
+        v = np.array(data.draw(st.lists(
+            st.integers(0, layout.segment(name).dim - 1),
+            min_size=idx.size, max_size=idx.size)))
+        out = layout.with_values(idx, {name: v})
+        for seg in layout:
+            expected = v if seg.name == name else layout.values(seg.name, idx)
+            np.testing.assert_array_equal(layout.values(seg.name, out),
+                                          expected)
+
     def test_qubit_cap_enforced(self):
         with pytest.raises(ResourceError):
             RegisterLayout([("big", "particle", qubit_cap() + 1)])
