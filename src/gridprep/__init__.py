@@ -2,6 +2,7 @@
 preparation: orbital loading, (anti)symmetrization, occupation-register
 disentangling by phase estimation, and the proved error bounds.
 """
+from types import ModuleType as _ModuleType
 
 from .analysis import (
     BoundCheck,
@@ -11,10 +12,8 @@ from .analysis import (
     cost_table,
     fit_exponent,
     format_float,
-    linear_error_bound,
     mixed_fidelity,
     mixed_infidelity,
-    product_error_bound,
     pure_infidelity,
     verify_bounds,
 )
@@ -23,7 +22,6 @@ from .assemble import (
     antisymmetrize,
     apply_rank_to_permutation,
     generate_permutation_superposition,
-    network_comparator_count,
     odd_even_network,
     particle_segments,
     permutation_segments,
@@ -38,7 +36,6 @@ from .basis import (
     IntegrationSpec,
     Orbital,
     box_sine,
-    delta_at_site,
     harmonic_hermite,
     kronecker_delta,
     mc_sample_count,
@@ -66,7 +63,6 @@ from .discriminate import (
     SymmetryOperator,
     extra_qubits_for,
     identify_and_decrement,
-    misidentification_probability,
     phase_estimate,
     verify_uncomputation,
 )
@@ -101,10 +97,9 @@ from .statevec import (
     qft,
     qft_matrix,
     qubit_cap,
-    segment_probabilities,
-    swap_segments,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in sorted(globals().items())
+           if not (name.startswith("_") or isinstance(value, _ModuleType))]
 
 __version__ = "0.1.0"

@@ -65,14 +65,6 @@ def mixed_infidelity(rho, sigma) -> float:
     return max(0.0, 1.0 - mixed_fidelity(rho, sigma))
 
 
-def product_error_bound(epsilons) -> float:
-    """Exact composition 1 - prod(1 - eps_i) of independent infidelities."""
-    epsilons = np.asarray(list(epsilons), dtype=float)
-    if np.any((epsilons < 0) | (epsilons > 1)):
-        raise ValidationError("infidelities must lie in [0, 1]")
-    return float(1.0 - np.prod(1.0 - epsilons))
-
-
 def angle_error_bound(epsilons) -> float:
     """Infidelity bound for a chain of approximations psi -> phi_1 -> ...
     of one state, where step i has infidelity at most eps_i.
@@ -88,13 +80,6 @@ def angle_error_bound(epsilons) -> float:
     if angle >= np.pi / 2:
         return 1.0
     return float(1.0 - np.cos(angle))
-
-
-def linear_error_bound(m: int, eps: float) -> float:
-    """First-order bound m * eps dominating the exact product bound."""
-    if m < 0:
-        raise ValidationError("factor count must be nonnegative")
-    return m * eps
 
 
 @dataclass

@@ -223,10 +223,6 @@ def odd_even_network(m: int) -> list[list[tuple[int, int]]]:
     ]
 
 
-def network_comparator_count(m: int) -> int:
-    return sum(len(layer) for layer in odd_even_network(m))
-
-
 def sort_and_entangle(
     support: SparseState,
     b_segments: list[str],

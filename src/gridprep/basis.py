@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,9 +103,6 @@ class Orbital:
             raise ValidationError("orbital vanishes on every grid site")
         return vec / norm
 
-    def grid_prob(self, l: int) -> np.ndarray:
-        return np.abs(self.grid_values(l)) ** 2
-
 
 def _hermite_value(n: int, u: np.ndarray) -> np.ndarray:
     return np.polynomial.hermite.hermval(u, [0.0] * n + [1.0])
@@ -146,11 +143,6 @@ def kronecker_delta(position: float, length: float = 1.0,
     if not 0 <= position < length:
         raise ValidationError("delta position must lie in [0, L)")
     return Orbital("kronecker-delta", length, energy, (float(position),))
-
-
-def delta_at_site(site: int, l: int, length: float = 1.0,
-                  energy: float = 0.0) -> Orbital:
-    return kronecker_delta(site * length / (1 << l), length, energy)
 
 
 def tabulated(values, length: float = 1.0, energy: float = 0.0) -> Orbital:
@@ -278,30 +270,3 @@ class BasisSet:
         u = np.eye(d, dtype=np.complex128)
         u = u + (phi * (np.exp(-1j * self.energies * t) - 1.0)) @ phi.conj().T
         return u
-
-    def perturbed(self, target: int, strength: float) -> "BasisSet":
-        """Shift one orbital's energy by `strength` (projector perturbation);
-        eigenvectors are untouched.
-        """
-        if not 0 <= target < self.size:
-            raise ValidationError(f"orbital index {target} out of range")
-        gap = self.gap()
-        if gap > 0 and abs(strength) >= gap / 2 and strength != 0:
-            raise ValidationError(
-                f"perturbation {strength} exceeds half the spectral gap {gap}"
-            )
-        new = list(self.orbitals)
-        new[target] = replace(new[target],
-                              energy=new[target].energy + strength)
-        if strength != 0:
-            e_new = new[target].energy
-            for j, orb in enumerate(new):
-                if j != target and abs(orb.energy - e_new) < 1e-12:
-                    raise ValidationError(
-                        f"perturbation leaves orbitals {target} and {j} "
-                        f"degenerate at energy {e_new}"
-                    )
-        out = BasisSet(new)
-        out._grid_cache = dict(self._grid_cache)
-        return out
-

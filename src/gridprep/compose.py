@@ -237,6 +237,55 @@ def _names(segments: list[tuple[str, str, int]]) -> list[str]:
     return [name for name, _, _ in segments]
 
 
+def _species_product(
+    kind: str,
+    species: list[tuple[OccupationVector, BasisSet, str]],
+    l: int,
+    spec: IntegrationSpec,
+    ratio_perturb=None,
+    cache: dict | None = None,
+) -> PreparedState:
+    """Hartree product of each species' occupied orbitals, then
+    (anti)symmetrization within each species, for (occupation, basis,
+    register-name prefix) species.
+
+    Register order: every species' particle bank, then every permutation
+    bank, in list order; the returned vector covers the particle banks
+    (first species least significant).
+    """
+    parts = [particle_segments(occ.m, l, prefix=f"{prefix}particle")
+             for occ, _, prefix in species]
+    perms = [permutation_segments(occ.m, prefix=f"{prefix}perm")
+             for occ, _, prefix in species]
+    layout = RegisterLayout(sum(parts + perms, []))
+    state = QuantumState.zero(layout)
+    counters: dict = {}
+    for (occ, basis, _), p in zip(species, parts):
+        state, plans = prepare_hartree_product(
+            state, occ, basis, spec, _names(p),
+            ratio_perturb=ratio_perturb, cache=cache)
+        _merge_plans(counters, plans)
+    syms = []
+    for (occ, _, _), p, b in zip(species, parts, perms):
+        state, sym = antisymmetrize(state, _names(b), _names(p),
+                                    occ.statistics)
+        syms.append(sym)
+    # several species have no single symmetrization norm: sum their costs
+    counters.update(syms[0] if len(syms) == 1 else {
+        key: sum(sym[key] for sym in syms)
+        for key in ("comparators", "swapped_qubits")})
+
+    m = sum(occ.m for occ, _, _ in species)
+    report = PreparationReport(
+        kind=kind, l=l, m=m,
+        statistics="+".join(occ.statistics for occ, _, _ in species),
+        qubits=layout.n_total, counters=counters,
+        error_bound=m * load_error_bound(l, spec.epsilon_i),
+    )
+    vec = extract_segment_vector(state, _names(sum(parts, [])))
+    return PreparedState(vector=vec, rho=None, report=report, state=state)
+
+
 def prepare_slater(
     occupation: OccupationVector,
     basis: BasisSet,
@@ -250,29 +299,9 @@ def prepare_slater(
     The occupation is classical here, so no occupation register or phase
     estimation is needed.
     """
-    m = occupation.m
-    parts, perms = particle_segments(m, l), permutation_segments(m)
-    layout = RegisterLayout(parts + perms)
-    state = QuantumState.zero(layout)
-    counters: dict = {}
-    state, plans = prepare_hartree_product(
-        state, occupation, basis, spec, _names(parts),
-        ratio_perturb=ratio_perturb, cache=cache,
-    )
-    _merge_plans(counters, plans)
-    statistics = occupation.statistics
-    state, sym_counters = antisymmetrize(
-        state, _names(perms), _names(parts), statistics)
-    counters.update(sym_counters)
-    eps_phi = load_error_bound(l, spec.epsilon_i)
-    report = PreparationReport(
-        kind="slater" if statistics == "fermionic" else "permanent",
-        l=l, m=m, statistics=statistics, qubits=layout.n_total,
-        counters=counters,
-        error_bound=m * eps_phi,
-    )
-    vec = extract_segment_vector(state, _names(parts))
-    return PreparedState(vector=vec, rho=None, report=report, state=state)
+    kind = "slater" if occupation.statistics == "fermionic" else "permanent"
+    return _species_product(kind, [(occupation, basis, "")], l, spec,
+                            ratio_perturb, cache)
 
 
 def prepare_two_species(
@@ -284,45 +313,14 @@ def prepare_two_species(
     spec: IntegrationSpec,
 ) -> PreparedState:
     """Product of two independently (anti)symmetrized species sharing one
-    grid; exchange symmetry is applied within each species only.
-
-    Register order: species-a particles, species-b particles, then the two
-    permutation banks.  The returned vector covers species-a then species-b
-    particle registers (species a least significant).
+    grid; exchange symmetry is applied within each species only.  Register
+    names carry the prefixes a_ and b_, and species a is least significant
+    in the returned vector.
     """
-    ma, mb = occupation_a.m, occupation_b.m
-    a_parts = particle_segments(ma, l, prefix="a_particle")
-    b_parts = particle_segments(mb, l, prefix="b_particle")
-    a_perms = permutation_segments(ma, prefix="a_perm")
-    b_perms = permutation_segments(mb, prefix="b_perm")
-    layout = RegisterLayout(a_parts + b_parts + a_perms + b_perms)
-    state = QuantumState.zero(layout)
-    counters: dict = {}
-
-    a_names, b_names = _names(a_parts), _names(b_parts)
-    state, plans = prepare_hartree_product(
-        state, occupation_a, basis_a, spec, a_names)
-    _merge_plans(counters, plans)
-    state, plans = prepare_hartree_product(
-        state, occupation_b, basis_b, spec, b_names)
-    _merge_plans(counters, plans)
-
-    state, ca = antisymmetrize(state, _names(a_perms), a_names,
-                               occupation_a.statistics)
-    state, cb = antisymmetrize(state, _names(b_perms), b_names,
-                               occupation_b.statistics)
-    counters["comparators"] = ca["comparators"] + cb["comparators"]
-    counters["swapped_qubits"] = ca["swapped_qubits"] + cb["swapped_qubits"]
-
-    eps_phi = load_error_bound(l, spec.epsilon_i)
-    report = PreparationReport(
-        kind="two-species", l=l, m=ma + mb,
-        statistics=f"{occupation_a.statistics}+{occupation_b.statistics}",
-        qubits=layout.n_total, counters=counters,
-        error_bound=(ma + mb) * eps_phi,
-    )
-    vec = extract_segment_vector(state, a_names + b_names)
-    return PreparedState(vector=vec, rho=None, report=report, state=state)
+    return _species_product(
+        "two-species",
+        [(occupation_a, basis_a, "a_"), (occupation_b, basis_b, "b_")],
+        l, spec)
 
 
 def prepare_superposition(
@@ -347,8 +345,10 @@ def prepare_superposition(
     bounds the infidelity of the state exact phase estimation returns.
     With eps_pe set, `phase_estimation_error_bound` bounds the infidelity
     of the returned state against that one, and `angle_error_bound` adds
-    the two steps.
+    the two steps.  `max_attempts` must be at least 1.
     """
+    if max_attempts < 1:
+        raise ValidationError(f"max_attempts {max_attempts} is not at least 1")
     if sup.num_orbitals > basis.size:
         raise ValidationError("superposition refers to orbitals outside "
                               "the basis")

@@ -37,12 +37,6 @@ def extra_qubits_for(eps_pe: float) -> int:
     return math.ceil(math.log2(2.0 + 1.0 / (2.0 * eps_pe)))
 
 
-def misidentification_probability(p: int) -> float:
-    if p < 2:
-        raise ValidationError("at least 2 extra qubits are required")
-    return 1.0 / (2.0 * (2**p - 2))
-
-
 @dataclass(frozen=True)
 class SymmetryOperator:
     """Grid symmetry acting as a site permutation.

@@ -133,14 +133,6 @@ class QuantumState:
         amps[0] = 1.0
         return cls(layout, amps)
 
-    @classmethod
-    def from_basis_index(cls, layout: RegisterLayout, index: int) -> "QuantumState":
-        if not 0 <= index < layout.dim:
-            raise StructuralError(f"basis index {index} out of range")
-        amps = np.zeros(layout.dim, dtype=np.complex128)
-        amps[index] = 1.0
-        return cls(layout, amps)
-
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -271,10 +263,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def purity(self) -> float:
-        """Tr ρ² = Σ|ρ_ij|², which holds because ρ is Hermitian."""
-        return float(np.vdot(self.matrix, self.matrix).real)
-
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
 
@@ -375,30 +363,12 @@ def permute_basis(state: QuantumState, dest: np.ndarray) -> QuantumState:
     return QuantumState(state.layout, amps)
 
 
-def swap_segments(state: QuantumState, seg_a: str, seg_b: str) -> QuantumState:
-    a = state.layout.segment(seg_a)
-    b = state.layout.segment(seg_b)
-    if a.width != b.width:
-        raise StructuralError(
-            f"cannot swap segments of widths {a.width} and {b.width}"
-        )
-    layout = state.layout
-    idx = np.arange(layout.dim)
-    return permute_basis(state, layout.with_values(
-        idx, {seg_a: layout.values(seg_b, idx),
-              seg_b: layout.values(seg_a, idx)}))
-
-
 def measure_segment(
     state: QuantumState, segment: str, rng
 ) -> tuple[int, QuantumState]:
-    """Born-rule measurement of a segment's integer value.
-
-    `rng` is a numpy Generator or an integer seed; a fixed seed gives a
-    deterministic outcome.
+    """Born-rule measurement of a segment's integer value, drawn from the
+    numpy Generator `rng`.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     state.check_norm(1e-8)
     seg = state.layout.segment(segment)
     vals = state.segment_values(segment)
@@ -413,13 +383,6 @@ def measure_segment(
         raise ImpossibleOutcomeError(f"outcome {outcome} has zero probability")
     amps = np.where(vals == outcome, state.amplitudes, 0.0) / np.sqrt(p)
     return outcome, QuantumState(state.layout, amps)
-
-
-def segment_probabilities(state: QuantumState, segment: str) -> np.ndarray:
-    seg = state.layout.segment(segment)
-    vals = state.segment_values(segment)
-    return np.bincount(vals, weights=np.abs(state.amplitudes) ** 2,
-                       minlength=seg.dim)
 
 
 def _packed_values(idx: np.ndarray, segments) -> tuple[np.ndarray, int]:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from gridprep.assemble import (
     OccupationVector,
     antisymmetrize,
-    network_comparator_count,
     odd_even_network,
     particle_segments,
     permutation_segments,
@@ -18,12 +17,28 @@ from gridprep.assemble import (
     quword_width,
     rank_to_permutation,
     slater_oracle,
+    sort_and_entangle,
 )
-from gridprep.basis import BasisSet, IntegrationSpec, box_sine, delta_at_site
+from gridprep.basis import BasisSet, IntegrationSpec, box_sine
 from gridprep.errors import StructuralError, ValidationError
-from gridprep.statevec import QuantumState, RegisterLayout, swap_segments
+from gridprep.statevec import (
+    QuantumState,
+    RegisterLayout,
+    SparseState,
+    permute_basis,
+)
+from helpers import delta_at_site
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
+
+
+def swap_segments(state, seg_a, seg_b):
+    """Exchange the values of two equally wide segments."""
+    layout = state.layout
+    idx = np.arange(layout.dim)
+    return permute_basis(state, layout.with_values(
+        idx, {seg_a: layout.values(seg_b, idx),
+              seg_b: layout.values(seg_a, idx)}))
 
 
 class TestOccupationVector:
@@ -82,7 +97,6 @@ class TestPermutationMachinery:
     def test_network_sorts_everything(self, m):
         layers = odd_even_network(m)
         assert len(layers) == m
-        assert network_comparator_count(m) == m * (m - 1) // 2
         for perm in permutations(range(m)):
             lanes = list(perm)
             for layer in layers:
@@ -90,6 +104,40 @@ class TestPermutationMachinery:
                     if lanes[a] > lanes[b]:
                         lanes[a], lanes[b] = lanes[b], lanes[a]
             assert lanes == sorted(lanes)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m=st.integers(2, 6),
+           statistics=st.sampled_from(["fermionic", "bosonic"]))
+    def test_sort_and_entangle_on_a_permutation(self, data, m, statistics):
+        # the widest particle registers that keep the layout at 24 qubits;
+        # the dense output is zero but for one entry
+        l = min(3, (24 - m * quword_width(m)) // m)
+        perm = data.draw(st.permutations(range(m)))
+        xs = data.draw(st.lists(st.integers(0, (1 << l) - 1),
+                                min_size=m, max_size=m))
+        layout = RegisterLayout(particle_segments(m, l)
+                                + permutation_segments(m))
+        p_names = [f"particle{i}" for i in range(m)]
+        b_names = [f"perm{i}" for i in range(m)]
+        index = layout.with_values(0, {**dict(zip(b_names, perm)),
+                                       **dict(zip(p_names, xs))})
+        out, counters = sort_and_entangle(
+            SparseState(layout, np.array([index]), np.array([1.0 + 0j])),
+            b_names, p_names, statistics)
+
+        # lane perm[i] ends up holding particle i, and the quwords are clear
+        lanes = [0] * m
+        for lane, x in zip(perm, xs):
+            lanes[lane] = x
+        target = layout.with_values(0, dict(zip(p_names, lanes)))
+        inversions = sum(perm[i] > perm[j]
+                         for i, j in combinations(range(m), 2))
+        sign = -1 if statistics == "fermionic" and inversions % 2 else 1
+        assert np.flatnonzero(out.amplitudes).tolist() == [target]
+        assert out.amplitudes[target] == sign
+        assert counters["comparators"] == m * (m - 1) // 2
+        assert counters["swapped_qubits"] == counters["comparators"] * l
 
 
 def _pipeline(occ, basis, l):

@@ -11,7 +11,6 @@ from gridprep.basis import (
     BasisSet,
     IntegrationSpec,
     box_sine,
-    delta_at_site,
     harmonic_hermite,
     kronecker_delta,
     mc_sample_count,
@@ -22,6 +21,7 @@ from gridprep.basis import (
 )
 from gridprep.errors import ValidationError
 from gridprep.loader import _split_ratios
+from helpers import delta_at_site, grid_prob, perturbed
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
 QUAD = IntegrationSpec(backend="adaptive-quadrature", epsilon_i=1e-9)
@@ -31,7 +31,7 @@ def grid_ratio(orb, l, i, k, spec):
     """Split ratio the loader uses for block pair k at level i on 2^l sites
     (NaN when the pair carries no mass).
     """
-    return _split_ratios(orb.grid_prob(l), l, spec)[i - 1][k // 2]
+    return _split_ratios(grid_prob(orb, l), l, spec)[i - 1][k // 2]
 
 
 class TestOrbitalFamilies:
@@ -226,7 +226,7 @@ class TestBasisSet:
         bas = BasisSet([ring_plane_wave(0, energy=0.0),
                         ring_plane_wave(1, energy=1.0),
                         ring_plane_wave(-1, energy=1.0)])
-        pert = bas.perturbed(2, 0.125)
+        pert = perturbed(bas, 2, 0.125)
         assert pert.energies[2] == pytest.approx(1.125)
         # eigenvectors untouched
         np.testing.assert_allclose(pert.grid_matrix(3), bas.grid_matrix(3))
@@ -234,7 +234,7 @@ class TestBasisSet:
     def test_perturbation_beyond_gap_rejected(self):
         bas = BasisSet([box_sine(1, energy=0.0), box_sine(2, energy=1.0)])
         with pytest.raises(ValidationError):
-            bas.perturbed(0, 0.4)
+            perturbed(bas, 0, 0.4)
 
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValidationError):

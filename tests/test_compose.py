@@ -1,7 +1,10 @@
 """End-to-end preparation drivers and their oracles."""
+import inspect
+
 import numpy as np
 import pytest
 
+import gridprep
 from gridprep.analysis import mixed_infidelity, pure_infidelity
 from gridprep.basis import (
     BasisSet,
@@ -9,7 +12,7 @@ from gridprep.basis import (
     box_sine,
     ring_plane_wave,
 )
-from gridprep.assemble import OccupationVector
+from gridprep.assemble import OccupationVector, slater_oracle
 from gridprep.compose import (
     FockSuperposition,
     MixedSpec,
@@ -26,6 +29,8 @@ from gridprep.compose import (
 )
 from gridprep.discriminate import SymmetryOperator
 from gridprep.errors import ValidationError
+from gridprep.loader import load_error_bound
+from helpers import purity
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
 
@@ -100,7 +105,6 @@ class TestPureDrivers:
         bas = dyadic_basis(3)
         occ = OccupationVector((1, 1, 0))
         prep = prepare_slater(occ, bas, 3, CDF)
-        from gridprep.assemble import slater_oracle
         assert pure_infidelity(prep.vector,
                                slater_oracle(occ, bas, 3)) < 1e-10
 
@@ -205,19 +209,35 @@ class TestTwoSpecies:
                                    bas, bas, 2, CDF)
         from gridprep.statevec import partial_trace
         rho_a = partial_trace(prep.state, ["a_particle0", "a_particle1"])
-        assert rho_a.purity() == pytest.approx(1.0, abs=1e-8)
+        assert purity(rho_a) == pytest.approx(1.0, abs=1e-8)
 
     def test_species_product_structure(self):
-        bas = dyadic_basis(2)
-        prep = prepare_two_species(OccupationVector((1, 1)),
-                                   OccupationVector((1, 0)),
-                                   bas, bas, 2, CDF)
-        from gridprep.assemble import slater_oracle
-        va = slater_oracle(OccupationVector((1, 1)), bas, 2)
-        vb = slater_oracle(OccupationVector((1, 0)), bas, 2)
-        # species a occupies the low bits of the returned vector
-        target = np.kron(vb, va)
-        assert pure_infidelity(prep.vector, target) < 1e-10
+        bas_a = dyadic_basis(3)
+        bas_b = BasisSet([ring_plane_wave(k, energy=float(k * k))
+                          for k in (0, 1, -1)])
+        for a, stats_a, b, stats_b in [
+                ("110", "fermionic", "011", "fermionic"),
+                ("101", "fermionic", "2,0,0", "bosonic"),
+                ("1,1,0", "bosonic", "0,1,1", "bosonic"),
+                ("010", "fermionic", "1,0,1", "bosonic")]:
+            occ_a = OccupationVector.parse(a, stats_a)
+            occ_b = OccupationVector.parse(b, stats_b)
+            prep = prepare_two_species(occ_a, occ_b, bas_a, bas_b, 2, CDF)
+            # species a occupies the low bits of the returned vector
+            target = np.kron(slater_oracle(occ_b, bas_b, 2),
+                             slater_oracle(occ_a, bas_a, 2))
+            assert pure_infidelity(prep.vector, target) < 1e-10
+
+            report = prep.report
+            assert report.m == occ_a.m + occ_b.m
+            assert report.statistics == f"{stats_a}+{stats_b}"
+            assert report.counters["comparators"] == sum(
+                m * (m - 1) // 2 for m in (occ_a.m, occ_b.m))
+            assert report.counters["swapped_qubits"] == \
+                2 * report.counters["comparators"]
+            assert report.error_bound == \
+                report.m * load_error_bound(2, CDF.epsilon_i)
+            assert "symmetrization_norm" not in report.counters
 
 
 class TestRetryAndErrors:
@@ -227,6 +247,14 @@ class TestRetryAndErrors:
         with pytest.raises(ValidationError):
             prepare_superposition(sup, bas, 2, CDF, seed=0)
 
+    @pytest.mark.parametrize("max_attempts", [0, -1])
+    def test_max_attempts_below_one_rejected(self, max_attempts):
+        bas = dyadic_basis(2)
+        sup = FockSuperposition.from_strings([(0.6, "10"), (0.8, "01")])
+        with pytest.raises(ValidationError, match="max_attempts"):
+            prepare_superposition(sup, bas, 2, CDF, t=2 * np.pi / 4,
+                                  seed=0, max_attempts=max_attempts)
+
     def test_report_counters_present(self):
         bas = dyadic_basis(2)
         sup = FockSuperposition.from_strings([(0.6, "10"), (0.8, "01")])
@@ -235,3 +263,8 @@ class TestRetryAndErrors:
         for key in ("integral_requests", "rotation_applications",
                     "comparators", "max_ambiguous_mass"):
             assert key in prep.report.counters
+
+
+def test_package_exports_no_modules():
+    assert not [name for name in gridprep.__all__
+                if inspect.ismodule(getattr(gridprep, name))]

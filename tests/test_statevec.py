@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridprep.errors import (
-    ImpossibleOutcomeError,
     ResourceError,
     StructuralError,
     ValidationError,
@@ -27,9 +26,8 @@ from gridprep.statevec import (
     qft,
     qft_matrix,
     qubit_cap,
-    segment_probabilities,
-    swap_segments,
 )
+from helpers import from_basis_index, purity, segment_probabilities
 
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
@@ -105,18 +103,18 @@ class TestQuantumState:
 
     def test_basis_index_bounds(self):
         with pytest.raises(StructuralError):
-            QuantumState.from_basis_index(small_layout(), 32)
+            from_basis_index(small_layout(), 32)
 
     def test_segment_blankness(self):
         layout = small_layout()
-        state = QuantumState.from_basis_index(layout, 0b00100)  # b=1
+        state = from_basis_index(layout, 0b00100)  # b=1
         assert state.segment_is_blank("a")
         assert not state.segment_is_blank("b")
 
     def test_segment_blankness_on_branch(self):
         layout = RegisterLayout([("lo", "scratch", 1), ("a", "particle", 2),
                                  ("hi", "scratch", 1)])
-        state = QuantumState.from_basis_index(layout, 0b0101)  # lo=1, a=2
+        state = from_basis_index(layout, 0b0101)  # lo=1, a=2
         assert not state.segment_is_blank("a")
         assert not state.segment_is_blank("a", controls=[(0, 1)])
         assert state.segment_is_blank("a", controls=[(0, 0)])
@@ -246,23 +244,12 @@ class TestPermuteBasis:
 
 
 class TestSwapAndMeasure:
-    def test_swap_segments(self):
-        layout = RegisterLayout([("a", "particle", 2), ("b", "particle", 2)])
-        state = QuantumState.from_basis_index(layout, 0b0111)  # a=3, b=1
-        out = swap_segments(state, "a", "b")
-        assert out.amplitudes[0b1101] == 1.0
-
-    def test_swap_width_mismatch(self):
-        state = QuantumState.zero(small_layout())
-        with pytest.raises(StructuralError):
-            swap_segments(state, "a", "b")
-
     def test_measurement_collapse_and_determinism(self):
         layout = RegisterLayout([("a", "particle", 2)])
         amps = np.array([0.6, 0.0, 0.8, 0.0])
         state = QuantumState(layout, amps)
-        o1, s1 = measure_segment(state, "a", 123)
-        o2, s2 = measure_segment(state, "a", 123)
+        o1, s1 = measure_segment(state, "a", np.random.default_rng(123))
+        o2, s2 = measure_segment(state, "a", np.random.default_rng(123))
         assert o1 == o2
         assert s1.norm == pytest.approx(1.0)
         assert abs(s1.amplitudes[o1]) == pytest.approx(1.0)
@@ -384,7 +371,7 @@ class TestDensityOps:
         vb = np.array([1.0, 0.0, 0.0, 0.0])
         state = QuantumState(layout, np.kron(vb, va))
         rho = partial_trace(state, ["a"])
-        assert rho.purity() == pytest.approx(1.0)
+        assert purity(rho) == pytest.approx(1.0)
         np.testing.assert_allclose(rho.matrix, np.outer(va, va), atol=1e-12)
 
     def test_partial_trace_of_bell_pair_is_mixed(self):
@@ -392,7 +379,7 @@ class TestDensityOps:
         state = QuantumState(layout,
                              np.array([1, 0, 0, 1]) / np.sqrt(2))
         rho = partial_trace(state, ["a"])
-        assert rho.purity() == pytest.approx(0.5)
+        assert purity(rho) == pytest.approx(0.5)
 
     def test_partial_trace_cap(self):
         layout = RegisterLayout([("a", "particle", 13), ("b", "scratch", 1)])
@@ -514,7 +501,7 @@ class TestDensityOps:
         bad = np.diag([1.5, -0.5]).astype(complex)
         for rho in (good, bad):
             rho.flags.writeable = False
-        assert DensityMatrix(good).purity() == pytest.approx(0.625)
+        assert purity(DensityMatrix(good)) == pytest.approx(0.625)
         with pytest.raises(ValidationError):
             DensityMatrix(bad)
         assert good.tobytes() == np.diag([0.25, 0.75]).astype(complex).tobytes()
@@ -577,4 +564,4 @@ class TestDensityOps:
         rho = z @ z.conj().T
         rho /= np.trace(rho).real
         expected = np.trace(rho @ rho).real
-        assert DensityMatrix(rho).purity() == pytest.approx(expected, rel=1e-12)
+        assert purity(DensityMatrix(rho)) == pytest.approx(expected, rel=1e-12)
