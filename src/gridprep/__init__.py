@@ -64,6 +64,7 @@ from .discriminate import (
     extra_qubits_for,
     identify_and_decrement,
     phase_estimate,
+    unitary_eigenbasis,
     verify_uncomputation,
 )
 from .errors import (
@@ -95,7 +96,6 @@ from .statevec import (
     partial_trace,
     permute_basis,
     qft,
-    qft_matrix,
     qubit_cap,
 )
 

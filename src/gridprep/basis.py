@@ -221,13 +221,6 @@ class BasisSet:
     def energies(self) -> np.ndarray:
         return np.array([o.energy for o in self.orbitals])
 
-    def gap(self) -> float:
-        """Half the minimum spacing between distinct energies (0 if all tie)."""
-        distinct = np.unique(np.round(self.energies, 12))
-        if distinct.size < 2:
-            return 0.0
-        return float(np.min(np.diff(distinct)) / 2.0)
-
     def grid_matrix(self, l: int) -> np.ndarray:
         """(2^l, M) matrix of grid-discretized, re-orthonormalized orbitals.
 

@@ -2,6 +2,14 @@
 symmetry operators, enabling uncomputation of the occupation register,
 whose counter format (`fock_encode`) is defined here next to the decrement.
 
+Phase estimation is emulated in closed form.  For u = sum_j e^{2 pi i
+theta_j} |v_j><v_j| the textbook circuit (Cleve, Ekert, Macchiavello and
+Mosca, Proc. R. Soc. A 454, 339 (1998)) acts as sum_j |v_j><v_j| (x)
+QFT^-1 diag(e^{2 pi i theta_j k}) QFT, so `PhaseEstimationConfig.build`
+takes each readout unitary's complex Schur form u = V T V^dagger once (T
+must be diagonal with unit-modulus entries to MATRIX_TOL, which checks
+unitarity), and `phase_estimate` applies V^dagger, FFTs and V.
+
 Eigenphase convention: the estimated phase is the actual eigenphase of the
 unitary handed to the estimator, i.e. theta = (-E t / 2pi) mod 1 for the
 propagator exp(-i F t).  Lookup windows are half-open intervals of width
@@ -15,12 +23,13 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
+from scipy.linalg import schur
 
 from .assemble import OccupationVector
 from .basis import BasisSet
 from .errors import DegeneracyError, StructuralError, ValidationError
 from .statevec import MATRIX_TOL, QuantumState, apply_unitary_on_segment, \
-    check_unitary, measure_segment, permute_basis, qft
+    measure_segment, permute_basis, qft
 
 #: Widest phase readout tried when separating orbitals by their phases.
 MAX_PHASE_BITS = 16
@@ -128,12 +137,13 @@ def _snap_to_exact(phases: np.ndarray, n0: int) -> int:
 class PhaseEstimationConfig:
     """Readouts and the readout->orbital lookup.
 
-    Each readout is (segment name, width, unitary): phase estimation of the
-    unitary on a particle register writes its eigenphase into that segment.
-    The energy readout estimates exp(-i F t); a symmetry readout, present
-    when a grid symmetry is given, splits degenerate levels.  `lookup` has
-    one axis per readout and holds the orbital index of each tuple of
-    readout values, -1 if ambiguous.
+    Each readout is (segment name, width, eigenvectors, eigenphases), the
+    eigenbasis of a unitary from `unitary_eigenbasis`: phase estimation of
+    the unitary on a particle register writes its eigenphase into that
+    segment.  The energy readout estimates exp(-i F t); a symmetry readout,
+    present when a grid symmetry is given, splits degenerate levels.
+    `lookup` has one axis per readout and holds the orbital index of each
+    tuple of readout values, -1 if ambiguous.
     """
 
     basis: BasisSet
@@ -141,7 +151,7 @@ class PhaseEstimationConfig:
     p: int
     n_energy: int
     thetas: np.ndarray
-    readouts: tuple[tuple[str, int, np.ndarray], ...] = field(repr=False)
+    readouts: tuple[tuple, ...] = field(repr=False)
     lookup: np.ndarray = field(repr=False)
 
     @property
@@ -150,7 +160,7 @@ class PhaseEstimationConfig:
 
     def segments(self) -> list[tuple[str, str, int]]:
         """Layout segments of the readouts, in readout order."""
-        return [(name, "readout", width) for name, width, _ in self.readouts]
+        return [(name, "readout", width) for name, width, *_ in self.readouts]
 
     @classmethod
     def build(
@@ -188,7 +198,8 @@ class PhaseEstimationConfig:
                 )
             n_sym = _snap_to_exact(sym_phases, n_sym)
             sym_keys = _round_half_up(sym_phases * (1 << n_sym)).astype(int)
-            sym_readouts = [("symread", n_sym + p, symmetry.unitary(l))]
+            sym_readouts = [("symread", n_sym + p,
+                             *unitary_eigenbasis(symmetry.unitary(l)))]
             sym_windows = [_windows(sym_phases, n_sym, n_sym + p)]
 
         groups: dict[int, list[int]] = {}
@@ -206,8 +217,8 @@ class PhaseEstimationConfig:
             )
         n_energy = _snap_to_exact(thetas, n_energy)
 
-        readouts = [("readout", n_energy + p,
-                     basis.fock_unitary(l, float(t)))] + sym_readouts
+        readouts = [("readout", n_energy + p, *unitary_eigenbasis(
+            basis.fock_unitary(l, float(t))))] + sym_readouts
         windows = [_windows(thetas, n_energy, n_energy + p)] + sym_windows
         lookup = np.full([w.shape[1] for w in windows], -1, dtype=np.int64)
         claimed = np.zeros(lookup.shape, dtype=bool)
@@ -249,41 +260,57 @@ def _phase_clusters(phases: np.ndarray):
     return [g for g in clusters if len(g) > 1]
 
 
-def _unitary_powers(u: np.ndarray, q: int) -> list[np.ndarray]:
-    """[u, u^2, u^4, ...] by repeated squaring, q entries."""
-    powers = [np.asarray(u, dtype=np.complex128)]
-    for _ in range(q - 1):
-        powers.append(powers[-1] @ powers[-1])
-    return powers
+def unitary_eigenbasis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors (columns of a unitary V) and eigenphases in [0, 1) of
+    u = V diag(e^{2 pi i theta}) V^dagger, from the complex Schur form
+    u = V T V^dagger.  Raises ValidationError unless u is unitary: T off
+    its diagonal within MATRIX_TOL of 0 and |diag T| within MATRIX_TOL of 1.
+    """
+    u = np.asarray(u, dtype=np.complex128)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValidationError("matrix must be square")
+    t, vectors = schur(u, output="complex")
+    angles = np.angle(np.diag(t))
+    if np.max(np.abs(t - np.diag(np.exp(1j * angles)))) > MATRIX_TOL:
+        raise ValidationError("matrix is not unitary")
+    return vectors, angles / (2 * np.pi) % 1.0
 
 
 def phase_estimate(
     state: QuantumState,
     readout_segment: str,
     target_segment: str,
-    u: np.ndarray,
+    vectors: np.ndarray,
+    phases: np.ndarray,
     adjoint: bool = False,
 ) -> QuantumState:
-    """Textbook phase estimation of `u` acting on the target segment, with
-    the result written into (or, with adjoint=True, erased from) the
-    readout segment.
+    """Phase estimation of u = sum_j e^{2 pi i phases[j]} |v_j><v_j| (v_j
+    the columns of `vectors`, from `unitary_eigenbasis`) on the target,
+    writing the phase into (adjoint: erasing it from) the readout.
 
-    Forward circuit: QFT on the readout (uniformizes |0..0>), controlled
-    u^(2^j) off readout qubit j, inverse QFT.  The adjoint is the same
-    sandwich with u replaced by its inverse, since QFT and inverse QFT
-    swap roles under conjugation.
+    The circuit (QFT on the readout, u^(2^b) controlled by readout qubit b,
+    inverse QFT) is sum_j |v_j><v_j| (x) QFT^-1 diag(e^{2 pi i theta_j k})
+    QFT, applied as V^dagger on the target, QFT, e^{+-2 pi i theta_j k} on
+    each (readout k, eigenvector j) amplitude, inverse QFT, and V.  Readout
+    and target are distinct segments, in either order.
     """
     readout = state.layout.segment(readout_segment)
-    u = check_unitary(u)
-    if adjoint:
-        u = u.conj().T
-    state = qft(state, readout_segment)
-    for j, power in enumerate(_unitary_powers(u, readout.width)):
-        state = apply_unitary_on_segment(
-            state, target_segment, power,
-            controls=[(readout.offset + j, 1)],
-        )
-    return qft(state, readout_segment, inverse=True)
+    target = state.layout.segment(target_segment)
+    if readout == target or np.shape(phases) != (target.dim,):
+        raise StructuralError("phase estimation needs a readout segment "
+                              "apart from the target and one phase per "
+                              "target basis state")
+    state = qft(apply_unitary_on_segment(
+        state, target_segment, np.conj(vectors).T), readout_segment)
+    kick = np.exp((-2j if adjoint else 2j) * np.pi
+                  * np.outer(np.arange(readout.dim), phases))
+    lo, hi = sorted((readout, target), key=lambda s: s.offset)
+    view = state.amplitudes.reshape(
+        -1, hi.dim, 1 << (hi.offset - lo.offset - lo.width), lo.dim,
+        1 << lo.offset)
+    view *= (kick if hi == readout else kick.T)[:, None, :, None]
+    return apply_unitary_on_segment(
+        qft(state, readout_segment, inverse=True), target_segment, vectors)
 
 
 @dataclass
@@ -341,7 +368,7 @@ def _decrement_fock(
     n_counters = layout.segment(fock_segment).width // counter_width
     lookup = np.where(config.lookup < n_counters, config.lookup, -1)
     orb = lookup[tuple(layout.values(name, idx)
-                       for name, _, _ in config.readouts)]
+                       for name, *_ in config.readouts)]
 
     weights = np.abs(state.amplitudes) ** 2
     mass = np.bincount(orb + 1, weights=weights,
@@ -382,32 +409,32 @@ def identify_and_decrement(
     config: PhaseEstimationConfig,
     fock_segment: str,
     particle_segment: str,
+    rng: np.random.Generator,
     counter_width: int = 1,
-    rng=None,
 ) -> tuple[QuantumState, IdentificationRecord]:
     """One pass of the disentangling step for a single particle register:
     phase-estimate which orbital the register holds, remove that orbital's
     quantum from the occupation register, undo the estimation, and recycle
-    the readouts by measured reset.  The layout must hold each of the
-    config's readout segments; the occupation register holds one
-    `counter_width`-bit counter per orbital.
+    the readouts by measured reset, drawing outcomes from the numpy
+    Generator `rng`.  The layout must hold each of the config's readout
+    segments; the occupation register holds one `counter_width`-bit
+    counter per orbital.
     """
-    for name, width, _ in config.readouts:
+    for name, width, *_ in config.readouts:
         if state.layout.segment(name).width != width:
             raise StructuralError(
                 f"readout segment {name!r} is not {width} qubits wide")
-    if rng is None or isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
 
-    for name, _, u in config.readouts:
-        state = phase_estimate(state, name, particle_segment, u)
+    for name, _, *basis in config.readouts:
+        state = phase_estimate(state, name, particle_segment, *basis)
     state, orbital_mass, ambiguous_mass = _decrement_fock(
         state, config, fock_segment, counter_width)
-    for name, _, u in reversed(config.readouts):
-        state = phase_estimate(state, name, particle_segment, u, adjoint=True)
+    for name, _, *basis in reversed(config.readouts):
+        state = phase_estimate(state, name, particle_segment, *basis,
+                               adjoint=True)
 
     outcomes = []
-    for name, _, _ in config.readouts:
+    for name, *_ in config.readouts:
         outcome, state = _measured_reset(state, name, rng)
         outcomes.append(outcome)
     return state, IdentificationRecord(orbital_mass, ambiguous_mass,

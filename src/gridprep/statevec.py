@@ -267,11 +267,6 @@ class DensityMatrix:
         return np.linalg.eigvalsh(self.matrix)
 
 
-def _check_qubit(state: QuantumState, qubit: int) -> None:
-    if not 0 <= qubit < state.layout.n_total:
-        raise StructuralError(f"qubit index {qubit} outside layout")
-
-
 def _reshape_on_segment(amps: np.ndarray, seg: Segment):
     hi = amps.size >> (seg.offset + seg.width)
     return amps.reshape(hi, seg.dim, 1 << seg.offset)
@@ -286,7 +281,8 @@ def control_masks(state: QuantumState, seg: Segment, controls,
     hi_sel = np.ones(hi_n, dtype=bool)
     lo_sel = np.ones(lo_n, dtype=bool)
     for q, bit in controls or []:
-        _check_qubit(state, q)
+        if not 0 <= q < state.layout.n_total:
+            raise StructuralError(f"qubit index {q} outside layout")
         if seg.offset <= q < seg.offset + seg.width:
             raise StructuralError("control qubit lies inside the target segment")
         if q < seg.offset:
@@ -308,43 +304,26 @@ def check_unitary(u: np.ndarray) -> np.ndarray:
 
 
 def apply_unitary_on_segment(
-    state: QuantumState,
-    segment: str,
-    u: np.ndarray,
-    controls: list[tuple[int, int]] | None = None,
+    state: QuantumState, segment: str, u: np.ndarray
 ) -> QuantumState:
-    """Apply a d x d unitary to one segment (identity elsewhere).
-
-    Optional controls are (global qubit, required bit) pairs outside the
-    segment; amplitudes whose control bits do not match are untouched.
-    """
+    """Apply a d x d unitary to one segment (identity elsewhere)."""
     seg = state.layout.segment(segment)
     u = check_unitary(u)
     if u.shape[0] != seg.dim:
         raise ValidationError(
             f"unitary dimension {u.shape[0]} != segment dimension {seg.dim}"
         )
-    amps = state.amplitudes.copy()
-    cube = _reshape_on_segment(amps, seg)
-    hi_n, _, lo_n = cube.shape
-    hi_sel, lo_sel = control_masks(state, seg, controls, hi_n, lo_n)
-    block = cube[np.ix_(hi_sel, np.arange(seg.dim), lo_sel)]
-    cube[np.ix_(hi_sel, np.arange(seg.dim), lo_sel)] = np.einsum(
-        "ab,hbl->hal", u, block
-    )
-    return QuantumState(state.layout, amps)
-
-
-def qft_matrix(width: int, inverse: bool = False) -> np.ndarray:
-    d = 1 << width
-    jk = np.outer(np.arange(d), np.arange(d))
-    sign = -1.0 if inverse else 1.0
-    return np.exp(sign * 2j * np.pi * jk / d) / np.sqrt(d)
+    cube = u @ _reshape_on_segment(state.amplitudes, seg)
+    return QuantumState(state.layout, cube.reshape(-1))
 
 
 def qft(state: QuantumState, segment: str, inverse: bool = False) -> QuantumState:
-    return apply_unitary_on_segment(state, segment, qft_matrix(
-        state.layout.segment(segment).width, inverse))
+    """QFT of one segment (kernel as in the module docstring) by FFT."""
+    cube = _reshape_on_segment(state.amplitudes,
+                               state.layout.segment(segment))
+    transform = np.fft.fft if inverse else np.fft.ifft
+    return QuantumState(state.layout,
+                        transform(cube, axis=1, norm="ortho").reshape(-1))
 
 
 def permute_basis(state: QuantumState, dest: np.ndarray) -> QuantumState:

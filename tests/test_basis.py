@@ -21,7 +21,7 @@ from gridprep.basis import (
 )
 from gridprep.errors import ValidationError
 from gridprep.loader import _split_ratios
-from helpers import delta_at_site, grid_prob, perturbed
+from helpers import delta_at_site, gap, grid_prob, perturbed
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
 QUAD = IntegrationSpec(backend="adaptive-quadrature", epsilon_i=1e-9)
@@ -220,7 +220,7 @@ class TestBasisSet:
     def test_gap(self):
         bas = BasisSet([box_sine(1, energy=0.0), box_sine(2, energy=1.0),
                         box_sine(3, energy=1.0)])
-        assert bas.gap() == pytest.approx(0.5)
+        assert gap(bas) == pytest.approx(0.5)
 
     def test_perturbation_lifts_degeneracy(self):
         bas = BasisSet([ring_plane_wave(0, energy=0.0),

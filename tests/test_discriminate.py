@@ -1,6 +1,8 @@
 """Phase estimation, lookup windows, symmetry readouts, uncomputation."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridprep.basis import BasisSet, IntegrationSpec, box_sine, \
     ring_plane_wave
@@ -10,12 +12,14 @@ from gridprep.discriminate import (
     extra_qubits_for,
     identify_and_decrement,
     phase_estimate,
+    unitary_eigenbasis,
     verify_uncomputation,
 )
-from gridprep.errors import DegeneracyError, ValidationError
+from gridprep.errors import DegeneracyError, StructuralError, ValidationError
 from gridprep.loader import load_orbital
 from gridprep.statevec import QuantumState, RegisterLayout
-from helpers import from_basis_index, segment_probabilities
+from helpers import from_basis_index, segment_probabilities, \
+    textbook_phase_estimate
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
 
@@ -136,7 +140,7 @@ def _pe_distribution(theta, q):
     amps[1] = 1.0  # target |1>, readout |0>
     state = QuantumState(layout, amps)
     u = np.diag([1.0, np.exp(2j * np.pi * theta)])
-    state = phase_estimate(state, "r", "t", u)
+    state = phase_estimate(state, "r", "t", *unitary_eigenbasis(u))
     return segment_probabilities(state, "r"), state
 
 
@@ -166,8 +170,9 @@ class TestPhaseEstimate:
         state = QuantumState(layout, amps)
         h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         u, _ = np.linalg.qr(h)
-        forward = phase_estimate(state, "r", "t", u)
-        back = phase_estimate(forward, "r", "t", u, adjoint=True)
+        basis = unitary_eigenbasis(u)
+        forward = phase_estimate(state, "r", "t", *basis)
+        back = phase_estimate(forward, "r", "t", *basis, adjoint=True)
         np.testing.assert_allclose(back.amplitudes, amps, atol=1e-10)
 
     def test_symmetry_discriminate_separates_conjugate_pair(self):
@@ -175,10 +180,84 @@ class TestPhaseEstimate:
         for k, expected in ((1, 1), (-1, 7)):
             state = QuantumState.zero(layout)
             state, _ = load_orbital(state, "x", ring_plane_wave(k), CDF)
-            state = phase_estimate(
-                state, "r", "x", SymmetryOperator("cyclic-shift").unitary(3))
+            state = phase_estimate(state, "r", "x", *unitary_eigenbasis(
+                SymmetryOperator("cyclic-shift").unitary(3)))
             probs = segment_probabilities(state, "r")
             assert probs[expected] == pytest.approx(1.0, abs=1e-10)
+
+
+def _haar_unitary(rng, d):
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _test_unitary(kind, l, rng):
+    """A 2^l x 2^l unitary: Haar-random, or one with degenerate phases."""
+    if kind == "haar":
+        return _haar_unitary(rng, 1 << l)
+    if kind == "fock":
+        # orbitals span at most 3 of the 2^l sites, so the complement is a
+        # large eigenspace of phase 0
+        k = int(rng.integers(1, min(3, (1 << l) - 1) + 1))
+        bas = BasisSet([box_sine(n + 1, energy=float(rng.uniform(-2, 2)))
+                        for n in range(k)])
+        return bas.fock_unitary(l, float(rng.uniform(0.1, 3.0)))
+    if kind == "cyclic-shift":
+        step = int(rng.integers(1, 1 << l))
+        return SymmetryOperator("cyclic-shift", step=step).unitary(l)
+    return SymmetryOperator("reflection").unitary(l)
+
+
+class TestClosedForm:
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(["haar", "fock", "cyclic-shift", "reflection"]),
+           st.integers(1, 3), st.integers(1, 7), st.booleans(),
+           st.booleans(), st.integers(0, 2**31 - 1))
+    def test_matches_textbook_circuit(self, kind, l, q, readout_first,
+                                      adjoint, seed):
+        pair = [("t", "particle", l), ("r", "readout", q)]
+        if readout_first:
+            pair.reverse()
+        layout = RegisterLayout([("lo", "scratch", 1), pair[0],
+                                 ("mid", "scratch", 1), pair[1]])
+        rng = np.random.default_rng(seed)
+        # every register, the readout included, carries amplitude
+        amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+        state = QuantumState(layout, amps / np.linalg.norm(amps))
+        u = _test_unitary(kind, l, rng)
+        got = phase_estimate(state, "r", "t", *unitary_eigenbasis(u),
+                             adjoint=adjoint)
+        want = textbook_phase_estimate(state, "r", "t", u, adjoint=adjoint)
+        np.testing.assert_allclose(got.amplitudes, want.amplitudes,
+                                   rtol=0, atol=1e-12)
+
+    def test_eigenbasis_reconstructs_unitary(self):
+        u = SymmetryOperator("reflection").unitary(3)
+        vectors, phases = unitary_eigenbasis(u)
+        np.testing.assert_allclose(vectors.conj().T @ vectors, np.eye(8),
+                                   atol=1e-12)
+        rebuilt = (vectors * np.exp(2j * np.pi * phases)) @ vectors.conj().T
+        np.testing.assert_allclose(rebuilt, u, atol=1e-12)
+        assert sorted(np.round(phases, 12)) == [0.0] * 5 + [0.5] * 3
+
+    @pytest.mark.parametrize("matrix", [
+        [[1, 0], [0, 2]],           # normal, eigenvalue off the unit circle
+        [[1, 1e-6], [0, 1]],        # unit eigenvalues, not normal
+        [[1, 0, 0], [0, 1, 0]],     # not square
+    ])
+    def test_non_unitary_rejected(self, matrix):
+        with pytest.raises(ValidationError):
+            unitary_eigenbasis(np.array(matrix, dtype=complex))
+
+    def test_segments_and_phases_checked(self):
+        layout = RegisterLayout([("t", "particle", 2), ("r", "readout", 2)])
+        state = QuantumState.zero(layout)
+        vectors, phases = unitary_eigenbasis(np.eye(4))
+        with pytest.raises(StructuralError):
+            phase_estimate(state, "t", "t", vectors, phases)
+        with pytest.raises(StructuralError):
+            phase_estimate(state, "r", "t", vectors, phases[:1])
 
 
 def _loaded_state(bas, orbital_index, cfg, extra_fock=None):
@@ -204,7 +283,8 @@ class TestIdentifyAndDecrement:
         for j in range(3):
             state = _loaded_state(self.bas, j, self.cfg)
             state, record = identify_and_decrement(
-                state, self.cfg, "fock", "particle0", rng=0)
+                state, self.cfg, "fock", "particle0",
+                rng=np.random.default_rng(0))
             assert record.orbital_mass[j] == pytest.approx(1.0, abs=1e-10)
             assert record.ambiguous_mass == pytest.approx(0.0, abs=1e-10)
             assert not record.leaked
@@ -215,7 +295,7 @@ class TestIdentifyAndDecrement:
     def test_particle_state_survives(self):
         state = _loaded_state(self.bas, 1, self.cfg)
         state, _ = identify_and_decrement(
-            state, self.cfg, "fock", "particle0", rng=0)
+            state, self.cfg, "fock", "particle0", rng=np.random.default_rng(0))
         from gridprep.statevec import extract_segment_vector
         vec = extract_segment_vector(state, ["particle0"])
         target = self.bas.orbitals[1].grid_values(3)
@@ -235,7 +315,7 @@ class TestIdentifyAndDecrement:
             amps[0b010 | (x << 3)] = 0.8 * phi1[x]
         state = QuantumState(layout, amps)
         state, record = identify_and_decrement(
-            state, self.cfg, "fock", "particle0", rng=0)
+            state, self.cfg, "fock", "particle0", rng=np.random.default_rng(0))
         assert record.orbital_mass[0] == pytest.approx(0.36, abs=1e-10)
         assert record.orbital_mass[1] == pytest.approx(0.64, abs=1e-10)
         ok, _, _ = verify_uncomputation(state, "fock",
@@ -253,7 +333,7 @@ class TestIdentifyAndDecrement:
         state, _ = load_orbital(state, "particle0", bas.orbitals[0], CDF)
         state, record = identify_and_decrement(
             state, cfg, "fock", "particle0",
-            counter_width=2, rng=0)
+            counter_width=2, rng=np.random.default_rng(0))
         vals = segment_probabilities(state, "fock")
         assert vals[0b0001] == pytest.approx(1.0, abs=1e-10)
 
@@ -265,4 +345,4 @@ class TestIdentifyAndDecrement:
         state = QuantumState.zero(layout)
         with pytest.raises(StructuralError):
             identify_and_decrement(state, self.cfg, "fock", "particle0",
-                                   rng=0)
+                                   rng=np.random.default_rng(0))

@@ -128,19 +128,19 @@ GOLDEN = {
     },
     "superposition-bosonic": {
         "report.csv":
-            "654e63ba10f3b2f9dc733b491b04a5ba7d891965d30c427f6c9dbaf9bf789790",
+            "cc451c7306fc29a1f93247ae224c0f646e7bbe34f9d83c15d91dc5f54040efbf",
         "report.txt":
-            "0429161dbc1bf516635ec0a6b143a83dfd997d50ff6f557ce3d05baf81342a47",
+            "445e0879152e6bae163864a4e44e077edafbdb5e3c2a2901092888a401a143d7",
         "state.csv":
-            "f116acc701d895403024eff5091e3ef965676f4c566049ba1223bb335bf30f90",
+            "2a895781118b2d0aa6e61ddef348ee150eee81d60a6e5303aeece0232dd0c09c",
     },
     "superposition-ring": {
         "report.csv":
-            "3e852df863788afdabd76b07600f484c5a0ded2cfd7d7aded805e30e469500bd",
+            "56a8056debabb219de4059a4d79e9c7c722d245fc9ac2dec661c06461f34b3c2",
         "report.txt":
-            "689a0c1a6f3298b0183dee5219f76b9d108264927d8d6a1032404f2fe0e16c4c",
+            "d78609112a56c77bc384de08c0d87d884dbd0a4d63e6aa9dd367445197767fab",
         "state.csv":
-            "0052a70826834030797a55ada02bde1ad922fe7bf3cb94e3937ac93485610be7",
+            "8c9adc649d6e3ad7e9c9f38a5b1a9ab4b954cba321595d0669211d019fc0fcd9",
     },
     "sweep": {
         "report.csv":
@@ -182,11 +182,11 @@ GOLDEN = {
     },
     "verify-bounds-superposition": {
         "report.csv":
-            "baab2925a3a6aeaefc52bf30c7aa3a6a0096fa07ff809ef0c7f79d5cfcff469d",
+            "c5b1433177f0c74521912204a4c1cce61ea24cef50e6eb7ce0e30dab72db2ec4",
         "report.txt":
-            "e2dae854e175ab431d8efa9603cff328f7a54091de6553f08d0dc696fed6f6be",
+            "1ef4f7049cf2d0516f09a570f9ee1145cd24ada9d4cc3b6021c5cfa8b2495434",
         "state.csv":
-            "0052a70826834030797a55ada02bde1ad922fe7bf3cb94e3937ac93485610be7",
+            "8c9adc649d6e3ad7e9c9f38a5b1a9ab4b954cba321595d0669211d019fc0fcd9",
     },
 }
 

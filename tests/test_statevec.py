@@ -24,10 +24,10 @@ from gridprep.statevec import (
     partial_trace,
     permute_basis,
     qft,
-    qft_matrix,
     qubit_cap,
 )
-from helpers import from_basis_index, purity, segment_probabilities
+from helpers import controlled_unitary, from_basis_index, purity, \
+    qft_matrix, segment_probabilities
 
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
@@ -183,10 +183,11 @@ class TestSegmentUnitary:
             apply_unitary_on_segment(state, "a", np.array([[1, 0], [0, 2]]))
 
     def test_controlled_unitary(self):
+        # the controlled apply of the gate-level phase-estimation reference
         layout = RegisterLayout([("t", "particle", 1), ("c", "scratch", 1)])
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         state = QuantumState(layout, np.array([1, 0, 1, 0]) / np.sqrt(2))
-        out = apply_unitary_on_segment(state, "t", x, controls=[(1, 1)])
+        out = controlled_unitary(state, "t", x, controls=[(1, 1)])
         # c=1 branch flipped: |10> -> |11>
         np.testing.assert_allclose(
             out.amplitudes, np.array([1, 0, 0, 1]) / np.sqrt(2))
@@ -201,10 +202,26 @@ class TestQft:
 
     def test_forward_kernel_sign(self):
         # |1> -> sum_k e^{+2 pi i k/4} |k> / 2
-        f = qft_matrix(2)
-        col = f[:, 1]
         expected = np.exp(2j * np.pi * np.arange(4) / 4) / 2
-        np.testing.assert_allclose(col, expected, atol=1e-12)
+        np.testing.assert_allclose(qft_matrix(2)[:, 1], expected, atol=1e-12)
+        one = from_basis_index(RegisterLayout([("a", "readout", 2)]), 1)
+        np.testing.assert_allclose(qft(one, "a").amplitudes, expected,
+                                   atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           st.data(), st.booleans(), st.integers(0, 2**31 - 1))
+    def test_matches_dense_reference(self, widths, data, inverse, seed):
+        layout = RegisterLayout([(f"s{i}", "readout", w)
+                                 for i, w in enumerate(widths)])
+        name = f"s{data.draw(st.integers(0, len(widths) - 1))}"
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+        state = QuantumState(layout, amps / np.linalg.norm(amps))
+        f = qft_matrix(layout.segment(name).width, inverse)
+        np.testing.assert_allclose(
+            qft(state, name, inverse).amplitudes,
+            controlled_unitary(state, name, f).amplitudes, rtol=0, atol=1e-12)
 
     def test_inverse_round_trip(self):
         layout = RegisterLayout([("a", "readout", 3)])
