@@ -16,7 +16,9 @@ from .statevec import DensityMatrix
 
 
 def format_float(x: float) -> str:
-    """12-significant-digit rendering used for every float we serialize."""
+    """12 significant digits, for infidelities, bounds, and sweep and
+    cost-table parameters; report counters print with str() instead.
+    """
     return f"{float(x):.12g}"
 
 

@@ -7,11 +7,13 @@ prepare-two-species, prepare-mixed, verify-bounds, sweep, cost-table.
 
 Artifacts land in the output directory: report.txt and report.csv always;
 state.csv (index, re, im) for pure-state preparations; rho.csv
-(row, col, re, im) for mixed-state preparations.  Floats are rendered with
-12 significant digits so identical runs produce bit-identical files.
+(row, col, re, im) for mixed-state preparations.  State and rho entries,
+infidelities, bounds and fitted exponents have 12 significant digits;
+report counters print at full precision.  Identical runs produce
+bit-identical files.
 
 Exit codes: 0 success, 2 configuration/validation error (the message
-names the offending config key), 3 pipeline error (degeneracy, retry
+names the offending config key, or --out when it cannot be a directory), 3 pipeline error (degeneracy, retry
 budget, bound violation), 4 resource limit.  An internal fault is not
 mapped: it propagates with its traceback, exit code 1.
 """
@@ -595,7 +597,10 @@ def main(argv: list[str] | None = None) -> int:
         if not isinstance(cfg, dict):
             raise ValidationError("config must be a YAML mapping")
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # an existing file, or a path through one
+            raise ValidationError(f"--out {out_dir}: {exc.strerror}") from exc
         return COMMANDS[args.command](cfg, config_path.parent, args.seed,
                                       out_dir)
     except ResourceError as exc:

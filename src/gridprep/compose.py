@@ -2,12 +2,13 @@
 occupation states, superpositions of occupation states, two-species
 products, and mixed states via purification.
 
-The superposition path follows the occupation-register scheme: amplitudes
-are loaded onto an occupation register, orbitals are loaded conditionally
-per branch, the occupation register is disentangled particle-by-particle
-(phase-estimate which orbital a register holds, remove that quantum), its
-emptiness is verified by measurement (retry on failure), and only then is
-the particle register (anti)symmetrized.
+Every multi-particle driver runs one skeleton (`_prepare`): lay out the
+registers, load, (anti)symmetrize each species' particle bank, report,
+and read out a vector or a density matrix.  A driver supplies only its
+load.  Superpositions load amplitudes onto an occupation register and
+orbitals per branch, then disentangle the register particle by particle
+(phase-estimate which orbital a register holds, remove that quantum) and
+verify it empty by measurement, retrying on failure.
 """
 from __future__ import annotations
 
@@ -201,11 +202,12 @@ def _load_branches(
 
 
 def _fock_branches(sup: FockSuperposition):
-    """Counter width and (amplitude, occupation code, occupation) branches
-    of a superposition, in ascending code order.
+    """Counter width, occupation-register segment, and (amplitude,
+    occupation code, occupation) branches of a superposition, in ascending
+    code order.
     """
     width = boson_counter_width(sup.max_count)
-    return width, sorted(
+    return width, ("fock", "fock", sup.num_orbitals * width), sorted(
         ((a, fock_encode(occ, width), occ) for a, occ in sup.terms),
         key=lambda branch: branch[1])
 
@@ -237,36 +239,32 @@ def _names(segments: list[tuple[str, str, int]]) -> list[str]:
     return [name for name, _, _ in segments]
 
 
-def _species_product(
-    kind: str,
-    species: list[tuple[OccupationVector, BasisSet, str]],
-    l: int,
-    spec: IntegrationSpec,
-    ratio_perturb=None,
-    cache: dict | None = None,
+def _prepare(
+    kind: str, species: list[tuple[OccupationVector, str]], l: int,
+    spec: IntegrationSpec, load, head: tuple = (), tail: tuple = (),
+    rho: bool = False,
 ) -> PreparedState:
-    """Hartree product of each species' occupied orbitals, then
-    (anti)symmetrization within each species, for (occupation, basis,
+    """The skeleton of every multi-particle driver, for (occupation,
     register-name prefix) species.
 
-    Register order: every species' particle bank, then every permutation
-    bank, in list order; the returned vector covers the particle banks
-    (first species least significant).
+    Register order: the head (a branch or occupation register, if any),
+    every species' particle bank, every permutation bank, then the tail.
+    `load(layout, banks, counters)` returns the loaded state and its attempt
+    number, for `banks` each species' particle register names.  Each bank
+    is (anti)symmetrized; the particle banks (first species least
+    significant) are read out as a vector, or with `rho` as the density
+    matrix of the rest traced out.  The error bound is one load bound per
+    loaded register: m particles and the head's table.
     """
     parts = [particle_segments(occ.m, l, prefix=f"{prefix}particle")
-             for occ, _, prefix in species]
+             for occ, prefix in species]
     perms = [permutation_segments(occ.m, prefix=f"{prefix}perm")
-             for occ, _, prefix in species]
-    layout = RegisterLayout(sum(parts + perms, []))
-    state = QuantumState.zero(layout)
+             for occ, prefix in species]
+    layout = RegisterLayout([*head, *sum(parts + perms, []), *tail])
     counters: dict = {}
-    for (occ, basis, _), p in zip(species, parts):
-        state, plans = prepare_hartree_product(
-            state, occ, basis, spec, _names(p),
-            ratio_perturb=ratio_perturb, cache=cache)
-        _merge_plans(counters, plans)
+    state, attempts = load(layout, [_names(p) for p in parts], counters)
     syms = []
-    for (occ, _, _), p, b in zip(species, parts, perms):
+    for (occ, _), p, b in zip(species, parts, perms):
         state, sym = antisymmetrize(state, _names(b), _names(p),
                                     occ.statistics)
         syms.append(sym)
@@ -275,15 +273,40 @@ def _species_product(
         key: sum(sym[key] for sym in syms)
         for key in ("comparators", "swapped_qubits")})
 
-    m = sum(occ.m for occ, _, _ in species)
+    m = sum(occ.m for occ, _ in species)
     report = PreparationReport(
         kind=kind, l=l, m=m,
-        statistics="+".join(occ.statistics for occ, _, _ in species),
-        qubits=layout.n_total, counters=counters,
-        error_bound=m * load_error_bound(l, spec.epsilon_i),
+        statistics="+".join(occ.statistics for occ, _ in species),
+        qubits=layout.n_total, attempts=attempts, retries=attempts - 1,
+        counters=counters,
+        error_bound=(m + len(head)) * load_error_bound(l, spec.epsilon_i),
     )
-    vec = extract_segment_vector(state, _names(sum(parts, [])))
-    return PreparedState(vector=vec, rho=None, report=report, state=state)
+    names = _names(sum(parts, []))
+    return PreparedState(
+        vector=None if rho else extract_segment_vector(state, names),
+        rho=partial_trace(state, names) if rho else None,
+        report=report, state=state)
+
+
+def _species_product(
+    kind: str, species: list[tuple[OccupationVector, BasisSet, str]],
+    l: int, spec: IntegrationSpec, ratio_perturb=None,
+    cache: dict | None = None,
+) -> PreparedState:
+    """Skeleton whose load is an unconditioned Hartree product per
+    (occupation, basis, register-name prefix) species.
+    """
+    def load(layout, banks, counters):
+        state = QuantumState.zero(layout)
+        for (occ, basis, _), names in zip(species, banks):
+            state, plans = prepare_hartree_product(
+                state, occ, basis, spec, names,
+                ratio_perturb=ratio_perturb, cache=cache)
+            _merge_plans(counters, plans)
+        return state, 1
+
+    return _prepare(kind, [(occ, prefix) for occ, _, prefix in species],
+                    l, spec, load)
 
 
 def prepare_slater(
@@ -352,58 +375,40 @@ def prepare_superposition(
     if sup.num_orbitals > basis.size:
         raise ValidationError("superposition refers to orbitals outside "
                               "the basis")
-    m = sup.m
-    counter_width, branches = _fock_branches(sup)
+    counter_width, fock, branches = _fock_branches(sup)
     config = PhaseEstimationConfig.build(
         basis, l, t=t, eps_pe=eps_pe, symmetry=symmetry)
-    parts, perms = particle_segments(m, l), permutation_segments(m)
-    layout = RegisterLayout(
-        [("fock", "fock", sup.num_orbitals * counter_width)] + parts + perms
-        + config.segments())
-    if cache is None:
-        cache = {}
+    cache = {} if cache is None else cache
 
-    seed_seq = np.random.SeedSequence(seed)
-    counters: dict = {}
-    retries = 0
-    for attempt in range(1, max_attempts + 1):
-        rng = np.random.default_rng(seed_seq.spawn(1)[0])
-        state = _load_branches(layout, "fock", branches, _names(parts),
-                               basis, spec, counters, cache)
-
-        ambiguous = 0.0
-        for particle in _names(parts):
-            state, record = identify_and_decrement(
-                state, config, "fock", particle,
-                counter_width=counter_width, rng=rng)
-            ambiguous = max(ambiguous, record.ambiguous_mass)
-        counters["max_ambiguous_mass"] = float(ambiguous)
-
-        ok, outcome, state = verify_uncomputation(state, "fock", rng)
-        if not ok:
-            retries += 1
-            continue
-
-        state, sym_counters = antisymmetrize(
-            state, _names(perms), _names(parts), sup.statistics)
-        counters.update(sym_counters)
-
-        bound = (m + 1) * load_error_bound(l, spec.epsilon_i)
-        if eps_pe is not None:
-            bound = angle_error_bound(
-                [bound, phase_estimation_error_bound(m, eps_pe)])
-        report = PreparationReport(
-            kind="superposition", l=l, m=m, statistics=sup.statistics,
-            qubits=layout.n_total, attempts=attempt, retries=retries,
-            counters=counters, error_bound=bound,
+    def load(layout, banks, counters):
+        seed_seq = np.random.SeedSequence(seed)
+        for attempt in range(1, max_attempts + 1):
+            rng = np.random.default_rng(seed_seq.spawn(1)[0])
+            state = _load_branches(layout, "fock", branches, banks[0],
+                                   basis, spec, counters, cache)
+            ambiguous = 0.0
+            for particle in banks[0]:
+                state, record = identify_and_decrement(
+                    state, config, "fock", particle,
+                    counter_width=counter_width, rng=rng)
+                ambiguous = max(ambiguous, record.ambiguous_mass)
+            counters["max_ambiguous_mass"] = float(ambiguous)
+            ok, _, state = verify_uncomputation(state, "fock", rng)
+            if ok:
+                return state, attempt
+        raise RetryBudgetError(
+            f"occupation register failed to verify empty in {max_attempts} "
+            "attempts"
         )
-        vec = extract_segment_vector(state, _names(parts))
-        return PreparedState(vector=vec, rho=None, report=report,
-                             state=state)
-    raise RetryBudgetError(
-        f"occupation register failed to verify empty in {max_attempts} "
-        "attempts"
-    )
+
+    prep = _prepare(
+        "superposition", [(branches[0][2], "")], l, spec, load,
+        head=(fock,), tail=tuple(config.segments()))
+    if eps_pe is not None:
+        prep.report.error_bound = angle_error_bound(
+            [prep.report.error_bound,
+             phase_estimation_error_bound(sup.m, eps_pe)])
+    return prep
 
 
 def phase_estimation_error_bound(m: int, eps_pe: float) -> float:
@@ -452,41 +457,26 @@ def prepare_mixed(
     phase estimation is required.
     """
     comps = mixed.components
-    amps = np.sqrt([p for p, _ in comps])
-    branches = [(a, i, occ) for i, (a, (_, occ))
-                in enumerate(zip(amps, comps))]
+    branches = [(math.sqrt(p), i, occ) for i, (p, occ) in enumerate(comps)]
     w_spec = max(1, math.ceil(math.log2(len(comps))))
     return _purified_mixture("mixed", ("branch", "spec", w_spec), branches,
-                            mixed.statistics, basis, l, spec, cache)
+                             basis, l, spec, cache)
 
 
 def _purified_mixture(
-    kind: str, branch_segment: tuple[str, str, int], branches,
-    statistics: str, basis: BasisSet, l: int, spec: IntegrationSpec,
-    cache: dict | None,
+    kind: str, head: tuple[str, str, int], branches, basis: BasisSet,
+    l: int, spec: IntegrationSpec, cache: dict | None,
 ) -> PreparedState:
-    """Load the branches, (anti)symmetrize the particle bank, and trace
-    out the branch register.
+    """Skeleton whose load is the branches on the head register, read
+    out as the density matrix of the particle banks.
     """
-    m = branches[0][2].m
-    parts, perms = particle_segments(m, l), permutation_segments(m)
-    layout = RegisterLayout([branch_segment] + parts + perms)
-    counters: dict = {}
-    state = _load_branches(layout, branch_segment[0], branches, _names(parts),
-                           basis, spec, counters,
-                           {} if cache is None else cache)
-    state, sym_counters = antisymmetrize(
-        state, _names(perms), _names(parts), statistics)
-    counters.update(sym_counters)
-
-    rho = partial_trace(state, _names(parts))
-    eps_phi = load_error_bound(l, spec.epsilon_i)
-    report = PreparationReport(
-        kind=kind, l=l, m=m, statistics=statistics,
-        qubits=layout.n_total, counters=counters,
-        error_bound=(m + 1) * eps_phi,
-    )
-    return PreparedState(vector=None, rho=rho, report=report, state=state)
+    cache = {} if cache is None else cache
+    return _prepare(
+        kind, [(branches[0][2], "")], l, spec,
+        lambda layout, banks, counters: (_load_branches(
+            layout, head[0], branches, banks[0], basis, spec, counters,
+            cache), 1),
+        head=(head,), rho=True)
 
 
 def mixed_oracle(mixed: MixedSpec, basis: BasisSet, l: int) -> DensityMatrix:
@@ -509,7 +499,6 @@ def prepare_diagonal_mixed(
     and trace it out, yielding the dephased ensemble with weights
     |alpha_w|^2.
     """
-    counter_width, branches = _fock_branches(sup)
-    return _purified_mixture(
-        "diagonal-mixed", ("fock", "fock", sup.num_orbitals * counter_width),
-        branches, sup.statistics, basis, l, spec, cache)
+    _, fock, branches = _fock_branches(sup)
+    return _purified_mixture("diagonal-mixed", fock, branches, basis, l,
+                             spec, cache)

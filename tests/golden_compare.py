@@ -8,9 +8,10 @@ case of `test_golden.CASES` with the `src/` of a base commit (exported by
 
 * the same exit code, the same files, the same text around every number,
   and the same CSV headers and row shapes;
-* equal integers (indices, attempts, retries, counters) and strings;
-* every number in a bound field (a CSV column, report key or report label
-  that contains "bound") equal as printed;
+* equal strings, and integers (indices, attempts, retries, counters)
+  equal by value, so -0 and 0 agree;
+* every other number in a bound field (a CSV column, report key or report
+  label that contains "bound") equal as printed;
 * every other number (amplitudes, rho entries, infidelities, float
   diagnostics) equal within 1e-12 absolute.
 
@@ -53,8 +54,9 @@ def compare_value(field: str, old: str, new: str) -> float | None:
     """
     if old == new:
         return 0.0
-    if "bound" in field.lower() or (INTEGER.fullmatch(old)
-                                    and INTEGER.fullmatch(new)):
+    if INTEGER.fullmatch(old) and INTEGER.fullmatch(new):
+        return 0.0 if int(old) == int(new) else None
+    if "bound" in field.lower():
         return None
     try:
         diff = abs(float(old) - float(new))

@@ -222,6 +222,16 @@ class TestPrepareCommands:
                     "--out", str(tmp_path / "out")]) == 2
         assert "GRIDPREP_QUBIT_CAP" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_unusable_out_is_config_error(self, tmp_path, capsys, out):
+        # an existing file, and a path through one
+        (tmp_path / "afile").write_text("")
+        cfg = write_config(tmp_path, "c.yaml", {
+            "l": 3, "occupation": "110", "basis": BOX_BASIS})
+        assert run(["prepare-slater", "--config", cfg,
+                    "--out", str(tmp_path / out)]) == 2
+        assert "--out" in capsys.readouterr().err
+
     @pytest.mark.parametrize("fault", [KeyError("particle0"),
                                        StructuralError("bad layout")])
     def test_internal_fault_propagates(self, tmp_path, monkeypatch, fault):

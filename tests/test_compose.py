@@ -13,12 +13,14 @@ from gridprep.basis import (
     ring_plane_wave,
 )
 from gridprep.assemble import OccupationVector, slater_oracle
+from gridprep.analysis import angle_error_bound
 from gridprep.compose import (
     FockSuperposition,
     MixedSpec,
     boson_counter_width,
     fock_encode,
     mixed_oracle,
+    phase_estimation_error_bound,
     prepare_diagonal_mixed,
     prepare_mixed,
     prepare_orbital,
@@ -263,6 +265,66 @@ class TestRetryAndErrors:
         for key in ("integral_requests", "rotation_applications",
                     "comparators", "max_ambiguous_mass"):
             assert key in prep.report.counters
+
+
+LOADED = {"integral_requests", "integral_evaluations",
+          "rotation_applications", "empty_blocks"}
+SYMMETRIZED = {"comparators", "swapped_qubits"}
+FERMI_110 = OccupationVector((1, 1, 0))
+SUP_110_101 = FockSuperposition.from_strings([(0.6, "110"), (0.8, "101")])
+
+
+@pytest.mark.parametrize(
+    "prepare, kind, m, statistics, qubits, registers, keys, eps_pe", [
+        # 2 particles x l=2, 2 one-qubit permutation registers
+        (lambda: prepare_slater(FERMI_110, dyadic_basis(3), 2, CDF),
+         "slater", 2, "fermionic", 6, 2, {"symmetrization_norm"}, None),
+        # 3 particles x l=2, 3 two-qubit permutation registers
+        (lambda: prepare_slater(OccupationVector.parse("2,0,1", "bosonic"),
+                                dyadic_basis(3), 2, CDF),
+         "permanent", 3, "bosonic", 12, 3, {"symmetrization_norm"}, None),
+        # 2 + 2 particles, 1 + 1 permutation registers per species
+        (lambda: prepare_two_species(
+            FERMI_110, OccupationVector.parse("1,0,1", "bosonic"),
+            dyadic_basis(3), dyadic_basis(3), 2, CDF),
+         "two-species", 4, "fermionic+bosonic", 12, 4, set(), None),
+        # one-qubit branch register, plus the banks
+        (lambda: prepare_mixed(
+            MixedSpec.from_probabilities([(0.7, "110"), (0.3, "101")]),
+            dyadic_basis(3), 2, CDF),
+         "mixed", 2, "fermionic", 7, 3, {"symmetrization_norm"}, None),
+        # three-qubit occupation register, plus the banks
+        (lambda: prepare_diagonal_mixed(SUP_110_101, dyadic_basis(3), 2, CDF),
+         "diagonal-mixed", 2, "fermionic", 9, 3, {"symmetrization_norm"},
+         None),
+        # occupation register, banks, and one 2-qubit readout
+        (lambda: prepare_superposition(SUP_110_101, dyadic_basis(3), 2, CDF,
+                                       t=2 * np.pi / 4, seed=0),
+         "superposition", 2, "fermionic", 11, 3,
+         {"symmetrization_norm", "max_ambiguous_mass"}, None),
+        # eps_pe widens the readout to 6 qubits
+        (lambda: prepare_superposition(SUP_110_101, dyadic_basis(3), 2, CDF,
+                                       t=2 * np.pi / 4, eps_pe=0.05, seed=0),
+         "superposition", 2, "fermionic", 15, 3,
+         {"symmetrization_norm", "max_ambiguous_mass"}, 0.05),
+    ], ids=["slater", "permanent", "two-species", "mixed", "diagonal-mixed",
+            "superposition", "superposition-eps-pe"])
+def test_report_contract(prepare, kind, m, statistics, qubits, registers,
+                         keys, eps_pe):
+    """Every multi-particle driver reports the same fields: one load bound
+    per loaded register (m particles, plus a branch or occupation table),
+    composed with the phase-estimation term when phases are inexact.
+    """
+    report = prepare().report
+    assert (report.kind, report.m, report.statistics, report.qubits,
+            report.attempts, report.retries) == (kind, m, statistics, qubits,
+                                                 1, 0)
+    assert set(report.counters) == LOADED | SYMMETRIZED | keys
+    bound = registers * load_error_bound(2, CDF.epsilon_i)
+    if eps_pe is not None:
+        bound = angle_error_bound([bound,
+                                   phase_estimation_error_bound(m, eps_pe)])
+    assert report.error_bound == bound
 
 
 def test_package_exports_no_modules():

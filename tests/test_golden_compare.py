@@ -34,6 +34,8 @@ def test_identical_runs_agree(ring):
 @pytest.mark.parametrize("name, pattern, replacement, ok", [
     # rounding noise in an amplitude and in float diagnostics passes
     ("state.csv", r"\n0,0,0\r", "\n0,1e-17,0\r", True),
+    # a zero that only changes sign is the same value
+    ("state.csv", r"\n0,0,0\r", "\n0,-0,0\r", True),
     ("report.txt", r"max_ambiguous_mass: \S+", "max_ambiguous_mass: 3e-30",
      True),
     ("report.csv", r"symmetrization_norm,[^\r]+",
