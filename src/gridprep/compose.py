@@ -471,12 +471,13 @@ def _purified_mixture(
     out as the density matrix of the particle banks.
     """
     cache = {} if cache is None else cache
-    return _prepare(
-        kind, [(branches[0][2], "")], l, spec,
-        lambda layout, banks, counters: (_load_branches(
-            layout, head[0], branches, banks[0], basis, spec, counters,
-            cache), 1),
-        head=(head,), rho=True)
+
+    def load(layout, banks, counters):
+        return _load_branches(layout, head[0], branches, banks[0], basis,
+                              spec, counters, cache), 1
+
+    return _prepare(kind, [(branches[0][2], "")], l, spec, load,
+                    head=(head,), rho=True)
 
 
 def mixed_oracle(mixed: MixedSpec, basis: BasisSet, l: int) -> DensityMatrix:
