@@ -13,9 +13,11 @@ report counters print at full precision.  Identical runs produce
 bit-identical files.
 
 Exit codes: 0 success, 2 configuration/validation error (the message
-names the offending config key, or --out when it cannot be a directory), 3 pipeline error (degeneracy, retry
-budget, bound violation), 4 resource limit.  An internal fault is not
-mapped: it propagates with its traceback, exit code 1.
+names the path of the offending config key, such as
+superposition[1].amplitude, or --out when it cannot be a directory),
+3 pipeline error (degeneracy, retry budget, bound violation), 4 resource
+limit.  An internal fault is not mapped: it propagates with its
+traceback, exit code 1.
 """
 from __future__ import annotations
 
@@ -25,7 +27,10 @@ import itertools
 import operator
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -34,7 +39,6 @@ from . import basis as basis_mod
 from .analysis import (
     BoundCheck,
     CostRow,
-    PreparationReport,
     cost_table,
     cost_table_text,
     format_float,
@@ -67,6 +71,46 @@ EXIT_RESOURCE = 4
 CSV_BLOCK_ROWS = 1 << 16
 
 
+class _Required(NamedTuple):  # see SCHEMA
+    schema: object
+
+
+def _read(value, schema, path: str):
+    """`value` read by `schema` (see SCHEMA); a null value counts as
+    absent, and a list reads as a tuple.  An unknown or missing key, a
+    value its cast or build rejects, or a misshapen section raises a
+    ValidationError that names its path, such as superposition[1].amplitude.
+    """
+    if isinstance(schema, _Required):
+        schema = schema.schema
+    kind = {dict: "mapping", list: "list"}.get(type(schema))
+    if kind and not isinstance(value, type(schema)):
+        raise ValidationError(
+            f"{path or 'config'}: must be a {kind}, not {value!r}")
+    if isinstance(schema, dict):
+        prefix = f"{path}." if path else ""
+        for key in value:
+            if key not in schema:
+                raise ValidationError(f"{prefix}{key}: unknown key")
+        for key, item in schema.items():
+            if isinstance(item, _Required) and value.get(key) is None:
+                raise ValidationError(f"{prefix}{key}: missing required key")
+        return {key: _read(item, schema[key], f"{prefix}{key}")
+                for key, item in value.items() if item is not None}
+    if isinstance(schema, list):
+        return tuple(_read(item, schema[0], f"{path}[{i}]")
+                     for i, item in enumerate(value))
+    if isinstance(schema, tuple):
+        build, fields = schema
+        value, schema = _read(value, fields, path), lambda kw: build(**kw)
+    with _reading(path):
+        if not isinstance(schema, set):
+            return schema(value)
+        if value not in schema:
+            raise ValueError(f"{value!r} is not one of {sorted(schema)}")
+        return value
+
+
 @contextmanager
 def _reading(key: str):
     """Re-raise what a malformed value raises while config section `key`
@@ -76,9 +120,22 @@ def _reading(key: str):
         yield
     except KeyError as exc:
         raise ValidationError(f"{key}: missing key {exc}") from exc
-    except (AttributeError, IndexError, TypeError, ValueError,
-            ValidationError) as exc:
+    except (AttributeError, IndexError, OverflowError, TypeError,
+            ValueError, ValidationError) as exc:
         raise ValidationError(f"{key}: {exc}") from exc
+
+
+def _amplitude(value) -> complex:
+    """Cast of a number, or of [re, im]."""
+    if isinstance(value, list):
+        if len(value) != 2:
+            raise ValueError(f"{value!r} must be a number or [re, im]")
+        return complex(float(value[0]), float(value[1]))
+    return complex(float(value), 0.0)
+
+
+#: The CLI's integration spec: IntegrationSpec with epsilon_i = 0.01.
+_integration = partial(IntegrationSpec, epsilon_i=0.01)
 
 
 def read_orbital_csv(path: Path) -> np.ndarray:
@@ -114,89 +171,32 @@ def read_orbital_csv(path: Path) -> np.ndarray:
 
 
 def _build_orbital(entry: dict, length: float, config_dir: Path) -> Orbital:
-    family = entry.get("family")
-    if family is None:
-        raise ValidationError("orbital entry needs a 'family'")
-    energy = entry.get("energy")
-    if energy is not None:
-        energy = float(energy)
+    family = entry["family"]
+    kw = {"energy": entry["energy"]} if "energy" in entry else {}
     if family == "uniform":
-        return basis_mod.uniform(length, energy=energy or 0.0)
+        return basis_mod.uniform(length, **kw)
     if family == "box-sine":
-        return basis_mod.box_sine(int(entry.get("n", 1)), length,
-                                  energy=energy)
+        return basis_mod.box_sine(entry.get("n", 1), length, **kw)
     if family == "ring-plane-wave":
-        return basis_mod.ring_plane_wave(int(entry.get("k", 0)), length,
-                                         energy=energy)
+        return basis_mod.ring_plane_wave(entry.get("k", 0), length, **kw)
     if family == "harmonic-hermite":
         return basis_mod.harmonic_hermite(
-            int(entry.get("n", 0)), length,
-            width=entry.get("width"), energy=energy)
+            entry.get("n", 0), length, width=entry.get("width"), **kw)
     if family == "kronecker-delta":
-        if "site" in entry:
-            raise ValidationError(
-                "kronecker-delta takes 'x0', not a raw site; use x0 = "
-                "site * length / 2^l"
-            )
-        return basis_mod.kronecker_delta(float(entry["x0"]), length,
-                                         energy=energy or 0.0)
+        return basis_mod.kronecker_delta(entry["x0"], length, **kw)
     if family == "tabulated":
         table = read_orbital_csv(config_dir / entry["path"])
-        return basis_mod.tabulated(table, length, energy=energy or 0.0)
+        return basis_mod.tabulated(table, length, **kw)
     raise ValidationError(f"unknown orbital family {family!r}")
 
 
 def _build_basis(cfg: dict, config_dir: Path) -> BasisSet:
-    entries = cfg.get("basis")
-    if not entries:
+    if not cfg.get("basis"):
         raise ValidationError("config needs a 'basis' orbital list")
-    with _reading("length"):
-        length = float(cfg.get("length", 1.0))
+    length = cfg.get("length", 1.0)
     with _reading("basis"):
         return BasisSet([_build_orbital(e, length, config_dir)
-                         for e in entries])
-
-
-def _optional(raw: dict, key: str, cast):
-    return None if raw.get(key) is None else cast(raw[key])
-
-
-def _build_integration(cfg: dict, seed: int | None) -> IntegrationSpec:
-    with _reading("integration"):
-        raw = cfg.get("integration", {}) or {}
-        bounds = raw.get("bounds")
-        return IntegrationSpec(
-            backend=raw.get("backend", "analytic-cdf"),
-            epsilon_i=float(raw.get("epsilon_i", 0.01)),
-            delta=float(raw.get("delta", 0.05)),
-            sigma2=_optional(raw, "sigma2", float),
-            bounds=(tuple(float(b) for b in bounds)
-                    if bounds is not None else None),
-            seed=(seed if seed is not None
-                  else _optional(raw, "seed", operator.index)),
-        )
-
-
-def _build_phase_estimation(cfg: dict) -> dict:
-    """`prepare_superposition`'s t, eps_pe and symmetry arguments."""
-    with _reading("phase_estimation"):
-        raw = cfg.get("phase_estimation", {}) or {}
-        sym = raw.get("symmetry")
-        return {
-            "t": _optional(raw, "t", float),
-            "eps_pe": _optional(raw, "eps_pe", float),
-            "symmetry": None if sym is None else SymmetryOperator(
-                kind=sym["kind"], step=int(sym.get("step", 1))),
-        }
-
-
-def _amplitude(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        if len(value) != 2:
-            raise ValidationError(
-                f"amplitude {value!r} must be a number or [re, im]")
-        return complex(float(value[0]), float(value[1]))
-    return complex(float(value), 0.0)
+                         for e in cfg["basis"]])
 
 
 def _build_superposition(cfg: dict) -> FockSuperposition:
@@ -205,9 +205,8 @@ def _build_superposition(cfg: dict) -> FockSuperposition:
         raise ValidationError("config needs a 'superposition' term list")
     with _reading("superposition"):
         return FockSuperposition.from_strings(
-            [(_amplitude(t["amplitude"]), str(t["occupation"])) for t in raw],
-            cfg.get("statistics", "fermionic"),
-        )
+            [(t["amplitude"], t["occupation"]) for t in raw],
+            cfg.get("statistics", "fermionic"))
 
 
 def _build_mixed(cfg: dict) -> MixedSpec:
@@ -218,21 +217,19 @@ def _build_mixed(cfg: dict) -> MixedSpec:
     with _reading("mixed"):
         if "thermal" in raw:
             th = raw["thermal"]
-            pairs = [(float(c["energy"]), str(c["occupation"]))
-                     for c in th["components"]]
-            return MixedSpec.thermal(float(th["beta"]), pairs, statistics)
+            pairs = [(c["energy"], c["occupation"]) for c in th["components"]]
+            return MixedSpec.thermal(th["beta"], pairs, statistics)
         comps = raw.get("components")
         if not comps:
             raise ValidationError("needs 'components' or 'thermal'")
         return MixedSpec.from_probabilities(
-            [(float(c["probability"]), str(c["occupation"])) for c in comps],
-            statistics,
-        )
+            [(c["probability"], c["occupation"]) for c in comps], statistics)
 
 
 def _build_species(cfg: dict, config_dir: Path):
-    """(occupation, basis) of `species_a` and of `species_b`; a section
-    without its own basis uses the top-level one.
+    """(occupation, basis) of `species_a` and of `species_b`.  A section
+    takes the top-level length, and the top-level statistics and basis
+    when it has none of its own.
     """
     if "species_a" not in cfg or "species_b" not in cfg:
         raise ValidationError(
@@ -241,75 +238,67 @@ def _build_species(cfg: dict, config_dir: Path):
     sections = []
     for key in ("species_a", "species_b"):
         with _reading(key):
-            sec = cfg[key]
-            bas = _build_basis(sec if "basis" in sec else cfg, config_dir)
-            sections.append((_occupation(sec), bas))
+            sec = {**cfg, **cfg[key]}
+            sections.append((_occupation(sec), _build_basis(sec, config_dir)))
     return sections
 
 
 def _require_l(cfg: dict) -> int:
     if "l" not in cfg:
         raise ValidationError("config needs grid width 'l'")
-    with _reading("l"):
-        l = int(cfg["l"])
-    if l < 1:
-        raise ValidationError("grid width l must be >= 1")
-    return l
-
-
-def write_report(out_dir: Path, report: PreparationReport) -> None:
-    (out_dir / "report.txt").write_text(report.to_text())
-    with open(out_dir / "report.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["key", "value"])
-        w.writerows(report.to_rows())
+    if cfg["l"] < 1:
+        raise ValidationError("l: grid width must be >= 1")
+    return cfg["l"]
 
 
 def write_table(path: Path, header: list[str], columns) -> None:
     """CSV of integer and float columns, byte-identical to csv.writer rows
-    with every float rendered by format_float ("%.12g", CRLF line ends).
-    Each block of rows is rendered by one format operation.
+    with every float rendered by format_float ("%.12g", CRLF line ends)
+    and -0.0 as 0.  Each block of rows is rendered by one format operation.
     """
     fmt = ",".join("%d" if c.dtype.kind in "iu" else "%.12g"
                    for c in columns) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, columns[0].size, CSV_BLOCK_ROWS):
-            block = [c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns]
+            # + 0 turns -0.0 into 0.0 and leaves integers integers
+            block = [(c[start:start + CSV_BLOCK_ROWS] + 0).tolist()
+                     for c in columns]
             fh.write(fmt * len(block[0])
                      % tuple(itertools.chain.from_iterable(zip(*block))))
 
 
-def write_state(out_dir: Path, vector: np.ndarray) -> None:
-    write_table(out_dir / "state.csv", ["index", "re", "im"],
-                [np.arange(vector.size), vector.real, vector.imag])
-
-
-def write_rho(out_dir: Path, rho) -> None:
-    d = rho.dim
-    values = rho.matrix.ravel()
-    write_table(out_dir / "rho.csv", ["row", "col", "re", "im"],
-                [np.repeat(np.arange(d), d), np.tile(np.arange(d), d),
-                 values.real, values.imag])
-
-
 def _emit(out_dir: Path, prepared: PreparedState) -> int:
     """Write the artifacts, print the report, and return the exit code."""
-    report = prepared.report
-    write_report(out_dir, report)
-    if prepared.vector is not None:
-        write_state(out_dir, prepared.vector)
-    if prepared.rho is not None:
-        write_rho(out_dir, prepared.rho)
+    report, vector, rho = prepared.report, prepared.vector, prepared.rho
+    (out_dir / "report.txt").write_text(report.to_text())
+    with open(out_dir / "report.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([("key", "value"), *report.to_rows()])
+    if vector is not None:
+        write_table(out_dir / "state.csv", ["index", "re", "im"],
+                    [np.arange(vector.size), vector.real, vector.imag])
+    if rho is not None:
+        d, values = rho.dim, rho.matrix.ravel()
+        write_table(out_dir / "rho.csv", ["row", "col", "re", "im"],
+                    [np.repeat(np.arange(d), d), np.tile(np.arange(d), d),
+                     values.real, values.imag])
     print(report.to_text(), end="")
     return EXIT_OK if report.all_bounds_hold() else EXIT_PIPELINE
+
+
+def _emit_text(out_dir: Path, text: str, ok: bool = True) -> int:
+    """Write `text` as both reports, print it, and return the exit code."""
+    for name in ("report.csv", "report.txt"):
+        (out_dir / name).write_text(text)
+    print(text, end="")
+    return EXIT_OK if ok else EXIT_PIPELINE
 
 
 def _occupation(cfg: dict) -> OccupationVector:
     if "occupation" not in cfg:
         raise ValidationError("config needs an 'occupation' string")
     with _reading("occupation"):
-        return OccupationVector.parse(str(cfg["occupation"]),
+        return OccupationVector.parse(cfg["occupation"],
                                       cfg.get("statistics", "fermionic"))
 
 
@@ -317,27 +306,23 @@ def _noise_perturb(cfg: dict, spec: IntegrationSpec):
     """Worst-sign constant ratio perturbation of magnitude epsilon_i,
     enabled by `noise: adversarial`.
     """
-    if cfg.get("noise") != "adversarial":
-        return None
     eps = spec.epsilon_i
-    return lambda i, k, ratio: ratio - eps
+    return (lambda i, k, ratio: ratio - eps) if "noise" in cfg else None
 
 
 def _orbital(cfg: dict, bas: BasisSet) -> Orbital:
-    with _reading("orbital"):
-        index = int(cfg.get("orbital", 0))
-        if not 0 <= index < bas.size:
-            raise ValidationError(
-                f"index {index} is outside the {bas.size}-orbital basis")
+    index = cfg.get("orbital", 0)
+    if not 0 <= index < bas.size:
+        raise ValidationError(
+            f"orbital: index {index} is outside the {bas.size}-orbital basis")
     return bas.orbitals[index]
 
 
 def _max_attempts(cfg: dict) -> int:
-    with _reading("max_attempts"):
-        max_attempts = int(cfg.get("max_attempts", 20))
-        if max_attempts < 1:
-            raise ValidationError(f"{max_attempts} is not at least 1")
-    return max_attempts
+    n = cfg.get("max_attempts", 20)
+    if n < 1:
+        raise ValidationError(f"max_attempts: {n} is not at least 1")
+    return n
 
 
 def _task_orbital(cfg, bas, l, spec, seed, perturb):
@@ -357,7 +342,7 @@ def _task_slater(cfg, bas, l, spec, seed, perturb):
 def _task_superposition(cfg, bas, l, spec, seed, perturb):
     sup = _build_superposition(cfg)
     prepared = prepare_superposition(
-        sup, bas, l, spec, **_build_phase_estimation(cfg), seed=seed,
+        sup, bas, l, spec, **cfg.get("phase_estimation", {}), seed=seed,
         max_attempts=_max_attempts(cfg),
     )
     return prepared, lambda: pure_infidelity(
@@ -381,31 +366,62 @@ TASKS = {
     "mixed": _task_mixed,
 }
 
+#: One basis orbital; which keys apply depends on its family.
+_ORBITAL = {"family": _Required(str), "energy": float, "n": int, "k": int,
+            "width": float, "x0": float, "path": str}
+#: A species section; what it lacks comes from the top level.
+_SPECIES = {"occupation": _Required(str), "statistics": str,
+            "basis": [_ORBITAL]}
+
+#: Every key a config may hold, read by `_read`.  A dict is a mapping of
+#: keys, a one-item list a list of that item, a (build, dict) pair the
+#: object build(**mapping) makes, and anything else a cast applied to the
+#: value.  `_Required` marks a key its mapping must hold.  README's
+#: config-key reference lists the same paths with types and defaults.
+SCHEMA = {
+    "task": set(TASKS), "l": int, "length": float, "statistics": str,
+    "occupation": str, "orbital": int, "max_attempts": int,
+    "noise": {"adversarial"}, "basis": [_ORBITAL],
+    "integration": (_integration, {
+        "backend": str, "epsilon_i": float, "delta": float, "sigma2": float,
+        "bounds": [float], "seed": operator.index}),
+    "phase_estimation": {"t": float, "eps_pe": float, "symmetry": (
+        SymmetryOperator, {"kind": _Required(str), "step": int})},
+    "superposition": [{"amplitude": _Required(_amplitude),
+                       "occupation": _Required(str)}],
+    "mixed": {
+        "thermal": {"beta": _Required(float), "components": _Required(
+            [{"energy": _Required(float), "occupation": _Required(str)}])},
+        "components": [{"probability": _Required(float),
+                        "occupation": _Required(str)}]},
+    "species_a": _SPECIES, "species_b": _SPECIES,
+    "sweep": {"l": [int], "epsilon_i": [float], "occupations": [str]},
+}
+
 
 def _prepare(task: str, cfg: dict, config_dir: Path, seed: int | None,
              noisy: bool = False):
     """Run TASKS[task]; `noisy` applies the config's noise model."""
     l = _require_l(cfg)
-    spec = _build_integration(cfg, seed)
+    spec = cfg["integration"]
     return TASKS[task](cfg, _build_basis(cfg, config_dir), l, spec, seed,
                        _noise_perturb(cfg, spec) if noisy else None)
 
 
 def _task_name(cfg: dict) -> str:
-    """The config's 'task', inferred from its sections when absent."""
-    task = cfg.get("task")
-    if task is None:
-        if "superposition" in cfg:
-            task = "superposition"
-        elif "mixed" in cfg:
-            task = "mixed"
-        elif "occupation" in cfg:
-            task = "slater"
-        else:
-            task = "orbital"
-    if not isinstance(task, str) or task not in TASKS:
-        raise ValidationError(f"task: unknown task {task!r}")
-    return task
+    """The config's 'task', inferred from its sections when absent; no
+    task's oracle checks a two-species config.
+    """
+    if "task" in cfg:
+        return cfg["task"]
+    if "species_a" in cfg or "species_b" in cfg:
+        raise ValidationError("species_a: no oracle checks two species; "
+                              "name the 'task' to verify instead")
+    for key, task in (("superposition", "superposition"), ("mixed", "mixed"),
+                      ("occupation", "slater")):
+        if key in cfg:
+            return task
+    return "orbital"
 
 
 def _run_preparation(cfg: dict, config_dir: Path, seed: int | None):
@@ -420,15 +436,12 @@ def _run_preparation(cfg: dict, config_dir: Path, seed: int | None):
 
 
 def cmd_validate(cfg, config_dir, seed, out_dir):
-    # read every section that is present, through the readers the commands
-    # use, so malformed ones are rejected
+    # SCHEMA read every key; build each section present, as commands do
     if "basis" in cfg:
         _orbital(cfg, _build_basis(cfg, config_dir))
     if "l" in cfg:
         _require_l(cfg)
-    _task_name(cfg)
     _max_attempts(cfg)
-    _build_integration(cfg, seed)
     if "superposition" in cfg:
         _build_superposition(cfg)
     if "mixed" in cfg:
@@ -439,7 +452,6 @@ def cmd_validate(cfg, config_dir, seed, out_dir):
         _build_species(cfg, config_dir)
     if "sweep" in cfg:
         _sweep_axes(cfg)
-    _build_phase_estimation(cfg)
     print("config ok")
     return EXIT_OK
 
@@ -454,7 +466,7 @@ def _prepare_command(task: str):
 
 def cmd_prepare_two_species(cfg, config_dir, seed, out_dir):
     l = _require_l(cfg)
-    spec = _build_integration(cfg, seed)
+    spec = cfg["integration"]
     (occ_a, bas_a), (occ_b, bas_b) = _build_species(cfg, config_dir)
     prepared = prepare_two_species(occ_a, occ_b, bas_a, bas_b, l, spec)
     return _emit(out_dir, prepared)
@@ -472,41 +484,33 @@ def cmd_verify_bounds(cfg, config_dir, seed, out_dir):
 
 
 def _sweep_axes(cfg):
-    """The sweep's l values, epsilon_i values (None: the config's own) and
-    occupations (None: the config's own).
+    """The sweep's l values, integration specs (None: the config's own)
+    and occupations (None: the config's own).
     """
     sweep = cfg.get("sweep")
     if not sweep:
         raise ValidationError("config needs a 'sweep' section")
-    with _reading("sweep"):
-        ls = sweep.get("l") or [cfg.get("l")]
-        if any(v is None for v in ls):
-            raise ValidationError("sweep needs 'l' values (or a top-level l)")
-        epss = [None if v is None else float(v)
-                for v in sweep.get("epsilon_i") or [None]]
-        return ([int(v) for v in ls], epss,
-                sweep.get("occupations") or [cfg.get("occupation")])
+    ls = sweep.get("l") or (cfg.get("l"),)
+    if None in ls:
+        raise ValidationError("sweep: needs 'l' values (or a top-level l)")
+    with _reading("sweep.epsilon_i"):
+        specs = [replace(cfg["integration"], epsilon_i=eps)
+                 for eps in sweep.get("epsilon_i", ())]
+    return ls, specs or [None], (sweep.get("occupations")
+                                 or (cfg.get("occupation"),))
 
 
 def _sweep_cells(cfg, config_dir, seed):
     """Cartesian product of sweep axes (l, epsilon_i, occupations); every
     cell runs one preparation with its own sub-config.
     """
-    ls, epss, occs = _sweep_axes(cfg)
+    ls, specs, occs = _sweep_axes(cfg)
     cells = []
-    for occ in occs:
-        for l in ls:
-            for eps in epss:
-                sub = dict(cfg)
-                sub["l"] = l
-                if occ is not None:
-                    sub["occupation"] = occ
-                if eps is not None:
-                    integ = dict(sub.get("integration", {}) or {})
-                    integ["epsilon_i"] = eps
-                    sub["integration"] = integ
-                prepared = _run_preparation(sub, config_dir, seed)
-                cells.append((occ, l, eps, prepared))
+    for occ, l, spec in itertools.product(occs, ls, specs):
+        cell = {"l": l, "occupation": occ, "integration": spec}
+        sub = {**cfg, **{k: v for k, v in cell.items() if v is not None}}
+        prepared = _run_preparation(sub, config_dir, seed)
+        cells.append((occ, l, spec and spec.epsilon_i, prepared))
     return cells
 
 
@@ -529,11 +533,7 @@ def cmd_sweep(cfg, config_dir, seed, out_dir):
             str(r.counters.get("integral_requests", 0)),
             str(r.counters.get("rotation_applications", 0)),
         ]))
-    text = "\n".join(lines) + "\n"
-    (out_dir / "report.csv").write_text(text)
-    (out_dir / "report.txt").write_text(text)
-    print(text, end="")
-    return EXIT_OK if all_ok else EXIT_PIPELINE
+    return _emit_text(out_dir, "\n".join(lines) + "\n", all_ok)
 
 
 def cmd_cost_table(cfg, config_dir, seed, out_dir):
@@ -549,11 +549,7 @@ def cmd_cost_table(cfg, config_dir, seed, out_dir):
         }
         cost_rows.append(CostRow(parameter=1 << l, costs=costs))
     exponents = cost_table(cost_rows)
-    text = cost_table_text(cost_rows, exponents)
-    (out_dir / "report.csv").write_text(text)
-    (out_dir / "report.txt").write_text(text)
-    print(text, end="")
-    return EXIT_OK
+    return _emit_text(out_dir, cost_table_text(cost_rows, exponents))
 
 
 COMMANDS = {
@@ -591,14 +587,16 @@ def main(argv: list[str] | None = None) -> int:
         if not config_path.is_file():
             raise ValidationError(f"config file not found: {config_path}")
         try:
-            cfg = yaml.safe_load(config_path.read_text())
+            cfg = _read(yaml.safe_load(config_path.read_text()), SCHEMA, "")
         except yaml.YAMLError as exc:
             raise ValidationError(f"malformed YAML: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise ValidationError("config must be a YAML mapping")
+        spec = cfg.get("integration", _integration())
+        cfg["integration"] = (spec if args.seed is None
+                              else replace(spec, seed=args.seed))
         out_dir = Path(args.out)
         try:
-            out_dir.mkdir(parents=True, exist_ok=True)
+            if args.command != "validate":  # it writes nothing
+                out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # an existing file, or a path through one
             raise ValidationError(f"--out {out_dir}: {exc.strerror}") from exc
         return COMMANDS[args.command](cfg, config_path.parent, args.seed,

@@ -1,5 +1,6 @@
 """CLI commands, config handling, artifacts, exit codes, determinism."""
 import csv
+import dataclasses
 import re
 from pathlib import Path
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 import yaml
 
-from gridprep.cli import main, read_orbital_csv
+from gridprep.basis import IntegrationSpec
+from gridprep.cli import SCHEMA, _Required, main, read_orbital_csv, write_table
+from gridprep.discriminate import SymmetryOperator
 from gridprep.errors import StructuralError, ValidationError
 
 BOX_BASIS = [
@@ -50,26 +53,38 @@ class TestValidate:
         assert run(["validate", "--config", cfg]) == 2
         assert "Pauli" in capsys.readouterr().err
 
+    # a value inside a section is named by its path; the ids keep the
+    # section's name
     @pytest.mark.parametrize("command, key, cfg", [
         ("validate", "l",
          {"l": "three", "occupation": "110", "basis": BOX_BASIS}),
         ("validate", "occupation",
          {"l": 3, "occupation": "1a0", "basis": BOX_BASIS}),
-        ("validate", "integration",
-         {"l": 3, "basis": BOX_BASIS, "integration": {"epsilon_i": "tiny"}}),
+        pytest.param(
+            "validate", "integration.epsilon_i",
+            {"l": 3, "basis": BOX_BASIS, "integration": {"epsilon_i": "tiny"}},
+            id="validate-integration-cfg2"),
         ("prepare-orbital", "orbital",
          {"l": 3, "orbital": 7, "basis": BOX_BASIS[:1]}),
-        ("validate", "superposition",
-         {"l": 3, "basis": BOX_BASIS, "superposition": [
-             {"amplitude": [0.6], "occupation": "110"},
-             {"amplitude": 0.8, "occupation": "011"}]}),
-        ("validate", "mixed",
-         {"l": 3, "basis": BOX_BASIS[:2],
-          "mixed": {"thermal": {"beta": 1.0}}}),
-        ("validate", "phase_estimation",
-         {"l": 3, "basis": BOX_BASIS, "phase_estimation": {"t": "fast"}}),
-        ("validate", "integration",
-         {"l": 3, "basis": BOX_BASIS, "integration": {"seed": 1.5}}),
+        pytest.param(
+            "validate", "superposition[0].amplitude",
+            {"l": 3, "basis": BOX_BASIS, "superposition": [
+                {"amplitude": [0.6], "occupation": "110"},
+                {"amplitude": 0.8, "occupation": "011"}]},
+            id="validate-superposition-cfg4"),
+        pytest.param(
+            "validate", "mixed.thermal.components",
+            {"l": 3, "basis": BOX_BASIS[:2],
+             "mixed": {"thermal": {"beta": 1.0}}},
+            id="validate-mixed-cfg5"),
+        pytest.param(
+            "validate", "phase_estimation.t",
+            {"l": 3, "basis": BOX_BASIS, "phase_estimation": {"t": "fast"}},
+            id="validate-phase_estimation-cfg6"),
+        pytest.param(
+            "validate", "integration.seed",
+            {"l": 3, "basis": BOX_BASIS, "integration": {"seed": 1.5}},
+            id="validate-integration-cfg7"),
         ("validate", "orbital",
          {"l": 3, "orbital": 7, "basis": BOX_BASIS[:1]}),
         ("validate", "task", {"l": 3, "task": "foo", "basis": BOX_BASIS}),
@@ -90,6 +105,13 @@ class TestValidate:
         assert run([command, "--config", path,
                     "--out", str(tmp_path / "out")]) == 2
         assert f"error: {key}:" in capsys.readouterr().err
+
+    def test_validate_writes_nothing(self, tmp_path):
+        cfg = write_config(tmp_path, "c.yaml", {
+            "l": 3, "occupation": "110", "basis": BOX_BASIS})
+        assert run(["validate", "--config", cfg,
+                    "--out", str(tmp_path / "newdir")]) == 0
+        assert not (tmp_path / "newdir").exists()
 
     def test_readme_examples_validate(self, tmp_path):
         readme = (Path(__file__).resolve().parent.parent
@@ -327,3 +349,122 @@ class TestTabulatedOrbitals:
         rows = list(csv.reader((out / "state.csv").open()))
         vals = [float(r[1]) for r in rows[1:]]
         assert vals == pytest.approx([0.5] * 4)
+
+
+TWO_SPECIES = {"l": 2, "basis": BOX_BASIS[:2],
+               "species_a": {"occupation": "11"},
+               "species_b": {"occupation": "10"}}
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("path, cfg", [
+        ("lenght", {"l": 3, "lenght": 2.0, "basis": BOX_BASIS}),
+        ("integration.epsilon-i",
+         {"l": 3, "basis": BOX_BASIS, "integration": {"epsilon-i": 1e-9}}),
+        ("basis[1].site",
+         {"l": 3, "basis": [{"family": "box-sine", "n": 1},
+                            {"family": "kronecker-delta", "site": 2}]}),
+        ("sweep.l[1]",
+         {"l": 3, "occupation": "10", "basis": BOX_BASIS[:2],
+          "sweep": {"l": [3, "four"]}}),
+        ("superposition[0]",
+         {"l": 3, "basis": BOX_BASIS, "superposition": [0.6, 0.8]}),
+        ("basis[0].family", {"l": 3, "basis": [{"n": 1}]}),
+        ("phase_estimation.symmetry.kind",
+         {"l": 3, "basis": BOX_BASIS,
+          "phase_estimation": {"symmetry": {"step": 1}}}),
+        ("integration", {"l": 3, "basis": BOX_BASIS, "integration": 0.01}),
+        ("basis", {"l": 3, "basis": {"family": "box-sine"}}),
+        ("species_a.length",
+         {**TWO_SPECIES, "species_a": {"occupation": "11", "length": 2.0}}),
+        ("config", ["l", 3]),
+        ("l", {"l": float("inf"), "basis": BOX_BASIS}),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "prepare-orbital"])
+    def test_malformed_config_names_its_path(self, tmp_path, capsys, command,
+                                             path, cfg):
+        out = tmp_path / "out"
+        assert run([command, "--config", write_config(tmp_path, "c.yaml", cfg),
+                    "--out", str(out)]) == 2
+        assert f"error: {path}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_null_value_counts_as_absent(self, tmp_path):
+        cfg = write_config(tmp_path, "c.yaml", {
+            "l": 3, "occupation": "110", "basis": BOX_BASIS,
+            "integration": None, "noise": None, "orbital": None})
+        assert run(["validate", "--config", cfg]) == 0
+
+    @pytest.mark.parametrize("command", ["validate", "verify-bounds"])
+    def test_noise_has_one_value(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, "c.yaml", {
+            "l": 3, "noise": "adversarail",
+            "basis": [{"family": "box-sine", "n": 1}]})
+        assert run([command, "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 2
+        assert "error: noise:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify-bounds", "sweep",
+                                         "cost-table"])
+    def test_two_species_config_has_no_oracle_task(self, tmp_path, capsys,
+                                                   command):
+        cfg = write_config(tmp_path, "c.yaml",
+                           {**TWO_SPECIES, "sweep": {"l": [2, 3]}})
+        out = str(tmp_path / "out")
+        assert run([command, "--config", cfg, "--out", out]) == 2
+        assert "error: species_a:" in capsys.readouterr().err
+        assert run(["validate", "--config", cfg]) == 0
+        assert run(["prepare-two-species", "--config", cfg, "--out", out]) == 0
+
+    def test_species_takes_what_it_lacks_from_the_top_level(self, tmp_path):
+        # species_b's delta at x0 = 1.5 lies on the top-level length-2 grid;
+        # species_a's doubly occupied orbital needs top-level bosonic
+        # statistics
+        cfg = write_config(tmp_path, "c.yaml", {
+            "l": 2, "length": 2.0, "statistics": "bosonic",
+            "basis": BOX_BASIS[:2],
+            "species_a": {"occupation": "2,0"},
+            "species_b": {
+                "occupation": "1", "statistics": "fermionic",
+                "basis": [{"family": "kronecker-delta", "x0": 1.5}]}})
+        out = tmp_path / "out"
+        assert run(["prepare-two-species", "--config", cfg,
+                    "--out", str(out)]) == 0
+        report = (out / "report.txt").read_text()
+        assert "particles: 3 (bosonic+fermionic)" in report
+
+    def test_builds_take_exactly_their_fields(self):
+        for build, (_, fields) in [
+                (IntegrationSpec, SCHEMA["integration"]),
+                (SymmetryOperator, SCHEMA["phase_estimation"]["symmetry"])]:
+            assert set(fields) == {f.name for f in dataclasses.fields(build)}
+
+    def test_readme_key_reference_matches_schema(self):
+        def paths(node, path, seen):
+            # a node met before (species_b is species_a's schema) is listed
+            # under its own key but not expanded again
+            node = node.schema if isinstance(node, _Required) else node
+            node = node[1] if isinstance(node, tuple) else node
+            if isinstance(node, list):
+                yield from paths(node[0], f"{path}[i]", seen)
+            elif isinstance(node, dict) and id(node) not in seen:
+                seen.add(id(node))
+                for key, sub in node.items():
+                    at = f"{path}.{key}" if path else key
+                    yield at
+                    yield from paths(sub, at, seen)
+
+        readme = (Path(__file__).resolve().parent.parent
+                  / "README.md").read_text()
+        section = readme.split("### Config keys", 1)[1].split("\n#", 1)[0]
+        listed = re.findall(r"^\| `([^`]+)` \|", section, re.M)
+        assert sorted(listed) == sorted(paths(SCHEMA, "", set()))
+        assert len(listed) == len(set(listed))
+
+
+def test_write_table_prints_negative_zero_as_zero(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, ["index", "re", "im"],
+                [np.arange(2), np.array([-0.0, 1.5]), np.array([0.0, -0.0])])
+    rows = list(csv.reader(path.open()))
+    assert rows == [["index", "re", "im"], ["0", "0", "0"], ["1", "1.5", "0"]]
