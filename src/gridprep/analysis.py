@@ -29,6 +29,8 @@ def pure_infidelity(a: np.ndarray, b: np.ndarray) -> float:
         raise ValidationError(
             f"state dimensions differ: {a.size} vs {b.size}"
         )
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValidationError("cannot compare a non-finite vector")
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0 or nb == 0:
         raise ValidationError("cannot compare a zero vector")

@@ -299,23 +299,21 @@ def sort_and_entangle(
 
 
 def antisymmetrize(
-    state: QuantumState,
+    support: SparseState,
     b_segments: list[str],
     p_segments: list[str],
     statistics: str,
 ) -> tuple[QuantumState, dict]:
-    """Full permutation-register pipeline: expand, map onto the symmetric
-    group, sort into the particle registers.  The stages pass the support
-    along, found once here.  With one particle they only check their
-    inputs, and the state comes back as it was, signed zeros included.
+    """Full permutation-register pipeline on a state's populated
+    amplitudes: expand, map onto the symmetric group, sort into the
+    particle registers.  With one particle the stages only check their
+    inputs, and the state comes back as `support.to_state()`, signed zeros
+    included.
     """
-    m = len(p_segments)
-    support = generate_permutation_superposition(
-        SparseState.from_state(state), b_segments, m)
+    support = generate_permutation_superposition(support, b_segments,
+                                                 len(p_segments))
     support = apply_rank_to_permutation(support, b_segments)
-    out, counters = sort_and_entangle(support, b_segments, p_segments,
-                                      statistics)
-    return (state if m == 1 else out), counters
+    return sort_and_entangle(support, b_segments, p_segments, statistics)
 
 
 def _permutation_sign(perm: tuple[int, ...]) -> int:

@@ -39,6 +39,11 @@ class Orbital:
     energy: float
     params: tuple = ()
 
+    def __post_init__(self):
+        if not self.length > 0:
+            raise ValidationError(
+                f"orbital domain length {self.length} is not > 0")
+
     # -- continuum oracles -------------------------------------------------
     def density(self, x):
         x = np.asarray(x, dtype=float)
@@ -88,17 +93,19 @@ class Orbital:
             vec[site] = 1.0
             return vec
         if self.family == "tabulated":
-            values = np.asarray(self.params[0], dtype=np.complex128)
-            if values.size != n_sites:
+            vec = np.asarray(self.params[0], dtype=np.complex128)
+            if vec.size != n_sites:
                 raise ValidationError(
-                    f"tabulated orbital has {values.size} entries, "
+                    f"tabulated orbital has {vec.size} entries, "
                     f"grid needs {n_sites}"
                 )
-            return values / np.linalg.norm(values)
-        xs = np.arange(n_sites) * (self.length / n_sites)
-        mags = np.sqrt(self.density(xs))
-        vec = mags * np.exp(1j * self.phase(xs))
+        else:
+            xs = np.arange(n_sites) * (self.length / n_sites)
+            mags = np.sqrt(self.density(xs))
+            vec = mags * np.exp(1j * self.phase(xs))
         norm = np.linalg.norm(vec)
+        if not np.isfinite(norm):
+            raise ValidationError("orbital is not finite on the grid")
         if norm == 0:
             raise ValidationError("orbital vanishes on every grid site")
         return vec / norm
@@ -133,6 +140,8 @@ def harmonic_hermite(n: int, length: float = 1.0, width: float | None = None,
         raise ValidationError("hermite index must be >= 0")
     if width is None:
         width = length / 20.0
+    if not width > 0:
+        raise ValidationError(f"hermite width {width} is not > 0")
     return Orbital("harmonic-hermite", length,
                    float(n + 0.5 if energy is None else energy),
                    (n, float(width)))
@@ -172,8 +181,13 @@ class IntegrationSpec:
             raise ValidationError("epsilon_i must lie in (0, 1)")
         if not 0 < self.delta < 1:
             raise ValidationError("delta must lie in (0, 1)")
-        if self.bounds is not None and self.bounds[0] > self.bounds[1]:
-            raise ValidationError("lower bound exceeds upper bound")
+        if self.bounds is not None:
+            if len(self.bounds) != 2:
+                raise ValidationError(
+                    f"bounds must be (lower, upper), got {len(self.bounds)} "
+                    "values")
+            if self.bounds[0] > self.bounds[1]:
+                raise ValidationError("lower bound exceeds upper bound")
 
 
 def normal_quantile(p: float) -> float:

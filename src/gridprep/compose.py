@@ -3,12 +3,13 @@ occupation states, superpositions of occupation states, two-species
 products, and mixed states via purification.
 
 Every multi-particle driver runs one skeleton (`_prepare`): lay out the
-registers, load, (anti)symmetrize each species' particle bank, report,
-and read out a vector or a density matrix.  A driver supplies only its
-load.  Superpositions load amplitudes onto an occupation register and
-orbitals per branch, then disentangle the register particle by particle
-(phase-estimate which orbital a register holds, remove that quantum) and
-verify it empty by measurement, retrying on failure.
+registers, load without the permutation banks, (anti)symmetrize each
+species' particle bank with them, report, and read out a vector or a
+density matrix.  A driver supplies only its load.  Superpositions load
+amplitudes onto an occupation register and orbitals per branch, then
+disentangle the register particle by particle (phase-estimate which
+orbital a register holds, remove that quantum) and verify it empty by
+measurement, retrying on failure.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .errors import RetryBudgetError, ValidationError
 from .loader import LoadPlan, load_amplitude_table, load_orbital, \
     load_error_bound
 from .statevec import DensityMatrix, QuantumState, RegisterLayout, \
-    extract_segment_vector, partial_trace, permute_basis
+    SparseState, extract_segment_vector, partial_trace, permute_basis
 
 
 def _check_shared(occs: list[OccupationVector], what: str) -> None:
@@ -219,6 +220,7 @@ def prepare_orbital(
     ratio_perturb=None,
 ) -> PreparedState:
     """Load one orbital onto a single grid register."""
+    bound = load_error_bound(l, spec.epsilon_i)  # rejects l < 1 first
     parts = particle_segments(1, l)
     layout = RegisterLayout(parts)
     state = QuantumState.zero(layout)
@@ -228,8 +230,7 @@ def prepare_orbital(
     _merge_plans(counters, [plan])
     report = PreparationReport(
         kind="orbital", l=l, m=1, statistics="n/a",
-        qubits=layout.n_total, counters=counters,
-        error_bound=load_error_bound(l, spec.epsilon_i),
+        qubits=layout.n_total, counters=counters, error_bound=bound,
     )
     return PreparedState(vector=extract_segment_vector(state, _names(parts)),
                          rho=None, report=report, state=state)
@@ -249,23 +250,36 @@ def _prepare(
 
     Register order: the head (a branch or occupation register, if any),
     every species' particle bank, every permutation bank, then the tail.
-    `load(layout, banks, counters)` returns the loaded state and its attempt
-    number, for `banks` each species' particle register names.  Each bank
-    is (anti)symmetrized; the particle banks (first species least
+    The qubit cap and the report's qubit count apply to that layout.  The
+    permutation banks stay blank until symmetrization writes them, so
+    `load(layout, banks, counters)` sees the layout without them and
+    returns the loaded state and its attempt number, for `banks` each
+    species' particle register names.  Its populated amplitudes then move
+    into the full layout, each segment's field by name, and each bank is
+    (anti)symmetrized there; the particle banks (first species least
     significant) are read out as a vector, or with `rho` as the density
     matrix of the rest traced out.  The error bound is one load bound per
     loaded register: m particles and the head's table.
     """
+    bound = load_error_bound(l, spec.epsilon_i)  # rejects l < 1 first
     parts = [particle_segments(occ.m, l, prefix=f"{prefix}particle")
              for occ, prefix in species]
     perms = [permutation_segments(occ.m, prefix=f"{prefix}perm")
              for occ, prefix in species]
     layout = RegisterLayout([*head, *sum(parts + perms, []), *tail])
+    loaded = RegisterLayout([*head, *sum(parts, []), *tail])
     counters: dict = {}
-    state, attempts = load(layout, [_names(p) for p in parts], counters)
+    state, attempts = load(loaded, [_names(p) for p in parts], counters)
+    support = SparseState.from_state(state)
+    # segments keep their order and the banks read 0: indices keep ascending
+    support = SparseState(layout, layout.with_values(0, {
+        seg.name: loaded.values(seg.name, support.index)
+        for seg in loaded}), support.values)
     syms = []
-    for (occ, _), p, b in zip(species, parts, perms):
-        state, sym = antisymmetrize(state, _names(b), _names(p),
+    for i, ((occ, _), p, b) in enumerate(zip(species, parts, perms)):
+        if i:  # a later species reads the earlier one's output
+            support = SparseState.from_state(state)
+        state, sym = antisymmetrize(support, _names(b), _names(p),
                                     occ.statistics)
         syms.append(sym)
     # several species have no single symmetrization norm: sum their costs
@@ -279,7 +293,7 @@ def _prepare(
         statistics="+".join(occ.statistics for occ, _ in species),
         qubits=layout.n_total, attempts=attempts, retries=attempts - 1,
         counters=counters,
-        error_bound=(m + len(head)) * load_error_bound(l, spec.epsilon_i),
+        error_bound=(m + len(head)) * bound,
     )
     names = _names(sum(parts, []))
     return PreparedState(
@@ -375,6 +389,7 @@ def prepare_superposition(
     if sup.num_orbitals > basis.size:
         raise ValidationError("superposition refers to orbitals outside "
                               "the basis")
+    load_error_bound(l, spec.epsilon_i)  # rejects l < 1 before the readouts
     counter_width, fock, branches = _fock_branches(sup)
     config = PhaseEstimationConfig.build(
         basis, l, t=t, eps_pe=eps_pe, symmetry=symmetry)

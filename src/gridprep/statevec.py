@@ -162,27 +162,24 @@ class QuantumState:
         return sq[hi_sel].sum() <= BLANK_TOL * BLANK_TOL
 
 
-def _entries(words: np.ndarray) -> np.ndarray:
-    """Ascending indices of the amplitudes with a True in either of their
-    two words, given a mask over the interleaved real and imaginary parts.
+def _populated(amps: np.ndarray) -> np.ndarray:
+    """Ascending indices of the amplitudes with any bit set.  −0.0 counts,
+    so copying these entries into +0.0 everywhere else is bitwise exact.
     """
-    found = np.flatnonzero(words) >> 1
+    found = np.flatnonzero(amps.view(np.uint64)) >> 1
     first = np.ones(found.size, dtype=bool)
     first[1:] = found[1:] != found[:-1]
     return found[first]
 
 
-def _populated(amps: np.ndarray) -> np.ndarray:
-    """Ascending indices of the amplitudes with any bit set.  −0.0 counts,
-    so copying these entries into +0.0 everywhere else is bitwise exact.
-    """
-    return _entries(amps.view(np.uint64) != 0)
-
-
 @dataclass(frozen=True)
 class SparseState:
-    """A state held as its nonzero amplitudes: `values[k]` sits at basis
-    index `index[k]`, indices ascend, and every other amplitude is zero.
+    """A state held as its populated amplitudes: `values[k]` sits at basis
+    index `index[k]`, indices ascend, and every other amplitude is +0.0.
+
+    The support is every amplitude with any bit set, −0.0 included, so
+    `from_state(s).to_state()` is `s` bitwise.  Stages that need the
+    nonzero amplitudes alone select them with `values != 0`.
     """
 
     layout: RegisterLayout
@@ -191,10 +188,8 @@ class SparseState:
 
     @classmethod
     def from_state(cls, state: QuantumState) -> "SparseState":
-        """The amplitudes of nonzero magnitude, the support that `abs > 0`
-        selects; signed zeros are left out.
-        """
-        index = _entries(state.amplitudes.view(np.float64) != 0)
+        """The populated amplitudes of a dense state, in one scan."""
+        index = _populated(state.amplitudes)
         return cls(state.layout, index, state.amplitudes[index])
 
     def to_state(self) -> QuantumState:

@@ -3,9 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 
+from gridprep.analysis import PreparationReport
+from gridprep.assemble import apply_rank_to_permutation, \
+    generate_permutation_superposition, particle_segments, \
+    permutation_segments, sort_and_entangle
 from gridprep.basis import BasisSet, kronecker_delta
+from gridprep.compose import PreparedState
 from gridprep.errors import StructuralError, ValidationError
-from gridprep.statevec import QuantumState, control_masks
+from gridprep.loader import load_error_bound
+from gridprep.statevec import QuantumState, RegisterLayout, SparseState, \
+    control_masks, extract_segment_vector, partial_trace
 
 
 def from_basis_index(layout, index: int) -> QuantumState:
@@ -105,3 +112,61 @@ def textbook_phase_estimate(state: QuantumState, readout_segment: str,
         power = power @ power
     return controlled_unitary(state, readout_segment,
                               qft_matrix(readout.width, inverse=True))
+
+
+# -- the preparation skeleton with the load on the full layout: the
+# reference for `compose._prepare` ------------------------------------------
+
+def reference_antisymmetrize(state: QuantumState, b_segments, p_segments,
+                             statistics):
+    """`assemble.antisymmetrize` from a dense state: the stages take its
+    amplitudes of nonzero magnitude, and one particle returns `state`
+    itself.
+    """
+    index = np.flatnonzero(state.amplitudes)
+    support = generate_permutation_superposition(
+        SparseState(state.layout, index, state.amplitudes[index]),
+        b_segments, len(p_segments))
+    support = apply_rank_to_permutation(support, b_segments)
+    out, counters = sort_and_entangle(support, b_segments, p_segments,
+                                      statistics)
+    return (state if len(p_segments) == 1 else out), counters
+
+
+def reference_prepare(kind, species, l, spec, load, head=(), tail=(),
+                      rho=False) -> PreparedState:
+    """`compose._prepare` with the load run on the layout that holds the
+    permutation banks, and each bank (anti)symmetrized from the dense
+    vector.
+    """
+    def names(segments):
+        return [name for name, _, _ in segments]
+
+    parts = [particle_segments(occ.m, l, prefix=f"{prefix}particle")
+             for occ, prefix in species]
+    perms = [permutation_segments(occ.m, prefix=f"{prefix}perm")
+             for occ, prefix in species]
+    layout = RegisterLayout([*head, *sum(parts + perms, []), *tail])
+    counters: dict = {}
+    state, attempts = load(layout, [names(p) for p in parts], counters)
+    syms = []
+    for (occ, _), p, b in zip(species, parts, perms):
+        state, sym = reference_antisymmetrize(state, names(b), names(p),
+                                              occ.statistics)
+        syms.append(sym)
+    counters.update(syms[0] if len(syms) == 1 else {
+        key: sum(sym[key] for sym in syms)
+        for key in ("comparators", "swapped_qubits")})
+    m = sum(occ.m for occ, _ in species)
+    report = PreparationReport(
+        kind=kind, l=l, m=m,
+        statistics="+".join(occ.statistics for occ, _ in species),
+        qubits=layout.n_total, attempts=attempts, retries=attempts - 1,
+        counters=counters,
+        error_bound=(m + len(head)) * load_error_bound(l, spec.epsilon_i),
+    )
+    kept = names(sum(parts, []))
+    return PreparedState(
+        vector=None if rho else extract_segment_vector(state, kept),
+        rho=partial_trace(state, kept) if rho else None,
+        report=report, state=state)

@@ -42,6 +42,12 @@ class TestPureInfidelity:
         with pytest.raises(ValidationError):
             pure_infidelity([0, 0], [1, 0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_rejected(self, bad):
+        for a, b in (([bad, 0], [1, 0]), ([1, 0], [1, bad])):
+            with pytest.raises(ValidationError, match="non-finite"):
+                pure_infidelity(a, b)
+
 
 class TestMixedFidelity:
     def test_identical_density_matrices(self):

@@ -148,8 +148,8 @@ def _pipeline(occ, basis, l):
     p_names = [f"particle{i}" for i in range(m)]
     b_names = [f"perm{i}" for i in range(m)]
     state, _ = prepare_hartree_product(state, occ, basis, CDF, p_names)
-    state, counters = antisymmetrize(state, b_names, p_names,
-                                     occ.statistics)
+    state, counters = antisymmetrize(SparseState.from_state(state), b_names,
+                                     p_names, occ.statistics)
     return state, counters, p_names
 
 
@@ -207,7 +207,7 @@ class TestAntisymmetrization:
         for name in ("particle0", "particle1"):
             state, _ = load_orbital(state, name, bas.orbitals[0], CDF)
         with pytest.raises(ValidationError):
-            antisymmetrize(state, ["perm0", "perm1"],
+            antisymmetrize(SparseState.from_state(state), ["perm0", "perm1"],
                            ["particle0", "particle1"], "fermionic")
 
     def test_single_particle_passthrough(self):
@@ -411,7 +411,9 @@ class TestAgainstDensePipeline:
     @given(symmetrization_cases())
     def test_bitwise_equal_to_dense_pipeline(self, case):
         state, m, statistics = case
-        got = _outcome(antisymmetrize, state, m, statistics)
+        got = _outcome(
+            lambda s, *rest: antisymmetrize(SparseState.from_state(s), *rest),
+            state, m, statistics)
         ref = _outcome(dense_antisymmetrize, state, m, statistics)
         assert got == ref
 

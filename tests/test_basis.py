@@ -10,6 +10,7 @@ from scipy import integrate
 from gridprep.basis import (
     BasisSet,
     IntegrationSpec,
+    Orbital,
     box_sine,
     harmonic_hermite,
     kronecker_delta,
@@ -89,6 +90,29 @@ class TestOrbitalFamilies:
     def test_delta_position_bounds(self):
         with pytest.raises(ValidationError):
             kronecker_delta(1.0, length=1.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: box_sine(1, length=0.0), lambda: uniform(length=-1.0),
+        lambda: ring_plane_wave(1, length=float("nan")),
+        lambda: harmonic_hermite(1, width=0.0),
+        lambda: harmonic_hermite(1, width=-0.1),
+        lambda: harmonic_hermite(1, width=float("nan")),
+    ], ids=["box-sine-length", "uniform-length", "ring-nan-length",
+            "hermite-zero-width", "hermite-negative-width",
+            "hermite-nan-width"])
+    def test_scale_must_be_positive(self, build):
+        with pytest.raises(ValidationError, match="is not > 0"):
+            build()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("orb", [
+        tabulated([np.nan, 1.0, 1.0, 1.0]),
+        tabulated([np.inf, 1.0, 1.0, 1.0]),
+        Orbital("harmonic-hermite", 1.0, 1.5, (1, 0.0)),
+    ])
+    def test_non_finite_grid_values_rejected(self, orb):
+        with pytest.raises(ValidationError, match="not finite"):
+            orb.grid_values(2)
 
 
 class TestSplitRatio:
@@ -173,6 +197,8 @@ class TestMonteCarlo:
             IntegrationSpec(epsilon_i=0.0)
         with pytest.raises(ValidationError):
             IntegrationSpec(bounds=(1.0, 0.0))
+        with pytest.raises(ValidationError):
+            IntegrationSpec(bounds=(0.0, 1.0, 2.0))
 
 
 class TestBasisSet:

@@ -379,6 +379,9 @@ class TestConfigSchema:
          {**TWO_SPECIES, "species_a": {"occupation": "11", "length": 2.0}}),
         ("config", ["l", 3]),
         ("l", {"l": float("inf"), "basis": BOX_BASIS}),
+        ("integration",
+         {"l": 3, "basis": BOX_BASIS, "integration": {
+             "backend": "monte-carlo", "bounds": [0.0, 1.0, 2.0]}}),
     ])
     @pytest.mark.parametrize("command", ["validate", "prepare-orbital"])
     def test_malformed_config_names_its_path(self, tmp_path, capsys, command,
@@ -388,6 +391,22 @@ class TestConfigSchema:
                     "--out", str(out)]) == 2
         assert f"error: {path}:" in capsys.readouterr().err
         assert not out.exists()
+
+    # a zero Hermite width made a NaN state that verify-bounds passed, and
+    # a zero length divided by zero
+    @pytest.mark.parametrize("cfg", [
+        {"l": 3, "basis": [{"family": "harmonic-hermite", "width": 0.0}]},
+        {"l": 3, "length": 0.0, "basis": [{"family": "box-sine"}]},
+    ], ids=["hermite-width", "length"])
+    @pytest.mark.parametrize("command", ["validate", "prepare-orbital",
+                                         "verify-bounds"])
+    def test_orbital_scale_must_be_positive(self, tmp_path, capsys, command,
+                                            cfg):
+        out = tmp_path / "out"
+        assert run([command, "--config", write_config(tmp_path, "c.yaml", cfg),
+                    "--out", str(out)]) == 2
+        assert "error: basis:" in capsys.readouterr().err
+        assert not (out / "state.csv").exists()
 
     def test_null_value_counts_as_absent(self, tmp_path):
         cfg = write_config(tmp_path, "c.yaml", {

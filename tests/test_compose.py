@@ -1,10 +1,15 @@
 """End-to-end preparation drivers and their oracles."""
 import inspect
+from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridprep
+from gridprep import compose
 from gridprep.analysis import mixed_infidelity, pure_infidelity
 from gridprep.basis import (
     BasisSet,
@@ -30,9 +35,9 @@ from gridprep.compose import (
     superposition_oracle,
 )
 from gridprep.discriminate import SymmetryOperator
-from gridprep.errors import ValidationError
+from gridprep.errors import ResourceError, ValidationError
 from gridprep.loader import load_error_bound
-from helpers import purity
+from helpers import purity, reference_prepare
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
 
@@ -267,6 +272,33 @@ class TestRetryAndErrors:
             assert key in prep.report.counters
 
 
+    @pytest.mark.parametrize("l", [0, -1])
+    @pytest.mark.parametrize("prepare", [
+        lambda l: prepare_orbital(box_sine(1), l, CDF),
+        lambda l: prepare_slater(FERMI_110, dyadic_basis(3), l, CDF),
+        lambda l: prepare_two_species(FERMI_110, FERMI_110, dyadic_basis(3),
+                                      dyadic_basis(3), l, CDF),
+        lambda l: prepare_superposition(SUP_110_101, dyadic_basis(3), l, CDF,
+                                        seed=0),
+        lambda l: prepare_mixed(MixedSpec.from_probabilities(
+            [(0.7, "110"), (0.3, "101")]), dyadic_basis(3), l, CDF),
+        lambda l: prepare_diagonal_mixed(SUP_110_101, dyadic_basis(3), l,
+                                         CDF),
+    ], ids=["orbital", "slater", "two-species", "superposition", "mixed",
+            "diagonal-mixed"])
+    def test_grid_without_qubits_rejected(self, prepare, l):
+        with pytest.raises(ValidationError,
+                           match="grid needs at least one qubit"):
+            prepare(l)
+
+    def test_qubit_cap_counts_the_permutation_banks(self, monkeypatch):
+        # 6 particle qubits load, but the layout with the banks needs 12
+        monkeypatch.setenv("GRIDPREP_QUBIT_CAP", "11")
+        with pytest.raises(ResourceError, match="12 qubits"):
+            prepare_slater(OccupationVector((1, 1, 1)), dyadic_basis(3), 2,
+                           CDF)
+
+
 LOADED = {"integral_requests", "integral_evaluations",
           "rotation_applications", "empty_blocks"}
 SYMMETRIZED = {"comparators", "swapped_qubits"}
@@ -330,3 +362,110 @@ def test_report_contract(prepare, kind, m, statistics, qubits, registers,
 def test_package_exports_no_modules():
     assert not [name for name in gridprep.__all__
                 if inspect.ismodule(getattr(gridprep, name))]
+
+
+# -- the load without the permutation banks, against the full layout --------
+
+def _patterns(draw, orbitals, statistics, m):
+    """Distinct occupations of one count pattern (so bosonic terms share
+    their multiplicities), one to three of them.
+    """
+    if statistics == "fermionic":
+        base = (1,) * m + (0,) * (orbitals - m)
+    else:
+        counts = draw(st.lists(st.integers(0, orbitals - 1), min_size=m,
+                               max_size=m))
+        base = tuple(counts.count(i) for i in range(orbitals))
+    occs = sorted({OccupationVector(n, statistics)
+                   for n in permutations(base)}, key=lambda o: o.n)
+    return draw(st.lists(st.sampled_from(occs), min_size=1, max_size=3,
+                         unique=True))
+
+
+def _grid_basis(draw, l, energies):
+    """Box-sine or ring orbitals that stay orthogonal on the 2^l sites."""
+    sites, size = 1 << l, len(energies)
+    if draw(st.booleans()):
+        family = box_sine
+        numbers = st.integers(1, sites - 1)
+    else:
+        family = ring_plane_wave
+        numbers = st.integers(1 - sites // 2, sites // 2)
+    return BasisSet([family(n, energy=e) for n, e in zip(draw(st.lists(
+        numbers, min_size=size, max_size=size, unique=True)), energies)])
+
+
+@st.composite
+def driver_calls(draw):
+    """A driver call on small random inputs: Slater determinants and
+    permanents with m = 1-3, two species, exact-phase, inexact-phase and
+    symmetry superpositions with a random measurement seed, and thermal
+    mixtures.
+    """
+    kind = draw(st.sampled_from(["slater", "two-species", "superposition",
+                                 "symmetry", "mixed"]))
+    statistics = draw(st.sampled_from(["fermionic", "bosonic"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "slater":
+        l = draw(st.integers(2, 3))
+        orbitals = (1 << l) - 1
+        m = draw(st.integers(1, 3))
+        occ = _patterns(draw, orbitals, statistics, m)[0]
+        basis = _grid_basis(draw, l, [0.0] * orbitals)
+        return lambda: prepare_slater(occ, basis, l, CDF)
+    if kind == "two-species":
+        occs = [_patterns(draw, 3, draw(st.sampled_from(
+            ["fermionic", "bosonic"])), draw(st.integers(1, 2)))[0]
+            for _ in range(2)]
+        l = draw(st.integers(2, 3))
+        bases = [_grid_basis(draw, l, [0.0] * 3) for _ in range(2)]
+        return lambda: prepare_two_species(*occs, *bases, l, CDF)
+    if kind == "mixed":
+        l = draw(st.integers(2, 3))
+        occs = _patterns(draw, 3, statistics, draw(st.integers(1, 2)))
+        beta = draw(st.floats(0.3, 1.5))
+        energies = draw(st.lists(st.floats(0.0, 3.0), min_size=len(occs),
+                                 max_size=len(occs)))
+        mixed = MixedSpec.thermal(beta, list(zip(energies, occs)))
+        basis = _grid_basis(draw, l, [0.0] * 3)
+        return lambda: prepare_mixed(mixed, basis, l, CDF)
+    occs = _patterns(draw, 3, statistics, draw(st.integers(1, 2)))
+    amps = draw(st.lists(st.complex_numbers(min_magnitude=0.1,
+                                            max_magnitude=1.0),
+                         min_size=len(occs), max_size=len(occs)))
+    sup = FockSuperposition.from_terms(list(zip(amps, occs)))
+    if kind == "symmetry":
+        ring = BasisSet([ring_plane_wave(0, energy=0.0),
+                         ring_plane_wave(1, energy=1.0),
+                         ring_plane_wave(-1, energy=1.0)])
+        l = draw(st.integers(2, 3))
+        return lambda: prepare_superposition(
+            sup, ring, l, CDF, t=2 * np.pi / 4,
+            symmetry=SymmetryOperator("cyclic-shift"), seed=seed)
+    if draw(st.booleans()):  # exact phases
+        basis = _grid_basis(draw, 2, [0.0, 1.0, 2.0])
+        return lambda: prepare_superposition(sup, basis, 2, CDF,
+                                             t=2 * np.pi / 4, seed=seed)
+    # phases off the dyadic grid, read with eps_pe
+    basis = _grid_basis(draw, 2, [1.0, 4.0, 9.0])
+    return lambda: prepare_superposition(sup, basis, 2, CDF, eps_pe=0.05,
+                                         seed=seed)
+
+
+def _artifacts(call):
+    prep = call()
+    report = prep.report
+    return (None if prep.vector is None else prep.vector.tobytes(),
+            None if prep.rho is None else prep.rho.matrix.tobytes(),
+            prep.state.amplitudes.tobytes(), repr(report.counters),
+            report.attempts, report.retries, report.error_bound.hex())
+
+
+class TestAgainstFullLayoutLoad:
+    @settings(max_examples=40, deadline=None)
+    @given(driver_calls())
+    def test_bitwise_equal_to_full_layout_load(self, call):
+        got = _artifacts(call)
+        with mock.patch.object(compose, "_prepare", reference_prepare):
+            ref = _artifacts(call)
+        assert got == ref

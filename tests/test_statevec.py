@@ -18,6 +18,7 @@ from gridprep.statevec import (
     DensityMatrix,
     QuantumState,
     RegisterLayout,
+    SparseState,
     apply_unitary_on_segment,
     extract_segment_vector,
     measure_segment,
@@ -120,6 +121,24 @@ class TestQuantumState:
         assert state.segment_is_blank("a", controls=[(0, 0)])
         assert state.segment_is_blank("a", controls=[(3, 1)])
         assert not state.segment_is_blank("a", controls=[(3, 0)])
+
+
+class TestSparseState:
+    def test_round_trip_keeps_signed_zeros(self):
+        layout = small_layout()
+        parts = np.array([0.0, -0.0, 1.0, -0.5, 5e-324])
+        rng = np.random.default_rng(0)
+        amps = np.empty(layout.dim, dtype=np.complex128)
+        amps.real = rng.choice(parts, layout.dim)
+        amps.imag = rng.choice(parts, layout.dim)
+        amps[:4] = [complex(-0.0, 0.0), complex(0.0, -0.0),
+                    complex(-0.0, -0.0), 0.0]
+        sparse = SparseState.from_state(QuantumState(layout, amps))
+        # only +0.0 + 0.0j is left out
+        assert sparse.index.tolist() == np.flatnonzero(
+            amps.view(np.uint64).reshape(-1, 2).any(axis=1)).tolist()
+        assert 3 not in sparse.index and {0, 1, 2} <= set(sparse.index)
+        assert sparse.to_state().amplitudes.tobytes() == amps.tobytes()
 
 
 class TestRotation:
