@@ -6,7 +6,11 @@ The permutation register holds m quwords of ceil(log2 m) qubits.  A
 mixed-radix tuple (first quword ranges over m values, the next over m-1,
 ..., the last is fixed) is expanded into a uniform superposition, mapped
 onto the symmetric group, and sorted; the same conditional swaps act on
-the particle registers, transferring the (anti)symmetry.
+the particle registers, transferring the (anti)symmetry.  The drivers run
+`antisymmetrize`, the circuit's net action in closed form on the layout
+without the permutation register; the three circuit stages
+(`generate_permutation_superposition`, `apply_rank_to_permutation`,
+`sort_and_entangle`) are its bitwise reference.
 """
 from __future__ import annotations
 
@@ -298,22 +302,77 @@ def sort_and_entangle(
     return QuantumState(layout, amps), counters
 
 
-def antisymmetrize(
-    support: SparseState,
-    b_segments: list[str],
-    p_segments: list[str],
-    statistics: str,
-) -> tuple[QuantumState, dict]:
-    """Full permutation-register pipeline on a state's populated
-    amplitudes: expand, map onto the symmetric group, sort into the
-    particle registers.  With one particle the stages only check their
-    inputs, and the state comes back as `support.to_state()`, signed zeros
-    included.
+def _permutation_order(m: int) -> list[tuple[int, ...]]:
+    """The m! permutations the decoded register can hold, as 0-based
+    entries (pi_i is quword i's value), in ascending order of the register
+    code sum_i pi_i << (i * quword_width(m)).
+
+    Built from `rank_to_permutation` over the mixed-radix tuples, and
+    checked to be a bijection onto S_m.
     """
-    support = generate_permutation_superposition(support, b_segments,
-                                                 len(p_segments))
-    support = apply_rank_to_permutation(support, b_segments)
-    return sort_and_entangle(support, b_segments, p_segments, statistics)
+    perms = [tuple(p - 1 for p in rank_to_permutation(digits))
+             for digits in product(*[range(1, m - i + 1) for i in range(m)])]
+    if sorted(perms) != sorted(permutations(range(m))):
+        raise StructuralError(f"rank decoding is not a bijection onto S_{m}")
+    w = quword_width(m)
+    return sorted(perms, key=lambda perm: sum(
+        p << (i * w) for i, p in enumerate(perm)))
+
+
+def antisymmetrize(
+    state: QuantumState, p_segments: list[str], statistics: str,
+) -> tuple[QuantumState, dict]:
+    """The permutation-register circuit's net action on a particle bank in
+    closed form: sum_pi sign(pi) P_pi / sqrt(m!), renormalized.
+
+    `state` has no permutation register (the circuit's starts and ends
+    blank).  The particle registers must be contiguous, of equal width and
+    in order, first least significant.  Viewed as (above, x_{m-1}, ...,
+    x_0, below) and divided by sqrt(m!), the amplitudes are transposed once
+    per permutation pi, output register j taking input register pi^-1(j)
+    as the network moves particle i to lane pi_i, negated for odd pi with
+    fermions, and added to zeros in ascending permutation-register code:
+    the order in which `sort_and_entangle` accumulates them, so the
+    amplitudes and `symmetrization_norm` are bitwise the circuit's at one
+    BLAS thread.  The counters are the circuit's.  One particle returns
+    `state` itself; a norm below 1e-12 (a repeated fermionic orbital)
+    raises `ValidationError`.
+    """
+    if statistics not in ("fermionic", "bosonic"):
+        raise ValidationError(f"unknown statistics {statistics!r}")
+    m = len(p_segments)
+    segs = [state.layout.segment(name) for name in p_segments]
+    l = segs[0].width
+    if any(seg.width != l or seg.offset != segs[0].offset + i * l
+           for i, seg in enumerate(segs)):
+        raise StructuralError(
+            "particle registers must be contiguous, of equal width and in "
+            "order")
+    if m == 1:
+        return state, {"comparators": 0, "swapped_qubits": 0}
+    below = 1 << segs[0].offset
+    scaled = (state.amplitudes / math.sqrt(math.factorial(m))).reshape(
+        -1, *[1 << l] * m, below)
+    amps = np.zeros_like(scaled)
+    for perm in _permutation_order(m):
+        # axis k holds register m - k, which takes register perm.index(m - k)
+        view = scaled.transpose(0, *(m - perm.index(m - k)
+                                     for k in range(1, m + 1)), m + 1)
+        if statistics == "fermionic" and _permutation_sign(perm) < 0:
+            amps -= view
+        else:
+            amps += view
+    norm = np.linalg.norm(amps)
+    if norm < 1e-12:
+        raise ValidationError("symmetrization annihilated the state "
+                              "(repeated fermionic orbital?)")
+    comparators = sum(len(layer) for layer in odd_even_network(m))
+    counters = {
+        "comparators": comparators,
+        "swapped_qubits": comparators * l,
+        "symmetrization_norm": float(norm),
+    }
+    return QuantumState(state.layout, (amps / norm).reshape(-1)), counters
 
 
 def _permutation_sign(perm: tuple[int, ...]) -> int:

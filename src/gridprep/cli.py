@@ -268,8 +268,19 @@ def write_table(path: Path, header: list[str], columns) -> None:
                      % tuple(itertools.chain.from_iterable(zip(*block))))
 
 
+def _make_out(out_dir: Path) -> None:
+    """Create `--out` when there is something to write, so a config error
+    found before then leaves no directory behind.
+    """
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a path through one
+        raise ValidationError(f"--out {out_dir}: {exc.strerror}") from exc
+
+
 def _emit(out_dir: Path, prepared: PreparedState) -> int:
     """Write the artifacts, print the report, and return the exit code."""
+    _make_out(out_dir)
     report, vector, rho = prepared.report, prepared.vector, prepared.rho
     (out_dir / "report.txt").write_text(report.to_text())
     with open(out_dir / "report.csv", "w", newline="") as fh:
@@ -288,6 +299,7 @@ def _emit(out_dir: Path, prepared: PreparedState) -> int:
 
 def _emit_text(out_dir: Path, text: str, ok: bool = True) -> int:
     """Write `text` as both reports, print it, and return the exit code."""
+    _make_out(out_dir)
     for name in ("report.csv", "report.txt"):
         (out_dir / name).write_text(text)
     print(text, end="")
@@ -593,14 +605,8 @@ def main(argv: list[str] | None = None) -> int:
         spec = cfg.get("integration", _integration())
         cfg["integration"] = (spec if args.seed is None
                               else replace(spec, seed=args.seed))
-        out_dir = Path(args.out)
-        try:
-            if args.command != "validate":  # it writes nothing
-                out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:  # an existing file, or a path through one
-            raise ValidationError(f"--out {out_dir}: {exc.strerror}") from exc
         return COMMANDS[args.command](cfg, config_path.parent, args.seed,
-                                      out_dir)
+                                      Path(args.out))
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -4,12 +4,13 @@ products, and mixed states via purification.
 
 Every multi-particle driver runs one skeleton (`_prepare`): lay out the
 registers, load without the permutation banks, (anti)symmetrize each
-species' particle bank with them, report, and read out a vector or a
-density matrix.  A driver supplies only its load.  Superpositions load
-amplitudes onto an occupation register and orbitals per branch, then
-disentangle the register particle by particle (phase-estimate which
-orbital a register holds, remove that quantum) and verify it empty by
-measurement, retrying on failure.
+species' particle bank by the closed form of the permutation-register
+circuit, report, and read out a vector or a density matrix.  A driver
+supplies only its load.  Superpositions load amplitudes onto an
+occupation register and orbitals per branch, then disentangle the register
+particle by particle (phase-estimate which orbital a register holds,
+remove that quantum) and verify it empty by measurement, retrying on
+failure.
 """
 from __future__ import annotations
 
@@ -31,11 +32,11 @@ from .basis import BasisSet, IntegrationSpec, Orbital
 from .discriminate import PhaseEstimationConfig, SymmetryOperator, \
     boson_counter_width, fock_encode, identify_and_decrement, \
     verify_uncomputation
-from .errors import RetryBudgetError, ValidationError
+from .errors import RetryBudgetError, StructuralError, ValidationError
 from .loader import LoadPlan, load_amplitude_table, load_orbital, \
     load_error_bound
 from .statevec import DensityMatrix, QuantumState, RegisterLayout, \
-    SparseState, extract_segment_vector, partial_trace, permute_basis
+    extract_segment_vector, partial_trace
 
 
 def _check_shared(occs: list[OccupationVector], what: str) -> None:
@@ -188,12 +189,17 @@ def _load_branches(
         np.array([a for a, _, _ in branches], dtype=complex), spec,
         cache=cache)
     _merge_plans(counters, [plan])
+    seg = layout.segment(segment)
     codes = [code for _, code, _ in branches]
-    mapping = np.array(codes + sorted(
-        set(range(layout.segment(segment).dim)) - set(codes)))
-    idx = np.arange(layout.dim)
-    state = permute_basis(state, layout.with_values(
-        idx, {segment: mapping[layout.values(segment, idx)]}))
+    mapping = codes + sorted(set(range(seg.dim)) - set(codes))
+    if sorted(mapping) != list(range(seg.dim)):
+        raise StructuralError(f"branch codes {codes} are not distinct "
+                              f"values of {segment!r}")
+    # value v moves to mapping[v] along the segment axis
+    shape = (-1, seg.dim, 1 << seg.offset)
+    amps = np.empty_like(state.amplitudes)
+    amps.reshape(shape)[:, mapping, :] = state.amplitudes.reshape(shape)
+    state = QuantumState(layout, amps)
     for _, code, occ in branches:
         state, plans = prepare_hartree_product(
             state, occ, basis, spec, p_names,
@@ -251,15 +257,17 @@ def _prepare(
     Register order: the head (a branch or occupation register, if any),
     every species' particle bank, every permutation bank, then the tail.
     The qubit cap and the report's qubit count apply to that layout.  The
-    permutation banks stay blank until symmetrization writes them, so
-    `load(layout, banks, counters)` sees the layout without them and
-    returns the loaded state and its attempt number, for `banks` each
-    species' particle register names.  Its populated amplitudes then move
-    into the full layout, each segment's field by name, and each bank is
-    (anti)symmetrized there; the particle banks (first species least
-    significant) are read out as a vector, or with `rho` as the density
-    matrix of the rest traced out.  The error bound is one load bound per
-    loaded register: m particles and the head's table.
+    permutation banks start and end blank, so `load(layout, banks,
+    counters)` sees the layout without them and returns the loaded state
+    and its attempt number, for `banks` each species' particle register
+    names.  Each species is then (anti)symmetrized on that layout in turn,
+    by the closed form of the circuit (`antisymmetrize`), and the result
+    is the slab at bank code 0 of the full layout, +0.0 elsewhere.  The
+    particle banks (first species least significant) are read out of the
+    loaded layout as a vector, or with `rho` as the density matrix of the
+    full layout with the rest traced out (so ρ's factor keeps its shape).
+    The error bound is one load bound per loaded register: m particles and
+    the head's table.
     """
     bound = load_error_bound(l, spec.epsilon_i)  # rejects l < 1 first
     parts = [particle_segments(occ.m, l, prefix=f"{prefix}particle")
@@ -270,17 +278,9 @@ def _prepare(
     loaded = RegisterLayout([*head, *sum(parts, []), *tail])
     counters: dict = {}
     state, attempts = load(loaded, [_names(p) for p in parts], counters)
-    support = SparseState.from_state(state)
-    # segments keep their order and the banks read 0: indices keep ascending
-    support = SparseState(layout, layout.with_values(0, {
-        seg.name: loaded.values(seg.name, support.index)
-        for seg in loaded}), support.values)
     syms = []
-    for i, ((occ, _), p, b) in enumerate(zip(species, parts, perms)):
-        if i:  # a later species reads the earlier one's output
-            support = SparseState.from_state(state)
-        state, sym = antisymmetrize(support, _names(b), _names(p),
-                                    occ.statistics)
+    for (occ, _), p in zip(species, parts):
+        state, sym = antisymmetrize(state, _names(p), occ.statistics)
         syms.append(sym)
     # several species have no single symmetrization norm: sum their costs
     counters.update(syms[0] if len(syms) == 1 else {
@@ -295,11 +295,18 @@ def _prepare(
         counters=counters,
         error_bound=(m + len(head)) * bound,
     )
+    # the banks lie between the particle banks and the tail, and read 0
+    banks = sum(perms, [])
+    below = 1 << layout.segment(banks[0][0]).offset
+    amps = np.zeros(layout.dim, dtype=np.complex128)
+    amps.reshape(-1, 1 << sum(w for _, _, w in banks), below)[:, 0, :] = \
+        state.amplitudes.reshape(-1, below)
+    full = QuantumState(layout, amps)
     names = _names(sum(parts, []))
     return PreparedState(
         vector=None if rho else extract_segment_vector(state, names),
-        rho=partial_trace(state, names) if rho else None,
-        report=report, state=state)
+        rho=partial_trace(full, names) if rho else None,
+        report=report, state=full)
 
 
 def _species_product(

@@ -1,5 +1,6 @@
 """Occupation vectors, permutation machinery, (anti)symmetrization."""
 import math
+from functools import reduce
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridprep import assemble
 from gridprep.assemble import (
     OccupationVector,
     antisymmetrize,
@@ -27,7 +29,7 @@ from gridprep.statevec import (
     SparseState,
     permute_basis,
 )
-from helpers import delta_at_site
+from helpers import delta_at_site, reference_antisymmetrize
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
 
@@ -141,15 +143,11 @@ class TestPermutationMachinery:
 
 
 def _pipeline(occ, basis, l):
-    m = occ.m
-    layout = RegisterLayout(particle_segments(m, l)
-                            + permutation_segments(m))
-    state = QuantumState.zero(layout)
-    p_names = [f"particle{i}" for i in range(m)]
-    b_names = [f"perm{i}" for i in range(m)]
-    state, _ = prepare_hartree_product(state, occ, basis, CDF, p_names)
-    state, counters = antisymmetrize(SparseState.from_state(state), b_names,
-                                     p_names, occ.statistics)
+    layout = RegisterLayout(particle_segments(occ.m, l))
+    p_names = [f"particle{i}" for i in range(occ.m)]
+    state, _ = prepare_hartree_product(QuantumState.zero(layout), occ, basis,
+                                       CDF, p_names)
+    state, counters = antisymmetrize(state, p_names, occ.statistics)
     return state, counters, p_names
 
 
@@ -198,17 +196,14 @@ class TestAntisymmetrization:
 
     def test_repeated_fermionic_orbital_annihilates(self):
         bas = BasisSet([delta_at_site(0, 2), delta_at_site(1, 2)])
-        m = 2
-        layout = RegisterLayout(particle_segments(m, 2)
-                                + permutation_segments(m))
+        layout = RegisterLayout(particle_segments(2, 2))
         state = QuantumState.zero(layout)
         # both registers hold the SAME orbital: determinant must vanish
         from gridprep.loader import load_orbital
         for name in ("particle0", "particle1"):
             state, _ = load_orbital(state, name, bas.orbitals[0], CDF)
         with pytest.raises(ValidationError):
-            antisymmetrize(SparseState.from_state(state), ["perm0", "perm1"],
-                           ["particle0", "particle1"], "fermionic")
+            antisymmetrize(state, ["particle0", "particle1"], "fermionic")
 
     def test_single_particle_passthrough(self):
         bas = BasisSet([box_sine(1)])
@@ -411,11 +406,116 @@ class TestAgainstDensePipeline:
     @given(symmetrization_cases())
     def test_bitwise_equal_to_dense_pipeline(self, case):
         state, m, statistics = case
-        got = _outcome(
-            lambda s, *rest: antisymmetrize(SparseState.from_state(s), *rest),
-            state, m, statistics)
+        got = _outcome(reference_antisymmetrize, state, m, statistics)
         ref = _outcome(dense_antisymmetrize, state, m, statistics)
         assert got == ref
+
+
+#: Widest layout, permutation bank included, of the closed-form property.
+#: The circuit takes its norm over that layout and the closed form over the
+#: one without the bank; OpenBLAS splits a dot product of more than 10000
+#: entries between threads, which sums a longer vector in another order, so
+#: the two norms agree bitwise at one BLAS thread, and at any thread count
+#: below that length.  m = 4 needs l = 2 for four fermions to fit on the
+#: grid; it runs without head or tail, so its amplitude sits in the first
+#: 2^8 of 2^16 entries, inside the first share of up to 256 threads.
+CLOSED_FORM_MAX_QUBITS = 13
+
+
+@st.composite
+def loaded_cases(draw):
+    """A particle bank between a head and a tail register on the layout
+    without the permutation bank.  Each (tail, head) row holds entries
+    drawn from signed zeros, ordinary values and the smallest subnormal; or
+    junk of at most 1e-12; or a Hartree product of orbitals drawn from a
+    pool smaller than m, so orbitals repeat (fermion rows then cancel, and
+    all-cancelling states annihilate).
+    """
+    m = draw(st.integers(1, 4))
+    # three or four fermions vanish on a two-site grid
+    l = draw(st.integers(1, 2)) if m < 3 else 2
+    room = max(0, CLOSED_FORM_MAX_QUBITS - m * (l + quword_width(m)))
+    head = draw(st.integers(0, min(2, room)))
+    tail = draw(st.integers(0, min(2, room - head)))
+    layout = RegisterLayout([("head", "fock", head)]
+                            + particle_segments(m, l)
+                            + [("tail", "readout", tail)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    parts = rng.choice(AMPLITUDE_PARTS, size=(layout.dim, 2),
+                       p=[0.4, 0.2, 0.1, 0.1, 0.1, 0.1])
+    amps = np.empty(layout.dim, dtype=np.complex128)
+    amps.real, amps.imag = parts[:, 0], parts[:, 1]  # keep signed zeros
+    rows = amps.reshape(1 << tail, -1, 1 << head)
+    pool = (rng.standard_normal((max(1, m - 1), 1 << l))
+            + 1j * rng.standard_normal((max(1, m - 1), 1 << l)))
+    for t, h in product(range(1 << tail), range(1 << head)):
+        kind = draw(st.sampled_from(["entries", "junk", "product"]))
+        if kind == "junk":
+            rows[t, :, h] *= rng.choice([1e-13, -1e-300, 1e-12j])
+        elif kind == "product":
+            picks = rng.integers(0, len(pool), size=m)
+            # axes (x_{m-1}, ..., x_0): register 0 least significant
+            rows[t, :, h] = reduce(np.multiply.outer,
+                                   [pool[j] for j in picks[::-1]]).ravel()
+    statistics = draw(st.sampled_from(["fermionic", "bosonic"]))
+    return QuantumState(layout, amps), m, statistics
+
+
+def _with_bank(state, m):
+    """The loaded state on the layout with the permutation bank between
+    the particle bank and the tail, the bank at 0.
+    """
+    segs = list(state.layout)
+    layout = RegisterLayout([(s.name, s.role, s.width) for s in segs[:-1]]
+                            + permutation_segments(m)
+                            + [(segs[-1].name, segs[-1].role,
+                                segs[-1].width)])
+    below = 1 << segs[-1].offset
+    amps = np.zeros(layout.dim, dtype=np.complex128)
+    amps.reshape(-1, 1 << (m * quword_width(m)), below)[:, 0, :] = \
+        state.amplitudes.reshape(-1, below)
+    return QuantumState(layout, amps)
+
+
+class TestClosedFormAgainstCircuit:
+    @settings(max_examples=150, deadline=None)
+    @given(loaded_cases())
+    def test_bitwise_equal_to_circuit(self, case):
+        state, m, statistics = case
+        p_names = [f"particle{i}" for i in range(m)]
+        try:
+            out, counters = antisymmetrize(state, p_names, statistics)
+            got = _with_bank(out, m).amplitudes.tobytes(), counters
+        except ValidationError as err:
+            got = type(err)
+        ref = _outcome(reference_antisymmetrize, _with_bank(state, m), m,
+                       statistics)
+        assert got == ref
+
+    @pytest.mark.parametrize("segments, names", [
+        # a gap, unequal widths, and registers out of order
+        (particle_segments(1, 2) + [("gap", "fock", 1)]
+         + particle_segments(1, 2, prefix="next"), ["particle0", "next0"]),
+        ([("particle0", "particle", 2), ("particle1", "particle", 3)],
+         ["particle0", "particle1"]),
+        (particle_segments(2, 2), ["particle1", "particle0"]),
+    ])
+    def test_particle_bank_must_be_contiguous(self, segments, names):
+        state = QuantumState.zero(RegisterLayout(segments))
+        with pytest.raises(StructuralError):
+            antisymmetrize(state, names, "bosonic")
+
+    def test_unknown_statistics(self):
+        state = QuantumState.zero(RegisterLayout(particle_segments(1, 2)))
+        with pytest.raises(ValidationError):
+            antisymmetrize(state, ["particle0"], "anyonic")
+
+    def test_rank_decoding_must_be_a_bijection(self, monkeypatch):
+        monkeypatch.setattr(assemble, "rank_to_permutation",
+                            lambda digits: tuple(range(1, len(digits) + 1)))
+        state = QuantumState.zero(RegisterLayout(particle_segments(2, 1)))
+        with pytest.raises(StructuralError):
+            antisymmetrize(state, ["particle0", "particle1"], "bosonic")
 
 
 class TestOracle:

@@ -254,7 +254,18 @@ class TestPrepareCommands:
                     "--out", str(tmp_path / out)]) == 2
         assert "--out" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fault", [KeyError("particle0"),
+    @pytest.mark.parametrize("command", ["prepare-slater", "verify-bounds"])
+    def test_error_before_writing_leaves_no_out(self, tmp_path, capsys,
+                                                command):
+        # found by the preparation, after the config passed its schema
+        cfg = write_config(tmp_path, "c.yaml", {
+            "l": 3, "occupation": "1001", "basis": BOX_BASIS})
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "outside the basis" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault",[KeyError("particle0"),
                                        StructuralError("bad layout")])
     def test_internal_fault_propagates(self, tmp_path, monkeypatch, fault):
         def prepare_slater(*args, **kwargs):
@@ -407,6 +418,7 @@ class TestConfigSchema:
                     "--out", str(out)]) == 2
         assert "error: basis:" in capsys.readouterr().err
         assert not (out / "state.csv").exists()
+        assert not out.exists()
 
     def test_null_value_counts_as_absent(self, tmp_path):
         cfg = write_config(tmp_path, "c.yaml", {
