@@ -94,9 +94,10 @@ from .statevec import (
     extract_segment_vector,
     measure_segment,
     partial_trace,
-    permute_basis,
     qft,
     qubit_cap,
+    relabel,
+    segment_masses,
 )
 
 __all__ = [name for name, value in sorted(globals().items())

@@ -24,7 +24,7 @@ import numpy as np
 from .basis import BasisSet, IntegrationSpec
 from .errors import StructuralError, ValidationError
 from .loader import LoadPlan, load_orbital
-from .statevec import BLANK_TOL, QuantumState, SparseState
+from .statevec import BLANK_TOL, QuantumState, SparseState, vector_norm
 
 
 @dataclass(frozen=True)
@@ -288,7 +288,7 @@ def sort_and_entangle(
     dest = dest[valid]
     amps = np.zeros(layout.dim, dtype=np.complex128)
     np.add.at(amps, dest, (sign * values)[valid])
-    norm = np.linalg.norm(amps)
+    norm = vector_norm(amps)
     if norm < 1e-12:
         raise ValidationError("symmetrization annihilated the state "
                               "(repeated fermionic orbital?)")
@@ -333,8 +333,8 @@ def antisymmetrize(
     as the network moves particle i to lane pi_i, negated for odd pi with
     fermions, and added to zeros in ascending permutation-register code:
     the order in which `sort_and_entangle` accumulates them, so the
-    amplitudes and `symmetrization_norm` are bitwise the circuit's at one
-    BLAS thread.  The counters are the circuit's.  One particle returns
+    amplitudes and `symmetrization_norm` (by `vector_norm`) are bitwise
+    the circuit's.  The counters are the circuit's.  One particle returns
     `state` itself; a norm below 1e-12 (a repeated fermionic orbital)
     raises `ValidationError`.
     """
@@ -362,7 +362,7 @@ def antisymmetrize(
             amps -= view
         else:
             amps += view
-    norm = np.linalg.norm(amps)
+    norm = vector_norm(amps)
     if norm < 1e-12:
         raise ValidationError("symmetrization annihilated the state "
                               "(repeated fermionic orbital?)")

@@ -32,11 +32,11 @@ from .basis import BasisSet, IntegrationSpec, Orbital
 from .discriminate import PhaseEstimationConfig, SymmetryOperator, \
     boson_counter_width, fock_encode, identify_and_decrement, \
     verify_uncomputation
-from .errors import RetryBudgetError, StructuralError, ValidationError
+from .errors import RetryBudgetError, ValidationError
 from .loader import LoadPlan, load_amplitude_table, load_orbital, \
     load_error_bound
 from .statevec import DensityMatrix, QuantumState, RegisterLayout, \
-    extract_segment_vector, partial_trace
+    extract_segment_vector, partial_trace, relabel
 
 
 def _check_shared(occs: list[OccupationVector], what: str) -> None:
@@ -189,17 +189,9 @@ def _load_branches(
         np.array([a for a, _, _ in branches], dtype=complex), spec,
         cache=cache)
     _merge_plans(counters, [plan])
-    seg = layout.segment(segment)
     codes = [code for _, code, _ in branches]
-    mapping = codes + sorted(set(range(seg.dim)) - set(codes))
-    if sorted(mapping) != list(range(seg.dim)):
-        raise StructuralError(f"branch codes {codes} are not distinct "
-                              f"values of {segment!r}")
-    # value v moves to mapping[v] along the segment axis
-    shape = (-1, seg.dim, 1 << seg.offset)
-    amps = np.empty_like(state.amplitudes)
-    amps.reshape(shape)[:, mapping, :] = state.amplitudes.reshape(shape)
-    state = QuantumState(layout, amps)
+    state = relabel(state, [segment], codes + sorted(
+        set(range(layout.segment(segment).dim)) - set(codes)))
     for _, code, occ in branches:
         state, plans = prepare_hartree_product(
             state, occ, basis, spec, p_names,

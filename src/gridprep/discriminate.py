@@ -29,7 +29,7 @@ from .assemble import OccupationVector
 from .basis import BasisSet
 from .errors import DegeneracyError, StructuralError, ValidationError
 from .statevec import MATRIX_TOL, QuantumState, apply_unitary_on_segment, \
-    measure_segment, permute_basis, qft
+    measure_segment, qft, relabel, segment_masses
 
 #: Widest phase readout tried when separating orbitals by their phases.
 MAX_PHASE_BITS = 16
@@ -361,47 +361,25 @@ def _decrement_fock(
     register, a modular decrement of its counter (a bit flip when the
     counter is one bit wide, as for fermions).  Branches with an ambiguous
     readout, or one naming an orbital the register has no counter for,
-    are left untouched.
+    are left untouched.  One table over the joint value of (readouts...,
+    occupation register) drives the relabel, and the orbital and ambiguous
+    masses sum the readouts' joint masses by lookup cell.
     """
-    layout = state.layout
-    idx = np.arange(layout.dim)
-    n_counters = layout.segment(fock_segment).width // counter_width
-    lookup = np.where(config.lookup < n_counters, config.lookup, -1)
-    orb = lookup[tuple(layout.values(name, idx)
-                       for name, *_ in config.readouts)]
-
-    weights = np.abs(state.amplitudes) ** 2
-    mass = np.bincount(orb + 1, weights=weights,
+    names = [name for name, *_ in config.readouts]
+    fock = state.layout.segment(fock_segment)
+    # transposed, the lookup ravels first readout least significant
+    cells = np.where(config.lookup < fock.width // counter_width,
+                     config.lookup, -1).T.ravel()
+    mass = np.bincount(cells + 1, weights=segment_masses(state, names),
                        minlength=config.basis.size + 1)
-    ambiguous_mass = float(mass[0])
-    orbital_mass = mass[1:]
-
-    fvals = layout.values(fock_segment, idx)
-    cmask = (1 << counter_width) - 1
-    shift = np.maximum(orb, 0) * counter_width
-    v_new = (((fvals >> shift) & cmask) - 1) & cmask
-    new_f = np.where(
-        orb >= 0,
-        (fvals & ~(cmask << shift)) | (v_new << shift),
-        fvals,
-    )
-    dest = layout.with_values(idx, {fock_segment: new_f})
-    return permute_basis(state, dest), orbital_mass, ambiguous_mass
-
-
-def _measured_reset(state: QuantumState, segment: str, rng):
-    """Measure a segment, then relabel the outcome branch back to |0>.
-
-    The relabeling after collapse is the classically-controlled bit flip
-    pattern that recycles an (ideally already blank) readout register; a
-    nonzero outcome flags imperfect uncomputation upstream.
-    """
-    seg = state.layout.segment(segment)
-    outcome, state = measure_segment(state, segment, rng)
-    if outcome != 0:
-        state = permute_basis(
-            state, np.arange(state.layout.dim) ^ (outcome << seg.offset))
-    return outcome, state
+    fvals, readouts = np.divmod(np.arange(cells.size * fock.dim), cells.size)
+    orb = cells[readouts]
+    shift, cmask = np.maximum(orb, 0) * counter_width, (1 << counter_width) - 1
+    count = (fvals >> shift) & cmask
+    flip = np.where(orb >= 0, count ^ ((count - 1) & cmask), 0) << shift
+    state = relabel(state, names + [fock_segment],
+                    readouts + (fvals ^ flip) * cells.size)
+    return state, mass[1:], float(mass[0])
 
 
 def identify_and_decrement(
@@ -433,9 +411,14 @@ def identify_and_decrement(
         state = phase_estimate(state, name, particle_segment, *basis,
                                adjoint=True)
 
+    # recycle each readout by measured reset; a nonzero outcome flags
+    # imperfect uncomputation upstream
     outcomes = []
     for name, *_ in config.readouts:
-        outcome, state = _measured_reset(state, name, rng)
+        outcome, state = measure_segment(state, name, rng)
+        if outcome:
+            state = relabel(state, [name], np.arange(
+                state.layout.segment(name).dim) ^ outcome)
         outcomes.append(outcome)
     return state, IdentificationRecord(orbital_mass, ambiguous_mass,
                                        tuple(outcomes))

@@ -9,6 +9,7 @@ magnitudes match the sampled orbital to machine precision.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,13 +46,23 @@ class LoadPlan:
 
 
 def load_error_bound(l: int, epsilon_i: float) -> float:
-    """Infidelity bound for a state loaded from l levels of split ratios,
-    each carrying absolute error at most epsilon_i.
+    """Infidelity (1 - |<psi|phi>|) bound for a state loaded from l levels
+    of split ratios, each off by at most epsilon_i: max(l epsilon_i / 2,
+    1 - (1 - epsilon_i)^(l/2)).  With exact phases the overlap is the
+    Bhattacharyya coefficient of the site distributions, which by its chain
+    rule is at least the product of the least per-level coefficients.  A
+    split sin^2 a : cos^2 a against sin^2 b : cos^2 b has cos(a - b), and
+    |sin(a - b)| <= sin(a + b) on [0, pi/2]^2 gives cos^2(a - b) >= 1 -
+    |sin^2 a - sin^2 b| >= 1 - epsilon_i.  By Bernoulli's inequality the
+    second term is at most the first from l = 2 on; at l = 1 the split
+    eps : 1 - eps loaded as 0 : 1 reaches 1 - sqrt(1 - eps).
     """
     if l < 1:
         raise ValidationError("grid needs at least one qubit")
     if not 0 <= epsilon_i < 1:
         raise ValidationError("epsilon_i must lie in [0, 1)")
+    if l == 1:  # 1 - sqrt(1 - eps), without the cancellation
+        return epsilon_i / (1.0 + math.sqrt(1.0 - epsilon_i))
     return l * epsilon_i / 2.0
 
 

@@ -10,8 +10,10 @@ Conventions (fixed once, obeyed everywhere):
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -135,14 +137,11 @@ class QuantumState:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return vector_norm(self.amplitudes)
 
     def check_norm(self, tol: float = NORM_TOL) -> None:
-        if abs(self.norm - 1.0) > tol:
+        if not abs(self.norm - 1.0) <= tol:  # NaN fails too
             raise ValidationError(f"state norm {self.norm} deviates from 1")
-
-    def segment_values(self, name: str) -> np.ndarray:
-        return self.layout.values(name, np.arange(self.layout.dim))
 
     def segment_is_blank(self, name: str, controls=None) -> bool:
         """Whether the norm off segment value 0 is at most BLANK_TOL on the
@@ -162,14 +161,14 @@ class QuantumState:
         return sq[hi_sel].sum() <= BLANK_TOL * BLANK_TOL
 
 
-def _populated(amps: np.ndarray) -> np.ndarray:
-    """Ascending indices of the amplitudes with any bit set.  −0.0 counts,
-    so copying these entries into +0.0 everywhere else is bitwise exact.
+def vector_norm(values: np.ndarray) -> float:
+    """Euclidean norm: the square root of np.sum (a pairwise sum in index
+    order, whatever the BLAS thread count) over the nonzero squares of the
+    float64 view, so a state and its slab in a wider layout have one norm.
     """
-    found = np.flatnonzero(amps.view(np.uint64)) >> 1
-    first = np.ones(found.size, dtype=bool)
-    first[1:] = found[1:] != found[:-1]
-    return found[first]
+    values = np.asarray(values, dtype=np.complex128)
+    squares = np.square(values[values != 0].view(np.float64))
+    return float(np.sqrt(np.sum(squares[squares != 0])))
 
 
 @dataclass(frozen=True)
@@ -177,20 +176,13 @@ class SparseState:
     """A state held as its populated amplitudes: `values[k]` sits at basis
     index `index[k]`, indices ascend, and every other amplitude is +0.0.
 
-    The support is every amplitude with any bit set, −0.0 included, so
-    `from_state(s).to_state()` is `s` bitwise.  Stages that need the
-    nonzero amplitudes alone select them with `values != 0`.
+    Stages that need the nonzero amplitudes alone select them with
+    `values != 0`.
     """
 
     layout: RegisterLayout
     index: np.ndarray
     values: np.ndarray
-
-    @classmethod
-    def from_state(cls, state: QuantumState) -> "SparseState":
-        """The populated amplitudes of a dense state, in one scan."""
-        index = _populated(state.amplitudes)
-        return cls(state.layout, index, state.amplitudes[index])
 
     def to_state(self) -> QuantumState:
         """The dense vector, +0.0 off the stored indices."""
@@ -321,54 +313,92 @@ def qft(state: QuantumState, segment: str, inverse: bool = False) -> QuantumStat
                         transform(cube, axis=1, norm="ortho").reshape(-1))
 
 
-def permute_basis(state: QuantumState, dest: np.ndarray) -> QuantumState:
-    """Classical relabeling of the basis: the amplitude at index i moves to
-    index dest[i].  `dest` must be a permutation of the index range.
+def _joint_axes(state: QuantumState, names) -> tuple[list[int], list[int]]:
+    """The amplitudes' C-order axes, most significant first: one per named
+    segment and one per run of other segments between them; and the axis
+    of each name.
     """
-    dest = np.asarray(dest)
-    dim = state.layout.dim
-    hit = np.zeros(dim, dtype=bool)
-    if dest.shape == (dim,) and dest.min() >= 0 and dest.max() < dim:
-        hit[dest] = True
+    named = {state.layout.segment(name).name for name in names}
+    if len(named) != len(names):
+        raise StructuralError(f"segments {list(names)} are not distinct")
+    dims, where = [], {}
+    # a named segment's key is its name; a run of others shares False
+    for key, run in groupby(reversed(list(state.layout)),
+                            lambda seg: seg.name in named and seg.name):
+        where[key] = len(dims)
+        dims.append(math.prod(seg.dim for seg in run))
+    return dims, [where[name] for name in names]
+
+
+def segment_masses(state: QuantumState, names) -> np.ndarray:
+    """Born masses of the joint value of the named segments (first name
+    least significant): |a|^2 summed over every other segment's axis.
+    """
+    dims, found = _joint_axes(state, names)
+    parts = state.amplitudes.view(np.float64).reshape(dims + [2])
+    axes = "abcdefghijklmnopqrstuvwxyz"[:parts.ndim]
+    joint = "".join(axes[k] for k in reversed(found))
+    return np.einsum(f"{axes},{axes}->{joint}", parts, parts).reshape(-1)
+
+
+def relabel(state: QuantumState, names, table) -> QuantumState:
+    """Classical relabeling of the named segments: the amplitude at joint
+    value v of those segments (first name least significant) moves to joint
+    value table[v], whatever the other segments hold.  `table` must be a
+    permutation of the joint values.  Gathers through one open-mesh index
+    on the segment-axis view: the named axes read the digits of the inverse
+    table, every other axis its own position.
+    """
+    dims, found = _joint_axes(state, names)
+    size = math.prod(dims[k] for k in found)
+    table = np.asarray(table)
+    hit = np.zeros(size, dtype=bool)
+    if table.shape == (size,) and table.dtype.kind in "iu" \
+            and table.min() >= 0 and table.max() < size:
+        hit[table] = True
     if not hit.all():
-        raise StructuralError("relabeling must be a permutation")
-    amps = np.empty_like(state.amplitudes)
-    amps[dest] = state.amplitudes
-    return QuantumState(state.layout, amps)
+        raise StructuralError(f"relabeling of {list(names)} must be a "
+                              f"permutation of their {size} joint values")
+    inverse = np.empty(size, dtype=np.int64)
+    inverse[table] = np.arange(size)
+    mesh, named = list(np.ix_(*map(np.arange, dims))), found[::-1]
+    joint = [dims[k] for k in named]
+    source = inverse[np.ravel_multi_index([mesh[k] for k in named], joint)]
+    for k, digit in zip(named, np.unravel_index(source, joint)):
+        mesh[k] = digit
+    cube = state.amplitudes.reshape(dims)
+    return QuantumState(state.layout, cube[tuple(mesh)].reshape(-1))
 
 
 def measure_segment(
     state: QuantumState, segment: str, rng
 ) -> tuple[int, QuantumState]:
     """Born-rule measurement of a segment's integer value, drawn from the
-    numpy Generator `rng`.
+    numpy Generator `rng`.  The state's norm must lie within 1e-8 of 1.
     """
-    state.check_norm(1e-8)
     seg = state.layout.segment(segment)
-    vals = state.segment_values(segment)
-    probs = np.bincount(vals, weights=np.abs(state.amplitudes) ** 2,
-                        minlength=seg.dim)
+    probs = segment_masses(state, [segment])
     total = probs.sum()
-    if total <= 0:
-        raise ImpossibleOutcomeError("state carries no probability mass")
+    if not abs(math.sqrt(total) - 1.0) <= 1e-8:  # NaN fails too
+        raise ValidationError(f"state norm {math.sqrt(total)} deviates from 1")
     outcome = int(rng.choice(seg.dim, p=probs / total))
     p = probs[outcome]
     if p <= 0:
         raise ImpossibleOutcomeError(f"outcome {outcome} has zero probability")
-    amps = np.where(vals == outcome, state.amplitudes, 0.0) / np.sqrt(p)
-    return outcome, QuantumState(state.layout, amps)
+    cube = _reshape_on_segment(state.amplitudes, seg)
+    amps = np.zeros_like(cube)
+    amps[:, outcome, :] = cube[:, outcome, :] / np.sqrt(p)
+    return outcome, QuantumState(state.layout, amps.reshape(-1))
 
 
-def _packed_values(idx: np.ndarray, segments) -> tuple[np.ndarray, int]:
-    """Values of `segments` at each basis index, packed into one integer
-    (first segment least significant), and their total width.
+def _kept_table(state: QuantumState, keep_segments: list[str]) -> np.ndarray:
+    """The (kept × traced) amplitude table: rows by the kept segments in
+    list order, columns by the others in layout order, first least significant.
     """
-    packed = np.zeros(idx.size, dtype=np.int64)
-    shift = 0
-    for s in segments:
-        packed |= (((idx >> s.offset) & s.mask).astype(np.int64)) << shift
-        shift += s.width
-    return packed, shift
+    dims, found = _joint_axes(state, keep_segments)
+    traced = [k for k in range(len(dims)) if k not in found]
+    return state.amplitudes.reshape(dims).transpose(found[::-1] + traced) \
+        .reshape(math.prod(dims[k] for k in found), -1)
 
 
 def partial_trace(state: QuantumState,
@@ -379,20 +409,13 @@ def partial_trace(state: QuantumState,
     The kept segments contribute to the row/column index in list order,
     first segment least significant.
     """
-    kept = [state.layout.segment(name) for name in keep_segments]
-    k_width = sum(s.width for s in kept)
+    k_width = sum(state.layout.segment(name).width for name in keep_segments)
     if k_width > DENSITY_MATRIX_CAP:
         raise ResourceError(
             f"partial trace over {k_width} qubits exceeds the cap of "
             f"{DENSITY_MATRIX_CAP}"
         )
-    idx = _populated(state.amplitudes)
-    kvals, _ = _packed_values(idx, kept)
-    rvals, r_width = _packed_values(
-        idx, [s for s in state.layout if s.name not in keep_segments])
-    table = np.zeros((1 << k_width, 1 << r_width), dtype=np.complex128)
-    table[kvals, rvals] = state.amplitudes[idx]
-    return DensityMatrix.from_factor(table)
+    return DensityMatrix.from_factor(_kept_table(state, keep_segments))
 
 
 def extract_segment_vector(
@@ -402,24 +425,13 @@ def extract_segment_vector(
     assuming every other segment sits in |0>, and normalize.  Raises if
     leakage outside that slice exceeds LEAK_TOL or the slice is zero.
     """
-    kept = [state.layout.segment(name) for name in keep_segments]
-    idx = _populated(state.amplitudes)
-    vals = state.amplitudes[idx]
-    keep_names = set(keep_segments)
-    rest_zero = np.ones(idx.size, dtype=bool)
-    for s in state.layout:
-        if s.name in keep_names:
-            continue
-        rest_zero &= state.layout.values(s.name, idx) == 0
-    leak = np.linalg.norm(vals[~rest_zero])
+    table = _kept_table(state, keep_segments)
+    leak = vector_norm(table[:, 1:])
     if leak > LEAK_TOL:
         raise ValidationError(
             f"segments outside {keep_segments} are not blank (leak {leak:.3g})"
         )
-    kvals, width = _packed_values(idx[rest_zero], kept)
-    vec = np.zeros(1 << width, dtype=np.complex128)
-    vec[kvals] = vals[rest_zero]
-    n = np.linalg.norm(vec)
+    n = vector_norm(table[:, 0])
     if n == 0:
         raise ValidationError(f"segments {keep_segments} carry no amplitude")
-    return vec / n
+    return table[:, 0] / n

@@ -24,9 +24,22 @@ def from_basis_index(layout, index: int) -> QuantumState:
     return QuantumState(layout, amps)
 
 
+def sparse_from_state(state: QuantumState) -> SparseState:
+    """The amplitudes with any bit set, −0.0 included, so
+    `sparse_from_state(s).to_state()` is `s` bitwise.
+    """
+    index = np.unique(np.flatnonzero(state.amplitudes.view(np.uint64)) >> 1)
+    return SparseState(state.layout, index, state.amplitudes[index])
+
+
+def segment_values(state: QuantumState, name: str) -> np.ndarray:
+    """The value of segment `name` at every basis index."""
+    return state.layout.values(name, np.arange(state.layout.dim))
+
+
 def segment_probabilities(state: QuantumState, segment: str) -> np.ndarray:
     """Born-rule distribution of one segment's value."""
-    return np.bincount(state.segment_values(segment),
+    return np.bincount(segment_values(state, segment),
                        weights=np.abs(state.amplitudes) ** 2,
                        minlength=state.layout.segment(segment).dim)
 
@@ -64,6 +77,76 @@ def perturbed(basis: BasisSet, target: int, strength: float) -> BasisSet:
     orbitals[target] = replace(orbitals[target],
                                energy=orbitals[target].energy + strength)
     return BasisSet(orbitals)
+
+
+# -- full-length classical relabels: the reference for `statevec.relabel`
+# and its callers -------------------------------------------------------------
+
+def permute_basis(state: QuantumState, dest: np.ndarray) -> QuantumState:
+    """Classical relabeling of the basis: the amplitude at index i moves to
+    index dest[i].  `dest` must be a permutation of the index range.
+    """
+    dest = np.asarray(dest)
+    dim = state.layout.dim
+    hit = np.zeros(dim, dtype=bool)
+    if dest.shape == (dim,) and dest.min() >= 0 and dest.max() < dim:
+        hit[dest] = True
+    if not hit.all():
+        raise StructuralError("relabeling must be a permutation")
+    amps = np.empty_like(state.amplitudes)
+    amps[dest] = state.amplitudes
+    return QuantumState(state.layout, amps)
+
+
+def reference_relabel(state: QuantumState, names, table) -> QuantumState:
+    """`statevec.relabel` as one full-length `permute_basis`."""
+    layout = state.layout
+    idx = np.arange(layout.dim)
+    joint, shift = np.zeros(layout.dim, dtype=np.int64), 0
+    for name in names:
+        joint |= layout.values(name, idx) << shift
+        shift += layout.segment(name).width
+    table = np.asarray(table)
+    if table.shape != (1 << shift,):
+        raise StructuralError("relabeling must be a permutation")
+    dest, shift = table[joint], 0
+    fields = {}
+    for name in names:
+        fields[name] = (dest >> shift) & layout.segment(name).mask
+        shift += layout.segment(name).width
+    return permute_basis(state, layout.with_values(idx, fields))
+
+
+def reference_decrement_fock(state, config, fock_segment, counter_width):
+    """`discriminate._decrement_fock` over the whole index range."""
+    layout = state.layout
+    idx = np.arange(layout.dim)
+    n_counters = layout.segment(fock_segment).width // counter_width
+    lookup = np.where(config.lookup < n_counters, config.lookup, -1)
+    orb = lookup[tuple(layout.values(name, idx)
+                       for name, *_ in config.readouts)]
+    mass = np.bincount(orb + 1, weights=np.abs(state.amplitudes) ** 2,
+                       minlength=config.basis.size + 1)
+    fvals = layout.values(fock_segment, idx)
+    cmask = (1 << counter_width) - 1
+    shift = np.maximum(orb, 0) * counter_width
+    v_new = (((fvals >> shift) & cmask) - 1) & cmask
+    new_f = np.where(orb >= 0, (fvals & ~(cmask << shift)) | (v_new << shift),
+                     fvals)
+    dest = layout.with_values(idx, {fock_segment: new_f})
+    return permute_basis(state, dest), mass[1:], float(mass[0])
+
+
+def reference_measure_segment(state: QuantumState, segment: str, rng):
+    """`statevec.measure_segment` with full-length values and masses."""
+    state.check_norm(1e-8)
+    seg = state.layout.segment(segment)
+    vals = segment_values(state, segment)
+    probs = segment_probabilities(state, segment)
+    outcome = int(rng.choice(seg.dim, p=probs / probs.sum()))
+    amps = np.where(vals == outcome, state.amplitudes, 0.0) \
+        / np.sqrt(probs[outcome])
+    return outcome, probs, QuantumState(state.layout, amps)
 
 
 # -- gate-level phase estimation: the reference for the closed form --------

@@ -27,9 +27,9 @@ from gridprep.statevec import (
     QuantumState,
     RegisterLayout,
     SparseState,
-    permute_basis,
+    vector_norm,
 )
-from helpers import delta_at_site, reference_antisymmetrize
+from helpers import delta_at_site, permute_basis, reference_antisymmetrize
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
 
@@ -337,7 +337,7 @@ def dense_sort(
         sign[parity] = -1.0
     amps = np.zeros_like(state.amplitudes)
     np.add.at(amps, dest[valid], (sign * state.amplitudes[idx])[valid])
-    norm = np.linalg.norm(amps)
+    norm = vector_norm(amps)
     if norm < 1e-12:
         raise ValidationError("symmetrization annihilated the state "
                               "(repeated fermionic orbital?)")
@@ -411,14 +411,12 @@ class TestAgainstDensePipeline:
         assert got == ref
 
 
-#: Widest layout, permutation bank included, of the closed-form property.
-#: The circuit takes its norm over that layout and the closed form over the
-#: one without the bank; OpenBLAS splits a dot product of more than 10000
-#: entries between threads, which sums a longer vector in another order, so
-#: the two norms agree bitwise at one BLAS thread, and at any thread count
-#: below that length.  m = 4 needs l = 2 for four fermions to fit on the
-#: grid; it runs without head or tail, so its amplitude sits in the first
-#: 2^8 of 2^16 entries, inside the first share of up to 256 threads.
+#: Widest layout, permutation bank included, of the closed-form property,
+#: which keeps it quick.  The circuit takes its norm over that layout and the
+#: closed form over the one without the bank; `vector_norm` sums only the
+#: nonzero squares, so the two agree bitwise at any width and thread count.
+#: m = 4 needs l = 2 for four fermions to fit on the grid, so it runs
+#: without head or tail.
 CLOSED_FORM_MAX_QUBITS = 13
 
 

@@ -1,6 +1,10 @@
 """End-to-end preparation drivers and their oracles."""
 import inspect
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -469,3 +473,34 @@ class TestAgainstFullLayoutLoad:
         with mock.patch.object(compose, "_prepare", reference_prepare):
             ref = _artifacts(call)
         assert got == ref
+
+
+#: Prints a SHA-256 of the vector and the symmetrization norm of prepare_slater
+#: for three fermions at each grid size given on the command line.
+SLATER_BYTES = """
+import hashlib, sys
+from gridprep import BasisSet, IntegrationSpec, OccupationVector, box_sine, \\
+    prepare_slater
+basis = BasisSet([box_sine(1), box_sine(2), box_sine(3)])
+spec = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
+for l in map(int, sys.argv[1:]):
+    prep = prepare_slater(OccupationVector.parse("111"), basis, l, spec)
+    print(l, hashlib.sha256(prep.vector.tobytes()).hexdigest(),
+          repr(prep.report.counters["symmetrization_norm"]))
+"""
+
+
+def test_slater_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", SLATER_BYTES, "5", "6"],
+                             env=env, capture_output=True, text=True,
+                             timeout=300)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert len(outputs[0].splitlines()) == 2
+    assert outputs[0] == outputs[1]

@@ -1,4 +1,6 @@
 """Phase estimation, lookup windows, symmetry readouts, uncomputation."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from gridprep.basis import BasisSet, IntegrationSpec, box_sine, \
 from gridprep.discriminate import (
     PhaseEstimationConfig,
     SymmetryOperator,
+    _decrement_fock,
     extra_qubits_for,
     identify_and_decrement,
     phase_estimate,
@@ -17,9 +20,9 @@ from gridprep.discriminate import (
 )
 from gridprep.errors import DegeneracyError, StructuralError, ValidationError
 from gridprep.loader import load_orbital
-from gridprep.statevec import QuantumState, RegisterLayout
-from helpers import from_basis_index, segment_probabilities, \
-    textbook_phase_estimate
+from gridprep.statevec import QuantumState, RegisterLayout, vector_norm
+from helpers import from_basis_index, reference_decrement_fock, \
+    segment_probabilities, textbook_phase_estimate
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
 
@@ -346,3 +349,46 @@ class TestIdentifyAndDecrement:
         with pytest.raises(StructuralError):
             identify_and_decrement(state, self.cfg, "fock", "particle0",
                                    rng=np.random.default_rng(0))
+
+
+@st.composite
+def decrement_cases(draw):
+    """An occupation register of one- or two-bit counters, one or two
+    readouts and a spectator, in any layout order; a lookup with ambiguous
+    cells and orbitals beyond the register's counters; normalized
+    amplitudes with signed zeros.
+    """
+    counter_width = draw(st.sampled_from([1, 2]))
+    n_counters = draw(st.integers(1, 3))
+    readouts = [(f"read{i}", draw(st.integers(1, 3)))
+                for i in range(draw(st.integers(1, 2)))]
+    segments = draw(st.permutations(
+        [("fock", "fock", n_counters * counter_width),
+         ("spectator", "particle", draw(st.integers(0, 2)))]
+        + [(name, "readout", width) for name, width in readouts]))
+    layout = RegisterLayout(segments)
+    size = n_counters + draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    lookup = rng.integers(-1, size, size=[1 << w for _, w in readouts])
+    parts = rng.choice([0.0, -0.0, 1.0, -0.5, 0.3], size=(layout.dim, 2))
+    amps = np.empty(layout.dim, dtype=np.complex128)
+    amps.real, amps.imag = parts[:, 0], parts[:, 1]  # keep signed zeros
+    if np.any(amps):
+        amps /= vector_norm(amps)
+    config = SimpleNamespace(readouts=tuple(readouts), lookup=lookup,
+                             basis=SimpleNamespace(size=size))
+    return QuantumState(layout, amps), config, counter_width
+
+
+class TestDecrementAgainstFullLength:
+    @settings(max_examples=150, deadline=None)
+    @given(decrement_cases())
+    def test_bitwise_equal_to_full_length_reference(self, case):
+        state, config, counter_width = case
+        got, mass, ambiguous = _decrement_fock(state, config, "fock",
+                                               counter_width)
+        ref, ref_mass, ref_ambiguous = reference_decrement_fock(
+            state, config, "fock", counter_width)
+        assert got.amplitudes.tobytes() == ref.amplitudes.tobytes()
+        np.testing.assert_allclose(mass, ref_mass, rtol=0, atol=1e-12)
+        assert ambiguous == pytest.approx(ref_ambiguous, rel=0, abs=1e-12)

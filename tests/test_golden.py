@@ -96,9 +96,9 @@ GOLDEN = {
     },
     "mixed-l4-m2": {
         "report.csv":
-            "362e5495c9bc8cd2164cae3bbdc26bd7c86ec0e547d876c8ab6286cdd0b360e0",
+            "54ebd709a8d57a5b60c263bf37b418cbf3b3b861df7c2b1f4c71cc18c3d24149",
         "report.txt":
-            "d0a0a993786496c63c6712ecdc5cdae6cdfa4dc75f5a88e5adfee8c20f1cfcc7",
+            "6ae700f6f1aae9f8773c2f63e5a0fa311dc5e82aa1b94285f758826a30876ca3",
         "rho.csv":
             "ef0e3e71b91849e18a597e5ef09aa35e708f7a2f2c1b43a501211a0dbaa353fb",
     },
@@ -120,33 +120,33 @@ GOLDEN = {
     },
     "slater": {
         "report.csv":
-            "f0e48312bacf21772f810a257b768f57fbbc52988e40ea0875c278fae93b64ba",
+            "b5da83bfe87cb62cd874fd48c12936cd001ec62b0e8375d8603ed4ff0ee0aa6f",
         "report.txt":
-            "2b5c2ca3bdcf9a74ded40657a1ee9f0ed0f07f31dba218f60d89875775d03754",
+            "e1f5570986be84bad5dbb1d7c121d36ff70aa4d1fcae73143b1b1ebd7572b5af",
         "state.csv":
-            "7a39e1d7878e75c887493ea2e52368ccba2dabd5d7c2c8effb7802e443987b9b",
+            "b8214afe986ec641637816ea7b219b13ea776eb9c44f856a9a0f5d8a1f3395c7",
     },
     "superposition-bosonic": {
         "report.csv":
-            "cc451c7306fc29a1f93247ae224c0f646e7bbe34f9d83c15d91dc5f54040efbf",
+            "4b82e45709867edc1ca456026f99561d959da5a02b6296d8e871727300b860dc",
         "report.txt":
-            "445e0879152e6bae163864a4e44e077edafbdb5e3c2a2901092888a401a143d7",
+            "89032a87d84236075212bca2946d01f591885221a005b79a2ee3b27b31af3cae",
         "state.csv":
             "2a895781118b2d0aa6e61ddef348ee150eee81d60a6e5303aeece0232dd0c09c",
     },
     "superposition-ring": {
         "report.csv":
-            "56a8056debabb219de4059a4d79e9c7c722d245fc9ac2dec661c06461f34b3c2",
+            "bad63c379044c9902df9e1c4790577df987474c7270b01fe9873789f33d0f73a",
         "report.txt":
-            "d78609112a56c77bc384de08c0d87d884dbd0a4d63e6aa9dd367445197767fab",
+            "ca797d71aa8a183ee8552adfde242d46bdce5317c105ef361a5fe1f90aaf84ba",
         "state.csv":
             "8c9adc649d6e3ad7e9c9f38a5b1a9ab4b954cba321595d0669211d019fc0fcd9",
     },
     "sweep": {
         "report.csv":
-            "ed96ada5d64f4581e59a3f73b387d8f2e98fe50f95d5ebac580a4bdc2fd743dd",
+            "3b8018edcf117d0d0c78ead117968a5d9e858d37211a9e8739e8c737796e26af",
         "report.txt":
-            "ed96ada5d64f4581e59a3f73b387d8f2e98fe50f95d5ebac580a4bdc2fd743dd",
+            "3b8018edcf117d0d0c78ead117968a5d9e858d37211a9e8739e8c737796e26af",
     },
     "two-species": {
         "report.csv":
@@ -158,9 +158,9 @@ GOLDEN = {
     },
     "verify-bounds-adversarial": {
         "report.csv":
-            "c00b913d5396325a16742d700d3ff8d33af6d586749a46f9bd5e2bd00610e034",
+            "80d0bf5202a5c346de61c1c406c3add3ef30ca711aacf16cd27ffa7ce1bcdbdd",
         "report.txt":
-            "7462e2b8871297952d194ce1f07fad2d1e5de23e714c82fd2b1dfa609887b1f1",
+            "0f66d75fda8617cd6c6009f7ae200e782f9de0a4ada785c221cc75367ce93169",
         "state.csv":
             "7854d94e83d3b10cf70958ee2f045e3aeb06e36a30980d21ab56287ca90f52e2",
     },
@@ -182,9 +182,9 @@ GOLDEN = {
     },
     "verify-bounds-superposition": {
         "report.csv":
-            "c5b1433177f0c74521912204a4c1cce61ea24cef50e6eb7ce0e30dab72db2ec4",
+            "2a51a610472ae1174b1d1f74856688c725e28185799647bc529a9b7f13af0dbd",
         "report.txt":
-            "1ef4f7049cf2d0516f09a570f9ee1145cd24ada9d4cc3b6021c5cfa8b2495434",
+            "62f7b0bbd4760a840eea945c3cb146ffa5789ec58ec886473e7efec56dc37bb2",
         "state.csv":
             "8c9adc649d6e3ad7e9c9f38a5b1a9ab4b954cba321595d0669211d019fc0fcd9",
     },

@@ -390,6 +390,40 @@ class TestErrorBound:
         assert measured <= load_error_bound(l, eps) + 1e-12
 
 
+    @pytest.mark.parametrize("eps", [0.01, 0.5])
+    def test_one_level_worst_case(self, eps):
+        # the split eps : 1 - eps loaded as 0 : 1 has overlap sqrt(1 - eps),
+        # above l * eps / 2 at l = 1
+        orb = tabulated([np.sqrt(eps), np.sqrt(1.0 - eps)])
+        state, _ = load_orbital(fresh(1), "x", orb, CDF,
+                                ratio_perturb=lambda i, k, r: r - eps)
+        measured = infidelity(state.amplitudes, orb.grid_values(1))
+        assert measured == pytest.approx(1.0 - np.sqrt(1.0 - eps), abs=1e-8)
+        assert measured > eps / 2
+        assert measured <= load_error_bound(1, eps) + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.floats(1e-4, 0.5),
+           st.integers(0, 2**31 - 1))
+    def test_noise_within_bound_on_tabulated_orbitals(self, l, eps, seed):
+        rng = np.random.default_rng(seed)
+        table = rng.normal(size=1 << l) + 1j * rng.normal(size=1 << l)
+        table[rng.random(1 << l) < 0.3] = 0.0  # some empty pairs
+        if not np.any(table):
+            table[0] = 1.0
+        orb = tabulated(table)
+
+        def perturb(i, k, r):
+            # a random sign, at full magnitude half of the time
+            size = eps if rng.random() < 0.5 else rng.uniform(0, eps)
+            return r + rng.choice([-1.0, 1.0]) * size
+
+        state, _ = load_orbital(fresh(l), "x", orb, CDF,
+                                ratio_perturb=perturb)
+        measured = infidelity(state.amplitudes, orb.grid_values(l))
+        assert measured <= load_error_bound(l, eps) + 1e-12
+
+
 class TestAmplitudeTable:
     def test_loads_arbitrary_table(self):
         amps = np.array([0.5, -0.5, 0.5j, -0.5j])

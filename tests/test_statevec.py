@@ -18,17 +18,19 @@ from gridprep.statevec import (
     DensityMatrix,
     QuantumState,
     RegisterLayout,
-    SparseState,
     apply_unitary_on_segment,
     extract_segment_vector,
     measure_segment,
     partial_trace,
-    permute_basis,
     qft,
     qubit_cap,
+    relabel,
+    segment_masses,
+    vector_norm,
 )
 from helpers import controlled_unitary, from_basis_index, purity, \
-    qft_matrix, segment_probabilities
+    qft_matrix, reference_measure_segment, reference_relabel, \
+    segment_probabilities, segment_values, sparse_from_state
 
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
@@ -133,7 +135,7 @@ class TestSparseState:
         amps.imag = rng.choice(parts, layout.dim)
         amps[:4] = [complex(-0.0, 0.0), complex(0.0, -0.0),
                     complex(-0.0, -0.0), 0.0]
-        sparse = SparseState.from_state(QuantumState(layout, amps))
+        sparse = sparse_from_state(QuantumState(layout, amps))
         # only +0.0 + 0.0j is left out
         assert sparse.index.tolist() == np.flatnonzero(
             amps.view(np.uint64).reshape(-1, 2).any(axis=1)).tolist()
@@ -252,34 +254,94 @@ class TestQft:
         np.testing.assert_allclose(back.amplitudes, amps, atol=1e-12)
 
 
-class TestPermuteBasis:
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.integers(1, 3), min_size=1, max_size=3).flatmap(
-        lambda widths: st.tuples(
-            st.just(widths), st.permutations(range(1 << sum(widths))),
-            st.integers(0, 2**31 - 1))))
-    def test_matches_gather_reference(self, case):
-        widths, perm, seed = case
-        layout = RegisterLayout([(f"s{i}", "scratch", w)
-                                 for i, w in enumerate(widths)])
-        rng = np.random.default_rng(seed)
-        amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
-        dest = np.array(perm)
-        out = permute_basis(QuantumState(layout, amps), dest)
-        # gather: the amplitude landing on j comes from the preimage of j
-        np.testing.assert_array_equal(out.amplitudes, amps[np.argsort(dest)])
+@st.composite
+def relabel_cases(draw):
+    """A layout of one to four segments, a nonempty subset of them named
+    in any order, adjacent or not, and amplitudes with signed zeros.
+    """
+    widths = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    layout = RegisterLayout([(f"s{i}", "scratch", w)
+                             for i, w in enumerate(widths)])
+    names = draw(st.lists(st.sampled_from([s.name for s in layout]),
+                          min_size=1, max_size=len(widths), unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    parts = rng.choice([0.0, -0.0, 1.0, -0.5, 0.3], size=(layout.dim, 2))
+    amps = np.empty(layout.dim, dtype=np.complex128)
+    amps.real, amps.imag = parts[:, 0], parts[:, 1]  # keep signed zeros
+    return QuantumState(layout, amps), names, rng
 
-    def test_rejects_non_permutation(self):
+
+class TestRelabel:
+    @settings(max_examples=150, deadline=None)
+    @given(relabel_cases())
+    def test_matches_full_length_reference(self, case):
+        state, names, rng = case
+        size = 1 << sum(state.layout.segment(n).width for n in names)
+        table = rng.permutation(size)
+        assert relabel(state, names, table).amplitudes.tobytes() == \
+            reference_relabel(state, names, table).amplitudes.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(relabel_cases(), st.sampled_from(["repeat", "short", "long",
+                                             "range", "float"]))
+    def test_rejects_non_permutation(self, case, fault):
+        state, names, rng = case
+        size = 1 << sum(state.layout.segment(n).width for n in names)
+        table = rng.permutation(size)
+        if fault == "repeat":
+            table[0] = table[1] if size > 1 else 1
+        elif fault == "short":
+            table = table[1:]
+        elif fault == "long":
+            table = np.append(table, size)
+        elif fault == "range":
+            table = table + 1
+        else:
+            table = table.astype(float)
+        with pytest.raises(StructuralError):
+            relabel(state, names, table)
+
+    def test_names_must_be_distinct_segments(self):
         state = QuantumState.zero(small_layout())
-        dest = np.arange(state.layout.dim)
-        dest[1] = 0  # not injective
-        with pytest.raises(StructuralError):
-            permute_basis(state, dest)
-        with pytest.raises(StructuralError):
-            permute_basis(state, np.arange(state.layout.dim) + 1)
+        for names in (["a", "a"], ["zzz"]):
+            with pytest.raises(StructuralError):
+                relabel(state, names, np.arange(16))
+
+    @settings(max_examples=100, deadline=None)
+    @given(relabel_cases())
+    def test_masses_sum_the_other_axes(self, case):
+        state, names, _ = case
+        ref = np.zeros(1 << sum(state.layout.segment(n).width
+                                for n in names))
+        joint, shift = 0, 0
+        for name in names:
+            joint = joint | (segment_values(state, name) << shift)
+            shift += state.layout.segment(name).width
+        np.add.at(ref, joint, np.abs(state.amplitudes) ** 2)
+        np.testing.assert_allclose(segment_masses(state, names), ref,
+                                   rtol=0, atol=1e-12)
 
 
 class TestSwapAndMeasure:
+    @settings(max_examples=100, deadline=None)
+    @given(relabel_cases())
+    def test_matches_full_length_reference(self, case):
+        state, names, rng = case
+        if not np.any(state.amplitudes):
+            return
+        state = QuantumState(state.layout,
+                             state.amplitudes / vector_norm(state.amplitudes))
+        seed = int(rng.integers(2**31))
+        outcome, out = measure_segment(state, names[0],
+                                       np.random.default_rng(seed))
+        ref_outcome, probs, ref = reference_measure_segment(
+            state, names[0], np.random.default_rng(seed))
+        np.testing.assert_allclose(segment_masses(state, names[:1]), probs,
+                                   rtol=0, atol=1e-12)
+        assert outcome == ref_outcome
+        np.testing.assert_allclose(out.amplitudes, ref.amplitudes, rtol=0,
+                                   atol=1e-12)
+
     def test_measurement_collapse_and_determinism(self):
         layout = RegisterLayout([("a", "particle", 2)])
         amps = np.array([0.6, 0.0, 0.8, 0.0])
@@ -296,6 +358,15 @@ class TestSwapAndMeasure:
         rng = np.random.default_rng(7)
         outcomes = [measure_segment(state, "a", rng)[0] for _ in range(500)]
         assert np.mean(outcomes) == pytest.approx(0.64, abs=0.06)
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.9])
+    def test_rejects_non_finite_or_unnormalized(self, bad):
+        state = QuantumState(RegisterLayout([("a", "particle", 1)]),
+                             np.array([bad, 0.0]))
+        with pytest.raises(ValidationError):
+            measure_segment(state, "a", np.random.default_rng(0))
+        with pytest.raises(ValidationError):
+            state.check_norm()
 
     def test_zero_mass_impossible(self):
         layout = RegisterLayout([("a", "particle", 1)])
@@ -335,12 +406,12 @@ def dense_extract(state, keep_segments, tol=1e-8):
     for s in state.layout:
         if s.name not in keep_segments:
             rest_zero &= ((idx >> s.offset) & s.mask) == 0
-    if np.linalg.norm(state.amplitudes[~rest_zero]) > tol:
+    if vector_norm(state.amplitudes[~rest_zero]) > tol:
         raise ValidationError("segments outside the kept ones are not blank")
     kvals, width = _dense_packed(idx, kept)
     vec = np.zeros(1 << width, dtype=np.complex128)
     vec[kvals[rest_zero]] = state.amplitudes[rest_zero]
-    n = np.linalg.norm(vec)
+    n = vector_norm(vec)
     if n == 0:
         raise ValidationError("the kept segments carry no amplitude")
     return vec / n
