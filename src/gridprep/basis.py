@@ -103,7 +103,12 @@ class Orbital:
             xs = np.arange(n_sites) * (self.length / n_sites)
             mags = np.sqrt(self.density(xs))
             vec = mags * np.exp(1j * self.phase(xs))
-        norm = np.linalg.norm(vec)
+        # np.einsum calls no BLAS, so the amplitudes do not depend on the
+        # BLAS thread count.  statevec.vector_norm would first drop the
+        # parts that are 0, every imaginary part where the phase is 0: a
+        # pass that costs several times this sum on the grids loaded here.
+        parts = np.ascontiguousarray(vec).view(np.float64)
+        norm = np.sqrt(np.einsum("i,i->", parts, parts))
         if not np.isfinite(norm):
             raise ValidationError("orbital is not finite on the grid")
         if norm == 0:

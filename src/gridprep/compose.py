@@ -498,7 +498,7 @@ def mixed_oracle(mixed: MixedSpec, basis: BasisSet, l: int) -> DensityMatrix:
     """Ground truth sum_i p_i |Psi_i><Psi_i|, built from the factor whose
     columns are sqrt(p_i) |Psi_i>.
     """
-    return DensityMatrix.from_factor(np.column_stack(
+    return DensityMatrix(np.column_stack(
         [np.sqrt(p) * slater_oracle(occ, basis, l)
          for p, occ in mixed.components]))
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 
 import numpy as np
@@ -27,8 +28,8 @@ from .errors import (
 DEFAULT_QUBIT_CAP = 26
 DENSITY_MATRIX_CAP = 12
 NORM_TOL = 1e-10
-#: Entrywise tolerance of the matrix checks: unitarity, commutation, and a
-#: density matrix's trace, Hermiticity, positivity shift and factor norm.
+#: Entrywise tolerance of the matrix checks (unitarity, commutation), and of
+#: a density-matrix factor's squared norm.
 MATRIX_TOL = 1e-8
 #: Norm off value 0 up to which a segment counts as blank.
 BLANK_TOL = 1e-9
@@ -191,67 +192,38 @@ class SparseState:
         return QuantumState(self.layout, amps)
 
 
-@dataclass
 class DensityMatrix:
-    """A validated density matrix ρ, stored as complex128.
+    """A density matrix ρ = T·T†, held as its purification factor T.
 
-    There are two ways to build one:
-
-    * `DensityMatrix(matrix)`, for a matrix the caller supplies, copies the
-      matrix and raises `ValidationError` unless ρ is square, every entry
-      is finite, |tr ρ − 1| ≤ 1e-8, ρ is Hermitian to 1e-8 entrywise, and
-      λ_min(ρ) ≥ −1e-8 (1e-8 is MATRIX_TOL).  Positivity is decided by
-      whether ρ + 1e-8·I has a Cholesky factor (Cholesky is backward
-      stable, so this is as strict as an eigensolve at a fraction of its
-      cost).
-    * `DensityMatrix.from_factor(table)` forms ρ = T·T† from a purification
-      factor T and checks only that T is a finite 2-D array with
-      |‖T‖_F² − 1| ≤ 1e-8.  ρ is then Hermitian and positive semidefinite
-      (to rounding) with trace ‖T‖_F² by construction, so the dense checks
-      are skipped.
+    `DensityMatrix(factor)` copies T as complex128 and raises
+    `ValidationError` unless T is a finite 2-D array with
+    |‖T‖_F² − 1| ≤ MATRIX_TOL.  ρ is then Hermitian and positive
+    semidefinite (to rounding) with trace ‖T‖_F² by construction, so there
+    is nothing else to check.  `dim` is T's row count; the dense ρ is formed
+    only when `matrix` is first read.
     """
-    matrix: np.ndarray
 
-    def __post_init__(self):
-        self.matrix = np.array(self.matrix, dtype=np.complex128)
-        d = self.matrix.shape[0]
-        if self.matrix.shape != (d, d):
-            raise ValidationError("density matrix must be square")
-        if not np.isfinite(self.matrix).all():
-            raise ValidationError("density matrix has non-finite entries")
-        if abs(np.trace(self.matrix).real - 1.0) > MATRIX_TOL:
-            raise ValidationError(f"trace {np.trace(self.matrix)} != 1")
-        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > MATRIX_TOL:
-            raise ValidationError("density matrix is not Hermitian")
-        try:
-            np.linalg.cholesky(self.matrix + MATRIX_TOL * np.eye(d))
-        except np.linalg.LinAlgError:
-            raise ValidationError(
-                "density matrix has negative eigenvalues") from None
-
-    @classmethod
-    def from_factor(cls, table: np.ndarray) -> DensityMatrix:
-        """ρ = T·T† for a (kept × traced) amplitude table T."""
-        table = np.asarray(table, dtype=np.complex128)
-        if table.ndim != 2:
+    def __init__(self, factor: np.ndarray):
+        factor = np.array(factor, dtype=np.complex128)
+        if factor.ndim != 2:
             raise ValidationError("density-matrix factor must be 2-D")
-        if not np.isfinite(table).all():
+        if not np.isfinite(factor).all():
             raise ValidationError(
                 "density-matrix factor has non-finite entries")
-        norm = np.vdot(table, table).real
+        norm = np.vdot(factor, factor).real
         if abs(norm - 1.0) > MATRIX_TOL:
             raise ValidationError(
                 f"density-matrix factor has squared norm {norm} != 1")
-        rho = object.__new__(cls)
-        rho.matrix = table @ table.conj().T
-        return rho
+        self.factor = factor
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.factor.shape[0]
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """ρ = T·T† as a dense dim × dim array."""
+        return self.factor @ self.factor.conj().T
 
 
 def _reshape_on_segment(amps: np.ndarray, seg: Segment):
@@ -403,7 +375,7 @@ def _kept_table(state: QuantumState, keep_segments: list[str]) -> np.ndarray:
 
 def partial_trace(state: QuantumState,
                   keep_segments: list[str]) -> DensityMatrix:
-    """Reduced density matrix ρ = T·T† over the kept segments, where T is
+    """Reduced density matrix over the kept segments, held as its factor T,
     the (kept × traced) amplitude table.
 
     The kept segments contribute to the row/column index in list order,
@@ -415,7 +387,7 @@ def partial_trace(state: QuantumState,
             f"partial trace over {k_width} qubits exceeds the cap of "
             f"{DENSITY_MATRIX_CAP}"
         )
-    return DensityMatrix.from_factor(_kept_table(state, keep_segments))
+    return DensityMatrix(_kept_table(state, keep_segments))
 
 
 def extract_segment_vector(

@@ -1,5 +1,9 @@
 """Tools that several test modules share and no library driver needs."""
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -11,8 +15,11 @@ from gridprep.basis import BasisSet, kronecker_delta
 from gridprep.compose import PreparedState
 from gridprep.errors import StructuralError, ValidationError
 from gridprep.loader import load_error_bound
-from gridprep.statevec import QuantumState, RegisterLayout, SparseState, \
-    control_masks, extract_segment_vector, partial_trace
+from gridprep.statevec import MATRIX_TOL, DensityMatrix, QuantumState, \
+    RegisterLayout, SparseState, control_masks, extract_segment_vector, \
+    partial_trace
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def from_basis_index(layout, index: int) -> QuantumState:
@@ -55,7 +62,8 @@ def grid_prob(orbital, l: int) -> np.ndarray:
 
 def purity(rho) -> float:
     """Tr ρ² = Σ|ρ_ij|², which holds because ρ is Hermitian."""
-    return float(np.vdot(rho.matrix, rho.matrix).real)
+    rho = coerce_matrix(rho)
+    return float(np.vdot(rho, rho).real)
 
 
 def gap(basis: BasisSet) -> float:
@@ -253,3 +261,96 @@ def reference_prepare(kind, species, l, spec, load, head=(), tail=(),
         vector=None if rho else extract_segment_vector(state, kept),
         rho=partial_trace(state, kept) if rho else None,
         report=report, state=state)
+
+
+# -- dense density matrices: the reference for the factor form ---------------
+
+def coerce_matrix(rho) -> np.ndarray:
+    """The dense ρ of a `DensityMatrix`, or an array as complex128."""
+    if isinstance(rho, DensityMatrix):
+        return rho.matrix
+    return np.asarray(rho, dtype=np.complex128)
+
+
+def checked_density_matrix(matrix) -> np.ndarray:
+    """A copy of `matrix`, after the dense density-matrix checks: square,
+    finite, |tr ρ − 1| ≤ MATRIX_TOL, Hermitian to MATRIX_TOL entrywise, and
+    λ_min(ρ) ≥ −MATRIX_TOL, decided by whether ρ + MATRIX_TOL·I has a
+    Cholesky factor.
+    """
+    rho = np.array(matrix, dtype=np.complex128)
+    d = rho.shape[0]
+    if rho.shape != (d, d):
+        raise ValidationError("density matrix must be square")
+    if not np.isfinite(rho).all():
+        raise ValidationError("density matrix has non-finite entries")
+    if abs(np.trace(rho).real - 1.0) > MATRIX_TOL:
+        raise ValidationError(f"trace {np.trace(rho)} != 1")
+    if np.max(np.abs(rho - rho.conj().T)) > MATRIX_TOL:
+        raise ValidationError("density matrix is not Hermitian")
+    try:
+        np.linalg.cholesky(rho + MATRIX_TOL * np.eye(d))
+    except np.linalg.LinAlgError:
+        raise ValidationError(
+            "density matrix has negative eigenvalues") from None
+    return rho
+
+
+def eigenvalues(rho) -> np.ndarray:
+    return np.linalg.eigvalsh(coerce_matrix(rho))
+
+
+def _psd_roots(vals: np.ndarray) -> np.ndarray:
+    """Square roots of the eigenvalues of a PSD matrix of norm at most 1,
+    with those within rounding of zero (at most dim·2^-52) read as 0: the
+    root would turn a rounding of 1e-17 into an error of 3e-9.
+    """
+    return np.sqrt(np.where(vals > vals.size * np.finfo(float).eps, vals,
+                            0.0))
+
+
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(m)
+    return (vecs * _psd_roots(vals)) @ vecs.conj().T
+
+
+def dense_mixed_fidelity(rho, sigma) -> float:
+    """Square-root fidelity Tr sqrt(sqrt(ρ) σ sqrt(ρ)) by two dense
+    eigensolves, clipped to at most 1 against eigenvalue round-off.
+    """
+    r = coerce_matrix(rho)
+    s = coerce_matrix(sigma)
+    if r.shape != s.shape:
+        raise ValidationError(
+            f"density matrix dimensions differ: {r.shape} vs {s.shape}")
+    root = psd_sqrt(r)
+    vals = np.linalg.eigvalsh(root @ s @ root)
+    return float(min(1.0, np.sum(_psd_roots(vals))))
+
+
+# -- runs in a fresh interpreter per BLAS thread count -----------------------
+
+def outputs_under_blas_threads(args, cwds=(None, None)) -> list[str]:
+    """Standard output of `python args...` with gridprep from `src/`, run
+    side by side with one BLAS thread (in `cwds[0]`) and with two (in
+    `cwds[1]`).
+    """
+    runs = []
+    for threads, cwd in zip(("1", "2"), cwds):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   [SRC, os.environ.get("PYTHONPATH", "")])}
+        runs.append(subprocess.Popen(
+            [sys.executable, *args], env=env, cwd=cwd, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+    outputs = []
+    try:
+        for run in runs:
+            out, err = run.communicate(timeout=300)
+            assert run.returncode == 0, err
+            outputs.append(out)
+    finally:
+        for run in runs:  # a run left over by a failure above
+            run.kill()
+            run.wait()
+    return outputs

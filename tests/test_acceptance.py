@@ -36,8 +36,10 @@ from gridprep.compose import (
 from gridprep.discriminate import SymmetryOperator, extra_qubits_for
 from gridprep.errors import DegeneracyError
 from gridprep.loader import _mc_grid_ratio, load_error_bound, load_orbital
-from gridprep.statevec import QuantumState, RegisterLayout, partial_trace
-from helpers import delta_at_site, grid_prob, perturbed, purity
+from gridprep.statevec import DensityMatrix, QuantumState, RegisterLayout, \
+    partial_trace
+from helpers import delta_at_site, eigenvalues, grid_prob, perturbed, \
+    purity
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
 QUAD = IntegrationSpec(backend="adaptive-quadrature", epsilon_i=1e-9)
@@ -243,7 +245,7 @@ class TestAcceptance:
         prep = prepare_mixed(mix, bas, 3, CDF)
         target = mixed_oracle(mix, bas, 3)
         assert np.max(np.abs(prep.rho.matrix - target.matrix)) <= 1e-8
-        evals = np.sort(prep.rho.eigenvalues())[::-1]
+        evals = np.sort(eigenvalues(prep.rho))[::-1]
         assert evals[0] == pytest.approx(probs[0], abs=1e-6)
         assert evals[1] == pytest.approx(probs[1], abs=1e-6)
 
@@ -255,14 +257,14 @@ class TestAcceptance:
             for eps in (1e-2, 1e-3):
                 perturb = lambda i, k, r: r - eps
                 eps_psi = 0.0
-                dim = 1 << (2 * l)
-                rho_noisy = np.zeros((dim, dim), dtype=complex)
+                columns = []
                 for p, occ in mix3.components:
                     noisy = prepare_slater(occ, bas3, l, CDF,
                                            ratio_perturb=perturb).vector
                     eps_psi = max(eps_psi, infidelity(
                         noisy, slater_oracle(occ, bas3, l)))
-                    rho_noisy += p * np.outer(noisy, noisy.conj())
+                    columns.append(np.sqrt(p) * noisy)
+                rho_noisy = DensityMatrix(np.column_stack(columns))
                 eps_rho = mixed_infidelity(rho_noisy,
                                            mixed_oracle(mix3, bas3, l))
                 assert eps_rho <= eps_psi + 1e-12, (l, eps, eps_rho, eps_psi)

@@ -1,6 +1,8 @@
 """Fidelity measures, bound composition, reports, scaling fits."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridprep.analysis import (
     BoundCheck,
@@ -17,6 +19,7 @@ from gridprep.analysis import (
 )
 from gridprep.errors import ValidationError
 from gridprep.statevec import DensityMatrix
+from helpers import dense_mixed_fidelity
 
 
 class TestPureInfidelity:
@@ -49,33 +52,86 @@ class TestPureInfidelity:
                 pure_infidelity(a, b)
 
 
+def diagonal(p) -> DensityMatrix:
+    """diag(p), held as its factor diag(sqrt(p))."""
+    return DensityMatrix(np.diag(np.sqrt(p)))
+
+
+def pure(a) -> DensityMatrix:
+    """|a><a|, held as its factor: the column a."""
+    return DensityMatrix(np.asarray(a, dtype=complex)[:, None])
+
+
 class TestMixedFidelity:
     def test_identical_density_matrices(self):
-        rho = np.diag([0.7, 0.3])
+        rho = diagonal([0.7, 0.3])
         assert mixed_fidelity(rho, rho) == pytest.approx(1.0)
 
     def test_pure_state_reduction(self):
         # rank-one inputs recover |<a|b>|
         a = np.array([1.0, 0.0])
         b = np.array([0.6, 0.8])
-        f = mixed_fidelity(np.outer(a, a), np.outer(b, b))
+        f = mixed_fidelity(pure(a), pure(b))
         assert f == pytest.approx(0.6, abs=1e-10)
+        assert dense_mixed_fidelity(np.outer(a, a), np.outer(b, b)) == \
+            pytest.approx(0.6, abs=1e-10)
 
     def test_orthogonal_mixtures(self):
-        assert mixed_fidelity(np.diag([1.0, 0.0]),
-                              np.diag([0.0, 1.0])) == pytest.approx(0.0)
+        assert mixed_fidelity(diagonal([1.0, 0.0]),
+                              diagonal([0.0, 1.0])) == pytest.approx(0.0)
 
     def test_classical_distributions(self):
         # commuting case: fidelity = sum sqrt(p_i q_i)
         p = np.array([0.7, 0.3])
         q = np.array([0.4, 0.6])
         expected = np.sum(np.sqrt(p * q))
-        assert mixed_fidelity(np.diag(p), np.diag(q)) == pytest.approx(
+        assert mixed_fidelity(diagonal(p), diagonal(q)) == pytest.approx(
             expected, abs=1e-10)
+        assert dense_mixed_fidelity(np.diag(p), np.diag(q)) == \
+            pytest.approx(expected, abs=1e-10)
 
     def test_accepts_density_matrix_objects(self):
-        rho = DensityMatrix(np.eye(2) / 2)
+        rho = DensityMatrix(np.eye(2) / np.sqrt(2))
         assert mixed_infidelity(rho, rho) == pytest.approx(0.0, abs=1e-8)
+        assert dense_mixed_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-8)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValidationError, match="dimensions differ"):
+            mixed_fidelity(diagonal([0.5, 0.5]), diagonal([0.5, 0.25, 0.25]))
+
+    def test_equal_factors_of_different_shape(self):
+        # one ρ from factors with 1 and 3 columns
+        a = np.array([0.6, 0.8j])
+        wide = np.zeros((2, 3), dtype=complex)
+        wide[:, 1] = a
+        assert mixed_fidelity(pure(a), DensityMatrix(wide)) == \
+            pytest.approx(1.0, abs=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(1, 24), ranks=st.tuples(st.integers(1, 8),
+                                                 st.integers(1, 8)),
+           zeros=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_factored_matches_dense_fidelity(self, d, ranks, zeros, seed):
+        # unequal ranks (1 is a pure state) and zero columns padding either
+        # factor; the two ρ are random, or share a column so F is not 0
+        rng = np.random.default_rng(seed)
+        factors = []
+        for rank, pad in zip(ranks, zeros):
+            t = np.zeros((d, rank + pad), dtype=complex)
+            cols = rng.permutation(rank + pad)[:rank]
+            t[:, cols] = rng.normal(size=(d, rank)) \
+                + 1j * rng.normal(size=(d, rank))
+            factors.append(t / np.linalg.norm(t))
+        if rng.random() < 0.5:
+            shared = np.argmax(np.linalg.norm(factors[0], axis=0))
+            factors[1][:, -1] = factors[0][:, shared] * (0.5 + rng.random())
+            factors[1] /= np.linalg.norm(factors[1])
+        rho, sigma = (DensityMatrix(t) for t in factors)
+        assert mixed_fidelity(rho, sigma) == pytest.approx(
+            dense_mixed_fidelity(rho, sigma), abs=1e-12)
+        assert mixed_fidelity(rho, sigma) == pytest.approx(
+            mixed_fidelity(sigma, rho), abs=1e-12)
 
 
 class TestBoundComposition:

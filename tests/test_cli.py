@@ -12,12 +12,25 @@ from gridprep.basis import IntegrationSpec
 from gridprep.cli import SCHEMA, _Required, main, read_orbital_csv, write_table
 from gridprep.discriminate import SymmetryOperator
 from gridprep.errors import StructuralError, ValidationError
+from helpers import outputs_under_blas_threads
 
 BOX_BASIS = [
     {"family": "box-sine", "n": 1},
     {"family": "box-sine", "n": 2},
     {"family": "box-sine", "n": 3},
 ]
+
+
+#: Runs verify-bounds on the config named on the command line and prints
+#: its report.txt; exits with the command's exit code.
+VERIFY_REPORT = """
+import sys
+from pathlib import Path
+from gridprep.cli import main
+code = main(["verify-bounds", "--config", sys.argv[1], "--out", "out"])
+print(Path("out", "report.txt").read_text(), end="")
+sys.exit(code)
+"""
 
 
 def write_config(tmp_path, name, cfg):
@@ -308,6 +321,25 @@ class TestVerifyAndSweep:
         report = (out / "report.txt").read_text()
         assert "error bound: 0.00139008187252" in report
         assert "[ok]" in report
+
+    @pytest.mark.parametrize("cfg", [
+        {"task": "orbital", "orbital": 2, "l": 18, "basis": BOX_BASIS},
+        {"l": 5, "basis": BOX_BASIS,
+         "mixed": {"thermal": {"beta": 0.7, "components": [
+             {"energy": 1.0, "occupation": "110"},
+             {"energy": 2.0, "occupation": "101"},
+             {"energy": 3.0, "occupation": "011"}]}}},
+    ], ids=["orbital-l18", "mixed-l5-m2"])
+    def test_verify_bounds_report_does_not_depend_on_blas_threads(
+            self, tmp_path, cfg):
+        path = write_config(tmp_path, "c.yaml", cfg)
+        cwds = [tmp_path / "1", tmp_path / "2"]
+        for cwd in cwds:
+            cwd.mkdir()
+        outputs = outputs_under_blas_threads(["-c", VERIFY_REPORT, path],
+                                             cwds)
+        assert "[ok]" in outputs[0]
+        assert outputs[0] == outputs[1]
 
     def test_sweep_grid(self, tmp_path):
         cfg = write_config(tmp_path, "c.yaml", {

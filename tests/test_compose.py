@@ -1,10 +1,6 @@
 """End-to-end preparation drivers and their oracles."""
 import inspect
-import os
-import subprocess
-import sys
 from itertools import permutations
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -41,7 +37,8 @@ from gridprep.compose import (
 from gridprep.discriminate import SymmetryOperator
 from gridprep.errors import ResourceError, ValidationError
 from gridprep.loader import load_error_bound
-from helpers import purity, reference_prepare
+from helpers import eigenvalues, outputs_under_blas_threads, purity, \
+    reference_prepare
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
 
@@ -198,7 +195,7 @@ class TestMixedDrivers:
         mix = MixedSpec.thermal(1.0, [(0.0, OccupationVector((1, 0))),
                                       (1.0, OccupationVector((0, 1)))])
         prep = prepare_mixed(mix, bas, 3, CDF)
-        evals = np.sort(prep.rho.eigenvalues())[::-1]
+        evals = np.sort(eigenvalues(prep.rho))[::-1]
         assert evals[0] == pytest.approx(0.731059, abs=1e-6)
         assert evals[1] == pytest.approx(0.268941, abs=1e-6)
 
@@ -491,16 +488,28 @@ for l in map(int, sys.argv[1:]):
 
 
 def test_slater_bytes_do_not_depend_on_blas_threads():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    outputs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(
-                   [src, os.environ.get("PYTHONPATH", "")])}
-        run = subprocess.run([sys.executable, "-c", SLATER_BYTES, "5", "6"],
-                             env=env, capture_output=True, text=True,
-                             timeout=300)
-        assert run.returncode == 0, run.stderr
-        outputs.append(run.stdout)
+    outputs = outputs_under_blas_threads(["-c", SLATER_BYTES, "5", "6"])
+    assert len(outputs[0].splitlines()) == 2
+    assert outputs[0] == outputs[1]
+
+
+#: Prints a SHA-256 of the vector of prepare_orbital for box_sine(3) and its
+#: infidelity against the grid values, at each grid size on the command line.
+ORBITAL_BYTES = """
+import hashlib, sys
+from gridprep import IntegrationSpec, box_sine, prepare_orbital, \\
+    pure_infidelity
+spec = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
+for l in map(int, sys.argv[1:]):
+    prep = prepare_orbital(box_sine(3), l, spec)
+    print(l, hashlib.sha256(prep.vector.tobytes()).hexdigest(),
+          repr(pure_infidelity(prep.vector, box_sine(3).grid_values(l))))
+"""
+
+
+def test_orbital_bytes_do_not_depend_on_blas_threads():
+    # at l = 18 and 19 the norms and overlaps are long enough for a
+    # threaded BLAS to split them
+    outputs = outputs_under_blas_threads(["-c", ORBITAL_BYTES, "18", "19"])
     assert len(outputs[0].splitlines()) == 2
     assert outputs[0] == outputs[1]

@@ -144,9 +144,9 @@ GOLDEN = {
     },
     "sweep": {
         "report.csv":
-            "3b8018edcf117d0d0c78ead117968a5d9e858d37211a9e8739e8c737796e26af",
+            "1e0b532156f1610b3b95a7ed954086afe536e8758aa3a7e106036b80b4a165b3",
         "report.txt":
-            "3b8018edcf117d0d0c78ead117968a5d9e858d37211a9e8739e8c737796e26af",
+            "1e0b532156f1610b3b95a7ed954086afe536e8758aa3a7e106036b80b4a165b3",
     },
     "two-species": {
         "report.csv":

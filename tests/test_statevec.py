@@ -28,9 +28,10 @@ from gridprep.statevec import (
     segment_masses,
     vector_norm,
 )
-from helpers import controlled_unitary, from_basis_index, purity, \
-    qft_matrix, reference_measure_segment, reference_relabel, \
-    segment_probabilities, segment_values, sparse_from_state
+from helpers import checked_density_matrix, controlled_unitary, \
+    eigenvalues, from_basis_index, purity, qft_matrix, \
+    reference_measure_segment, reference_relabel, segment_probabilities, \
+    segment_values, sparse_from_state
 
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
@@ -396,7 +397,7 @@ def dense_partial_trace(state, keep_segments):
         idx, [s for s in state.layout if s.name not in keep_segments])
     table = np.zeros((1 << k_width, 1 << r_width), dtype=np.complex128)
     table[kvals, rvals] = state.amplitudes
-    return DensityMatrix.from_factor(table)
+    return DensityMatrix(table)
 
 
 def dense_extract(state, keep_segments, tol=1e-8):
@@ -518,12 +519,16 @@ class TestDensityOps:
             extract_segment_vector(state, ["a"])
 
     def test_density_matrix_validation(self):
-        with pytest.raises(ValidationError):
-            DensityMatrix(np.array([[0.5, 0.0], [0.0, 0.6]]))  # trace != 1
-        with pytest.raises(ValidationError):
-            DensityMatrix(np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative
-        rho = DensityMatrix(np.eye(2) / 2)
-        assert rho.eigenvalues() == pytest.approx([0.5, 0.5])
+        with pytest.raises(ValidationError):  # trace != 1
+            checked_density_matrix(np.array([[0.5, 0.0], [0.0, 0.6]]))
+        with pytest.raises(ValidationError):  # the same ρ as its factor
+            DensityMatrix(np.diag(np.sqrt([0.5, 0.6])))
+        with pytest.raises(ValidationError):  # negative
+            checked_density_matrix(np.array([[1.5, 0.0], [0.0, -0.5]]))
+        rho = checked_density_matrix(np.eye(2) / 2)
+        assert eigenvalues(rho) == pytest.approx([0.5, 0.5])
+        rho = DensityMatrix(np.diag(np.sqrt([0.5, 0.5])))
+        assert eigenvalues(rho) == pytest.approx([0.5, 0.5])
 
     @pytest.mark.parametrize("entry,value", [
         ((0, 0), np.nan), ((0, 1), np.nan), ((1, 0), 1j * np.inf)])
@@ -531,21 +536,21 @@ class TestDensityOps:
         rho = np.eye(2, dtype=complex) / 2
         rho[entry] = value
         with pytest.raises(ValidationError):
-            DensityMatrix(rho)
+            checked_density_matrix(rho)
 
     def test_diagonal_restored_bytewise(self):
         # -0.0 + s - s is +0.0: validation must leave ρ's bytes alone.
         rho = np.diag([1.0, -0.0]).astype(complex)
         before = rho.tobytes()
-        validated = DensityMatrix(rho)
+        validated = checked_density_matrix(rho)
         assert rho.tobytes() == before
-        assert validated.matrix.tobytes() == before
+        assert validated.tobytes() == before
 
     def test_density_matrix_copies_its_input(self):
-        a = np.eye(2, dtype=complex) / 2
+        a = np.array([[1.0], [0.0]], dtype=complex)
         rho = DensityMatrix(a)
         a[0, 0] = 5
-        assert rho.matrix is not a
+        assert rho.factor is not a
         assert np.trace(rho.matrix).real == 1.0
 
     @settings(max_examples=200, deadline=None)
@@ -559,9 +564,10 @@ class TestDensityOps:
         zero[rng.integers(k)] = False
         t[:, zero] = 0
         t /= np.linalg.norm(t)
-        rho = DensityMatrix.from_factor(t)
+        rho = DensityMatrix(t)
+        assert rho.dim == n
         assert rho.matrix.tobytes() == (t @ t.conj().T).tobytes()
-        DensityMatrix(rho.matrix)
+        checked_density_matrix(rho.matrix)
 
     @pytest.mark.parametrize("entry,value", [
         ((0, 0), np.nan), ((1, 1), 1j * np.nan), ((1, 0), np.inf)])
@@ -569,21 +575,22 @@ class TestDensityOps:
         t = np.full((2, 2), 0.5, dtype=complex)
         t[entry] = value
         with pytest.raises(ValidationError):
-            DensityMatrix.from_factor(t)
+            DensityMatrix(t)
 
     @pytest.mark.parametrize("factor", [1 - 2e-8, 1 + 2e-8, 0.0])
     def test_from_factor_rejects_wrong_norm(self, factor):
         t = np.full((2, 2), 0.5, dtype=complex) * np.sqrt(factor)
         with pytest.raises(ValidationError):
-            DensityMatrix.from_factor(t)
+            DensityMatrix(t)
 
     def test_from_factor_rejects_non_matrix(self):
         with pytest.raises(ValidationError):
-            DensityMatrix.from_factor(np.array([0.6, 0.8]))
+            DensityMatrix(np.array([0.6, 0.8]))
 
-    def test_mixed_oracle_matches_dense_mixture(self, monkeypatch):
+    def test_mixed_oracle_matches_dense_mixture(self):
         # the golden mixed-l4-m2 ensemble; the factor form must agree with
-        # the dense sum of outer products and never take the dense checks
+        # the dense sum of outer products, and neither the oracle nor the
+        # preparation forms ρ
         bas = BasisSet([box_sine(n) for n in (1, 2, 3)])
         mix = MixedSpec.thermal(0.7, [
             (1.0, OccupationVector.parse("110")),
@@ -594,23 +601,24 @@ class TestDensityOps:
             v = slater_oracle(occ, bas, 4)
             dense = dense + p * np.outer(v, v.conj())
 
-        def refuse(self):
-            raise AssertionError("dense density-matrix validation ran")
-
-        monkeypatch.setattr(DensityMatrix, "__post_init__", refuse)
         rho = mixed_oracle(mix, bas, 4)
-        assert np.max(np.abs(rho.matrix - dense)) <= 1e-14
         prep = prepare_mixed(mix, bas, 4, CDF)
+        assert "matrix" not in vars(rho)
+        assert "matrix" not in vars(prep.rho)
+        assert np.max(np.abs(rho.matrix - dense)) <= 1e-14
         assert np.max(np.abs(prep.rho.matrix - dense)) <= 1e-8
+        factor = prep.rho.factor
+        assert prep.rho.matrix.tobytes() == \
+            (factor @ factor.conj().T).tobytes()
 
     def test_read_only_density_matrix_validates(self):
         good = np.diag([0.25, 0.75]).astype(complex)
         bad = np.diag([1.5, -0.5]).astype(complex)
         for rho in (good, bad):
             rho.flags.writeable = False
-        assert purity(DensityMatrix(good)) == pytest.approx(0.625)
+        assert purity(checked_density_matrix(good)) == pytest.approx(0.625)
         with pytest.raises(ValidationError):
-            DensityMatrix(bad)
+            checked_density_matrix(bad)
         assert good.tobytes() == np.diag([0.25, 0.75]).astype(complex).tobytes()
 
     @settings(max_examples=200, deadline=None)
@@ -633,7 +641,7 @@ class TestDensityOps:
         before = rho.tobytes()
         expect_ok = np.linalg.eigvalsh(rho).min() >= -1e-8
         try:
-            DensityMatrix(rho)
+            checked_density_matrix(rho)
             accepted = True
         except ValidationError:
             accepted = False
@@ -658,7 +666,7 @@ class TestDensityOps:
         rho[i, j] += direction * (1e-8 + excess)
         dense_rejects = np.max(np.abs(rho - rho.conj().T)) > 1e-8
         try:
-            DensityMatrix(rho)
+            checked_density_matrix(rho)
             rejected = False
         except ValidationError as err:
             assert "Hermitian" in str(err)
@@ -671,4 +679,5 @@ class TestDensityOps:
         rho = z @ z.conj().T
         rho /= np.trace(rho).real
         expected = np.trace(rho @ rho).real
-        assert purity(DensityMatrix(rho)) == pytest.approx(expected, rel=1e-12)
+        assert purity(checked_density_matrix(rho)) == pytest.approx(
+            expected, rel=1e-12)
