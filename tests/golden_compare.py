@@ -12,6 +12,10 @@ case of `test_golden.CASES` with the `src/` of a base commit (exported by
   equal by value, so -0 and 0 agree;
 * every other number in a bound field (a CSV column, report key or report
   label that contains "bound") equal as printed;
+* a bound check in a key,value report, `bound:<check>,<measured><=<bound>:
+  <status>`, judged part by part as `report.txt` judges its `measured ...
+  <= bound ... [status]` line: the measured value as any other number, the
+  bound as printed and the status as an exact string;
 * every other number (amplitudes, rho entries, infidelities, float
   diagnostics) equal within 1e-12 absolute.
 
@@ -44,6 +48,8 @@ TOL = 1e-12
 NUMBER = re.compile(
     r"(?<![\w.])([-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)(?![\w.])")
 INTEGER = re.compile(r"[-+]?\d+")
+BOUND_CHECK = re.compile(r"bound:(.*)")
+BOUND_CELL = re.compile(r"(.*)<=(.*):(.*)")
 RUNNER = ("import sys; from gridprep.cli import main; "
           "sys.exit(main(sys.argv[1:]))")
 
@@ -74,13 +80,29 @@ def _fields(name: str, text: str) -> tuple[list, list[tuple[str, str]]]:
     if name.endswith(".csv"):
         header, *rows = csv.reader(io.StringIO(text))
         keyed = header == ["key", "value"]
-        values = [(row[0] if keyed and c else
-                   header[c] if c < len(header) else "", v)
-                  for row in rows for c, v in enumerate(row)]
+        values = []
+        for row in rows:
+            for c, v in enumerate(row):
+                field = (row[0] if keyed and c else
+                         header[c] if c < len(header) else "")
+                values += _cell(field, v) if keyed and c else [(field, v)]
         return [header] + [len(row) for row in rows], values
     parts = NUMBER.split(text)
     labels = [p.rsplit("\n", 1)[-1] for p in parts[0:-1:2]]
     return parts[0::2], list(zip(labels, parts[1::2]))
+
+
+def _cell(key: str, value: str) -> list[tuple[str, str]]:
+    """The (field, value) pairs of one key,value cell: a bound check's
+    measured value (in a field without "bound"), its bound and its status
+    (both in bound fields), or the cell as it stands.
+    """
+    check, cell = BOUND_CHECK.fullmatch(key), BOUND_CELL.fullmatch(value)
+    if not (check and cell):
+        return [(key, value)]
+    measured, bound, status = cell.groups()
+    return [(f"{check[1]} measured", measured), (key, bound),
+            (f"{key} status", status)]
 
 
 def compare_file(name: str, old: str, new: str) -> tuple[list[str], float]:

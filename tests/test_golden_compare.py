@@ -18,6 +18,13 @@ def ring(tmp_path_factory):
     return runs["superposition-ring"]
 
 
+@pytest.fixture(scope="module")
+def checked(tmp_path_factory):
+    runs = run_cases(SRC, ["verify-bounds-superposition"],
+                     tmp_path_factory.mktemp("golden"))
+    return runs["verify-bounds-superposition"]
+
+
 def _planted(run, name, pattern, replacement):
     code, files = run
     text, n = re.subn(pattern, replacement, files[name])
@@ -60,6 +67,24 @@ def test_planted_change(ring, name, pattern, replacement, ok):
     if not ok:
         assert any(message.startswith(name) for passed, message in lines
                    if not passed)
+
+
+@pytest.mark.parametrize("replacement, ok", [
+    # the measured value of a bound check is a number like any other
+    ("bound:infidelity,1e-16<=0.045:ok", True),
+    ("bound:infidelity,1e-09<=0.045:ok", False),
+    # its bound must match as printed, and its status as a string
+    ("bound:infidelity,0<=0.0450000000001:ok", False),
+    ("bound:infidelity,0<=0.045:FAIL", False),
+])
+def test_planted_bound_check_cell(checked, replacement, ok):
+    planted = _planted(checked, "report.csv",
+                       r"bound:infidelity,0<=0\.045:ok", replacement)
+    lines = compare_case(checked, planted)
+    assert all(passed for passed, _ in lines) == ok
+    if not ok:
+        assert any(message.startswith("report.csv") for passed, message
+                   in lines if not passed)
 
 
 def test_exit_code_and_files_must_match(ring):
