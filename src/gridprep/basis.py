@@ -1,9 +1,11 @@
 """Orbital families, integration settings, and the Fock operator model.
 
-An orbital carries two continuum oracles, the probability density
-|phi(x)|^2 and the phase arg phi(x), which are point-sampled on the grid.
-Grid-native families (kronecker-delta, tabulated) define their amplitudes
-directly on sites.
+A continuum orbital is point-sampled on the grid by one evaluation per
+family, which gives the magnitudes |phi(x)| and the unit phase factors
+e^{i arg phi(x)} together (a real family computes its sin or hermval once
+for both); the normalized amplitudes and those factors are what the loader
+takes its split ratios and its phase kickback from.  Grid-native families
+(kronecker-delta, tabulated) define their amplitudes directly on sites.
 """
 from __future__ import annotations
 
@@ -25,6 +27,10 @@ EMPTY_MASS_THRESHOLD = 1e-14
 #: Largest entry of Φ†Φ − I a re-orthonormalized grid matrix may leave.
 ORTHONORMALITY_TOL = 1e-6
 
+#: The phase factor of a real orbital's negative sites: e^{i pi}, whose
+#: imaginary part is sin(pi) = 1.2e-16 in double precision.
+MINUS_ONE = np.exp(1j * np.pi)
+
 
 @dataclass(frozen=True)
 class Orbital:
@@ -44,76 +50,77 @@ class Orbital:
             raise ValidationError(
                 f"orbital domain length {self.length} is not > 0")
 
-    # -- continuum oracles -------------------------------------------------
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        L = self.length
-        if self.family == "uniform":
-            return np.full_like(x, 1.0 / L)
-        if self.family == "box-sine":
-            n = self.params[0]
-            return (2.0 / L) * np.sin(n * np.pi * x / L) ** 2
-        if self.family == "ring-plane-wave":
-            return np.full_like(x, 1.0 / L)
-        if self.family == "harmonic-hermite":
-            n, width = self.params
-            u = (x - L / 2.0) / width
-            h = _hermite_value(n, u)
-            norm = 1.0 / (2.0**n * math.factorial(n) * math.sqrt(math.pi))
-            return norm * h**2 * np.exp(-(u**2)) / width
-        raise ValidationError(
-            f"family {self.family!r} has no continuum density oracle"
-        )
-
-    def phase(self, x):
-        """arg phi(x); real sign changes appear as a phase of pi."""
-        x = np.asarray(x, dtype=float)
-        L = self.length
-        if self.family == "ring-plane-wave":
-            k = self.params[0]
-            return 2.0 * np.pi * k * x / L
-        if self.family == "box-sine":
-            n = self.params[0]
-            return np.where(np.sin(n * np.pi * x / L) < 0, np.pi, 0.0)
-        if self.family == "harmonic-hermite":
-            n, width = self.params
-            h = _hermite_value(n, (x - L / 2.0) / width)
-            return np.where(h < 0, np.pi, 0.0)
-        if self.family in ("uniform", "kronecker-delta"):
-            return np.zeros_like(x)
-        raise ValidationError(f"family {self.family!r} has no phase oracle")
-
     # -- grid oracles ------------------------------------------------------
     def grid_values(self, l: int) -> np.ndarray:
         """Normalized complex amplitudes at the sites x_j = j*L/2^l."""
+        return self.sample_grid(l)[0]
+
+    def sample_grid(self, l: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """`grid_values(l)` and the unit factors e^{i arg phi(x_j)} it
+        carries (None when every arg phi(x_j) is 0), from one evaluation.
+        """
         n_sites = 1 << l
         if self.family == "kronecker-delta":
             site = int(self.params[0] / self.length * n_sites)
             vec = np.zeros(n_sites, dtype=np.complex128)
             vec[site] = 1.0
-            return vec
+            return vec, None
         if self.family == "tabulated":
-            vec = np.asarray(self.params[0], dtype=np.complex128)
+            vec = np.array(self.params[0], dtype=np.complex128)
             if vec.size != n_sites:
                 raise ValidationError(
                     f"tabulated orbital has {vec.size} entries, "
                     f"grid needs {n_sites}"
                 )
+            phases = None
         else:
             xs = np.arange(n_sites) * (self.length / n_sites)
-            mags = np.sqrt(self.density(xs))
-            vec = mags * np.exp(1j * self.phase(xs))
+            mags, phases = self._magnitudes_and_phases(xs)
+            vec = mags.astype(np.complex128) if phases is None \
+                else mags * phases
         # np.einsum calls no BLAS, so the amplitudes do not depend on the
-        # BLAS thread count.  statevec.vector_norm would first drop the
-        # parts that are 0, every imaginary part where the phase is 0: a
-        # pass that costs several times this sum on the grids loaded here.
+        # BLAS thread count.  statevec.vector_norm would also drop the
+        # zero squares, every imaginary part where the phase is 0: a pass
+        # that costs several times this sum on the grids loaded here.
         parts = np.ascontiguousarray(vec).view(np.float64)
         norm = np.sqrt(np.einsum("i,i->", parts, parts))
         if not np.isfinite(norm):
             raise ValidationError("orbital is not finite on the grid")
         if norm == 0:
             raise ValidationError("orbital vanishes on every grid site")
-        return vec / norm
+        vec /= norm
+        if self.family == "tabulated":  # the table's own phases
+            angle = np.angle(vec)
+            phases = np.exp(1j * angle) if np.any(angle) else None
+        return vec, phases
+
+    def _magnitudes_and_phases(self, x: np.ndarray):
+        """|phi(x)| and the factors e^{i arg phi(x)}, None when every arg
+        is 0, of a continuum family; a real family evaluates sin or hermval
+        once for both, and its factor is e^{i pi} where phi(x) < 0.
+        """
+        L = self.length
+        if self.family in ("uniform", "ring-plane-wave"):
+            mags = np.full_like(x, math.sqrt(1.0 / L))
+            if self.family == "uniform" or self.params[0] == 0:
+                return mags, None
+            return mags, np.exp(1j * (2.0 * np.pi * self.params[0] * x / L))
+        if self.family == "box-sine":
+            phi = np.sin(self.params[0] * np.pi * x / L)
+            density = (2.0 / L) * phi**2
+        elif self.family == "harmonic-hermite":
+            n, width = self.params
+            u = (x - L / 2.0) / width
+            phi = _hermite_value(n, u)
+            norm = 1.0 / (2.0**n * math.factorial(n) * math.sqrt(math.pi))
+            density = norm * phi**2 * np.exp(-(u**2)) / width
+        else:
+            raise ValidationError(
+                f"family {self.family!r} has no continuum oracle")
+        negative = phi < 0
+        if not negative.any():
+            return np.sqrt(density), None
+        return np.sqrt(density), np.where(negative, MINUS_ONE, 1.0)
 
 
 def _hermite_value(n: int, u: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Single-particle state loading: l levels of multiplexed rotations, each
-turning a dyadic block pair by arccos(sqrt(split ratio)), then phase
-kickback.  Site x ends up with the product of the cos/sin factors along its
-dyadic path (Grover & Rudolph, quant-ph/0208112), and `load_orbital`
-evaluates that product directly; the tests keep the gate-level circuit as
-its bitwise reference.  The split ratios are conditional probabilities of
-the point-sampled grid distribution, so with an exact backend the loaded
-magnitudes match the sampled orbital to machine precision.
+turning a dyadic block pair by the entries c = sqrt(r) and s = sqrt(1 - r)
+of its split ratio r, then phase kickback.  Site x ends up with the product
+of the c/s factors along its dyadic path (Grover & Rudolph,
+quant-ph/0208112), and `load_orbital` evaluates that product directly; the
+tests keep the gate-level circuit as its bitwise reference.  One evaluation
+of the orbital on the grid supplies both the split ratios, conditional
+probabilities of the point-sampled site distribution, and the kickback
+factors, so with an exact backend the loaded magnitudes match the sampled
+orbital to machine precision.
 """
 from __future__ import annotations
 
@@ -241,8 +243,8 @@ def load_orbital(
             for b in map(int, np.flatnonzero(active)):
                 ratio[b] = ratio_perturb(i, 2 * b, float(ratio[b]))
             np.clip(ratio, 0.0, 1.0, out=ratio)
-        angle = np.where(active, np.arccos(np.sqrt(ratio)), 0.0)
-        values = _split(values, np.cos(angle), np.sin(angle))
+        ratio = np.where(active, ratio, 1.0)  # c = 1, s = 0: no rotation
+        values = _split(values, np.sqrt(ratio), np.sqrt(1.0 - ratio))
     plan.empty_blocks = plan.integral_requests - plan.rotation_applications
     block = _gather_rows(apply_phases(values, phases), seed_of)
 
@@ -256,12 +258,12 @@ def load_orbital(
 
 
 def _load_tables(orbital: Orbital, l: int, spec: IntegrationSpec):
-    """Split ratios and phase-kickback factors (None when every arg phi(x)
-    is 0), both from one evaluation of the orbital on the grid.
+    """Split ratios and phase-kickback factors from one evaluation of the
+    orbital on the grid (`Orbital.sample_grid`): the ratios of its site
+    masses |phi(x)|^2, and the unit factors e^{i arg phi(x)} that the
+    evaluation multiplied in (None when every arg phi(x) is 0).
     """
-    values = orbital.grid_values(l)
-    angle = np.angle(values)
-    phases = np.exp(1j * angle) if np.any(angle) else None
+    values, phases = orbital.sample_grid(l)
     return _split_ratios(np.abs(values) ** 2, l, spec), phases
 
 

@@ -167,8 +167,8 @@ def vector_norm(values: np.ndarray) -> float:
     order, whatever the BLAS thread count) over the nonzero squares of the
     float64 view, so a state and its slab in a wider layout have one norm.
     """
-    values = np.asarray(values, dtype=np.complex128)
-    squares = np.square(values[values != 0].view(np.float64))
+    values = np.ascontiguousarray(values, dtype=np.complex128)
+    squares = np.square(values.view(np.float64))
     return float(np.sqrt(np.sum(squares[squares != 0])))
 
 

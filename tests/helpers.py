@@ -11,7 +11,9 @@ from gridprep.analysis import PreparationReport
 from gridprep.assemble import apply_rank_to_permutation, \
     generate_permutation_superposition, particle_segments, \
     permutation_segments, sort_and_entangle
-from gridprep.basis import BasisSet, kronecker_delta
+import math
+
+from gridprep.basis import BasisSet, _hermite_value, kronecker_delta
 from gridprep.compose import PreparedState
 from gridprep.errors import StructuralError, ValidationError
 from gridprep.loader import load_error_bound
@@ -58,6 +60,74 @@ def delta_at_site(site: int, l: int):
 
 def grid_prob(orbital, l: int) -> np.ndarray:
     return np.abs(orbital.grid_values(l)) ** 2
+
+
+# -- continuum oracles one at a time: the reference for
+# `basis.Orbital.sample_grid` -------------------------------------------------
+
+def reference_density(orbital, x):
+    """|phi(x)|^2 of a continuum family."""
+    x = np.asarray(x, dtype=float)
+    L = orbital.length
+    if orbital.family == "uniform":
+        return np.full_like(x, 1.0 / L)
+    if orbital.family == "box-sine":
+        n = orbital.params[0]
+        return (2.0 / L) * np.sin(n * np.pi * x / L) ** 2
+    if orbital.family == "ring-plane-wave":
+        return np.full_like(x, 1.0 / L)
+    if orbital.family == "harmonic-hermite":
+        n, width = orbital.params
+        u = (x - L / 2.0) / width
+        h = _hermite_value(n, u)
+        norm = 1.0 / (2.0**n * math.factorial(n) * math.sqrt(math.pi))
+        return norm * h**2 * np.exp(-(u**2)) / width
+    raise ValidationError(
+        f"family {orbital.family!r} has no continuum density oracle")
+
+
+def reference_phase(orbital, x):
+    """arg phi(x); real sign changes appear as a phase of pi."""
+    x = np.asarray(x, dtype=float)
+    L = orbital.length
+    if orbital.family == "ring-plane-wave":
+        k = orbital.params[0]
+        return 2.0 * np.pi * k * x / L
+    if orbital.family == "box-sine":
+        n = orbital.params[0]
+        return np.where(np.sin(n * np.pi * x / L) < 0, np.pi, 0.0)
+    if orbital.family == "harmonic-hermite":
+        n, width = orbital.params
+        h = _hermite_value(n, (x - L / 2.0) / width)
+        return np.where(h < 0, np.pi, 0.0)
+    if orbital.family in ("uniform", "kronecker-delta"):
+        return np.zeros_like(x)
+    raise ValidationError(f"family {orbital.family!r} has no phase oracle")
+
+
+def reference_grid_values(orbital, l: int) -> np.ndarray:
+    """normalize(sqrt(density) exp(i phase)) at the sites x_j = j L / 2^l,
+    normalized as `Orbital.grid_values` normalizes.
+    """
+    xs = np.arange(1 << l) * (orbital.length / (1 << l))
+    vec = np.sqrt(reference_density(orbital, xs)) \
+        * np.exp(1j * reference_phase(orbital, xs))
+    parts = np.ascontiguousarray(vec).view(np.float64)
+    norm = np.sqrt(np.einsum("i,i->", parts, parts))
+    if not np.isfinite(norm):
+        raise ValidationError("orbital is not finite on the grid")
+    if norm == 0:
+        raise ValidationError("orbital vanishes on every grid site")
+    return vec / norm
+
+
+def reference_vector_norm(values) -> float:
+    """`statevec.vector_norm` dropping the zero amplitudes before it drops
+    the zero squares.
+    """
+    values = np.asarray(values, dtype=np.complex128)
+    squares = np.square(values[values != 0].view(np.float64))
+    return float(np.sqrt(np.sum(squares[squares != 0])))
 
 
 def purity(rho) -> float:

@@ -1,5 +1,6 @@
 """Orbital families, split ratios, integration backends, Fock operator."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from gridprep.basis import (
 )
 from gridprep.errors import ValidationError
 from gridprep.loader import _split_ratios
-from helpers import delta_at_site, gap, grid_prob, perturbed
+from helpers import delta_at_site, gap, grid_prob, perturbed, \
+    reference_density, reference_grid_values, reference_phase
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
 QUAD = IntegrationSpec(backend="adaptive-quadrature", epsilon_i=1e-9)
@@ -43,7 +45,7 @@ class TestOrbitalFamilies:
         harmonic_hermite(0), harmonic_hermite(1), harmonic_hermite(2),
     ])
     def test_density_normalized(self, orb):
-        total, _ = integrate.quad(lambda x: float(orb.density(x)),
+        total, _ = integrate.quad(lambda x: float(reference_density(orb, x)),
                                   0.0, orb.length, limit=200)
         assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -113,6 +115,62 @@ class TestOrbitalFamilies:
     def test_non_finite_grid_values_rejected(self, orb):
         with pytest.raises(ValidationError, match="not finite"):
             orb.grid_values(2)
+
+
+@st.composite
+def continuum_orbitals(draw):
+    family = draw(st.sampled_from(["box-sine", "ring-plane-wave",
+                                   "harmonic-hermite", "uniform"]))
+    length = draw(st.sampled_from([1.0, 0.3, 2.5]))
+    if family == "box-sine":
+        return box_sine(draw(st.integers(1, 40)), length=length)
+    if family == "ring-plane-wave":
+        return ring_plane_wave(draw(st.integers(-40, 40)), length=length)
+    if family == "harmonic-hermite":
+        return harmonic_hermite(draw(st.integers(0, 6)), length=length,
+                                width=length * draw(st.floats(0.01, 0.5)))
+    return uniform(length=length)
+
+
+class TestGridEvaluation:
+    """`Orbital.sample_grid` against the continuum density and phase
+    evaluated one at a time.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(continuum_orbitals(), st.integers(1, 12))
+    def test_bytes_match_density_and_phase(self, orb, l):
+        try:
+            expected = reference_grid_values(orb, l)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError, match=re.escape(str(exc))):
+                orb.sample_grid(l)
+            return
+        values, phases = orb.sample_grid(l)
+        assert values.tobytes() == expected.tobytes()
+        assert orb.grid_values(l).tobytes() == expected.tobytes()
+        xs = np.arange(1 << l) * (orb.length / (1 << l))
+        phase = reference_phase(orb, xs)
+        if not np.any(phase):
+            assert phases is None
+        else:
+            assert phases.tobytes() == np.exp(1j * phase).tobytes()
+
+    @pytest.mark.parametrize("orb, l", [
+        (box_sine(1), 17), (box_sine(8), 17), (ring_plane_wave(-8), 17),
+        (harmonic_hermite(2), 18), (uniform(), 3),
+    ])
+    def test_bytes_match_on_benchmark_grids(self, orb, l):
+        assert orb.grid_values(l).tobytes() == \
+            reference_grid_values(orb, l).tobytes()
+
+    def test_grid_native_families(self):
+        delta = delta_at_site(5, 3)
+        assert delta.sample_grid(3)[1] is None
+        table = np.array([1, -1j, 0, 2])
+        values, phases = tabulated(table).sample_grid(2)
+        assert phases.tobytes() == np.exp(1j * np.angle(values)).tobytes()
+        assert tabulated([1, 0, 2, 3]).sample_grid(2)[1] is None
 
 
 class TestSplitRatio:

@@ -100,7 +100,7 @@ GOLDEN = {
         "report.txt":
             "6ae700f6f1aae9f8773c2f63e5a0fa311dc5e82aa1b94285f758826a30876ca3",
         "rho.csv":
-            "ef0e3e71b91849e18a597e5ef09aa35e708f7a2f2c1b43a501211a0dbaa353fb",
+            "eaa24f7fd4b1191e21845be44a5cabdbc29f76f0271da8acba812a9ec7d5dcb6",
     },
     "mixed-thermal": {
         "report.csv":
@@ -108,7 +108,7 @@ GOLDEN = {
         "report.txt":
             "cf2c689a5a7d8cbd997aef1d192e6e2915cf6b34efc169ab02453dc00958301f",
         "rho.csv":
-            "6eb21529a791dfded9bcc13f5c1fe50be75f33315365c96054ce5abbf45fbf79",
+            "5435b60489ae844300e8cc988abf50edff3325f33fa9e0d743cd81c4ec4e0fc9",
     },
     "orbital-tabulated": {
         "report.csv":
@@ -120,33 +120,33 @@ GOLDEN = {
     },
     "slater": {
         "report.csv":
-            "b5da83bfe87cb62cd874fd48c12936cd001ec62b0e8375d8603ed4ff0ee0aa6f",
+            "0af20d319b6645cfc3b225b560b26f20651b1f175194457f4acf40cdce119794",
         "report.txt":
-            "e1f5570986be84bad5dbb1d7c121d36ff70aa4d1fcae73143b1b1ebd7572b5af",
+            "e23d175b776dc37fee8378a5ec0752596e08c8e407a03d7dc72c19351a6b4f89",
         "state.csv":
-            "b8214afe986ec641637816ea7b219b13ea776eb9c44f856a9a0f5d8a1f3395c7",
+            "7ec0b70a598a0c243cbf678f531e9e6fe42649e696ba9caa4943d66f32668855",
     },
     "superposition-bosonic": {
         "report.csv":
-            "4b82e45709867edc1ca456026f99561d959da5a02b6296d8e871727300b860dc",
+            "b3caad4f2241d368e8f050f09ef6e4c2095a06ee2a1041e11ad994cace127584",
         "report.txt":
-            "89032a87d84236075212bca2946d01f591885221a005b79a2ee3b27b31af3cae",
+            "86ba35024e883eca50b7ac3cd9e654cce61ef64748d8fdbc4e2eb7c2562e424e",
         "state.csv":
-            "2a895781118b2d0aa6e61ddef348ee150eee81d60a6e5303aeece0232dd0c09c",
+            "b627ae87060e25613d98e70d07b6f3639d9f8f1618494d973335e58ba386d9a9",
     },
     "superposition-ring": {
         "report.csv":
-            "bad63c379044c9902df9e1c4790577df987474c7270b01fe9873789f33d0f73a",
+            "0006d4a54dcd302a1e6864d1e718a534ae36c00fe0aa9c4c8a2648120119e8d4",
         "report.txt":
-            "ca797d71aa8a183ee8552adfde242d46bdce5317c105ef361a5fe1f90aaf84ba",
+            "ea2f45f7e42def84b74c15fb5ddc253a84a73a4718d921947e3b10ae31305393",
         "state.csv":
-            "8c9adc649d6e3ad7e9c9f38a5b1a9ab4b954cba321595d0669211d019fc0fcd9",
+            "868d45527e525d952436dc88bbd32d060051d953e28d9b576193cc08f1b353ce",
     },
     "sweep": {
         "report.csv":
-            "1e0b532156f1610b3b95a7ed954086afe536e8758aa3a7e106036b80b4a165b3",
+            "0dcc51617e5a7f654cac256637413ffe72cb29e6a93d2d5c811f5a8fce4cc1b4",
         "report.txt":
-            "1e0b532156f1610b3b95a7ed954086afe536e8758aa3a7e106036b80b4a165b3",
+            "0dcc51617e5a7f654cac256637413ffe72cb29e6a93d2d5c811f5a8fce4cc1b4",
     },
     "two-species": {
         "report.csv":
@@ -154,23 +154,23 @@ GOLDEN = {
         "report.txt":
             "6c1ffaa280dde083dde308ccf176778ab947d1ca01f73d261af6bde728d732d1",
         "state.csv":
-            "c626e58632d4582474fef92b83808fede410f6ea1479a885c79e6931dc8df924",
+            "87ae624040099110e21a7391de87c2db15a566dd39931bea2afb1b405d296490",
     },
     "verify-bounds-adversarial": {
         "report.csv":
-            "80d0bf5202a5c346de61c1c406c3add3ef30ca711aacf16cd27ffa7ce1bcdbdd",
+            "41f48b3e4567f464b7f37473a97c38b3fd243758ffd39479e0b3cbc8e3b8613f",
         "report.txt":
-            "0f66d75fda8617cd6c6009f7ae200e782f9de0a4ada785c221cc75367ce93169",
+            "618bce63983961590826d0128a9cdf1f87527613c5adf90b5b84b629c8b47ed9",
         "state.csv":
-            "7854d94e83d3b10cf70958ee2f045e3aeb06e36a30980d21ab56287ca90f52e2",
+            "aa5d4e5300f7d4ad6711e0c0e99f963d4cea3a49600399587c98bac3b3d89019",
     },
     "verify-bounds-mixed": {
         "report.csv":
-            "62a5a64cf43a494eb01ca22f99d34e9c274985920ac49798d3432865b4c62568",
+            "f29b609bb54c3859ef1ce01e00c0c60dffc14a24f8b1213ecf0ff8ae927fab6d",
         "report.txt":
-            "fdc6b56fe94173bf46f86e24baa734b4cccd8d1bb0cb4e6d7072d2fc01360e64",
+            "8f4039d297d8cc43039f67c3a114ff1ea440f67a8a22178f29175a8378182d98",
         "rho.csv":
-            "6eb21529a791dfded9bcc13f5c1fe50be75f33315365c96054ce5abbf45fbf79",
+            "5435b60489ae844300e8cc988abf50edff3325f33fa9e0d743cd81c4ec4e0fc9",
     },
     "verify-bounds-orbital": {
         "report.csv":
@@ -178,15 +178,15 @@ GOLDEN = {
         "report.txt":
             "62f70d099871086b2ce4fbcafa1879e89d59ee028aec50af058a6857c7bbbcbb",
         "state.csv":
-            "a6e5c6542a859c4be79a1c3453265400c1c6d29a83e13c4b37e5de691b1ba140",
+            "169e24c47902eaa598b39c6598deee8f062a444de712db725e8dbeffe5e37e45",
     },
     "verify-bounds-superposition": {
         "report.csv":
-            "2a51a610472ae1174b1d1f74856688c725e28185799647bc529a9b7f13af0dbd",
+            "95c7ff5973d0ca952587fbc7b29446bedbb08b51b8f7d91abde391648ef24493",
         "report.txt":
-            "62f7b0bbd4760a840eea945c3cb146ffa5789ec58ec886473e7efec56dc37bb2",
+            "ab43268314e0434e839ce7baf42fcca27563c6b7bc43d03624259346e02cc2a9",
         "state.csv":
-            "8c9adc649d6e3ad7e9c9f38a5b1a9ab4b954cba321595d0669211d019fc0fcd9",
+            "868d45527e525d952436dc88bbd32d060051d953e28d9b576193cc08f1b353ce",
     },
 }
 

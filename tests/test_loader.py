@@ -41,10 +41,10 @@ def infidelity(vec, target):
 
 # -- gate-level reference ----------------------------------------------------
 
-def multiplexed_rotation(state, segment, level, angles, controls=None):
+def multiplexed_rotation(state, segment, level, c, s, controls=None):
     """One pass of the level-`level` rotations on the branch `controls`
     select: every amplitude pair whose high segment bits give prefix b
-    rotates by angles[b].
+    rotates by the matrix [[c[b], -s[b]], [s[b], c[b]]].
     """
     seg = state.layout.segment(segment)
     target_bit = seg.width - level
@@ -55,8 +55,8 @@ def multiplexed_rotation(state, segment, level, angles, controls=None):
     cube = amps.reshape(hi_n, n_pref, 2, lo_n)
     hi_sel, lo_sel = control_masks(state, seg, _control_bits(state, controls),
                                    hi_n, lo_n)
-    c = np.cos(angles)[None, :, None, None]
-    s = np.sin(angles)[None, :, None, None]
+    c = c[None, :, None, None]
+    s = s[None, :, None, None]
     pair0 = np.ix_(hi_sel, np.arange(n_pref), [0], lo_sel)
     pair1 = np.ix_(hi_sel, np.arange(n_pref), [1], lo_sel)
     a0, a1 = cube[pair0], cube[pair1]
@@ -67,9 +67,10 @@ def multiplexed_rotation(state, segment, level, angles, controls=None):
 
 def circuit_load(state, segment, orbital, spec, controls=None,
                  ratio_perturb=None):
-    """The load as a circuit: per block pair, one split ratio and one
-    rotation angle; l multiplexed-rotation passes; one masked phase pass.
-    Returns the state and the circuit's counters.
+    """The load as a circuit: per block pair, one split ratio r and one
+    rotation with entries sqrt(r) and sqrt(1 - r); l multiplexed-rotation
+    passes; one masked pass of the phase factors that the orbital's grid
+    evaluation returns.  Returns the state and the circuit's counters.
     """
     seg = state.layout.segment(segment)
     l = seg.width
@@ -79,8 +80,8 @@ def circuit_load(state, segment, orbital, spec, controls=None,
                   empty_blocks=0)
     for i in range(1, l + 1):
         stride = 1 << (l - i)
-        angles = np.zeros(1 << (i - 1))
-        for b in range(angles.size):
+        c, s = np.ones(1 << (i - 1)), np.zeros(1 << (i - 1))
+        for b in range(c.size):
             counts["integral_requests"] += 1
             lo, mid, hi = 2 * b * stride, (2 * b + 1) * stride, \
                 (2 * b + 2) * stride
@@ -97,11 +98,11 @@ def circuit_load(state, segment, orbital, spec, controls=None,
             if ratio_perturb is not None:
                 ratio = float(np.clip(ratio_perturb(i, 2 * b, ratio),
                                       0.0, 1.0))
-            angles[b] = float(np.arccos(np.sqrt(ratio)))
+            c[b], s[b] = np.sqrt(ratio), np.sqrt(1.0 - ratio)
             counts["rotation_applications"] += 1
-        state = multiplexed_rotation(state, segment, i, angles, controls)
-    table = np.angle(orbital.grid_values(l))
-    if np.any(table):
+        state = multiplexed_rotation(state, segment, i, c, s, controls)
+    _, phases = orbital.sample_grid(l)
+    if phases is not None:
         amps = state.amplitudes.copy()
         cube = amps.reshape(amps.size >> (seg.offset + l), seg.dim,
                             1 << seg.offset)
@@ -109,7 +110,7 @@ def circuit_load(state, segment, orbital, spec, controls=None,
             state, seg, _control_bits(state, controls), cube.shape[0],
             cube.shape[2])
         sel = np.ix_(hi_sel, np.arange(seg.dim), lo_sel)
-        cube[sel] = cube[sel] * np.exp(1j * table)[None, :, None]
+        cube[sel] = cube[sel] * phases[None, :, None]
         state = QuantumState(state.layout, amps)
     return state, counts
 
@@ -229,13 +230,13 @@ class TestLoadOrbital:
         # ratios and phases come from one evaluation, and a cache hit
         # needs none
         calls = []
-        evaluate = Orbital.grid_values
+        evaluate = Orbital.sample_grid
 
         def counted(orbital, l):
             calls.append(l)
             return evaluate(orbital, l)
 
-        monkeypatch.setattr(Orbital, "grid_values", counted)
+        monkeypatch.setattr(Orbital, "sample_grid", counted)
         cache = {}
         for expected in (1, 1):
             load_orbital(fresh(3), "x", ring_plane_wave(1), CDF, cache=cache)
@@ -303,7 +304,7 @@ class TestAgainstCircuit:
         # zeros on the branch still fan out through the splits as in the
         # circuit
         orbital = box_sine(1)
-        assert not np.any(np.angle(orbital.grid_values(3)))
+        assert orbital.sample_grid(3)[1] is None
         state, controls = self._signed_zero_branch()
         got, _ = load_orbital(state, "x", orbital, CDF, controls=controls)
         ref, _ = circuit_load(state, "x", orbital, CDF, controls=controls)

@@ -30,8 +30,8 @@ from gridprep.statevec import (
 )
 from helpers import checked_density_matrix, controlled_unitary, \
     eigenvalues, from_basis_index, purity, qft_matrix, \
-    reference_measure_segment, reference_relabel, segment_probabilities, \
-    segment_values, sparse_from_state
+    reference_measure_segment, reference_relabel, reference_vector_norm, \
+    segment_probabilities, segment_values, sparse_from_state
 
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
@@ -145,7 +145,9 @@ class TestSparseState:
 
 
 class TestRotation:
-    """The loader's rotations, evaluated as a product of cos/sin splits."""
+    """The loader's rotations, evaluated as a product of splits by
+    sqrt(r) and sqrt(1 - r).
+    """
 
     def test_rotation_action(self):
         # one qubit: split ratio cos^2(pi/6) rotates |0> by pi/6
@@ -321,6 +323,27 @@ class TestRelabel:
         np.add.at(ref, joint, np.abs(state.amplitudes) ** 2)
         np.testing.assert_allclose(segment_masses(state, names), ref,
                                    rtol=0, atol=1e-12)
+
+
+#: Parts with a zero, a subnormal or a non-finite square, and ordinary ones.
+NORM_PARTS = st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1e-160, -1e-170,
+                              float("nan"), float("inf"), 1.0, -2.5, 0.3])
+
+
+class TestVectorNorm:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(NORM_PARTS, NORM_PARTS), max_size=40),
+           st.integers(1, 3), st.integers(0, 2))
+    def test_bytes_match_two_filter_norm(self, parts, columns, column):
+        values = np.array([complex(re, im) for re, im in parts],
+                          dtype=np.complex128)
+        column = min(column, columns - 1)
+        rows = len(values) // columns
+        table = values[:rows * columns].reshape(rows, columns)
+        with np.errstate(all="ignore"):
+            for vec in (values, table, table[:, column], table[:, column:]):
+                assert np.float64(vector_norm(vec)).tobytes() == \
+                    np.float64(reference_vector_norm(vec)).tobytes()
 
 
 class TestSwapAndMeasure:
