@@ -7,7 +7,8 @@ case of `test_golden.CASES` with the `src/` of a base commit (exported by
 `src/`, parses both sets of artifacts, and requires:
 
 * the same exit code, the same files, the same text around every number,
-  and the same CSV headers and row shapes;
+  and the same CSV headers and row shapes (a bound-check cell below
+  counting as its three parts);
 * equal strings, and integers (indices, attempts, retries, counters)
   equal by value, so -0 and 0 agree;
 * every other number in a bound field (a CSV column, report key or report
@@ -74,19 +75,22 @@ def compare_value(field: str, old: str, new: str) -> float | None:
 def _fields(name: str, text: str) -> tuple[list, list[tuple[str, str]]]:
     """An artifact's layout, which must match exactly, and its (field,
     value) pairs in order.  A CSV cell's field is its column header, or its
-    key in a key,value table; a number in a text report takes the text
-    before it on its line as its field.
+    key in a key,value table; a CSV layout is the header and, per row, the
+    number of pairs of each cell, so a bound-check cell cannot lose a part.
+    A number in a text report takes the text before it on its line as its
+    field.
     """
     if name.endswith(".csv"):
         header, *rows = csv.reader(io.StringIO(text))
         keyed = header == ["key", "value"]
-        values = []
+        layout, values = [header], []
         for row in rows:
-            for c, v in enumerate(row):
-                field = (row[0] if keyed and c else
-                         header[c] if c < len(header) else "")
-                values += _cell(field, v) if keyed and c else [(field, v)]
-        return [header] + [len(row) for row in rows], values
+            cells = [_cell(row[0], v) if keyed and c else
+                     [(header[c] if c < len(header) else "", v)]
+                     for c, v in enumerate(row)]
+            layout.append([len(pairs) for pairs in cells])
+            values += [pair for pairs in cells for pair in pairs]
+        return layout, values
     parts = NUMBER.split(text)
     labels = [p.rsplit("\n", 1)[-1] for p in parts[0:-1:2]]
     return parts[0::2], list(zip(labels, parts[1::2]))

@@ -76,6 +76,8 @@ def test_planted_change(ring, name, pattern, replacement, ok):
     # its bound must match as printed, and its status as a string
     ("bound:infidelity,0<=0.0450000000001:ok", False),
     ("bound:infidelity,0<=0.045:FAIL", False),
+    # a cell that lost its bound and status does not match by its value
+    ("bound:infidelity,0", False),
 ])
 def test_planted_bound_check_cell(checked, replacement, ok):
     planted = _planted(checked, "report.csv",
