@@ -56,8 +56,10 @@ class Orbital:
         return self.sample_grid(l)[0]
 
     def sample_grid(self, l: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """`grid_values(l)` and the unit factors e^{i arg phi(x_j)} it
-        carries (None when every arg phi(x_j) is 0), from one evaluation.
+        """`grid_values(l)` and the unit factors e^{i arg phi(x_j)} that a
+        continuum family's evaluation multiplied in (None when every arg
+        phi(x_j) is 0); a grid-native family's sites are given as they
+        are, with None.
         """
         n_sites = 1 << l
         if self.family == "kronecker-delta":
@@ -89,9 +91,6 @@ class Orbital:
         if norm == 0:
             raise ValidationError("orbital vanishes on every grid site")
         vec /= norm
-        if self.family == "tabulated":  # the table's own phases
-            angle = np.angle(vec)
-            phases = np.exp(1j * angle) if np.any(angle) else None
         return vec, phases
 
     def _magnitudes_and_phases(self, x: np.ndarray):

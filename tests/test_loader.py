@@ -70,7 +70,8 @@ def circuit_load(state, segment, orbital, spec, controls=None,
     """The load as a circuit: per block pair, one split ratio r and one
     rotation with entries sqrt(r) and sqrt(1 - r); l multiplexed-rotation
     passes; one masked pass of the phase factors that the orbital's grid
-    evaluation returns.  Returns the state and the circuit's counters.
+    evaluation returns (a tabulated orbital's are the phases of its
+    table).  Returns the state and the circuit's counters.
     """
     seg = state.layout.segment(segment)
     l = seg.width
@@ -101,7 +102,9 @@ def circuit_load(state, segment, orbital, spec, controls=None,
             c[b], s[b] = np.sqrt(ratio), np.sqrt(1.0 - ratio)
             counts["rotation_applications"] += 1
         state = multiplexed_rotation(state, segment, i, c, s, controls)
-    _, phases = orbital.sample_grid(l)
+    values, phases = orbital.sample_grid(l)
+    if orbital.family == "tabulated" and np.any(np.angle(values)):
+        phases = np.exp(1j * np.angle(values))
     if phases is not None:
         amps = state.amplitudes.copy()
         cube = amps.reshape(amps.size >> (seg.offset + l), seg.dim,
@@ -251,6 +254,12 @@ class TestLoadOrbital:
         target = orb.grid_values(l)
         assert infidelity(state.amplitudes, target) < 1e-12
         assert np.abs(np.angle(state.amplitudes[1])) > 1e-3  # genuinely complex
+
+    def test_tabulated_phase_kickback(self):
+        # a table carries its own phases, which the load kicks back
+        orb = tabulated([1, -1j, 0, 2, 0.5 + 0.5j, -3, 1, 1j])
+        state, _ = load_orbital(fresh(3), "x", orb, CDF)
+        assert infidelity(state.amplitudes, orb.grid_values(3)) < 1e-12
 
 
 class TestAgainstCircuit:
