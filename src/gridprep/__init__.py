@@ -64,7 +64,6 @@ from .discriminate import (
     extra_qubits_for,
     identify_and_decrement,
     phase_estimate,
-    unitary_eigenbasis,
     verify_uncomputation,
 )
 from .errors import (

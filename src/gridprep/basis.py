@@ -275,11 +275,6 @@ class BasisSet:
         self._grid_cache[l] = ortho
         return ortho
 
-    def fock_matrix(self, l: int) -> np.ndarray:
-        """F = sum_i E_i |phi_i><phi_i| on the 2^l grid."""
-        phi = self.grid_matrix(l)
-        return (phi * self.energies) @ phi.conj().T
-
     def fock_unitary(self, l: int, t: float) -> np.ndarray:
         """exp(-i F t), computed exactly from the factored eigen-form."""
         phi = self.grid_matrix(l)

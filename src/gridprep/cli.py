@@ -378,9 +378,11 @@ TASKS = {
     "mixed": _task_mixed,
 }
 
+#: Cast of an integer key: 3.7 raises instead of truncating to 3.
+_integer = operator.index
 #: One basis orbital; which keys apply depends on its family.
-_ORBITAL = {"family": _Required(str), "energy": float, "n": int, "k": int,
-            "width": float, "x0": float, "path": str}
+_ORBITAL = {"family": _Required(str), "energy": float, "n": _integer,
+            "k": _integer, "width": float, "x0": float, "path": str}
 #: A species section; what it lacks comes from the top level.
 _SPECIES = {"occupation": _Required(str), "statistics": str,
             "basis": [_ORBITAL]}
@@ -391,14 +393,14 @@ _SPECIES = {"occupation": _Required(str), "statistics": str,
 #: value.  `_Required` marks a key its mapping must hold.  README's
 #: config-key reference lists the same paths with types and defaults.
 SCHEMA = {
-    "task": set(TASKS), "l": int, "length": float, "statistics": str,
-    "occupation": str, "orbital": int, "max_attempts": int,
+    "task": set(TASKS), "l": _integer, "length": float, "statistics": str,
+    "occupation": str, "orbital": _integer, "max_attempts": _integer,
     "noise": {"adversarial"}, "basis": [_ORBITAL],
     "integration": (_integration, {
         "backend": str, "epsilon_i": float, "delta": float, "sigma2": float,
-        "bounds": [float], "seed": operator.index}),
+        "bounds": [float], "seed": _integer}),
     "phase_estimation": {"t": float, "eps_pe": float, "symmetry": (
-        SymmetryOperator, {"kind": _Required(str), "step": int})},
+        SymmetryOperator, {"kind": _Required(str), "step": _integer})},
     "superposition": [{"amplitude": _Required(_amplitude),
                        "occupation": _Required(str)}],
     "mixed": {
@@ -407,7 +409,7 @@ SCHEMA = {
         "components": [{"probability": _Required(float),
                         "occupation": _Required(str)}]},
     "species_a": _SPECIES, "species_b": _SPECIES,
-    "sweep": {"l": [int], "epsilon_i": [float], "occupations": [str]},
+    "sweep": {"l": [_integer], "epsilon_i": [float], "occupations": [str]},
 }
 
 

@@ -69,7 +69,7 @@ class FockSuperposition:
         if len({occ.n for occ in occs}) != len(occs):
             raise ValidationError("duplicate occupation term")
         norm = math.sqrt(sum(abs(a) ** 2 for a, _ in self.terms))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
             raise ValidationError(f"amplitudes have norm {norm}, expected 1")
         if self.statistics == "bosonic":
             factors = {occ.multiplicity_factor() for occ in occs}
@@ -121,9 +121,9 @@ class MixedSpec:
         if not self.components:
             raise ValidationError("ensemble needs at least one component")
         probs = [p for p, _ in self.components]
-        if any(p < 0 for p in probs):
+        if not all(p >= 0 for p in probs):  # NaN fails too
             raise ValidationError("ensemble weights must be nonnegative")
-        if abs(sum(probs) - 1.0) > 1e-9:
+        if not abs(sum(probs) - 1.0) <= 1e-9:
             raise ValidationError(
                 f"ensemble weights sum to {sum(probs)}, expected 1"
             )

@@ -2,13 +2,11 @@
 symmetry operators, enabling uncomputation of the occupation register,
 whose counter format (`fock_encode`) is defined here next to the decrement.
 
-Phase estimation is emulated in closed form.  For u = sum_j e^{2 pi i
-theta_j} |v_j><v_j| the textbook circuit (Cleve, Ekert, Macchiavello and
-Mosca, Proc. R. Soc. A 454, 339 (1998)) acts as sum_j |v_j><v_j| (x)
-QFT^-1 diag(e^{2 pi i theta_j k}) QFT, so `PhaseEstimationConfig.build`
-takes each readout unitary's complex Schur form u = V T V^dagger once (T
-must be diagonal with unit-modulus entries to MATRIX_TOL, which checks
-unitarity), and `phase_estimate` applies V^dagger, FFTs and V.
+Phase estimation is emulated in closed form.  The textbook circuit
+(Cleve, Ekert, Macchiavello and Mosca, Proc. R. Soc. A 454, 339 (1998))
+is u^k on the particle register wherever the readout holds k, between a
+QFT and its inverse; both readouts have u^k in closed form (see
+`phase_estimate`), so no eigendecomposition is taken.
 
 Eigenphase convention: the estimated phase is the actual eigenphase of the
 unitary handed to the estimator, i.e. theta = (-E t / 2pi) mod 1 for the
@@ -23,13 +21,12 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-from scipy.linalg import schur
 
 from .assemble import OccupationVector
 from .basis import BasisSet
 from .errors import DegeneracyError, StructuralError, ValidationError
-from .statevec import MATRIX_TOL, QuantumState, apply_unitary_on_segment, \
-    measure_segment, qft, relabel, segment_masses
+from .statevec import MATRIX_TOL, QuantumState, measure_segment, qft, \
+    relabel, segment_masses
 
 #: Widest phase readout tried when separating orbitals by their phases.
 MAX_PHASE_BITS = 16
@@ -62,24 +59,18 @@ class SymmetryOperator:
         if self.kind not in ("reflection", "cyclic-shift"):
             raise ValidationError(f"unknown symmetry kind {self.kind!r}")
 
-    def unitary(self, l: int) -> np.ndarray:
-        n = 1 << l
-        u = np.zeros((n, n))
-        src = np.arange(n)
-        if self.kind == "reflection":
-            dst = (-src) % n
-        else:
-            dst = (src - self.step) % n
-        u[dst, src] = 1.0
-        return u
+    def sites(self, l: int) -> np.ndarray:
+        """The image of each of the 2^l sites: P|x> = |sites[x]>."""
+        x = np.arange(1 << l)
+        return (-x if self.kind == "reflection" else x - self.step) % (1 << l)
 
     def eigenphase(self, vector: np.ndarray) -> float:
         """Eigenphase of an eigenvector, in [0, 1); raises if the vector is
         not an eigenstate of the permutation.
         """
-        l = int(np.log2(vector.size))
-        image = self.unitary(l) @ vector
-        overlap = np.vdot(vector, image)
+        # <v|P|v> = sum_x conj(v[sites[x]]) v[x]
+        overlap = np.vdot(vector[self.sites(int(np.log2(vector.size)))],
+                          vector)
         if abs(abs(overlap) - 1.0) > 1e-8:
             raise ValidationError(
                 "vector is not an eigenstate of the symmetry operator "
@@ -87,12 +78,6 @@ class SymmetryOperator:
             )
         ph = float(np.angle(overlap) / (2 * np.pi) % 1.0)
         return 0.0 if ph > 1.0 - PHASE_TOL else ph
-
-    def commutes_with(self, matrix: np.ndarray) -> bool:
-        l = int(np.log2(matrix.shape[0]))
-        u = self.unitary(l)
-        scale = max(np.max(np.abs(matrix)), 1.0)
-        return np.max(np.abs(u @ matrix - matrix @ u)) <= MATRIX_TOL * scale
 
 
 def _round_half_up(x: np.ndarray) -> np.ndarray:
@@ -137,11 +122,11 @@ def _snap_to_exact(phases: np.ndarray, n0: int) -> int:
 class PhaseEstimationConfig:
     """Readouts and the readout->orbital lookup.
 
-    Each readout is (segment name, width, eigenvectors, eigenphases), the
-    eigenbasis of a unitary from `unitary_eigenbasis`: phase estimation of
-    the unitary on a particle register writes its eigenphase into that
-    segment.  The energy readout estimates exp(-i F t); a symmetry readout,
-    present when a grid symmetry is given, splits degenerate levels.
+    Each readout is (segment name, width, u): phase estimation of u on a
+    particle register writes its eigenphase into that segment.  The energy
+    readout's u is exp(-i F t) as (grid matrix, thetas); a symmetry
+    readout, present when a grid symmetry is given, splits degenerate
+    levels, and its u is the symmetry's `sites`.
     `lookup` has one axis per readout and holds the orbital index of each
     tuple of readout values, -1 if ambiguous.
     """
@@ -179,13 +164,9 @@ class PhaseEstimationConfig:
 
         sym_keys = np.zeros(basis.size, dtype=int)
         sym_readouts, sym_windows = [], []
+        phi = basis.grid_matrix(l)
         if symmetry is not None:
-            fock = basis.fock_matrix(l)
-            if not symmetry.commutes_with(fock):
-                raise ValidationError(
-                    "symmetry operator does not commute with the Fock matrix"
-                )
-            phi = basis.grid_matrix(l)
+            # each orbital must be an eigenvector of P, so [P, F] = 0
             sym_phases = np.array(
                 [symmetry.eigenphase(phi[:, j]) for j in range(basis.size)]
             )
@@ -198,8 +179,7 @@ class PhaseEstimationConfig:
                 )
             n_sym = _snap_to_exact(sym_phases, n_sym)
             sym_keys = _round_half_up(sym_phases * (1 << n_sym)).astype(int)
-            sym_readouts = [("symread", n_sym + p,
-                             *unitary_eigenbasis(symmetry.unitary(l)))]
+            sym_readouts = [("symread", n_sym + p, symmetry.sites(l))]
             sym_windows = [_windows(sym_phases, n_sym, n_sym + p)]
 
         groups: dict[int, list[int]] = {}
@@ -217,8 +197,7 @@ class PhaseEstimationConfig:
             )
         n_energy = _snap_to_exact(thetas, n_energy)
 
-        readouts = [("readout", n_energy + p, *unitary_eigenbasis(
-            basis.fock_unitary(l, float(t))))] + sym_readouts
+        readouts = [("readout", n_energy + p, (phi, thetas))] + sym_readouts
         windows = [_windows(thetas, n_energy, n_energy + p)] + sym_windows
         lookup = np.full([w.shape[1] for w in windows], -1, dtype=np.int64)
         claimed = np.zeros(lookup.shape, dtype=bool)
@@ -260,57 +239,63 @@ def _phase_clusters(phases: np.ndarray):
     return [g for g in clusters if len(g) > 1]
 
 
-def unitary_eigenbasis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors (columns of a unitary V) and eigenphases in [0, 1) of
-    u = V diag(e^{2 pi i theta}) V^dagger, from the complex Schur form
-    u = V T V^dagger.  Raises ValidationError unless u is unitary: T off
-    its diagonal within MATRIX_TOL of 0 and |diag T| within MATRIX_TOL of 1.
-    """
-    u = np.asarray(u, dtype=np.complex128)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValidationError("matrix must be square")
-    t, vectors = schur(u, output="complex")
-    angles = np.angle(np.diag(t))
-    if np.max(np.abs(t - np.diag(np.exp(1j * angles)))) > MATRIX_TOL:
-        raise ValidationError("matrix is not unitary")
-    return vectors, angles / (2 * np.pi) % 1.0
-
-
 def phase_estimate(
     state: QuantumState,
     readout_segment: str,
     target_segment: str,
-    vectors: np.ndarray,
-    phases: np.ndarray,
+    u,
     adjoint: bool = False,
 ) -> QuantumState:
-    """Phase estimation of u = sum_j e^{2 pi i phases[j]} |v_j><v_j| (v_j
-    the columns of `vectors`, from `unitary_eigenbasis`) on the target,
-    writing the phase into (adjoint: erasing it from) the readout.
-
-    The circuit (QFT on the readout, u^(2^b) controlled by readout qubit b,
-    inverse QFT) is sum_j |v_j><v_j| (x) QFT^-1 diag(e^{2 pi i theta_j k})
-    QFT, applied as V^dagger on the target, QFT, e^{+-2 pi i theta_j k} on
-    each (readout k, eigenvector j) amplitude, inverse QFT, and V.  Readout
-    and target are distinct segments, in either order.
+    """Phase estimation of u on the target, writing its eigenphase into
+    (adjoint: erasing it from) the readout, a distinct segment.  The circuit
+    (QFT on the readout, u^(2^b) controlled by readout qubit b, inverse QFT)
+    applies u^(+-k) wherever the readout holds k.  u is either the integer
+    array `sites` of a permutation u|x> = |sites[x]>, whose powers are one
+    relabel of (target, readout), or (grid, phases) for orthonormal columns,
+    u = I + grid diag(e^{2 pi i phases} - 1) grid^dagger: the state then
+    gains grid (QFT^-1 e^{+-2 pi i phases k} QFT - 1) c for its projections
+    c onto the columns, so only c is transformed.
     """
     readout = state.layout.segment(readout_segment)
     target = state.layout.segment(target_segment)
-    if readout == target or np.shape(phases) != (target.dim,):
-        raise StructuralError("phase estimation needs a readout segment "
-                              "apart from the target and one phase per "
-                              "target basis state")
-    state = qft(apply_unitary_on_segment(
-        state, target_segment, np.conj(vectors).T), readout_segment)
-    kick = np.exp((-2j if adjoint else 2j) * np.pi
-                  * np.outer(np.arange(readout.dim), phases))
-    lo, hi = sorted((readout, target), key=lambda s: s.offset)
-    view = state.amplitudes.reshape(
-        -1, hi.dim, 1 << (hi.offset - lo.offset - lo.width), lo.dim,
-        1 << lo.offset)
-    view *= (kick if hi == readout else kick.T)[:, None, :, None]
-    return apply_unitary_on_segment(
-        qft(state, readout_segment, inverse=True), target_segment, vectors)
+    spectral = isinstance(u, tuple)
+    if spectral:
+        grid, phases = (np.asarray(a) for a in u)
+        fits = grid.shape == (target.dim, phases.size)
+    else:
+        fits = np.array_equal(np.sort(u), np.arange(target.dim))
+    if readout == target or not fits:
+        raise StructuralError("phase estimation needs a readout apart "
+                              "from the target and u on the target's values")
+    k = np.arange(readout.dim)
+    if not spectral:
+        step = np.argsort(u) if adjoint else np.asarray(u)
+        # row j of `power` is the j-th power of the permutation
+        power = np.arange(target.dim)[None, :]
+        while power.shape[0] < readout.dim:
+            power, step = np.concatenate([power, step[power]]), step[step]
+        state = relabel(qft(state, readout_segment),
+                        [target_segment, readout_segment],
+                        (power + target.dim * k[:, None]).ravel())
+        return qft(state, readout_segment, inverse=True)
+    if np.max(np.abs(grid.conj().T @ grid - np.eye(phases.size)),
+              initial=0.0) > MATRIX_TOL:
+        raise ValidationError("grid columns are not orthonormal")
+    # the target's values as rows, every other index as columns; the
+    # readout's field in a column index starts `below` bits up
+    cube = state.amplitudes.reshape(-1, target.dim, 1 << target.offset)
+    rows = cube.transpose(1, 0, 2).reshape(target.dim, -1)
+    below = readout.offset - target.width * (readout.offset > target.offset)
+    # einsum sums in its own loops, whatever BLAS does
+    coef = np.einsum("xj,xr->jr", grid.conj(), rows).reshape(
+        phases.size, -1, readout.dim, 1 << below)
+    kick = np.exp((-2j if adjoint else 2j) * np.pi * np.outer(phases, k))
+    # the QFT and its inverse as `qft` applies them
+    coef = np.fft.fft(np.fft.ifft(coef, axis=2, norm="ortho")
+                      * kick[:, None, :, None], axis=2, norm="ortho") - coef
+    gain = np.einsum("xj,jr->xr", grid, coef.reshape(phases.size, -1))
+    return QuantumState(state.layout, (cube + gain.reshape(
+        target.dim, cube.shape[0], -1).transpose(1, 0, 2)).reshape(-1))
 
 
 @dataclass
@@ -403,12 +388,12 @@ def identify_and_decrement(
             raise StructuralError(
                 f"readout segment {name!r} is not {width} qubits wide")
 
-    for name, _, *basis in config.readouts:
-        state = phase_estimate(state, name, particle_segment, *basis)
+    for name, _, u in config.readouts:
+        state = phase_estimate(state, name, particle_segment, u)
     state, orbital_mass, ambiguous_mass = _decrement_fock(
         state, config, fock_segment, counter_width)
-    for name, _, *basis in reversed(config.readouts):
-        state = phase_estimate(state, name, particle_segment, *basis,
+    for name, _, u in reversed(config.readouts):
+        state = phase_estimate(state, name, particle_segment, u,
                                adjoint=True)
 
     # recycle each readout by measured reset; a nonzero outcome flags

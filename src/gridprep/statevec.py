@@ -28,8 +28,8 @@ from .errors import (
 DEFAULT_QUBIT_CAP = 26
 DENSITY_MATRIX_CAP = 12
 NORM_TOL = 1e-10
-#: Entrywise tolerance of the matrix checks (unitarity, commutation), and of
-#: a density-matrix factor's squared norm.
+#: Entrywise tolerance of the matrix checks (unitarity, orthonormal
+#: columns), and of a density-matrix factor's squared norm.
 MATRIX_TOL = 1e-8
 #: Norm off value 0 up to which a segment counts as blank.
 BLANK_TOL = 1e-9

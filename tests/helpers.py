@@ -229,6 +229,25 @@ def reference_measure_segment(state: QuantumState, segment: str, rng):
 
 # -- gate-level phase estimation: the reference for the closed form --------
 
+def symmetry_unitary(op, l: int) -> np.ndarray:
+    """The 2^l x 2^l permutation matrix of a `SymmetryOperator`, from its
+    kind and step: reflection j -> (N - j) mod N, cyclic shift
+    j -> (j - step) mod N.
+    """
+    n = 1 << l
+    u = np.zeros((n, n))
+    src = np.arange(n)
+    dst = (-src) % n if op.kind == "reflection" else (src - op.step) % n
+    u[dst, src] = 1.0
+    return u
+
+
+def fock_matrix(basis: BasisSet, l: int) -> np.ndarray:
+    """F = sum_i E_i |phi_i><phi_i| on the 2^l grid."""
+    phi = basis.grid_matrix(l)
+    return (phi * basis.energies) @ phi.conj().T
+
+
 def qft_matrix(width: int, inverse: bool = False) -> np.ndarray:
     """Dense QFT on `width` qubits, kernel exp(+2 pi i j k / d) / sqrt(d),
     conjugated when `inverse`.

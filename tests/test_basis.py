@@ -23,7 +23,7 @@ from gridprep.basis import (
 )
 from gridprep.errors import ValidationError
 from gridprep.loader import _split_ratios
-from helpers import delta_at_site, gap, grid_prob, perturbed, \
+from helpers import delta_at_site, fock_matrix, gap, grid_prob, perturbed, \
     reference_density, reference_grid_values, reference_phase
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
@@ -274,7 +274,7 @@ class TestBasisSet:
 
     def test_fock_matrix_eigenstructure(self):
         bas = self.box_basis()
-        f = bas.fock_matrix(4)
+        f = fock_matrix(bas, 4)
         phi = bas.grid_matrix(4)
         for j, e in enumerate(bas.energies):
             np.testing.assert_allclose(f @ phi[:, j], e * phi[:, j],

@@ -111,6 +111,43 @@ class TestValidate:
          {"l": 3, "max_attempts": 0, "basis": BOX_BASIS, "superposition": [
              {"amplitude": 0.6, "occupation": "110"},
              {"amplitude": 0.8, "occupation": "011"}]}),
+        # an integer key does not truncate a fraction
+        pytest.param(
+            "prepare-slater", "l",
+            {"l": 3.7, "occupation": "110", "basis": BOX_BASIS},
+            id="prepare-slater-l-fraction"),
+        pytest.param(
+            "prepare-slater", "basis[1].n",
+            {"l": 3, "occupation": "110", "basis": [
+                BOX_BASIS[0], {"family": "box-sine", "n": 2.9},
+                BOX_BASIS[2]]},
+            id="prepare-slater-basis-n-fraction"),
+        pytest.param(
+            "validate", "phase_estimation.symmetry.step",
+            {"l": 3, "basis": BOX_BASIS, "phase_estimation": {
+                "symmetry": {"kind": "cyclic-shift", "step": 1.5}}},
+            id="validate-phase_estimation-step-fraction"),
+        # a NaN amplitude, a NaN weight and an infinite beta are rejected
+        # where they are read
+        pytest.param(
+            "prepare-superposition", "superposition",
+            {"l": 3, "basis": BOX_BASIS, "superposition": [
+                {"amplitude": float("nan"), "occupation": "110"},
+                {"amplitude": 0.8, "occupation": "011"}]},
+            id="prepare-superposition-nan-amplitude"),
+        pytest.param(
+            "prepare-mixed", "mixed",
+            {"l": 3, "basis": BOX_BASIS, "mixed": {"components": [
+                {"probability": float("nan"), "occupation": "110"},
+                {"probability": 1.0, "occupation": "011"}]}},
+            id="prepare-mixed-nan-probability"),
+        pytest.param(
+            "prepare-mixed", "mixed",
+            {"l": 3, "basis": BOX_BASIS, "mixed": {"thermal": {
+                "beta": float("inf"), "components": [
+                    {"energy": 0.0, "occupation": "110"},
+                    {"energy": 1.0, "occupation": "011"}]}}},
+            id="prepare-mixed-infinite-beta"),
     ])
     def test_malformed_value_names_its_key(self, tmp_path, capsys, command,
                                            key, cfg):

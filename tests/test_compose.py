@@ -87,6 +87,13 @@ class TestFockSuperposition:
             FockSuperposition.from_strings([(0.6, "2,0"), (0.8, "1,1")],
                                            "bosonic")
 
+    @pytest.mark.parametrize("amplitude", [np.nan, np.inf])
+    def test_rejects_non_finite_amplitude(self, amplitude):
+        with pytest.raises(ValidationError, match="norm (nan|inf)"):
+            FockSuperposition.from_strings([(amplitude, "10"), (0.8, "01")])
+        with pytest.raises(ValidationError, match="norm (nan|inf)"):
+            FockSuperposition(((amplitude, OccupationVector((1, 0))),))
+
 
 class TestMixedSpec:
     def test_thermal_gibbs_weights(self):
@@ -100,6 +107,17 @@ class TestMixedSpec:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValidationError):
             MixedSpec.from_probabilities([(0.5, "10"), (0.3, "01")])
+
+    @pytest.mark.parametrize("weights", [(np.nan, 1.0), (np.inf, -np.inf),
+                                         (-0.5, 1.5)])
+    def test_weights_must_be_nonnegative_numbers(self, weights):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            MixedSpec.from_probabilities(zip(weights, ("10", "01")))
+
+    def test_infinite_beta_rejected(self):
+        # exp(-inf * 0) is NaN, so no weight is a number
+        with pytest.raises(ValidationError, match="nonnegative"):
+            MixedSpec.thermal(np.inf, [(0.0, "10"), (1.0, "01")])
 
 
 class TestPureDrivers:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from gridprep.basis import BasisSet, IntegrationSpec, box_sine, \
     ring_plane_wave
@@ -15,14 +16,14 @@ from gridprep.discriminate import (
     extra_qubits_for,
     identify_and_decrement,
     phase_estimate,
-    unitary_eigenbasis,
     verify_uncomputation,
 )
 from gridprep.errors import DegeneracyError, StructuralError, ValidationError
 from gridprep.loader import load_orbital
 from gridprep.statevec import QuantumState, RegisterLayout, vector_norm
-from helpers import from_basis_index, reference_decrement_fock, \
-    segment_probabilities, textbook_phase_estimate
+from helpers import fock_matrix, from_basis_index, \
+    reference_decrement_fock, segment_probabilities, symmetry_unitary, \
+    textbook_phase_estimate
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
 
@@ -52,10 +53,10 @@ class TestSymmetryOperator:
         for op in (SymmetryOperator("reflection"),
                    SymmetryOperator("cyclic-shift"),
                    SymmetryOperator("cyclic-shift", step=3)):
-            u = op.unitary(3)
-            assert np.array_equal(np.sort(np.argmax(u, axis=0)),
-                                  np.arange(8))
-            np.testing.assert_allclose(u @ u.T, np.eye(8), atol=1e-12)
+            sites = op.sites(3)
+            assert np.array_equal(np.sort(sites), np.arange(8))
+            assert np.array_equal(np.argmax(symmetry_unitary(op, 3), axis=0),
+                                  sites)
 
     def test_plane_wave_shift_eigenphase(self):
         op = SymmetryOperator("cyclic-shift")
@@ -76,15 +77,6 @@ class TestSymmetryOperator:
         v[0] = 1.0
         with pytest.raises(ValidationError):
             op.eigenphase(v)
-
-    def test_commutation_check(self):
-        ring = BasisSet([ring_plane_wave(0, energy=0.0),
-                         ring_plane_wave(1, energy=1.0),
-                         ring_plane_wave(-1, energy=1.0)])
-        shift = SymmetryOperator("cyclic-shift")
-        assert shift.commutes_with(ring.fock_matrix(3))
-        box = BasisSet([box_sine(1), box_sine(2)])
-        assert not shift.commutes_with(box.fock_matrix(3))
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
@@ -142,8 +134,8 @@ def _pe_distribution(theta, q):
     amps = np.zeros(layout.dim, dtype=complex)
     amps[1] = 1.0  # target |1>, readout |0>
     state = QuantumState(layout, amps)
-    u = np.diag([1.0, np.exp(2j * np.pi * theta)])
-    state = phase_estimate(state, "r", "t", *unitary_eigenbasis(u))
+    # u = diag(1, e^{2 pi i theta})
+    state = phase_estimate(state, "r", "t", (np.eye(2)[:, 1:], [theta]))
     return segment_probabilities(state, "r"), state
 
 
@@ -171,50 +163,44 @@ class TestPhaseEstimate:
         amps[:4] = rng.normal(size=4) + 1j * rng.normal(size=4)
         amps /= np.linalg.norm(amps)
         state = QuantumState(layout, amps)
-        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        u, _ = np.linalg.qr(h)
-        basis = unitary_eigenbasis(u)
-        forward = phase_estimate(state, "r", "t", *basis)
-        back = phase_estimate(forward, "r", "t", *basis, adjoint=True)
-        np.testing.assert_allclose(back.amplitudes, amps, atol=1e-10)
+        h = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        grid, _ = np.linalg.qr(h)
+        for u in ((grid, rng.uniform(size=2)), rng.permutation(4)):
+            forward = phase_estimate(state, "r", "t", u)
+            back = phase_estimate(forward, "r", "t", u, adjoint=True)
+            np.testing.assert_allclose(back.amplitudes, amps, atol=1e-10)
 
     def test_symmetry_discriminate_separates_conjugate_pair(self):
         layout = RegisterLayout([("x", "particle", 3), ("r", "readout", 3)])
         for k, expected in ((1, 1), (-1, 7)):
             state = QuantumState.zero(layout)
             state, _ = load_orbital(state, "x", ring_plane_wave(k), CDF)
-            state = phase_estimate(state, "r", "x", *unitary_eigenbasis(
-                SymmetryOperator("cyclic-shift").unitary(3)))
+            state = phase_estimate(state, "r", "x",
+                                   SymmetryOperator("cyclic-shift").sites(3))
             probs = segment_probabilities(state, "r")
             assert probs[expected] == pytest.approx(1.0, abs=1e-10)
 
 
-def _haar_unitary(rng, d):
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def _test_unitary(kind, l, rng):
-    """A 2^l x 2^l unitary: Haar-random, or one with degenerate phases."""
-    if kind == "haar":
-        return _haar_unitary(rng, 1 << l)
-    if kind == "fock":
-        # orbitals span at most 3 of the 2^l sites, so the complement is a
-        # large eigenspace of phase 0
+    """A readout's u on 2^l sites, in the form `phase_estimate` takes, and
+    its dense matrix: a propagator exp(-i F t) of up to 3 orbitals, so the
+    complement is a large eigenspace of phase 0, or a grid symmetry.
+    """
+    if kind == "energy":
         k = int(rng.integers(1, min(3, (1 << l) - 1) + 1))
         bas = BasisSet([box_sine(n + 1, energy=float(rng.uniform(-2, 2)))
                         for n in range(k)])
-        return bas.fock_unitary(l, float(rng.uniform(0.1, 3.0)))
-    if kind == "cyclic-shift":
-        step = int(rng.integers(1, 1 << l))
-        return SymmetryOperator("cyclic-shift", step=step).unitary(l)
-    return SymmetryOperator("reflection").unitary(l)
+        t = float(rng.uniform(0.1, 3.0))
+        thetas = (-bas.energies * t / (2 * np.pi)) % 1.0
+        return (bas.grid_matrix(l), thetas), expm(-1j * t * fock_matrix(bas, l))
+    step = int(rng.integers(1, 1 << l))
+    op = SymmetryOperator(kind, step=step)
+    return op.sites(l), symmetry_unitary(op, l)
 
 
 class TestClosedForm:
     @settings(max_examples=120, deadline=None)
-    @given(st.sampled_from(["haar", "fock", "cyclic-shift", "reflection"]),
+    @given(st.sampled_from(["energy", "cyclic-shift", "reflection"]),
            st.integers(1, 3), st.integers(1, 7), st.booleans(),
            st.booleans(), st.integers(0, 2**31 - 1))
     def test_matches_textbook_circuit(self, kind, l, q, readout_first,
@@ -225,42 +211,40 @@ class TestClosedForm:
         layout = RegisterLayout([("lo", "scratch", 1), pair[0],
                                  ("mid", "scratch", 1), pair[1]])
         rng = np.random.default_rng(seed)
-        # every register, the readout included, carries amplitude
+        # every register, the readout included, carries amplitude, and the
+        # target carries mass outside the orbitals' span
         amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
         state = QuantumState(layout, amps / np.linalg.norm(amps))
-        u = _test_unitary(kind, l, rng)
-        got = phase_estimate(state, "r", "t", *unitary_eigenbasis(u),
-                             adjoint=adjoint)
-        want = textbook_phase_estimate(state, "r", "t", u, adjoint=adjoint)
+        u, dense = _test_unitary(kind, l, rng)
+        got = phase_estimate(state, "r", "t", u, adjoint=adjoint)
+        want = textbook_phase_estimate(state, "r", "t", dense,
+                                       adjoint=adjoint)
         np.testing.assert_allclose(got.amplitudes, want.amplitudes,
                                    rtol=0, atol=1e-12)
 
-    def test_eigenbasis_reconstructs_unitary(self):
-        u = SymmetryOperator("reflection").unitary(3)
-        vectors, phases = unitary_eigenbasis(u)
-        np.testing.assert_allclose(vectors.conj().T @ vectors, np.eye(8),
-                                   atol=1e-12)
-        rebuilt = (vectors * np.exp(2j * np.pi * phases)) @ vectors.conj().T
-        np.testing.assert_allclose(rebuilt, u, atol=1e-12)
-        assert sorted(np.round(phases, 12)) == [0.0] * 5 + [0.5] * 3
-
     @pytest.mark.parametrize("matrix", [
-        [[1, 0], [0, 2]],           # normal, eigenvalue off the unit circle
-        [[1, 1e-6], [0, 1]],        # unit eigenvalues, not normal
-        [[1, 0, 0], [0, 1, 0]],     # not square
+        [[1], [1]],                 # a column of norm sqrt 2
+        [[1, 1e-6], [0, 1]],        # unit columns, not orthogonal
+        [[1, 0, 0], [0, 1, 0]],     # more columns than target values
     ])
     def test_non_unitary_rejected(self, matrix):
-        with pytest.raises(ValidationError):
-            unitary_eigenbasis(np.array(matrix, dtype=complex))
+        # u = I + grid diag(e^{2 pi i phases} - 1) grid^dagger is unitary
+        # only for orthonormal columns
+        layout = RegisterLayout([("t", "particle", 1), ("r", "readout", 2)])
+        grid = np.array(matrix, dtype=complex)
+        with pytest.raises(ValidationError, match="orthonormal"):
+            phase_estimate(QuantumState.zero(layout), "r", "t",
+                           (grid, np.full(grid.shape[1], 0.25)))
 
     def test_segments_and_phases_checked(self):
         layout = RegisterLayout([("t", "particle", 2), ("r", "readout", 2)])
         state = QuantumState.zero(layout)
-        vectors, phases = unitary_eigenbasis(np.eye(4))
+        for u in ((np.eye(4)[:, :2], [0.5]), np.arange(8),
+                  np.array([0, 0, 1, 2])):
+            with pytest.raises(StructuralError):
+                phase_estimate(state, "r", "t", u)
         with pytest.raises(StructuralError):
-            phase_estimate(state, "t", "t", vectors, phases)
-        with pytest.raises(StructuralError):
-            phase_estimate(state, "r", "t", vectors, phases[:1])
+            phase_estimate(state, "t", "t", np.arange(4))
 
 
 def _loaded_state(bas, orbital_index, cfg, extra_fock=None):

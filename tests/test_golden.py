@@ -128,19 +128,19 @@ GOLDEN = {
     },
     "superposition-bosonic": {
         "report.csv":
-            "b3caad4f2241d368e8f050f09ef6e4c2095a06ee2a1041e11ad994cace127584",
+            "7d76f725d3b0104d68da04d9b3abd4167e18bcf2c101948b1932e87c9eb375cc",
         "report.txt":
-            "86ba35024e883eca50b7ac3cd9e654cce61ef64748d8fdbc4e2eb7c2562e424e",
+            "42fe8e9061fe52c6d2be795cf51042257e3f7b4e9545abc31d2b0d926439938d",
         "state.csv":
-            "b627ae87060e25613d98e70d07b6f3639d9f8f1618494d973335e58ba386d9a9",
+            "c3986fa2e2643f7bcac1d45da80619d728957ae599a0938f8d2f0222328e28b0",
     },
     "superposition-ring": {
         "report.csv":
-            "0006d4a54dcd302a1e6864d1e718a534ae36c00fe0aa9c4c8a2648120119e8d4",
+            "70f813153dd630da8161de097637b249d73e0ea8da58f944bb2a37816923d4a4",
         "report.txt":
-            "ea2f45f7e42def84b74c15fb5ddc253a84a73a4718d921947e3b10ae31305393",
+            "3eb2230de155ef7066a62f1ecd8038f32f30d1b0409874cbeb440b55dce68c07",
         "state.csv":
-            "868d45527e525d952436dc88bbd32d060051d953e28d9b576193cc08f1b353ce",
+            "1ce4f9cd8ba709cf714be2a87b84f1bb79da09f108d53bb3f99090f517a9e4b3",
     },
     "sweep": {
         "report.csv":
@@ -182,11 +182,11 @@ GOLDEN = {
     },
     "verify-bounds-superposition": {
         "report.csv":
-            "95c7ff5973d0ca952587fbc7b29446bedbb08b51b8f7d91abde391648ef24493",
+            "a435f6c4fd20cb14b9443381a145d2811b6e6bade4520062d103aca71417941e",
         "report.txt":
-            "ab43268314e0434e839ce7baf42fcca27563c6b7bc43d03624259346e02cc2a9",
+            "9d3194d51aba266df0cf4c2dff88e4f788f0d39902e542a8ecaf5f98e5feacff",
         "state.csv":
-            "868d45527e525d952436dc88bbd32d060051d953e28d9b576193cc08f1b353ce",
+            "1ce4f9cd8ba709cf714be2a87b84f1bb79da09f108d53bb3f99090f517a9e4b3",
     },
 }
 

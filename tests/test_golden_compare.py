@@ -80,8 +80,10 @@ def test_planted_change(ring, name, pattern, replacement, ok):
     ("bound:infidelity,0", False),
 ])
 def test_planted_bound_check_cell(checked, replacement, ok):
+    # the run prints a measured value within rounding of 0 (0 or 2.2e-16),
+    # which the planted 0 only moves by noise
     planted = _planted(checked, "report.csv",
-                       r"bound:infidelity,0<=0\.045:ok", replacement)
+                       r"bound:infidelity,[^<,\r]+<=0\.045:ok", replacement)
     lines = compare_case(checked, planted)
     assert all(passed for passed, _ in lines) == ok
     if not ok:
