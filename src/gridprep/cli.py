@@ -104,6 +104,8 @@ def _read(value, schema, path: str):
         build, fields = schema
         value, schema = _read(value, fields, path), lambda kw: build(**kw)
     with _reading(path):
+        if isinstance(value, bool):  # YAML's true: no key is a flag
+            raise TypeError(f"{value!r} is a boolean; no key takes one")
         if not isinstance(schema, set):
             return schema(value)
         if value not in schema:

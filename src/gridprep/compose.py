@@ -39,6 +39,13 @@ from .statevec import DensityMatrix, QuantumState, RegisterLayout, \
     extract_segment_vector, partial_trace, relabel
 
 
+def _expect(**args) -> None:
+    """Raise unless each driver argument, name=(value, type), has its type."""
+    for name, (value, cls) in args.items():
+        if not isinstance(value, cls):
+            raise ValidationError(f"{name}: {value!r} is not a {cls.__name__}")
+
+
 def _check_shared(occs: list[OccupationVector], what: str) -> None:
     """Raise unless the occupations share orbital count, statistics, and
     particle number.
@@ -154,7 +161,9 @@ class MixedSpec:
 
 @dataclass
 class PreparedState:
-    """Output bundle: final object plus the run report."""
+    """Output bundle: final object plus the run report.  `state` leaves out
+    the permutation banks that `report.qubits` counts: they end in |0>.
+    """
 
     vector: np.ndarray | None
     rho: DensityMatrix | None
@@ -218,7 +227,8 @@ def prepare_orbital(
     ratio_perturb=None,
 ) -> PreparedState:
     """Load one orbital onto a single grid register."""
-    bound = load_error_bound(l, spec.epsilon_i)  # rejects l < 1 first
+    _expect(orbital=(orbital, Orbital), spec=(spec, IntegrationSpec))
+    bound = load_error_bound(l, spec.epsilon_i)  # rejects a bad l first
     parts = particle_segments(1, l)
     layout = RegisterLayout(parts)
     state = QuantumState.zero(layout)
@@ -249,19 +259,17 @@ def _prepare(
     Register order: the head (a branch or occupation register, if any),
     every species' particle bank, every permutation bank, then the tail.
     The qubit cap and the report's qubit count apply to that layout.  The
-    permutation banks start and end blank, so `load(layout, banks,
-    counters)` sees the layout without them and returns the loaded state
-    and its attempt number, for `banks` each species' particle register
-    names.  Each species is then (anti)symmetrized on that layout in turn,
-    by the closed form of the circuit (`antisymmetrize`), and the result
-    is the slab at bank code 0 of the full layout, +0.0 elsewhere.  The
-    particle banks (first species least significant) are read out of the
-    loaded layout as a vector, or with `rho` as the density matrix of the
-    full layout with the rest traced out (so ρ's factor keeps its shape).
-    The error bound is one load bound per loaded register: m particles and
-    the head's table.
+    permutation banks start and end blank, so the state leaves them out:
+    `load(layout, banks, counters)` gets the layout without them and
+    returns the loaded state and its attempt number, for `banks` each
+    species' particle register names.  Each species is then
+    (anti)symmetrized in turn (`antisymmetrize`), and the particle banks
+    (first species least significant) read out as a vector, or with `rho`
+    as the density matrix with the rest traced out.  The error bound is
+    one load bound per loaded register: m particles and the head's table.
     """
-    bound = load_error_bound(l, spec.epsilon_i)  # rejects l < 1 first
+    _expect(spec=(spec, IntegrationSpec))
+    bound = load_error_bound(l, spec.epsilon_i)  # rejects a bad l first
     parts = [particle_segments(occ.m, l, prefix=f"{prefix}particle")
              for occ, prefix in species]
     perms = [permutation_segments(occ.m, prefix=f"{prefix}perm")
@@ -287,18 +295,11 @@ def _prepare(
         counters=counters,
         error_bound=(m + len(head)) * bound,
     )
-    # the banks lie between the particle banks and the tail, and read 0
-    banks = sum(perms, [])
-    below = 1 << layout.segment(banks[0][0]).offset
-    amps = np.zeros(layout.dim, dtype=np.complex128)
-    amps.reshape(-1, 1 << sum(w for _, _, w in banks), below)[:, 0, :] = \
-        state.amplitudes.reshape(-1, below)
-    full = QuantumState(layout, amps)
     names = _names(sum(parts, []))
     return PreparedState(
         vector=None if rho else extract_segment_vector(state, names),
-        rho=partial_trace(full, names) if rho else None,
-        report=report, state=full)
+        rho=partial_trace(state, names) if rho else None,
+        report=report, state=state)
 
 
 def _species_product(
@@ -335,6 +336,7 @@ def prepare_slater(
     The occupation is classical here, so no occupation register or phase
     estimation is needed.
     """
+    _expect(occupation=(occupation, OccupationVector))
     kind = "slater" if occupation.statistics == "fermionic" else "permanent"
     return _species_product(kind, [(occupation, basis, "")], l, spec,
                             ratio_perturb, cache)
@@ -353,6 +355,8 @@ def prepare_two_species(
     names carry the prefixes a_ and b_, and species a is least significant
     in the returned vector.
     """
+    _expect(occupation_a=(occupation_a, OccupationVector),
+            occupation_b=(occupation_b, OccupationVector))
     return _species_product(
         "two-species",
         [(occupation_a, basis_a, "a_"), (occupation_b, basis_b, "b_")],
@@ -383,12 +387,13 @@ def prepare_superposition(
     of the returned state against that one, and `angle_error_bound` adds
     the two steps.  `max_attempts` must be at least 1.
     """
+    _expect(sup=(sup, FockSuperposition), spec=(spec, IntegrationSpec))
     if max_attempts < 1:
         raise ValidationError(f"max_attempts {max_attempts} is not at least 1")
     if sup.num_orbitals > basis.size:
         raise ValidationError("superposition refers to orbitals outside "
                               "the basis")
-    load_error_bound(l, spec.epsilon_i)  # rejects l < 1 before the readouts
+    load_error_bound(l, spec.epsilon_i)  # rejects a bad l before the readouts
     counter_width, fock, branches = _fock_branches(sup)
     config = PhaseEstimationConfig.build(
         basis, l, t=t, eps_pe=eps_pe, symmetry=symmetry)

@@ -59,8 +59,9 @@ def load_error_bound(l: int, epsilon_i: float) -> float:
     second term is at most the first from l = 2 on; at l = 1 the split
     eps : 1 - eps loaded as 0 : 1 reaches 1 - sqrt(1 - eps).
     """
-    if l < 1:
-        raise ValidationError("grid needs at least one qubit")
+    if isinstance(l, bool) or not isinstance(l, (int, np.integer)) or l < 1:
+        raise ValidationError(
+            f"l: {l!r} is not a qubit count; grid needs at least one qubit")
     if not 0 <= epsilon_i < 1:
         raise ValidationError("epsilon_i must lie in [0, 1)")
     if l == 1:  # 1 - sqrt(1 - eps), without the cancellation

@@ -122,6 +122,18 @@ class TestValidate:
                 BOX_BASIS[0], {"family": "box-sine", "n": 2.9},
                 BOX_BASIS[2]]},
             id="prepare-slater-basis-n-fraction"),
+        # a YAML boolean is not read as 1 or 1.0
+        pytest.param(
+            "prepare-orbital", "l", {"l": True, "basis": BOX_BASIS[:1]},
+            id="prepare-orbital-l-boolean"),
+        pytest.param(
+            "prepare-orbital", "basis[0].n",
+            {"l": 3, "basis": [{"family": "box-sine", "n": True}]},
+            id="prepare-orbital-basis-n-boolean"),
+        pytest.param(
+            "prepare-orbital", "length",
+            {"l": 3, "length": True, "basis": BOX_BASIS[:1]},
+            id="prepare-orbital-length-boolean"),
         pytest.param(
             "validate", "phase_estimation.symmetry.step",
             {"l": 3, "basis": BOX_BASIS, "phase_estimation": {

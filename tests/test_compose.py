@@ -1,5 +1,7 @@
 """End-to-end preparation drivers and their oracles."""
 import inspect
+import math
+from collections import Counter
 from itertools import permutations
 from unittest import mock
 
@@ -291,7 +293,10 @@ class TestRetryAndErrors:
             assert key in prep.report.counters
 
 
-    @pytest.mark.parametrize("l", [0, -1])
+    # a fraction, a float and a bool are no qubit count either; each of
+    # them raised TypeError from a shift, or ran at l = 1, before the
+    # drivers checked l
+    @pytest.mark.parametrize("l", [0, -1, 3.5, 2.0, True])
     @pytest.mark.parametrize("prepare", [
         lambda l: prepare_orbital(box_sine(1), l, CDF),
         lambda l: prepare_slater(FERMI_110, dyadic_basis(3), l, CDF),
@@ -307,8 +312,32 @@ class TestRetryAndErrors:
             "diagonal-mixed"])
     def test_grid_without_qubits_rejected(self, prepare, l):
         with pytest.raises(ValidationError,
-                           match="grid needs at least one qubit"):
+                           match="^l: .*grid needs at least one qubit"):
             prepare(l)
+
+    # each call raised AttributeError before the drivers checked their
+    # arguments
+    @pytest.mark.parametrize("prepare, name", [
+        pytest.param(lambda: prepare_slater("111", dyadic_basis(3), 2, CDF),
+                     "occupation", id="slater-occupation-string"),
+        pytest.param(lambda: prepare_two_species(
+            "11", "11", dyadic_basis(2), dyadic_basis(2), 2, CDF),
+            "occupation_a", id="two-species-occupation-string"),
+        pytest.param(lambda: prepare_two_species(
+            FERMI_110, "11", dyadic_basis(3), dyadic_basis(2), 2, CDF),
+            "occupation_b", id="two-species-occupation-b-string"),
+        pytest.param(lambda: prepare_superposition(
+            "110", dyadic_basis(3), 2, CDF, seed=0),
+            "sup", id="superposition-string"),
+        pytest.param(lambda: prepare_orbital(box_sine(1), 3, None),
+                     "spec", id="orbital-no-spec"),
+        pytest.param(lambda: prepare_slater(FERMI_110, dyadic_basis(3), 2,
+                                            None),
+                     "spec", id="slater-no-spec"),
+    ])
+    def test_misused_argument_named(self, prepare, name):
+        with pytest.raises(ValidationError, match=f"^{name}: "):
+            prepare()
 
     def test_qubit_cap_counts_the_permutation_banks(self, monkeypatch):
         # 6 particle qubits load, but the layout with the banks needs 12
@@ -471,23 +500,44 @@ def driver_calls(draw):
                                          seed=seed)
 
 
-def _artifacts(call):
-    prep = call()
+def _artifacts(prep):
     report = prep.report
     return (None if prep.vector is None else prep.vector.tobytes(),
             None if prep.rho is None else prep.rho.matrix.tobytes(),
-            prep.state.amplitudes.tobytes(), repr(report.counters),
-            report.attempts, report.retries, report.error_bound.hex())
+            repr(report.counters), report.attempts, report.retries,
+            report.error_bound.hex(), report.qubits)
+
+
+def _bank_slab(state):
+    """The amplitudes of `state` at permutation-bank value 0, and the
+    (above, nonzero bank value, below) table of the rest; the banks are
+    the "scratch" segments, which lie next to each other.
+    """
+    banks = [seg for seg in state.layout if seg.role == "scratch"]
+    below = 1 << banks[0].offset
+    table = state.amplitudes.reshape(
+        -1, 1 << sum(seg.width for seg in banks), below)
+    return table[:, 0, :].ravel(), table[:, 1:, :]
 
 
 class TestAgainstFullLayoutLoad:
     @settings(max_examples=40, deadline=None)
     @given(driver_calls())
     def test_bitwise_equal_to_full_layout_load(self, call):
-        got = _artifacts(call)
+        prep = call()
         with mock.patch.object(compose, "_prepare", reference_prepare):
-            ref = _artifacts(call)
-        assert got == ref
+            ref = call()
+        assert _artifacts(prep) == _artifacts(ref)
+        slab, rest = _bank_slab(ref.state)
+        assert prep.state.amplitudes.tobytes() == slab.tobytes()
+        assert not rest.any()  # the banks left out held nothing
+        # the returned layout has no banks, and report.qubits counts them
+        layout = prep.state.layout
+        assert all(seg.role != "scratch" for seg in layout)
+        species = Counter(seg.name.split("particle")[0] for seg in layout
+                          if seg.role == "particle")
+        assert prep.report.qubits == layout.n_total + sum(
+            m * math.ceil(math.log2(m)) for m in species.values())
 
 
 #: Prints a SHA-256 of the vector and the symmetrization norm of prepare_slater
