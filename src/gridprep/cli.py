@@ -128,9 +128,9 @@ def _reading(key: str):
 
 
 def _amplitude(value) -> complex:
-    """Cast of a number, or of [re, im]."""
+    """Cast of a number, or of [re, im] with neither part a boolean."""
     if isinstance(value, list):
-        if len(value) != 2:
+        if len(value) != 2 or any(isinstance(v, bool) for v in value):
             raise ValueError(f"{value!r} must be a number or [re, im]")
         return complex(float(value[0]), float(value[1]))
     return complex(float(value), 0.0)

@@ -475,6 +475,7 @@ def prepare_mixed(
     Each branch has a definite occupation, so no occupation register or
     phase estimation is required.
     """
+    _expect(mixed=(mixed, MixedSpec))
     comps = mixed.components
     branches = [(math.sqrt(p), i, occ) for i, (p, occ) in enumerate(comps)]
     w_spec = max(1, math.ceil(math.log2(len(comps))))
@@ -519,6 +520,7 @@ def prepare_diagonal_mixed(
     and trace it out, yielding the dephased ensemble with weights
     |alpha_w|^2.
     """
+    _expect(sup=(sup, FockSuperposition))
     _, fock, branches = _fock_branches(sup)
     return _purified_mixture("diagonal-mixed", fock, branches, basis, l,
                              spec, cache)

@@ -10,15 +10,17 @@ QFT and its inverse; both readouts have u^k in closed form (see
 
 Eigenphase convention: the estimated phase is the actual eigenphase of the
 unitary handed to the estimator, i.e. theta = (-E t / 2pi) mod 1 for the
-propagator exp(-i F t).  Lookup windows are half-open intervals of width
-2^-n centered on each phase rounded to n bits (ties round up); a readout
-falling in no window routes to the detect-and-retry path.
+propagator exp(-i F t).  An orbital's key in a readout is its phase
+rounded to n bits (ties round up), an n-bit integer.  A readout value k
+of n + p bits reads the key floor(k / 2^p + 1/2) mod 2^n, so k / 2^(n+p)
+lies in the half-open interval of width 2^-n centred on the key / 2^n it
+reads.  Readout values whose keys no orbital holds route to the
+detect-and-retry path.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -80,37 +82,29 @@ class SymmetryOperator:
         return 0.0 if ph > 1.0 - PHASE_TOL else ph
 
 
-def _round_half_up(x: np.ndarray) -> np.ndarray:
-    return np.floor(x + 0.5)
-
-
 def _circular_distance(a, b):
     d = np.abs(a - b) % 1.0
     return np.minimum(d, 1.0 - d)
 
 
-def _resolving_bits(phases: np.ndarray, groups) -> int | None:
-    """Smallest n at which rounding to n bits separates every group that
-    must be separated (groups: iterable of index collections whose members
-    carry identical secondary keys).  None if no n <= MAX_PHASE_BITS works.
-    """
-    for n in range(1, MAX_PHASE_BITS + 1):
-        keys = _round_half_up(phases * (1 << n)).astype(int) % (1 << n)
-        ok = True
-        for grp in groups:
-            if len(set(keys[list(grp)])) != len(grp):
-                ok = False
-                break
-        if ok:
-            return n
-    return None
+def _keys(phases: np.ndarray, n: int) -> np.ndarray:
+    """Each phase rounded to n bits (ties round up), as an n-bit integer."""
+    return np.floor(phases * (1 << n) + 0.5).astype(np.int64) % (1 << n)
 
 
-def _snap_to_exact(phases: np.ndarray, n0: int) -> int:
-    """Widen n0 to the smallest n <= MAX_PHASE_BITS at which every phase is
-    an exact n-bit dyadic, so the estimator reads it out deterministically;
-    n0 itself if no such n exists (irrational phases).
+def _readout_bits(phases: np.ndarray, groups) -> int | None:
+    """Smallest n <= MAX_PHASE_BITS at which every group (a list of orbital
+    indices) holds distinct keys, widened to the smallest n at which every
+    phase is an exact n-bit dyadic, so the estimator reads it out
+    deterministically, where there is one (not for irrational phases).
+    None if no n separates the groups.
     """
+    for n0 in range(1, MAX_PHASE_BITS + 1):
+        keys = _keys(phases, n0)
+        if all(len(set(keys[g])) == len(g) for g in groups):
+            break
+    else:
+        return None
     for n in range(n0, MAX_PHASE_BITS + 1):
         scaled = phases * (1 << n)
         if np.max(np.abs(scaled - np.round(scaled))) < PHASE_TOL:
@@ -126,22 +120,15 @@ class PhaseEstimationConfig:
     particle register writes its eigenphase into that segment.  The energy
     readout's u is exp(-i F t) as (grid matrix, thetas); a symmetry
     readout, present when a grid symmetry is given, splits degenerate
-    levels, and its u is the symmetry's `sites`.
+    levels, and its u is the symmetry's `sites`.  A readout n bits wide
+    plus p extra reads one n-bit integer key (see the module docstring).
     `lookup` has one axis per readout and holds the orbital index of each
-    tuple of readout values, -1 if ambiguous.
+    tuple of readout values, the orbital whose keys they read, -1 if none.
     """
 
     basis: BasisSet
-    l: int
-    p: int
-    n_energy: int
-    thetas: np.ndarray
     readouts: tuple[tuple, ...] = field(repr=False)
     lookup: np.ndarray = field(repr=False)
-
-    @property
-    def q(self) -> int:
-        return self.n_energy + self.p
 
     def segments(self) -> list[tuple[str, str, int]]:
         """Layout segments of the readouts, in readout order."""
@@ -162,8 +149,8 @@ class PhaseEstimationConfig:
         thetas = (-energies * t / (2 * np.pi)) % 1.0
         p = extra_qubits_for(eps_pe) if eps_pe is not None else 0
 
-        sym_keys = np.zeros(basis.size, dtype=int)
-        sym_readouts, sym_windows = [], []
+        sym_keys = np.zeros(basis.size, dtype=np.int64)
+        sym = []  # the symmetry readout, its bits and its keys
         phi = basis.grid_matrix(l)
         if symmetry is not None:
             # each orbital must be an eigenvector of P, so [P, F] = 0
@@ -171,21 +158,18 @@ class PhaseEstimationConfig:
                 [symmetry.eigenphase(phi[:, j]) for j in range(basis.size)]
             )
             # symmetry must split every cluster of coinciding energy phases
-            n_sym = _resolving_bits(sym_phases, _phase_clusters(thetas))
+            n_sym = _readout_bits(sym_phases, _phase_clusters(thetas))
             if n_sym is None:
                 raise DegeneracyError(
                     "symmetry eigenphases do not separate the degenerate "
                     "orbitals"
                 )
-            n_sym = _snap_to_exact(sym_phases, n_sym)
-            sym_keys = _round_half_up(sym_phases * (1 << n_sym)).astype(int)
-            sym_readouts = [("symread", n_sym + p, symmetry.sites(l))]
-            sym_windows = [_windows(sym_phases, n_sym, n_sym + p)]
+            sym_keys = _keys(sym_phases, n_sym)
+            sym = [(("symread", n_sym + p, symmetry.sites(l)), n_sym,
+                    sym_keys)]
 
-        groups: dict[int, list[int]] = {}
-        for i, key in enumerate(sym_keys):
-            groups.setdefault(int(key), []).append(i)
-        n_energy = _resolving_bits(thetas, groups.values())
+        n_energy = _readout_bits(thetas, [np.flatnonzero(sym_keys == key)
+                                          for key in np.unique(sym_keys)])
         if n_energy is None:
             collisions = _phase_clusters(thetas)
             raise DegeneracyError(
@@ -195,33 +179,19 @@ class PhaseEstimationConfig:
                 + f": orbital groups {collisions} at energies "
                 + f"{[list(np.round(energies[list(g)], 6)) for g in collisions]}"
             )
-        n_energy = _snap_to_exact(thetas, n_energy)
 
-        readouts = [("readout", n_energy + p, (phi, thetas))] + sym_readouts
-        windows = [_windows(thetas, n_energy, n_energy + p)] + sym_windows
-        lookup = np.full([w.shape[1] for w in windows], -1, dtype=np.int64)
-        claimed = np.zeros(lookup.shape, dtype=bool)
-        for i in range(basis.size):
-            cell = reduce(np.multiply.outer, [w[i] for w in windows])
-            if np.any(claimed & cell):
-                raise DegeneracyError(
-                    f"lookup window of orbital {i} overlaps another window"
-                )
-            claimed |= cell
-            lookup[cell] = i
-        return cls(basis=basis, l=l, p=p, n_energy=n_energy, thetas=thetas,
-                   readouts=tuple(readouts), lookup=lookup)
-
-
-def _windows(phases: np.ndarray, n: int, width: int) -> np.ndarray:
-    """(orbital, readout) mask: readout k / 2^width lies in the half-open
-    window of width 2^-n centered on the orbital's phase rounded to n bits.
-    """
-    scale = 1 << n
-    centers = (_round_half_up(phases * scale) % scale) / scale
-    d = (np.arange(1 << width) / (1 << width) - centers[:, None]) % 1.0
-    half = 0.5 / scale
-    return (d < half) | (d >= 1.0 - half)
+        readouts, bits, keys = zip((("readout", n_energy + p, (phi, thetas)),
+                                    n_energy, _keys(thetas, n_energy)), *sym)
+        table = np.full([1 << n for n in bits], -1, dtype=np.int64)
+        table[keys] = np.arange(basis.size)
+        if np.count_nonzero(table >= 0) < basis.size:
+            raise DegeneracyError("two orbitals share their key in every "
+                                  "readout")
+        # value k of n + p bits reads the key floor(k / 2^p + 1/2) mod 2^n
+        reads = [((np.arange(1 << (n + p)) + ((1 << p) >> 1)) >> p) % (1 << n)
+                 for n in bits]
+        return cls(basis=basis, readouts=readouts,
+                   lookup=table[np.ix_(*reads)])
 
 
 def _phase_clusters(phases: np.ndarray):
@@ -341,8 +311,8 @@ def _decrement_fock(
     fock_segment: str,
     counter_width: int,
 ) -> tuple[QuantumState, np.ndarray, float]:
-    """Relabeling permutation: on branches whose readouts land in orbital
-    i's window, remove one quantum of orbital i from the occupation
+    """Relabeling permutation: on branches whose readouts read orbital
+    i's keys, remove one quantum of orbital i from the occupation
     register, a modular decrement of its counter (a bit flip when the
     counter is one bit wide, as for fermions).  Branches with an ambiguous
     readout, or one naming an orbital the register has no counter for,

@@ -30,7 +30,7 @@ class PipelineError(GridprepError):
 
 
 class DegeneracyError(PipelineError):
-    """Phase-estimation windows collide; identification is impossible."""
+    """Phase-estimation readouts cannot tell orbitals apart."""
 
 
 class RetryBudgetError(PipelineError):

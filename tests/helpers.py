@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,28 @@ def reference_relabel(state: QuantumState, names, table) -> QuantumState:
         fields[name] = (dest >> shift) & layout.segment(name).mask
         shift += layout.segment(name).width
     return permute_basis(state, layout.with_values(idx, fields))
+
+
+def reference_lookup(phases, bits, p: int) -> np.ndarray:
+    """`PhaseEstimationConfig.lookup` by its definition, for each readout's
+    orbital phases and resolving bits n (the readout is n + p wide): value
+    k of a readout lies in orbital i's window when k / 2^(n+p) lies in the
+    half-open interval of width 2^-n centred on i's phase rounded to n bits
+    (ties round up); a tuple of values names the orbital whose windows hold
+    every one of them, -1 if none.  Overlapping windows fail the check.
+    """
+    windows = []
+    for ph, n in zip(phases, bits):
+        scale, width = 1 << n, n + p
+        centers = (np.floor(np.asarray(ph) * scale + 0.5) % scale) / scale
+        d = (np.arange(1 << width) / (1 << width) - centers[:, None]) % 1.0
+        windows.append((d < 0.5 / scale) | (d >= 1.0 - 0.5 / scale))
+    lookup = np.full([w.shape[1] for w in windows], -1, dtype=np.int64)
+    for i in range(windows[0].shape[0]):
+        cell = reduce(np.multiply.outer, [w[i] for w in windows])
+        assert not np.any(cell & (lookup >= 0)), f"window {i} overlaps"
+        lookup[cell] = i
+    return lookup
 
 
 def reference_decrement_fock(state, config, fock_segment, counter_width):

@@ -135,6 +135,11 @@ class TestValidate:
             {"l": 3, "length": True, "basis": BOX_BASIS[:1]},
             id="prepare-orbital-length-boolean"),
         pytest.param(
+            "validate", "superposition[0].amplitude",
+            {"l": 3, "basis": BOX_BASIS, "superposition": [
+                {"amplitude": [True, 0], "occupation": "110"}]},
+            id="validate-superposition-amplitude-boolean"),
+        pytest.param(
             "validate", "phase_estimation.symmetry.step",
             {"l": 3, "basis": BOX_BASIS, "phase_estimation": {
                 "symmetry": {"kind": "cyclic-shift", "step": 1.5}}},

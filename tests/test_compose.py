@@ -329,6 +329,11 @@ class TestRetryAndErrors:
         pytest.param(lambda: prepare_superposition(
             "110", dyadic_basis(3), 2, CDF, seed=0),
             "sup", id="superposition-string"),
+        pytest.param(lambda: prepare_mixed("10", dyadic_basis(2), 2, CDF),
+                     "mixed", id="mixed-string"),
+        pytest.param(lambda: prepare_diagonal_mixed(
+            "10", dyadic_basis(2), 2, CDF),
+            "sup", id="diagonal-mixed-string"),
         pytest.param(lambda: prepare_orbital(box_sine(1), 3, None),
                      "spec", id="orbital-no-spec"),
         pytest.param(lambda: prepare_slater(FERMI_110, dyadic_basis(3), 2,

@@ -22,8 +22,8 @@ from gridprep.errors import DegeneracyError, StructuralError, ValidationError
 from gridprep.loader import load_orbital
 from gridprep.statevec import QuantumState, RegisterLayout, vector_norm
 from helpers import fock_matrix, from_basis_index, \
-    reference_decrement_fock, segment_probabilities, symmetry_unitary, \
-    textbook_phase_estimate
+    reference_decrement_fock, reference_lookup, segment_probabilities, \
+    symmetry_unitary, textbook_phase_estimate
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
 
@@ -89,9 +89,9 @@ class TestConfigBuild:
                         box_sine(3, energy=2.0)])
         cfg = PhaseEstimationConfig.build(bas, 3, t=2 * np.pi / 4)
         # thetas 0, 3/4, 1/2 are exact at 2 bits
-        assert cfg.n_energy == 2
-        assert cfg.q == 2
-        np.testing.assert_allclose(cfg.thetas, [0.0, 0.75, 0.5])
+        (_, width, (_, thetas)), = cfg.readouts
+        assert width == 2
+        np.testing.assert_allclose(thetas, [0.0, 0.75, 0.5])
 
     def test_collision_raises_with_energies_in_message(self):
         bas = BasisSet([ring_plane_wave(0, energy=0.0),
@@ -120,10 +120,57 @@ class TestConfigBuild:
 
     def test_extra_qubits_included(self):
         bas = BasisSet([box_sine(1, energy=0.0), box_sine(2, energy=1.0)])
-        cfg = PhaseEstimationConfig.build(bas, 3, t=2 * np.pi / 4,
-                                          eps_pe=0.05)
-        assert cfg.p == 4
-        assert cfg.q == cfg.n_energy + 4
+        widths = [PhaseEstimationConfig.build(
+            bas, 3, t=2 * np.pi / 4, eps_pe=eps).readouts[0][1]
+            for eps in (None, 0.05)]
+        assert widths[1] == widths[0] + 4
+
+
+@st.composite
+def lookup_cases(draw):
+    """Energy phases at random levels (a + j sqrt(2) / 64) / 256, a an
+    8-bit integer and j in [-20, 20] (0 gives an exact dyadic), so 8 bits
+    resolve distinct levels; p <= 4 extra bits.  Box sines on distinct
+    levels have one readout; ring plane waves, which may share a level, a
+    cyclic shift (odd step) as the second.
+    """
+    count = draw(st.integers(1, 4))
+    levels = [(a + j * np.sqrt(2) / 64) / 256 for a, j in zip(
+        draw(st.lists(st.integers(0, 255), min_size=count, max_size=count,
+                      unique=True)),
+        draw(st.lists(st.integers(-20, 20), min_size=count,
+                      max_size=count)))]
+    eps_pe = draw(st.sampled_from([None, 0.3, 0.1, 0.05]))
+    if not draw(st.booleans()):
+        return BasisSet([box_sine(n + 1, energy=-ph)
+                         for n, ph in enumerate(levels)]), 3, eps_pe, None
+    l = draw(st.integers(3, 4))
+    ks = draw(st.lists(st.integers(-(1 << (l - 1)), (1 << (l - 1)) - 1),
+                       min_size=count, max_size=count, unique=True))
+    phases = [draw(st.sampled_from(levels)) for _ in ks]
+    symmetry = SymmetryOperator("cyclic-shift",
+                                draw(st.sampled_from([1, 3, 5])))
+    return BasisSet([ring_plane_wave(k, energy=-ph)
+                     for k, ph in zip(ks, phases)]), l, eps_pe, symmetry
+
+
+class TestLookupAgainstWindows:
+    @settings(max_examples=200, deadline=None)
+    @given(lookup_cases())
+    def test_lookup_matches_window_definition(self, case):
+        bas, l, eps_pe, symmetry = case
+        cfg = PhaseEstimationConfig.build(bas, l, t=2 * np.pi, eps_pe=eps_pe,
+                                          symmetry=symmetry)
+        p = 0 if eps_pe is None else extra_qubits_for(eps_pe)
+        phases = [cfg.readouts[0][2][1]]
+        if symmetry is not None:
+            phi = bas.grid_matrix(l)
+            phases.append([symmetry.eigenphase(phi[:, j])
+                           for j in range(bas.size)])
+        bits = [width - p for _, width, _ in cfg.readouts]
+        assert len(bits) == 1 + (symmetry is not None)
+        assert max(bits) <= 8
+        assert np.array_equal(cfg.lookup, reference_lookup(phases, bits, p))
 
 
 def _pe_distribution(theta, q):
@@ -248,9 +295,8 @@ class TestClosedForm:
 
 
 def _loaded_state(bas, orbital_index, cfg, extra_fock=None):
-    segments = [("fock", "fock", bas.size),
-                ("particle0", "particle", cfg.l),
-                ("readout", "readout", cfg.q)]
+    segments = [("fock", "fock", bas.size), ("particle0", "particle", 3),
+                *cfg.segments()]
     layout = RegisterLayout(segments)
     fock_value = (1 << orbital_index) if extra_fock is None else extra_fock
     state = from_basis_index(layout, fock_value)
@@ -291,7 +337,7 @@ class TestIdentifyAndDecrement:
     def test_superposed_fock_branches(self):
         # (0.6 |001>|phi0> + 0.8 |010>|phi1>) -> fock empty on both branches
         segments = [("fock", "fock", 3), ("particle0", "particle", 3),
-                    ("readout", "readout", self.cfg.q)]
+                    *self.cfg.segments()]
         layout = RegisterLayout(segments)
         amps = np.zeros(layout.dim, dtype=complex)
         state = QuantumState(layout, amps)
@@ -314,7 +360,7 @@ class TestIdentifyAndDecrement:
         cfg = PhaseEstimationConfig.build(bas, 3, t=2 * np.pi / 4)
         layout = RegisterLayout([("fock", "fock", 4),
                                  ("particle0", "particle", 3),
-                                 ("readout", "readout", cfg.q)])
+                                 *cfg.segments()])
         # counters (2, 0): value 0b0010
         state = from_basis_index(layout, 0b0010)
         state, _ = load_orbital(state, "particle0", bas.orbitals[0], CDF)
@@ -328,7 +374,8 @@ class TestIdentifyAndDecrement:
         from gridprep.errors import StructuralError
         layout = RegisterLayout([("fock", "fock", 3),
                                  ("particle0", "particle", 3),
-                                 ("readout", "readout", self.cfg.q + 1)])
+                                 ("readout", "readout",
+                                  self.cfg.readouts[0][1] + 1)])
         state = QuantumState.zero(layout)
         with pytest.raises(StructuralError):
             identify_and_decrement(state, self.cfg, "fock", "particle0",
