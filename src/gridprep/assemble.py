@@ -24,7 +24,8 @@ import numpy as np
 from .basis import BasisSet, IntegrationSpec
 from .errors import StructuralError, ValidationError
 from .loader import LoadPlan, load_orbital
-from .statevec import BLANK_TOL, QuantumState, SparseState, vector_norm
+from .statevec import BLANK_TOL, QuantumState, SparseState, segment_view, \
+    vector_norm
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,13 @@ class OccupationVector:
             out.extend([i] * v)
         return out
 
+    def check_basis(self, basis: BasisSet) -> "OccupationVector":
+        """`self`, unless it occupies an orbital that `basis` lacks."""
+        if max(self.occupied_indices()) >= basis.size:
+            raise ValidationError(
+                "occupation refers to an orbital outside the basis")
+        return self
+
     def multiplicity_factor(self) -> float:
         return math.prod(math.factorial(v) for v in self.n)
 
@@ -104,9 +112,7 @@ def prepare_hartree_product(
     """Load each occupied orbital into its own particle register (bosonic
     multiplicities expand into repeated registers).
     """
-    occupied = occupation.occupied_indices()
-    if max(occupied, default=-1) >= basis.size:
-        raise ValidationError("occupation refers to an orbital outside the basis")
+    occupied = occupation.check_basis(basis).occupied_indices()
     if len(occupied) > len(segments):
         raise StructuralError(
             f"{len(occupied)} particles exceed the {len(segments)} "
@@ -341,27 +347,27 @@ def antisymmetrize(
     if statistics not in ("fermionic", "bosonic"):
         raise ValidationError(f"unknown statistics {statistics!r}")
     m = len(p_segments)
-    segs = [state.layout.segment(name) for name in p_segments]
-    l = segs[0].width
-    if any(seg.width != l or seg.offset != segs[0].offset + i * l
-           for i, seg in enumerate(segs)):
+    l = state.layout.segment(p_segments[0]).width
+    view, axes = segment_view(state, p_segments)
+    # first register least significant: axes descend by one, no gap
+    if any(view.shape[k] != 1 << l for k in axes) \
+            or axes != list(range(axes[0], axes[0] - m, -1)):
         raise StructuralError(
             "particle registers must be contiguous, of equal width and in "
             "order")
     if m == 1:
         return state, {"comparators": 0, "swapped_qubits": 0}
-    below = 1 << segs[0].offset
-    scaled = (state.amplitudes / math.sqrt(math.factorial(m))).reshape(
-        -1, *[1 << l] * m, below)
+    scaled = (view / math.sqrt(math.factorial(m))).reshape(
+        math.prod(view.shape[:axes[-1]]), *[1 << l] * m, -1)
     amps = np.zeros_like(scaled)
     for perm in _permutation_order(m):
         # axis k holds register m - k, which takes register perm.index(m - k)
-        view = scaled.transpose(0, *(m - perm.index(m - k)
+        term = scaled.transpose(0, *(m - perm.index(m - k)
                                      for k in range(1, m + 1)), m + 1)
         if statistics == "fermionic" and _permutation_sign(perm) < 0:
-            amps -= view
+            amps -= term
         else:
-            amps += view
+            amps += term
     norm = vector_norm(amps)
     if norm < 1e-12:
         raise ValidationError("symmetrization annihilated the state "

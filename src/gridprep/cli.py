@@ -201,31 +201,37 @@ def _build_basis(cfg: dict, config_dir: Path) -> BasisSet:
                          for e in cfg["basis"]])
 
 
-def _build_superposition(cfg: dict) -> FockSuperposition:
+def _build_superposition(cfg: dict, bas: BasisSet | None) -> FockSuperposition:
     raw = cfg.get("superposition")
     if not raw:
         raise ValidationError("config needs a 'superposition' term list")
     with _reading("superposition"):
-        return FockSuperposition.from_strings(
+        sup = FockSuperposition.from_strings(
             [(t["amplitude"], t["occupation"]) for t in raw],
             cfg.get("statistics", "fermionic"))
+        return sup if bas is None else sup.check_basis(bas)
 
 
-def _build_mixed(cfg: dict) -> MixedSpec:
+def _build_mixed(cfg: dict, bas: BasisSet | None) -> MixedSpec:
     raw = cfg.get("mixed")
     if not raw:
         raise ValidationError("config needs a 'mixed' section")
     statistics = cfg.get("statistics", "fermionic")
+    key = "thermal.components" if "thermal" in raw else "components"
     with _reading("mixed"):
         if "thermal" in raw:
             th = raw["thermal"]
             pairs = [(c["energy"], c["occupation"]) for c in th["components"]]
-            return MixedSpec.thermal(th["beta"], pairs, statistics)
-        comps = raw.get("components")
-        if not comps:
+            mix = MixedSpec.thermal(th["beta"], pairs, statistics)
+        elif raw.get("components"):
+            mix = MixedSpec.from_probabilities([(c["probability"], c[
+                "occupation"]) for c in raw["components"]], statistics)
+        else:
             raise ValidationError("needs 'components' or 'thermal'")
-        return MixedSpec.from_probabilities(
-            [(c["probability"], c["occupation"]) for c in comps], statistics)
+    for i, (_, occ) in enumerate(mix.components if bas else ()):
+        with _reading(f"mixed.{key}[{i}].occupation"):
+            occ.check_basis(bas)
+    return mix
 
 
 def _build_species(cfg: dict, config_dir: Path):
@@ -241,7 +247,8 @@ def _build_species(cfg: dict, config_dir: Path):
     for key in ("species_a", "species_b"):
         with _reading(key):
             sec = {**cfg, **cfg[key]}
-            sections.append((_occupation(sec), _build_basis(sec, config_dir)))
+            bas = _build_basis(sec, config_dir)
+            sections.append((_occupation(sec, bas), bas))
     return sections
 
 
@@ -308,12 +315,13 @@ def _emit_text(out_dir: Path, text: str, ok: bool = True) -> int:
     return EXIT_OK if ok else EXIT_PIPELINE
 
 
-def _occupation(cfg: dict) -> OccupationVector:
+def _occupation(cfg: dict, bas: BasisSet | None) -> OccupationVector:
     if "occupation" not in cfg:
         raise ValidationError("config needs an 'occupation' string")
     with _reading("occupation"):
-        return OccupationVector.parse(cfg["occupation"],
-                                      cfg.get("statistics", "fermionic"))
+        occ = OccupationVector.parse(cfg["occupation"],
+                                     cfg.get("statistics", "fermionic"))
+        return occ if bas is None else occ.check_basis(bas)
 
 
 def _noise_perturb(cfg: dict, spec: IntegrationSpec):
@@ -347,14 +355,14 @@ def _task_orbital(cfg, bas, l, spec, seed, perturb):
 
 
 def _task_slater(cfg, bas, l, spec, seed, perturb):
-    occ = _occupation(cfg)
+    occ = _occupation(cfg, bas)
     prepared = prepare_slater(occ, bas, l, spec, ratio_perturb=perturb)
     return prepared, lambda: pure_infidelity(prepared.vector,
                                              slater_oracle(occ, bas, l))
 
 
 def _task_superposition(cfg, bas, l, spec, seed, perturb):
-    sup = _build_superposition(cfg)
+    sup = _build_superposition(cfg, bas)
     prepared = prepare_superposition(
         sup, bas, l, spec, **cfg.get("phase_estimation", {}), seed=seed,
         max_attempts=_max_attempts(cfg),
@@ -364,7 +372,7 @@ def _task_superposition(cfg, bas, l, spec, seed, perturb):
 
 
 def _task_mixed(cfg, bas, l, spec, seed, perturb):
-    mix = _build_mixed(cfg)
+    mix = _build_mixed(cfg, bas)
     prepared = prepare_mixed(mix, bas, l, spec)
     return prepared, lambda: mixed_infidelity(prepared.rho,
                                               mixed_oracle(mix, bas, l))
@@ -452,18 +460,18 @@ def _run_preparation(cfg: dict, config_dir: Path, seed: int | None):
 
 
 def cmd_validate(cfg, config_dir, seed, out_dir):
-    # SCHEMA read every key; build each section present, as commands do
-    if "basis" in cfg:
-        _orbital(cfg, _build_basis(cfg, config_dir))
+    # SCHEMA read every key; build each section present, as commands do,
+    # occupations checked against the basis when there is one
+    bas = _build_basis(cfg, config_dir) if "basis" in cfg else None
+    if bas:
+        _orbital(cfg, bas)
     if "l" in cfg:
         _require_l(cfg)
     _max_attempts(cfg)
-    if "superposition" in cfg:
-        _build_superposition(cfg)
-    if "mixed" in cfg:
-        _build_mixed(cfg)
-    if "occupation" in cfg:
-        _occupation(cfg)
+    for key, build in (("superposition", _build_superposition),
+                       ("mixed", _build_mixed), ("occupation", _occupation)):
+        if key in cfg:
+            build(cfg, bas)
     if "species_a" in cfg or "species_b" in cfg:
         _build_species(cfg, config_dir)
     if "sweep" in cfg:
@@ -512,6 +520,12 @@ def _sweep_axes(cfg):
     with _reading("sweep.epsilon_i"):
         specs = [replace(cfg["integration"], epsilon_i=eps)
                  for eps in sweep.get("epsilon_i", ())]
+    for i, l in enumerate(sweep.get("l", ())):
+        if l < 1:
+            raise ValidationError(f"sweep.l[{i}]: grid width must be >= 1")
+    for i, occ in enumerate(sweep.get("occupations", ())):
+        with _reading(f"sweep.occupations[{i}]"):
+            OccupationVector.parse(occ, cfg.get("statistics", "fermionic"))
     return ls, specs or [None], (sweep.get("occupations")
                                  or (cfg.get("occupation"),))
 

@@ -113,6 +113,13 @@ class FockSuperposition:
     def m(self) -> int:
         return self.terms[0][1].m
 
+    def check_basis(self, basis: BasisSet) -> "FockSuperposition":
+        """`self`, unless its orbitals outnumber those of `basis`."""
+        if self.num_orbitals > basis.size:
+            raise ValidationError(
+                "superposition refers to orbitals outside the basis")
+        return self
+
     @property
     def max_count(self) -> int:
         return max(max(occ.n) for _, occ in self.terms)
@@ -390,9 +397,7 @@ def prepare_superposition(
     _expect(sup=(sup, FockSuperposition), spec=(spec, IntegrationSpec))
     if max_attempts < 1:
         raise ValidationError(f"max_attempts {max_attempts} is not at least 1")
-    if sup.num_orbitals > basis.size:
-        raise ValidationError("superposition refers to orbitals outside "
-                              "the basis")
+    sup.check_basis(basis)
     load_error_bound(l, spec.epsilon_i)  # rejects a bad l before the readouts
     counter_width, fock, branches = _fock_branches(sup)
     config = PhaseEstimationConfig.build(

@@ -28,7 +28,7 @@ from .assemble import OccupationVector
 from .basis import BasisSet
 from .errors import DegeneracyError, StructuralError, ValidationError
 from .statevec import MATRIX_TOL, QuantumState, measure_segment, qft, \
-    relabel, segment_masses
+    relabel, segment_masses, segment_view
 
 #: Widest phase readout tried when separating orbitals by their phases.
 MAX_PHASE_BITS = 16
@@ -252,20 +252,21 @@ def phase_estimate(
               initial=0.0) > MATRIX_TOL:
         raise ValidationError("grid columns are not orthonormal")
     # the target's values as rows, every other index as columns; the
-    # readout's field in a column index starts `below` bits up
-    cube = state.amplitudes.reshape(-1, target.dim, 1 << target.offset)
-    rows = cube.transpose(1, 0, 2).reshape(target.dim, -1)
-    below = readout.offset - target.width * (readout.offset > target.offset)
+    # readout's axis among the columns is `r`
+    view, (t, r) = segment_view(state, [target_segment, readout_segment])
+    rows = np.moveaxis(view, t, 0)
+    r -= r > t
     # einsum sums in its own loops, whatever BLAS does
-    coef = np.einsum("xj,xr->jr", grid.conj(), rows).reshape(
-        phases.size, -1, readout.dim, 1 << below)
+    coef = np.einsum("xj,xr->jr", grid.conj(), rows.reshape(target.dim, -1)
+                     ).reshape(phases.size, -1, readout.dim,
+                               math.prod(rows.shape[r + 2:]))
     kick = np.exp((-2j if adjoint else 2j) * np.pi * np.outer(phases, k))
     # the QFT and its inverse as `qft` applies them
     coef = np.fft.fft(np.fft.ifft(coef, axis=2, norm="ortho")
                       * kick[:, None, :, None], axis=2, norm="ortho") - coef
     gain = np.einsum("xj,jr->xr", grid, coef.reshape(phases.size, -1))
-    return QuantumState(state.layout, (cube + gain.reshape(
-        target.dim, cube.shape[0], -1).transpose(1, 0, 2)).reshape(-1))
+    return QuantumState(state.layout, (view + np.moveaxis(
+        gain.reshape(rows.shape), 0, t)).reshape(-1))
 
 
 @dataclass

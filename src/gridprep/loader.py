@@ -19,9 +19,7 @@ import numpy as np
 from .basis import EMPTY_MASS_THRESHOLD, IntegrationSpec, Orbital, \
     mc_sample_count, tabulated
 from .errors import ValidationError
-from .statevec import QuantumState, control_masks
-
-Controls = list[tuple[str, int]]
+from .statevec import QuantumState, segment_view
 
 #: Amplitudes per block when a load writes its branch.
 GATHER_BLOCK = 1 << 16
@@ -29,9 +27,9 @@ GATHER_BLOCK = 1 << 16
 
 @dataclass
 class LoadPlan:
-    """Cost counters of the circuit: per dyadic block pair (2^l - 1 in all)
-    one integral request, one evaluation unless cached, and one rotation or
-    empty block.
+    """Cost counters of the circuit's l rotation stages (one per grid
+    qubit): per dyadic block pair (2^l - 1 in all) one integral request,
+    one evaluation unless cached, and one rotation or empty block.
     """
 
     l: int
@@ -40,11 +38,6 @@ class LoadPlan:
     rotation_applications: int = 0
     empty_blocks: int = 0
     mc_samples_per_integral: int = 0
-
-    @property
-    def stages(self) -> int:
-        """Rotation stages of the circuit, one per grid qubit."""
-        return self.l
 
 
 def load_error_bound(l: int, epsilon_i: float) -> float:
@@ -67,19 +60,6 @@ def load_error_bound(l: int, epsilon_i: float) -> float:
     if l == 1:  # 1 - sqrt(1 - eps), without the cancellation
         return epsilon_i / (1.0 + math.sqrt(1.0 - epsilon_i))
     return l * epsilon_i / 2.0
-
-
-def _control_bits(state: QuantumState, controls: Controls | None):
-    bits = []
-    for name, value in controls or []:
-        seg = state.layout.segment(name)
-        if not 0 <= value < seg.dim:
-            raise ValidationError(
-                f"control value {value} out of range for segment {name!r}"
-            )
-        for b in range(seg.width):
-            bits.append((seg.offset + b, (value >> b) & 1))
-    return bits
 
 
 def _split_ratios(prob: np.ndarray, l: int,
@@ -191,12 +171,13 @@ def load_orbital(
     segment: str,
     orbital: Orbital,
     spec: IntegrationSpec,
-    controls: Controls | None = None,
+    controls=None,
     ratio_perturb=None,
     cache: dict | None = None,
 ) -> tuple[QuantumState, LoadPlan]:
     """Prepare sum_x phi(x L/2^l) |x> on the segment, on the branch that
-    `controls` select (the whole state without controls).
+    the (segment, value) `controls` select (the whole state without
+    controls).
 
     Precondition, enforced for controlled and uncontrolled loads alike: the
     segment is blank on that branch, or ValidationError is raised.  Each
@@ -211,17 +192,12 @@ def load_orbital(
     `cache` holds one ratio table and phase table per (orbital, l, spec)
     across loads.
     """
-    seg = state.layout.segment(segment)
-    l = seg.width
-    bits = _control_bits(state, controls)
-    if not state.segment_is_blank(segment, controls=bits):
+    l = state.layout.segment(segment).width
+    if not state.segment_is_blank(segment, controls):
         raise ValidationError(
             f"segment {segment!r} must be blank on the branch it loads"
         )
-    cube = state.amplitudes.reshape(state.layout.dim >> (seg.offset + l),
-                                    seg.dim, 1 << seg.offset)
-    hi_sel, lo_sel = control_masks(state, seg, bits, cube.shape[0],
-                                   cube.shape[2])
+    branch, (axis,) = segment_view(state, [segment], controls)
     plan = LoadPlan(l=l, integral_requests=(1 << l) - 1)
     if spec.backend == "monte-carlo" and spec.bounds is not None:
         plan.mc_samples_per_integral = mc_sample_count(spec, bounded=True)
@@ -234,7 +210,7 @@ def load_orbital(
             cache[key] = tables
     table, phases = tables
 
-    seeds, seed_of = _fan_seeds(cube[:, 0, :][np.ix_(hi_sel, lo_sel)])
+    seeds, seed_of = _fan_seeds(branch.take(0, axis))
     values = seeds[:, None]
     for i, ratio in enumerate(table, start=1):
         active = ~np.isnan(ratio)
@@ -247,15 +223,13 @@ def load_orbital(
         ratio = np.where(active, ratio, 1.0)  # c = 1, s = 0: no rotation
         values = _split(values, np.sqrt(ratio), np.sqrt(1.0 - ratio))
     plan.empty_blocks = plan.integral_requests - plan.rotation_applications
-    block = _gather_rows(apply_phases(values, phases), seed_of)
-
-    if hi_sel.all() and lo_sel.all():
-        amps = block.reshape(-1)
-    else:
-        amps = state.amplitudes.copy()
-        amps.reshape(cube.shape)[np.ix_(hi_sel, np.arange(seg.dim),
-                                        lo_sel)] = block
-    return QuantumState(state.layout, amps), plan
+    block = _gather_rows(apply_phases(values, phases), seed_of.reshape(
+        math.prod(branch.shape[:axis]), -1)).reshape(branch.shape)
+    if branch.size == state.layout.dim:  # the branch is the whole state
+        return QuantumState(state.layout, block.reshape(-1)), plan
+    out = QuantumState(state.layout, state.amplitudes.copy())
+    segment_view(out, [segment], controls)[0][...] = block
+    return out, plan
 
 
 def _load_tables(orbital: Orbital, l: int, spec: IntegrationSpec):

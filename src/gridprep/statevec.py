@@ -1,5 +1,11 @@
 """Dense statevector emulation of multi-register qubit systems.
 
+This is the one module that knows where a segment's bits sit.  Every
+other module addresses registers by name and value: `segment_view` gives
+the amplitudes one axis per named segment, with (segment, value) controls
+picking a branch, and `RegisterLayout.values` and `with_values` read and
+write segment fields of basis indices.
+
 Conventions (fixed once, obeyed everywhere):
   * Bit 0 of the global basis index is qubit 0.  A segment of width w at
     offset o occupies global bits o .. o+w-1; its integer value is
@@ -27,7 +33,6 @@ from .errors import (
 
 DEFAULT_QUBIT_CAP = 26
 DENSITY_MATRIX_CAP = 12
-NORM_TOL = 1e-10
 #: Entrywise tolerance of the matrix checks (unitarity, orthonormal
 #: columns), and of a density-matrix factor's squared norm.
 MATRIX_TOL = 1e-8
@@ -37,6 +42,8 @@ BLANK_TOL = 1e-9
 LEAK_TOL = 1e-8
 
 SEGMENT_ROLES = ("fock", "particle", "readout", "spec", "scratch")
+#: einsum subscripts, one per axis of a segment view.
+AXES = "abcdefghijklmnopqrstuvwxyz"
 
 
 def qubit_cap() -> int:
@@ -136,30 +143,16 @@ class QuantumState:
         amps[0] = 1.0
         return cls(layout, amps)
 
-    @property
-    def norm(self) -> float:
-        return vector_norm(self.amplitudes)
-
-    def check_norm(self, tol: float = NORM_TOL) -> None:
-        if not abs(self.norm - 1.0) <= tol:  # NaN fails too
-            raise ValidationError(f"state norm {self.norm} deviates from 1")
-
     def segment_is_blank(self, name: str, controls=None) -> bool:
         """Whether the norm off segment value 0 is at most BLANK_TOL on the
-        branch that (global qubit, bit) `controls` select (everywhere
+        branch that the (segment, value) `controls` select (everywhere
         without them).  Sums squares of the interleaved real and imaginary
-        parts, copying only when controls lie below the segment.
+        parts of the branch view, without copying.
         """
-        seg = self.layout.segment(name)
-        cube = _reshape_on_segment(self.amplitudes, seg)
-        hi_sel, lo_sel = control_masks(self, seg, controls, cube.shape[0],
-                                       cube.shape[2])
-        rest = cube[:, 1:, :]
-        if not lo_sel.all():
-            rest = np.compress(lo_sel, rest, axis=2)
-        rest = rest.view(np.float64)
-        sq = np.einsum("hxl,hxl->h", rest, rest)
-        return sq[hi_sel].sum() <= BLANK_TOL * BLANK_TOL
+        view, (axis,) = segment_view(self, [name], controls)
+        rest = np.moveaxis(view, axis, 0)[1:, ..., None].view(np.float64)
+        axes = AXES[:rest.ndim]
+        return np.einsum(f"{axes},{axes}->", rest, rest) <= BLANK_TOL ** 2
 
 
 def vector_norm(values: np.ndarray) -> float:
@@ -226,32 +219,6 @@ class DensityMatrix:
         return self.factor @ self.factor.conj().T
 
 
-def _reshape_on_segment(amps: np.ndarray, seg: Segment):
-    hi = amps.size >> (seg.offset + seg.width)
-    return amps.reshape(hi, seg.dim, 1 << seg.offset)
-
-
-def control_masks(state: QuantumState, seg: Segment, controls,
-                  hi_n: int, lo_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Masks over the qubits above (hi_n values) and below (lo_n values,
-    bit 0 = qubit 0) the target segment that select the branch where every
-    (global qubit, bit) control matches.
-    """
-    hi_sel = np.ones(hi_n, dtype=bool)
-    lo_sel = np.ones(lo_n, dtype=bool)
-    for q, bit in controls or []:
-        if not 0 <= q < state.layout.n_total:
-            raise StructuralError(f"qubit index {q} outside layout")
-        if seg.offset <= q < seg.offset + seg.width:
-            raise StructuralError("control qubit lies inside the target segment")
-        if q < seg.offset:
-            lo_sel &= ((np.arange(lo_n) >> q) & 1) == bit
-        else:
-            shift = q - seg.offset - seg.width
-            hi_sel &= ((np.arange(hi_n) >> shift) & 1) == bit
-    return hi_sel, lo_sel
-
-
 def check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=np.complex128)
     d = u.shape[0]
@@ -272,43 +239,57 @@ def apply_unitary_on_segment(
         raise ValidationError(
             f"unitary dimension {u.shape[0]} != segment dimension {seg.dim}"
         )
-    cube = u @ _reshape_on_segment(state.amplitudes, seg)
+    view, (axis,) = segment_view(state, [segment])
+    cube = np.moveaxis(np.tensordot(u, view, axes=(1, axis)), 0, axis)
     return QuantumState(state.layout, cube.reshape(-1))
 
 
 def qft(state: QuantumState, segment: str, inverse: bool = False) -> QuantumState:
     """QFT of one segment (kernel as in the module docstring) by FFT."""
-    cube = _reshape_on_segment(state.amplitudes,
-                               state.layout.segment(segment))
+    view, (axis,) = segment_view(state, [segment])
     transform = np.fft.fft if inverse else np.fft.ifft
-    return QuantumState(state.layout,
-                        transform(cube, axis=1, norm="ortho").reshape(-1))
+    return QuantumState(state.layout, transform(
+        view, axis=axis, norm="ortho").reshape(-1))
 
 
-def _joint_axes(state: QuantumState, names) -> tuple[list[int], list[int]]:
-    """The amplitudes' C-order axes, most significant first: one per named
-    segment and one per run of other segments between them; and the axis
-    of each name.
+def segment_view(state: QuantumState, names,
+                 controls=None) -> tuple[np.ndarray, list[int]]:
+    """The amplitudes as a view with one C-order axis per named segment and
+    one per run of other segments, most significant first, and the axis of
+    each name.  Each (segment, value) control indexes its segment's axis
+    at that value, so the view holds the branch the controls select, and
+    writing to it writes to the state.
     """
-    named = {state.layout.segment(name).name for name in names}
-    if len(named) != len(names):
-        raise StructuralError(f"segments {list(names)} are not distinct")
-    dims, where = [], {}
+    controls = list(controls or ())
+    keys = [*names, *(name for name, _ in controls)]
+    named = {state.layout.segment(key).name for key in keys}
+    if len(named) != len(keys):
+        raise StructuralError(f"segments {keys} are not distinct")
+    shape, where = [], {}
     # a named segment's key is its name; a run of others shares False
     for key, run in groupby(reversed(list(state.layout)),
                             lambda seg: seg.name in named and seg.name):
-        where[key] = len(dims)
-        dims.append(math.prod(seg.dim for seg in run))
-    return dims, [where[name] for name in names]
+        where[key] = len(shape)
+        shape.append(math.prod(seg.dim for seg in run))
+    index = [slice(None)] * len(shape)
+    for name, value in controls:
+        if not 0 <= value < shape[where[name]]:
+            raise ValidationError(
+                f"control value {value} out of range for segment {name!r}")
+        index[where[name]] = value
+    # `...` keeps a 0-d view, not a scalar, when every axis is a control
+    view = state.amplitudes.reshape(shape)[(*index, ...)]
+    return view, [where[name] - sum(where[c] < where[name] for c, _ in controls)
+                  for name in names]
 
 
 def segment_masses(state: QuantumState, names) -> np.ndarray:
     """Born masses of the joint value of the named segments (first name
     least significant): |a|^2 summed over every other segment's axis.
     """
-    dims, found = _joint_axes(state, names)
-    parts = state.amplitudes.view(np.float64).reshape(dims + [2])
-    axes = "abcdefghijklmnopqrstuvwxyz"[:parts.ndim]
+    view, found = segment_view(state, names)
+    parts = view[..., None].view(np.float64)
+    axes = AXES[:parts.ndim]
     joint = "".join(axes[k] for k in reversed(found))
     return np.einsum(f"{axes},{axes}->{joint}", parts, parts).reshape(-1)
 
@@ -321,7 +302,8 @@ def relabel(state: QuantumState, names, table) -> QuantumState:
     on the segment-axis view: the named axes read the digits of the inverse
     table, every other axis its own position.
     """
-    dims, found = _joint_axes(state, names)
+    cube, found = segment_view(state, names)
+    dims = cube.shape
     size = math.prod(dims[k] for k in found)
     table = np.asarray(table)
     hit = np.zeros(size, dtype=bool)
@@ -338,7 +320,6 @@ def relabel(state: QuantumState, names, table) -> QuantumState:
     source = inverse[np.ravel_multi_index([mesh[k] for k in named], joint)]
     for k, digit in zip(named, np.unravel_index(source, joint)):
         mesh[k] = digit
-    cube = state.amplitudes.reshape(dims)
     return QuantumState(state.layout, cube[tuple(mesh)].reshape(-1))
 
 
@@ -348,29 +329,29 @@ def measure_segment(
     """Born-rule measurement of a segment's integer value, drawn from the
     numpy Generator `rng`.  The state's norm must lie within 1e-8 of 1.
     """
-    seg = state.layout.segment(segment)
     probs = segment_masses(state, [segment])
     total = probs.sum()
     if not abs(math.sqrt(total) - 1.0) <= 1e-8:  # NaN fails too
         raise ValidationError(f"state norm {math.sqrt(total)} deviates from 1")
-    outcome = int(rng.choice(seg.dim, p=probs / total))
+    outcome = int(rng.choice(probs.size, p=probs / total))
     p = probs[outcome]
     if p <= 0:
         raise ImpossibleOutcomeError(f"outcome {outcome} has zero probability")
-    cube = _reshape_on_segment(state.amplitudes, seg)
-    amps = np.zeros_like(cube)
-    amps[:, outcome, :] = cube[:, outcome, :] / np.sqrt(p)
-    return outcome, QuantumState(state.layout, amps.reshape(-1))
+    branch = [(segment, outcome)]
+    collapsed = QuantumState(state.layout, np.zeros_like(state.amplitudes))
+    segment_view(collapsed, [], branch)[0][...] = \
+        segment_view(state, [], branch)[0] / np.sqrt(p)
+    return outcome, collapsed
 
 
 def _kept_table(state: QuantumState, keep_segments: list[str]) -> np.ndarray:
     """The (kept × traced) amplitude table: rows by the kept segments in
     list order, columns by the others in layout order, first least significant.
     """
-    dims, found = _joint_axes(state, keep_segments)
-    traced = [k for k in range(len(dims)) if k not in found]
-    return state.amplitudes.reshape(dims).transpose(found[::-1] + traced) \
-        .reshape(math.prod(dims[k] for k in found), -1)
+    view, found = segment_view(state, keep_segments)
+    traced = [k for k in range(view.ndim) if k not in found]
+    return view.transpose(found[::-1] + traced) \
+        .reshape(math.prod(view.shape[k] for k in found), -1)
 
 
 def partial_trace(state: QuantumState,

@@ -19,8 +19,8 @@ from gridprep.compose import PreparedState
 from gridprep.errors import StructuralError, ValidationError
 from gridprep.loader import load_error_bound
 from gridprep.statevec import MATRIX_TOL, DensityMatrix, QuantumState, \
-    RegisterLayout, SparseState, control_masks, extract_segment_vector, \
-    partial_trace
+    RegisterLayout, SparseState, extract_segment_vector, partial_trace, \
+    vector_norm
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -240,7 +240,8 @@ def reference_decrement_fock(state, config, fock_segment, counter_width):
 
 def reference_measure_segment(state: QuantumState, segment: str, rng):
     """`statevec.measure_segment` with full-length values and masses."""
-    state.check_norm(1e-8)
+    if not abs(vector_norm(state.amplitudes) - 1.0) <= 1e-8:
+        raise ValidationError("state norm deviates from 1")
     seg = state.layout.segment(segment)
     vals = segment_values(state, segment)
     probs = segment_probabilities(state, segment)
@@ -279,6 +280,42 @@ def qft_matrix(width: int, inverse: bool = False) -> np.ndarray:
     jk = np.outer(np.arange(d), np.arange(d))
     sign = -1.0 if inverse else 1.0
     return np.exp(sign * 2j * np.pi * jk / d) / np.sqrt(d)
+
+
+# -- qubit-level controls for the gate-level references ---------------------
+
+def control_qubits(layout, controls) -> list[tuple[int, int]]:
+    """The (global qubit, bit) pairs of (segment, value) controls."""
+    bits = []
+    for name, value in controls or []:
+        seg = layout.segment(name)
+        if not 0 <= value < seg.dim:
+            raise ValidationError(
+                f"control value {value} out of range for segment {name!r}")
+        bits.extend((seg.offset + b, (value >> b) & 1)
+                    for b in range(seg.width))
+    return bits
+
+
+def control_masks(state: QuantumState, seg, controls, hi_n: int,
+                  lo_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks over the qubits above (hi_n values) and below (lo_n values,
+    bit 0 = qubit 0) the target segment that select the branch where every
+    (global qubit, bit) control matches.
+    """
+    hi_sel = np.ones(hi_n, dtype=bool)
+    lo_sel = np.ones(lo_n, dtype=bool)
+    for q, bit in controls or []:
+        if not 0 <= q < state.layout.n_total:
+            raise StructuralError(f"qubit index {q} outside layout")
+        if seg.offset <= q < seg.offset + seg.width:
+            raise StructuralError("control qubit lies inside the target segment")
+        if q < seg.offset:
+            lo_sel &= ((np.arange(lo_n) >> q) & 1) == bit
+        else:
+            shift = q - seg.offset - seg.width
+            hi_sel &= ((np.arange(hi_n) >> shift) & 1) == bit
+    return hi_sel, lo_sel
 
 
 def controlled_unitary(state: QuantumState, segment: str, u: np.ndarray,

@@ -276,7 +276,7 @@ class TestAcceptance:
         for l in (3, 5, 7):
             for orb in (uniform(), box_sine(2), delta_at_site(1, l)):
                 _, plan = load_orbital(fresh(l), "x", orb, CDF)
-                assert plan.stages == l
+                assert plan.l == l
                 assert plan.integral_requests == (1 << l) - 1
                 assert plan.rotation_applications <= (1 << l) - 1
 

@@ -562,4 +562,4 @@ class TestHartreeProduct:
         bas = BasisSet(orbs)
         occ = OccupationVector(tuple([1] * mchoice))
         state, _, _ = _pipeline(occ, bas, 3)
-        assert state.norm == pytest.approx(1.0, abs=1e-10)
+        assert vector_norm(state.amplitudes) == pytest.approx(1.0, abs=1e-10)

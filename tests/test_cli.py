@@ -173,6 +173,68 @@ class TestValidate:
                     "--out", str(tmp_path / "out")]) == 2
         assert f"error: {key}:" in capsys.readouterr().err
 
+    # validate rejects what the command rejects, and both name the key
+    @pytest.mark.parametrize("command, key, cfg", [
+        pytest.param(
+            "prepare-slater", "occupation",
+            {"l": 3, "occupation": "1001", "basis": BOX_BASIS},
+            id="slater"),
+        pytest.param(
+            "verify-bounds", "occupation",
+            {"l": 3, "occupation": "1001", "basis": BOX_BASIS},
+            id="verify-bounds"),
+        pytest.param(
+            "prepare-mixed", "mixed.components[1].occupation",
+            {"l": 3, "basis": BOX_BASIS, "mixed": {"components": [
+                {"probability": 0.5, "occupation": "0110"},
+                {"probability": 0.5, "occupation": "1001"}]}},
+            id="mixed"),
+        pytest.param(
+            "prepare-mixed", "mixed.thermal.components[0].occupation",
+            {"l": 3, "basis": BOX_BASIS, "mixed": {"thermal": {
+                "beta": 1.0, "components": [
+                    {"energy": 0.0, "occupation": "1001"},
+                    {"energy": 1.0, "occupation": "0110"}]}}},
+            id="mixed-thermal"),
+        pytest.param(
+            "prepare-superposition", "superposition",
+            {"l": 3, "basis": BOX_BASIS, "superposition": [
+                {"amplitude": 0.6, "occupation": "1100"},
+                {"amplitude": 0.8, "occupation": "1010"}]},
+            id="superposition"),
+        pytest.param(
+            "prepare-two-species", "species_b",
+            {"l": 2, "basis": BOX_BASIS[:2],
+             "species_a": {"occupation": "11"},
+             "species_b": {"occupation": "001"}},
+            id="two-species"),
+        pytest.param(
+            "sweep", "sweep.l[0]",
+            {"l": 3, "occupation": "110", "basis": BOX_BASIS,
+             "sweep": {"l": [0, 3]}},
+            id="sweep-l"),
+        pytest.param(
+            "sweep", "sweep.occupations[0]",
+            {"l": 3, "occupation": "110", "basis": BOX_BASIS,
+             "sweep": {"occupations": ["1x0"]}},
+            id="sweep-occupation"),
+    ])
+    def test_validate_rejects_what_the_command_rejects(self, tmp_path,
+                                                       capsys, command, key,
+                                                       cfg):
+        path = write_config(tmp_path, "c.yaml", cfg)
+        for args in (["validate"], [command, "--out", str(tmp_path / "o")]):
+            assert run([*args, "--config", path]) == 2
+            assert f"error: {key}:" in capsys.readouterr().err
+
+    def test_unoccupied_orbitals_past_the_basis_pass(self, tmp_path):
+        # the drivers' rule: only an occupied orbital must lie in the basis
+        path = write_config(tmp_path, "c.yaml", {
+            "l": 3, "occupation": "1100", "basis": BOX_BASIS})
+        assert run(["validate", "--config", path]) == 0
+        assert run(["prepare-slater", "--config", path,
+                    "--out", str(tmp_path / "o")]) == 0
+
     def test_validate_writes_nothing(self, tmp_path):
         cfg = write_config(tmp_path, "c.yaml", {
             "l": 3, "occupation": "110", "basis": BOX_BASIS})

@@ -18,14 +18,13 @@ from gridprep.basis import (
 )
 from gridprep.errors import StructuralError, ValidationError
 from gridprep.loader import (
-    _control_bits,
     _mc_grid_ratio,
     load_amplitude_table,
     load_error_bound,
     load_orbital,
 )
-from gridprep.statevec import QuantumState, RegisterLayout, control_masks
-from helpers import delta_at_site, grid_prob
+from gridprep.statevec import QuantumState, RegisterLayout
+from helpers import control_masks, control_qubits, delta_at_site, grid_prob
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
 
@@ -53,8 +52,8 @@ def multiplexed_rotation(state, segment, level, c, s, controls=None):
     hi_n = amps.size >> (seg.offset + seg.width)
     lo_n = (1 << seg.offset) * (1 << target_bit)
     cube = amps.reshape(hi_n, n_pref, 2, lo_n)
-    hi_sel, lo_sel = control_masks(state, seg, _control_bits(state, controls),
-                                   hi_n, lo_n)
+    hi_sel, lo_sel = control_masks(
+        state, seg, control_qubits(state.layout, controls), hi_n, lo_n)
     c = c[None, :, None, None]
     s = s[None, :, None, None]
     pair0 = np.ix_(hi_sel, np.arange(n_pref), [0], lo_sel)
@@ -110,8 +109,8 @@ def circuit_load(state, segment, orbital, spec, controls=None,
         cube = amps.reshape(amps.size >> (seg.offset + l), seg.dim,
                             1 << seg.offset)
         hi_sel, lo_sel = control_masks(
-            state, seg, _control_bits(state, controls), cube.shape[0],
-            cube.shape[2])
+            state, seg, control_qubits(state.layout, controls),
+            cube.shape[0], cube.shape[2])
         sel = np.ix_(hi_sel, np.arange(seg.dim), lo_sel)
         cube[sel] = cube[sel] * phases[None, :, None]
         state = QuantumState(state.layout, amps)
@@ -125,11 +124,14 @@ SPECTATOR_VALUES = st.sampled_from([0.0, -0.0, 1.0, -0.5, 0.3, -1e-300])
 def load_cases(draw):
     """A blank target between spectator segments, optionally controlled,
     with an orbital, a backend and an optional stateful ratio perturbation.
+    A `gap` segment, never a control, can separate `above` from the target.
     """
     l = draw(st.integers(1, 6))
     below, above = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    gap = draw(st.integers(0, min(1, 10 - l - below - above)))
     layout = RegisterLayout([("below", "scratch", below),
                              ("x", "particle", l),
+                             ("gap", "scratch", gap),
                              ("above", "scratch", above)])
     controls = [(name, draw(st.integers(0, (1 << width) - 1)))
                 for name, width in (("below", below), ("above", above))
@@ -162,8 +164,8 @@ def load_cases(draw):
     amps = np.array([complex(draw(SPECTATOR_VALUES), draw(SPECTATOR_VALUES))
                      for _ in index])
     on_branch = np.ones(layout.dim, dtype=bool)
-    for q, bit in _control_bits(QuantumState.zero(layout), controls):
-        on_branch &= ((index >> q) & 1) == bit
+    for name, value in controls:
+        on_branch &= layout.values(name, index) == value
     amps[on_branch & (layout.values("x", index) != 0)] = 0.0
     return (QuantumState(layout, amps), orbital, spec, controls or None,
             perturb_seed)
@@ -190,7 +192,7 @@ class TestLoadOrbital:
     def test_plan_counters(self):
         l = 4
         state, plan = load_orbital(fresh(l), "x", box_sine(1), CDF)
-        assert plan.stages == l
+        assert plan.l == l
         assert plan.integral_requests == (1 << l) - 1
         assert plan.rotation_applications + plan.empty_blocks == \
             plan.integral_requests
