@@ -49,7 +49,6 @@ from .compose import (
     MixedSpec,
     PreparedState,
     mixed_oracle,
-    prepare_diagonal_mixed,
     prepare_mixed,
     prepare_orbital,
     prepare_slater,

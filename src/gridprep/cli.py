@@ -5,6 +5,13 @@ Usage: gridprep <command> --config <path> [--seed N] [--out DIR]
 Commands: validate, prepare-orbital, prepare-slater, prepare-superposition,
 prepare-two-species, prepare-mixed, verify-bounds, sweep, cost-table.
 
+Every command goes through one task table, TASKS: orbital, slater,
+superposition, mixed and two-species.  A task reads its inputs from the
+config and returns its driver and its brute-force oracle.  prepare-<task>
+runs the driver; verify-bounds, sweep and cost-table run the config's task
+(named by 'task', else inferred from its sections) and check it against
+the oracle; validate reads every task whose section is present.
+
 Artifacts land in the output directory: report.txt and report.csv always;
 state.csv (index, re, im) for pure-state preparations; rho.csv
 (row, col, re, im) for mixed-state preparations.  State and rho entries,
@@ -201,62 +208,9 @@ def _build_basis(cfg: dict, config_dir: Path) -> BasisSet:
                          for e in cfg["basis"]])
 
 
-def _build_superposition(cfg: dict, bas: BasisSet | None) -> FockSuperposition:
-    raw = cfg.get("superposition")
-    if not raw:
-        raise ValidationError("config needs a 'superposition' term list")
-    with _reading("superposition"):
-        sup = FockSuperposition.from_strings(
-            [(t["amplitude"], t["occupation"]) for t in raw],
-            cfg.get("statistics", "fermionic"))
-        return sup if bas is None else sup.check_basis(bas)
-
-
-def _build_mixed(cfg: dict, bas: BasisSet | None) -> MixedSpec:
-    raw = cfg.get("mixed")
-    if not raw:
-        raise ValidationError("config needs a 'mixed' section")
-    statistics = cfg.get("statistics", "fermionic")
-    key = "thermal.components" if "thermal" in raw else "components"
-    with _reading("mixed"):
-        if "thermal" in raw:
-            th = raw["thermal"]
-            pairs = [(c["energy"], c["occupation"]) for c in th["components"]]
-            mix = MixedSpec.thermal(th["beta"], pairs, statistics)
-        elif raw.get("components"):
-            mix = MixedSpec.from_probabilities([(c["probability"], c[
-                "occupation"]) for c in raw["components"]], statistics)
-        else:
-            raise ValidationError("needs 'components' or 'thermal'")
-    for i, (_, occ) in enumerate(mix.components if bas else ()):
-        with _reading(f"mixed.{key}[{i}].occupation"):
-            occ.check_basis(bas)
-    return mix
-
-
-def _build_species(cfg: dict, config_dir: Path):
-    """(occupation, basis) of `species_a` and of `species_b`.  A section
-    takes the top-level length, and the top-level statistics and basis
-    when it has none of its own.
-    """
-    if "species_a" not in cfg or "species_b" not in cfg:
-        raise ValidationError(
-            "config needs 'species_a' and 'species_b' sections"
-        )
-    sections = []
-    for key in ("species_a", "species_b"):
-        with _reading(key):
-            sec = {**cfg, **cfg[key]}
-            bas = _build_basis(sec, config_dir)
-            sections.append((_occupation(sec, bas), bas))
-    return sections
-
-
 def _require_l(cfg: dict) -> int:
     if "l" not in cfg:
         raise ValidationError("config needs grid width 'l'")
-    if cfg["l"] < 1:
-        raise ValidationError("l: grid width must be >= 1")
     return cfg["l"]
 
 
@@ -315,21 +269,21 @@ def _emit_text(out_dir: Path, text: str, ok: bool = True) -> int:
     return EXIT_OK if ok else EXIT_PIPELINE
 
 
-def _occupation(cfg: dict, bas: BasisSet | None) -> OccupationVector:
+def _occupation(cfg: dict, bas: BasisSet) -> OccupationVector:
     if "occupation" not in cfg:
         raise ValidationError("config needs an 'occupation' string")
     with _reading("occupation"):
-        occ = OccupationVector.parse(cfg["occupation"],
-                                     cfg.get("statistics", "fermionic"))
-        return occ if bas is None else occ.check_basis(bas)
+        return OccupationVector.parse(
+            cfg["occupation"], cfg.get("statistics", "fermionic"),
+        ).check_basis(bas)
 
 
-def _noise_perturb(cfg: dict, spec: IntegrationSpec):
-    """Worst-sign constant ratio perturbation of magnitude epsilon_i,
-    enabled by `noise: adversarial`.
+def _noise_perturb(spec: IntegrationSpec):
+    """Worst-sign constant ratio perturbation of magnitude epsilon_i: the
+    `noise: adversarial` model.
     """
     eps = spec.epsilon_i
-    return (lambda i, k, ratio: ratio - eps) if "noise" in cfg else None
+    return lambda i, k, ratio: ratio - eps
 
 
 def _orbital(cfg: dict, bas: BasisSet) -> Orbital:
@@ -340,56 +294,110 @@ def _orbital(cfg: dict, bas: BasisSet) -> Orbital:
     return bas.orbitals[index]
 
 
-def _max_attempts(cfg: dict) -> int:
-    n = cfg.get("max_attempts", 20)
-    if n < 1:
-        raise ValidationError(f"max_attempts: {n} is not at least 1")
-    return n
+# A task reads its inputs from the config, building its own basis or
+# bases, and returns (driver, oracle): driver(l, spec) runs one preparation
+# (orbital and slater also take ratio_perturb=), and oracle(l) is the
+# brute-force reference it is checked against.
+
+def _task_orbital(cfg, config_dir, seed):
+    orbital = _orbital(cfg, _build_basis(cfg, config_dir))
+    return partial(prepare_orbital, orbital), orbital.grid_values
 
 
-def _task_orbital(cfg, bas, l, spec, seed, perturb):
-    orbital = _orbital(cfg, bas)
-    prepared = prepare_orbital(orbital, l, spec, ratio_perturb=perturb)
-    return prepared, lambda: pure_infidelity(prepared.vector,
-                                             orbital.grid_values(l))
-
-
-def _task_slater(cfg, bas, l, spec, seed, perturb):
+def _task_slater(cfg, config_dir, seed):
+    bas = _build_basis(cfg, config_dir)
     occ = _occupation(cfg, bas)
-    prepared = prepare_slater(occ, bas, l, spec, ratio_perturb=perturb)
-    return prepared, lambda: pure_infidelity(prepared.vector,
-                                             slater_oracle(occ, bas, l))
+    return partial(prepare_slater, occ, bas), partial(slater_oracle, occ, bas)
 
 
-def _task_superposition(cfg, bas, l, spec, seed, perturb):
-    sup = _build_superposition(cfg, bas)
-    prepared = prepare_superposition(
-        sup, bas, l, spec, **cfg.get("phase_estimation", {}), seed=seed,
-        max_attempts=_max_attempts(cfg),
-    )
-    return prepared, lambda: pure_infidelity(
-        prepared.vector, superposition_oracle(sup, bas, l))
+def _task_superposition(cfg, config_dir, seed):
+    bas = _build_basis(cfg, config_dir)
+    if not cfg.get("superposition"):
+        raise ValidationError("config needs a 'superposition' term list")
+    with _reading("superposition"):
+        sup = FockSuperposition.from_strings(
+            [(t["amplitude"], t["occupation"]) for t in cfg["superposition"]],
+            cfg.get("statistics", "fermionic")).check_basis(bas)
+    driver = partial(prepare_superposition, sup, bas,
+                     **cfg.get("phase_estimation", {}), seed=seed,
+                     max_attempts=cfg.get("max_attempts", 20))
+    return driver, partial(superposition_oracle, sup, bas)
 
 
-def _task_mixed(cfg, bas, l, spec, seed, perturb):
-    mix = _build_mixed(cfg, bas)
-    prepared = prepare_mixed(mix, bas, l, spec)
-    return prepared, lambda: mixed_infidelity(prepared.rho,
-                                              mixed_oracle(mix, bas, l))
+def _task_mixed(cfg, config_dir, seed):
+    bas = _build_basis(cfg, config_dir)
+    raw = cfg.get("mixed")
+    if not raw:
+        raise ValidationError("config needs a 'mixed' section")
+    statistics = cfg.get("statistics", "fermionic")
+    key = "thermal.components" if "thermal" in raw else "components"
+    with _reading("mixed"):
+        if "thermal" in raw:
+            th = raw["thermal"]
+            pairs = [(c["energy"], c["occupation"]) for c in th["components"]]
+            mix = MixedSpec.thermal(th["beta"], pairs, statistics)
+        elif raw.get("components"):
+            mix = MixedSpec.from_probabilities([(c["probability"], c[
+                "occupation"]) for c in raw["components"]], statistics)
+        else:
+            raise ValidationError("needs 'components' or 'thermal'")
+    for i, (_, occ) in enumerate(mix.components):
+        with _reading(f"mixed.{key}[{i}].occupation"):
+            occ.check_basis(bas)
+    return partial(prepare_mixed, mix, bas), partial(mixed_oracle, mix, bas)
 
 
-#: task -> builder that reads the rest of its inputs from the config and
-#: runs one preparation; it returns the prepared state and a function
-#: computing the infidelity against the task's brute-force oracle.
+def _task_two_species(cfg, config_dir, seed):
+    """A species section takes the top-level length, and the top-level
+    statistics and basis when it has none of its own.  Species a is least
+    significant in the prepared vector, so the oracle is the Kronecker
+    product of species b's Slater oracle with species a's.
+    """
+    if "species_a" not in cfg or "species_b" not in cfg:
+        raise ValidationError(
+            "config needs 'species_a' and 'species_b' sections"
+        )
+    species = []
+    for key in ("species_a", "species_b"):
+        with _reading(key):
+            sec = {**cfg, **cfg[key]}
+            bas = _build_basis(sec, config_dir)
+            species.append((_occupation(sec, bas), bas))
+    (occ_a, bas_a), (occ_b, bas_b) = species
+    return (partial(prepare_two_species, occ_a, occ_b, bas_a, bas_b),
+            lambda l: np.kron(slater_oracle(occ_b, bas_b, l),
+                              slater_oracle(occ_a, bas_a, l)))
+
+
+#: task -> reader of its inputs (see above); every command runs through it.
 TASKS = {
     "orbital": _task_orbital,
     "slater": _task_slater,
     "superposition": _task_superposition,
     "mixed": _task_mixed,
+    "two-species": _task_two_species,
 }
+
+#: The tasks whose drivers take the `noise` model.
+_NOISY_TASKS = ("orbital", "slater")
+
+#: (config section, the task that reads it), in the order that picks the
+#: task of a config without a 'task' key.
+_SECTIONS = (("species_a", "two-species"), ("species_b", "two-species"),
+             ("superposition", "superposition"), ("mixed", "mixed"),
+             ("occupation", "slater"), ("basis", "orbital"))
 
 #: Cast of an integer key: 3.7 raises instead of truncating to 3.
 _integer = operator.index
+
+
+def _count(value) -> int:
+    """Cast of an integer key that must be at least 1."""
+    if _integer(value) < 1:
+        raise ValueError(f"{value} is not at least 1")
+    return value
+
+
 #: One basis orbital; which keys apply depends on its family.
 _ORBITAL = {"family": _Required(str), "energy": float, "n": _integer,
             "k": _integer, "width": float, "x0": float, "path": str}
@@ -403,8 +411,8 @@ _SPECIES = {"occupation": _Required(str), "statistics": str,
 #: value.  `_Required` marks a key its mapping must hold.  README's
 #: config-key reference lists the same paths with types and defaults.
 SCHEMA = {
-    "task": set(TASKS), "l": _integer, "length": float, "statistics": str,
-    "occupation": str, "orbital": _integer, "max_attempts": _integer,
+    "task": set(TASKS), "l": _count, "length": float, "statistics": str,
+    "occupation": str, "orbital": _integer, "max_attempts": _count,
     "noise": {"adversarial"}, "basis": [_ORBITAL],
     "integration": (_integration, {
         "backend": str, "epsilon_i": float, "delta": float, "sigma2": float,
@@ -419,63 +427,49 @@ SCHEMA = {
         "components": [{"probability": _Required(float),
                         "occupation": _Required(str)}]},
     "species_a": _SPECIES, "species_b": _SPECIES,
-    "sweep": {"l": [_integer], "epsilon_i": [float], "occupations": [str]},
+    "sweep": {"l": [_count], "epsilon_i": [float], "occupations": [str]},
 }
 
 
-def _prepare(task: str, cfg: dict, config_dir: Path, seed: int | None,
-             noisy: bool = False):
-    """Run TASKS[task]; `noisy` applies the config's noise model."""
-    l = _require_l(cfg)
-    spec = cfg["integration"]
-    return TASKS[task](cfg, _build_basis(cfg, config_dir), l, spec, seed,
-                       _noise_perturb(cfg, spec) if noisy else None)
-
-
 def _task_name(cfg: dict) -> str:
-    """The config's 'task', inferred from its sections when absent; no
-    task's oracle checks a two-species config.
-    """
-    if "task" in cfg:
-        return cfg["task"]
-    if "species_a" in cfg or "species_b" in cfg:
-        raise ValidationError("species_a: no oracle checks two species; "
-                              "name the 'task' to verify instead")
-    for key, task in (("superposition", "superposition"), ("mixed", "mixed"),
-                      ("occupation", "slater")):
-        if key in cfg:
-            return task
-    return "orbital"
+    """The config's 'task', else that of its first section in _SECTIONS."""
+    return cfg.get("task") or next(
+        (task for key, task in _SECTIONS if key in cfg), "orbital")
 
 
-def _run_preparation(cfg: dict, config_dir: Path, seed: int | None):
-    """Run the config's task with its noise model and record the
-    infidelity against the oracle; used by verify-bounds, sweep, and
-    cost-table.
+def _oracle_task(cfg: dict) -> str:
+    """The task verify-bounds, sweep and cost-table check.  `noise` on a
+    task whose driver takes none is a config error, not a noise-free run.
     """
-    prepared, infidelity = _prepare(_task_name(cfg), cfg, config_dir, seed,
-                                    noisy=True)
-    prepared.report.infidelity = infidelity()
+    task = _task_name(cfg)
+    if "noise" in cfg and task not in _NOISY_TASKS:
+        raise ValidationError(f"noise: the {task} task takes no noise model")
+    return task
+
+
+def _verified(cfg: dict, read, l: int, spec: IntegrationSpec):
+    """Run the (driver, oracle) pair a task read at (l, spec) with the
+    config's noise model, and record the infidelity against the oracle.
+    """
+    driver, oracle = read
+    noise = {"ratio_perturb": _noise_perturb(spec)} if "noise" in cfg else {}
+    prepared = driver(l, spec, **noise)
+    reference = oracle(l)
+    prepared.report.infidelity = (
+        pure_infidelity(prepared.vector, reference) if prepared.rho is None
+        else mixed_infidelity(prepared.rho, reference))
     return prepared
 
 
 def cmd_validate(cfg, config_dir, seed, out_dir):
-    # SCHEMA read every key; build each section present, as commands do,
-    # occupations checked against the basis when there is one
-    bas = _build_basis(cfg, config_dir) if "basis" in cfg else None
-    if bas:
-        _orbital(cfg, bas)
-    if "l" in cfg:
-        _require_l(cfg)
-    _max_attempts(cfg)
-    for key, build in (("superposition", _build_superposition),
-                       ("mixed", _build_mixed), ("occupation", _occupation)):
-        if key in cfg:
-            build(cfg, bas)
-    if "species_a" in cfg or "species_b" in cfg:
-        _build_species(cfg, config_dir)
+    # SCHEMA read every key; reading a task's inputs, as its commands do,
+    # checks them: every task whose section is present, and the orbital on
+    # a basis
+    for task in dict.fromkeys(task for key, task in _SECTIONS if key in cfg):
+        TASKS[task](cfg, config_dir, seed)
+    _oracle_task(cfg)
     if "sweep" in cfg:
-        _sweep_axes(cfg)
+        _sweep_axes(cfg, config_dir, seed)
     print("config ok")
     return EXIT_OK
 
@@ -483,21 +477,17 @@ def cmd_validate(cfg, config_dir, seed, out_dir):
 def _prepare_command(task: str):
     """prepare-<task>: run one preparation, without noise or oracle."""
     def command(cfg, config_dir, seed, out_dir):
-        prepared, _ = _prepare(task, cfg, config_dir, seed)
-        return _emit(out_dir, prepared)
+        l = _require_l(cfg)
+        driver, _ = TASKS[task](cfg, config_dir, seed)
+        return _emit(out_dir, driver(l, cfg["integration"]))
     return command
 
 
-def cmd_prepare_two_species(cfg, config_dir, seed, out_dir):
-    l = _require_l(cfg)
-    spec = cfg["integration"]
-    (occ_a, bas_a), (occ_b, bas_b) = _build_species(cfg, config_dir)
-    prepared = prepare_two_species(occ_a, occ_b, bas_a, bas_b, l, spec)
-    return _emit(out_dir, prepared)
-
-
 def cmd_verify_bounds(cfg, config_dir, seed, out_dir):
-    prepared = _run_preparation(cfg, config_dir, seed)
+    task = _oracle_task(cfg)
+    l = _require_l(cfg)
+    prepared = _verified(cfg, TASKS[task](cfg, config_dir, seed), l,
+                         cfg["integration"])
     report = prepared.report
     report.bound_checks.append(BoundCheck(
         name="infidelity",
@@ -507,9 +497,10 @@ def cmd_verify_bounds(cfg, config_dir, seed, out_dir):
     return _emit(out_dir, prepared)
 
 
-def _sweep_axes(cfg):
-    """The sweep's l values, integration specs (None: the config's own)
-    and occupations (None: the config's own).
+def _sweep_axes(cfg, config_dir, seed):
+    """The sweep's l values, its integration specs (None: the config's
+    own), and (occupation label, what the task read with it) pairs: one
+    per sweep occupation, else one for the config as it is.
     """
     sweep = cfg.get("sweep")
     if not sweep:
@@ -519,27 +510,33 @@ def _sweep_axes(cfg):
         raise ValidationError("sweep: needs 'l' values (or a top-level l)")
     with _reading("sweep.epsilon_i"):
         specs = [replace(cfg["integration"], epsilon_i=eps)
-                 for eps in sweep.get("epsilon_i", ())]
-    for i, l in enumerate(sweep.get("l", ())):
-        if l < 1:
-            raise ValidationError(f"sweep.l[{i}]: grid width must be >= 1")
-    for i, occ in enumerate(sweep.get("occupations", ())):
+                 for eps in sweep.get("epsilon_i", ())] or [None]
+    occs = sweep.get("occupations")
+    # a cell's task is inferred with the cell's occupation in the config
+    task = _oracle_task({**cfg, "occupation": occs[0]} if occs else cfg)
+    if not occs:  # slater is the one task that reads `occupation`
+        label = cfg.get("occupation") if task == "slater" else None
+        return ls, specs, [(label, TASKS[task](cfg, config_dir, seed))]
+    if task != "slater":
+        raise ValidationError(
+            f"sweep.occupations: the {task} task reads no occupation")
+    _build_basis(cfg, config_dir)  # a basis error is not the occupations'
+    reads = []
+    for i, occ in enumerate(occs):
         with _reading(f"sweep.occupations[{i}]"):
-            OccupationVector.parse(occ, cfg.get("statistics", "fermionic"))
-    return ls, specs or [None], (sweep.get("occupations")
-                                 or (cfg.get("occupation"),))
+            reads.append((occ, TASKS[task]({**cfg, "occupation": occ},
+                                           config_dir, seed)))
+    return ls, specs, reads
 
 
 def _sweep_cells(cfg, config_dir, seed):
-    """Cartesian product of sweep axes (l, epsilon_i, occupations); every
-    cell runs one preparation with its own sub-config.
+    """Cartesian product of sweep axes (occupations, l, epsilon_i); every
+    cell runs one verified preparation.
     """
-    ls, specs, occs = _sweep_axes(cfg)
+    ls, specs, reads = _sweep_axes(cfg, config_dir, seed)
     cells = []
-    for occ, l, spec in itertools.product(occs, ls, specs):
-        cell = {"l": l, "occupation": occ, "integration": spec}
-        sub = {**cfg, **{k: v for k, v in cell.items() if v is not None}}
-        prepared = _run_preparation(sub, config_dir, seed)
+    for (occ, read), l, spec in itertools.product(reads, ls, specs):
+        prepared = _verified(cfg, read, l, spec or cfg["integration"])
         cells.append((occ, l, spec and spec.epsilon_i, prepared))
     return cells
 
@@ -587,7 +584,7 @@ COMMANDS = {
     "prepare-orbital": _prepare_command("orbital"),
     "prepare-slater": _prepare_command("slater"),
     "prepare-superposition": _prepare_command("superposition"),
-    "prepare-two-species": cmd_prepare_two_species,
+    "prepare-two-species": _prepare_command("two-species"),
     "prepare-mixed": _prepare_command("mixed"),
     "verify-bounds": cmd_verify_bounds,
     "sweep": cmd_sweep,

@@ -216,17 +216,6 @@ def _load_branches(
     return state
 
 
-def _fock_branches(sup: FockSuperposition):
-    """Counter width, occupation-register segment, and (amplitude,
-    occupation code, occupation) branches of a superposition, in ascending
-    code order.
-    """
-    width = boson_counter_width(sup.max_count)
-    return width, ("fock", "fock", sup.num_orbitals * width), sorted(
-        ((a, fock_encode(occ, width), occ) for a, occ in sup.terms),
-        key=lambda branch: branch[1])
-
-
 def prepare_orbital(
     orbital: Orbital,
     l: int,
@@ -399,7 +388,11 @@ def prepare_superposition(
         raise ValidationError(f"max_attempts {max_attempts} is not at least 1")
     sup.check_basis(basis)
     load_error_bound(l, spec.epsilon_i)  # rejects a bad l before the readouts
-    counter_width, fock, branches = _fock_branches(sup)
+    counter_width = boson_counter_width(sup.max_count)
+    # (amplitude, occupation code, occupation) branches, by ascending code
+    branches = sorted(
+        ((a, fock_encode(occ, counter_width), occ) for a, occ in sup.terms),
+        key=lambda branch: branch[1])
     config = PhaseEstimationConfig.build(
         basis, l, t=t, eps_pe=eps_pe, symmetry=symmetry)
     cache = {} if cache is None else cache
@@ -427,7 +420,8 @@ def prepare_superposition(
 
     prep = _prepare(
         "superposition", [(branches[0][2], "")], l, spec, load,
-        head=(fock,), tail=tuple(config.segments()))
+        head=(("fock", "fock", sup.num_orbitals * counter_width),),
+        tail=tuple(config.segments()))
     if eps_pe is not None:
         prep.report.error_bound = angle_error_bound(
             [prep.report.error_bound,
@@ -484,25 +478,14 @@ def prepare_mixed(
     comps = mixed.components
     branches = [(math.sqrt(p), i, occ) for i, (p, occ) in enumerate(comps)]
     w_spec = max(1, math.ceil(math.log2(len(comps))))
-    return _purified_mixture("mixed", ("branch", "spec", w_spec), branches,
-                             basis, l, spec, cache)
-
-
-def _purified_mixture(
-    kind: str, head: tuple[str, str, int], branches, basis: BasisSet,
-    l: int, spec: IntegrationSpec, cache: dict | None,
-) -> PreparedState:
-    """Skeleton whose load is the branches on the head register, read
-    out as the density matrix of the particle banks.
-    """
     cache = {} if cache is None else cache
 
     def load(layout, banks, counters):
-        return _load_branches(layout, head[0], branches, banks[0], basis,
+        return _load_branches(layout, "branch", branches, banks[0], basis,
                               spec, counters, cache), 1
 
-    return _prepare(kind, [(branches[0][2], "")], l, spec, load,
-                    head=(head,), rho=True)
+    return _prepare("mixed", [(comps[0][1], "")], l, spec, load,
+                    head=(("branch", "spec", w_spec),), rho=True)
 
 
 def mixed_oracle(mixed: MixedSpec, basis: BasisSet, l: int) -> DensityMatrix:
@@ -513,19 +496,3 @@ def mixed_oracle(mixed: MixedSpec, basis: BasisSet, l: int) -> DensityMatrix:
         [np.sqrt(p) * slater_oracle(occ, basis, l)
          for p, occ in mixed.components]))
 
-
-def prepare_diagonal_mixed(
-    sup: FockSuperposition,
-    basis: BasisSet,
-    l: int,
-    spec: IntegrationSpec,
-    cache: dict | None = None,
-) -> PreparedState:
-    """Skip the disentangling step: leave the occupation register entangled
-    and trace it out, yielding the dephased ensemble with weights
-    |alpha_w|^2.
-    """
-    _expect(sup=(sup, FockSuperposition))
-    _, fock, branches = _fock_branches(sup)
-    return _purified_mixture("diagonal-mixed", fock, branches, basis, l,
-                             spec, cache)

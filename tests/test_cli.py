@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 import yaml
 
+from gridprep.analysis import pure_infidelity
 from gridprep.basis import IntegrationSpec
-from gridprep.cli import SCHEMA, _Required, main, read_orbital_csv, write_table
+from gridprep.cli import SCHEMA, TASKS, _Required, main, read_orbital_csv, \
+    write_table
 from gridprep.discriminate import SymmetryOperator
 from gridprep.errors import StructuralError, ValidationError
 from helpers import outputs_under_blas_threads
@@ -116,6 +118,11 @@ class TestValidate:
             "prepare-slater", "l",
             {"l": 3.7, "occupation": "110", "basis": BOX_BASIS},
             id="prepare-slater-l-fraction"),
+        # a count below 1 is rejected where the schema reads it
+        pytest.param(
+            "prepare-slater", "l",
+            {"l": 0, "occupation": "110", "basis": BOX_BASIS},
+            id="prepare-slater-l-zero"),
         pytest.param(
             "prepare-slater", "basis[1].n",
             {"l": 3, "occupation": "110", "basis": [
@@ -218,6 +225,22 @@ class TestValidate:
             {"l": 3, "occupation": "110", "basis": BOX_BASIS,
              "sweep": {"occupations": ["1x0"]}},
             id="sweep-occupation"),
+        # the sweep occupation is checked against the basis by the reader
+        # of its cell's task, where sweep named the top-level occupation
+        pytest.param(
+            "sweep", "sweep.occupations[0]",
+            {"l": 3, "occupation": "110", "basis": BOX_BASIS,
+             "sweep": {"occupations": ["1001"]}},
+            id="sweep-occupation-outside-basis"),
+        # superposition reads no occupation: sweep printed identical rows
+        # labelled with occupations it never prepared
+        pytest.param(
+            "sweep", "sweep.occupations",
+            {"l": 2, "basis": BOX_BASIS, "superposition": [
+                {"amplitude": 0.6, "occupation": "110"},
+                {"amplitude": 0.8, "occupation": "011"}],
+             "sweep": {"occupations": ["110", "011"]}},
+            id="sweep-occupations-on-superposition"),
     ])
     def test_validate_rejects_what_the_command_rejects(self, tmp_path,
                                                        capsys, command, key,
@@ -457,6 +480,33 @@ class TestVerifyAndSweep:
         assert "[ok]" in outputs[0]
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("cfg", [
+        {"l": 3, "basis": BOX_BASIS,
+         "species_a": {"occupation": "110"},
+         "species_b": {"occupation": "2,0,0", "statistics": "bosonic"}},
+        {"l": 3,
+         "species_a": {"occupation": "110", "basis": BOX_BASIS},
+         "species_b": {"occupation": "011", "basis": [
+             {"family": "ring-plane-wave", "k": k} for k in (0, 1, -1)]}},
+    ], ids=["top-level-basis", "own-bases"])
+    def test_two_species_oracle(self, tmp_path, cfg):
+        path = write_config(tmp_path, "c.yaml", cfg)
+        out = tmp_path / "out"
+        assert run(["verify-bounds", "--config", path,
+                    "--out", str(out)]) == 0
+        rows = dict(csv.reader((out / "report.csv").open()))
+        assert float(rows["infidelity"]) <= float(rows["error_bound"])
+        assert rows["bound:infidelity"].endswith(":ok")
+        # the oracle tells the species apart: read with species a and b
+        # swapped, it misses the prepared state by more than the bound
+        swapped = {**cfg, "species_a": cfg["species_b"],
+                   "species_b": cfg["species_a"]}
+        driver, _ = TASKS["two-species"](cfg, tmp_path, None)
+        _, oracle = TASKS["two-species"](swapped, tmp_path, None)
+        prepared = driver(cfg["l"], IntegrationSpec(epsilon_i=0.01))
+        assert pure_infidelity(prepared.vector, oracle(cfg["l"])) > \
+            prepared.report.error_bound
+
     def test_sweep_grid(self, tmp_path):
         cfg = write_config(tmp_path, "c.yaml", {
             "l": 4, "statistics": "fermionic", "noise": "adversarial",
@@ -468,6 +518,16 @@ class TestVerifyAndSweep:
         rows = (out / "report.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 3 * 2 * 2  # header + one row per cell
         assert all("pass" in r for r in rows[1:])
+
+    def test_sweep_labels_only_the_occupation_it_prepares(self, tmp_path):
+        # the orbital task ignores `occupation`: its rows were labelled 110
+        cfg = write_config(tmp_path, "c.yaml", {
+            "task": "orbital", "l": 3, "occupation": "110",
+            "basis": BOX_BASIS, "sweep": {"l": [2, 3]}})
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        rows = list(csv.reader((out / "report.csv").open()))[1:]
+        assert [(r[0], r[3]) for r in rows] == [("", "1"), ("", "1")]
 
     def test_cost_table(self, tmp_path):
         cfg = write_config(tmp_path, "c.yaml", {
@@ -585,15 +645,37 @@ class TestConfigSchema:
 
     @pytest.mark.parametrize("command", ["verify-bounds", "sweep",
                                          "cost-table"])
-    def test_two_species_config_has_no_oracle_task(self, tmp_path, capsys,
-                                                   command):
+    def test_two_species_config_is_checked_against_its_oracle(
+            self, tmp_path, command):
         cfg = write_config(tmp_path, "c.yaml",
                            {**TWO_SPECIES, "sweep": {"l": [2, 3]}})
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", str(out)]) == 0
+        if command == "verify-bounds":
+            rows = dict(csv.reader((out / "report.csv").open()))
+            assert rows["bound:infidelity"].endswith(":ok")
+
+    @pytest.mark.parametrize("task, cfg", [
+        ("superposition", {"l": 2, "basis": BOX_BASIS, "superposition": [
+            {"amplitude": 0.6, "occupation": "110"},
+            {"amplitude": 0.8, "occupation": "011"}]}),
+        ("mixed", {"l": 2, "basis": BOX_BASIS[:2], "mixed": {"components": [
+            {"probability": 0.5, "occupation": "10"},
+            {"probability": 0.5, "occupation": "01"}]}}),
+        ("two-species", TWO_SPECIES),
+    ], ids=["superposition", "mixed", "two-species"])
+    def test_noise_on_a_task_that_takes_none(self, tmp_path, capsys, task,
+                                             cfg):
+        # these drivers take no ratio perturbation: the oracle commands ran
+        # noise-free and printed the bound as held
+        path = write_config(tmp_path, "c.yaml", {
+            **cfg, "noise": "adversarial", "sweep": {"l": [2, 3]}})
         out = str(tmp_path / "out")
-        assert run([command, "--config", cfg, "--out", out]) == 2
-        assert "error: species_a:" in capsys.readouterr().err
-        assert run(["validate", "--config", cfg]) == 0
-        assert run(["prepare-two-species", "--config", cfg, "--out", out]) == 0
+        for command in ("validate", "verify-bounds", "sweep", "cost-table"):
+            assert run([command, "--config", path, "--out", out]) == 2
+            assert "error: noise:" in capsys.readouterr().err
+        # preparing without the oracle ignores noise, as before
+        assert run([f"prepare-{task}", "--config", path, "--out", out]) == 0
 
     def test_species_takes_what_it_lacks_from_the_top_level(self, tmp_path):
         # species_b's delta at x0 = 1.5 lies on the top-level length-2 grid;

@@ -28,7 +28,6 @@ from gridprep.compose import (
     fock_encode,
     mixed_oracle,
     phase_estimation_error_bound,
-    prepare_diagonal_mixed,
     prepare_mixed,
     prepare_orbital,
     prepare_slater,
@@ -222,9 +221,12 @@ class TestMixedDrivers:
     def test_diagonal_mixture_from_superposition(self):
         bas = dyadic_basis(3)
         sup = FockSuperposition.from_strings([(0.6, "110"), (0.8, "101")])
-        prep = prepare_diagonal_mixed(sup, bas, 2, CDF)
-        mix = MixedSpec.from_probabilities([(0.36, "110"), (0.64, "101")])
-        target = mixed_oracle(mix, bas, 2)
+        # the superposition dephased: its |alpha_w|^2 ensemble
+        prep = prepare_mixed(MixedSpec.from_probabilities(
+            [(abs(a) ** 2, occ) for a, occ in sup.terms]), bas, 2, CDF)
+        target = mixed_oracle(
+            MixedSpec.from_probabilities([(0.36, "110"), (0.64, "101")]),
+            bas, 2)
         np.testing.assert_allclose(prep.rho.matrix, target.matrix,
                                    atol=1e-8)
 
@@ -306,10 +308,7 @@ class TestRetryAndErrors:
                                         seed=0),
         lambda l: prepare_mixed(MixedSpec.from_probabilities(
             [(0.7, "110"), (0.3, "101")]), dyadic_basis(3), l, CDF),
-        lambda l: prepare_diagonal_mixed(SUP_110_101, dyadic_basis(3), l,
-                                         CDF),
-    ], ids=["orbital", "slater", "two-species", "superposition", "mixed",
-            "diagonal-mixed"])
+    ], ids=["orbital", "slater", "two-species", "superposition", "mixed"])
     def test_grid_without_qubits_rejected(self, prepare, l):
         with pytest.raises(ValidationError,
                            match="^l: .*grid needs at least one qubit"):
@@ -331,9 +330,6 @@ class TestRetryAndErrors:
             "sup", id="superposition-string"),
         pytest.param(lambda: prepare_mixed("10", dyadic_basis(2), 2, CDF),
                      "mixed", id="mixed-string"),
-        pytest.param(lambda: prepare_diagonal_mixed(
-            "10", dyadic_basis(2), 2, CDF),
-            "sup", id="diagonal-mixed-string"),
         pytest.param(lambda: prepare_orbital(box_sine(1), 3, None),
                      "spec", id="orbital-no-spec"),
         pytest.param(lambda: prepare_slater(FERMI_110, dyadic_basis(3), 2,
@@ -378,10 +374,6 @@ SUP_110_101 = FockSuperposition.from_strings([(0.6, "110"), (0.8, "101")])
             MixedSpec.from_probabilities([(0.7, "110"), (0.3, "101")]),
             dyadic_basis(3), 2, CDF),
          "mixed", 2, "fermionic", 7, 3, {"symmetrization_norm"}, None),
-        # three-qubit occupation register, plus the banks
-        (lambda: prepare_diagonal_mixed(SUP_110_101, dyadic_basis(3), 2, CDF),
-         "diagonal-mixed", 2, "fermionic", 9, 3, {"symmetrization_norm"},
-         None),
         # occupation register, banks, and one 2-qubit readout
         (lambda: prepare_superposition(SUP_110_101, dyadic_basis(3), 2, CDF,
                                        t=2 * np.pi / 4, seed=0),
@@ -392,8 +384,8 @@ SUP_110_101 = FockSuperposition.from_strings([(0.6, "110"), (0.8, "101")])
                                        t=2 * np.pi / 4, eps_pe=0.05, seed=0),
          "superposition", 2, "fermionic", 15, 3,
          {"symmetrization_norm", "max_ambiguous_mass"}, 0.05),
-    ], ids=["slater", "permanent", "two-species", "mixed", "diagonal-mixed",
-            "superposition", "superposition-eps-pe"])
+    ], ids=["slater", "permanent", "two-species", "mixed", "superposition",
+            "superposition-eps-pe"])
 def test_report_contract(prepare, kind, m, statistics, qubits, registers,
                          keys, eps_pe):
     """Every multi-particle driver reports the same fields: one load bound
