@@ -72,14 +72,15 @@ class Orbital:
             if vec.size != n_sites:
                 raise ValidationError(
                     f"tabulated orbital has {vec.size} entries, "
-                    f"grid needs {n_sites}"
-                )
-            phases = None
+                    f"grid needs {n_sites}")
+            phases, floor = None, 0.0
         else:
             xs = np.arange(n_sites) * (self.length / n_sites)
             mags, phases = self._magnitudes_and_phases(xs)
             vec = mags.astype(np.complex128) if phases is None \
                 else mags * phases
+            # the squares sum to about 2^l / L; to rounding noise if phi is 0
+            floor = EMPTY_MASS_THRESHOLD * n_sites / self.length
         # np.einsum calls no BLAS, so the amplitudes do not depend on the
         # BLAS thread count.  statevec.vector_norm would also drop the
         # zero squares, every imaginary part where the phase is 0: a pass
@@ -88,7 +89,7 @@ class Orbital:
         norm = np.sqrt(np.einsum("i,i->", parts, parts))
         if not np.isfinite(norm):
             raise ValidationError("orbital is not finite on the grid")
-        if norm == 0:
+        if not norm**2 > floor:
             raise ValidationError("orbital vanishes on every grid site")
         vec /= norm
         return vec, phases
@@ -132,20 +133,22 @@ def uniform(length: float = 1.0, energy: float = 0.0) -> Orbital:
     return Orbital("uniform", length, energy)
 
 
-def box_sine(n: int, length: float = 1.0, energy: float | None = None) -> Orbital:
+def box_sine(n: int = 1, length: float = 1.0,
+             energy: float | None = None) -> Orbital:
     if n < 1:
         raise ValidationError("box-sine quantum number must be >= 1")
     return Orbital("box-sine", length, float(n**2 if energy is None else energy),
                    (n,))
 
 
-def ring_plane_wave(k: int, length: float = 1.0,
+def ring_plane_wave(k: int = 0, length: float = 1.0,
                     energy: float | None = None) -> Orbital:
     return Orbital("ring-plane-wave", length,
                    float(k**2 if energy is None else energy), (k,))
 
 
-def harmonic_hermite(n: int, length: float = 1.0, width: float | None = None,
+def harmonic_hermite(n: int = 0, length: float = 1.0,
+                     width: float | None = None,
                      energy: float | None = None) -> Orbital:
     if n < 0:
         raise ValidationError("hermite index must be >= 0")
@@ -158,11 +161,11 @@ def harmonic_hermite(n: int, length: float = 1.0, width: float | None = None,
                    (n, float(width)))
 
 
-def kronecker_delta(position: float, length: float = 1.0,
+def kronecker_delta(x0: float, length: float = 1.0,
                     energy: float = 0.0) -> Orbital:
-    if not 0 <= position < length:
-        raise ValidationError("delta position must lie in [0, L)")
-    return Orbital("kronecker-delta", length, energy, (float(position),))
+    if not 0 <= x0 < length:
+        raise ValidationError("delta position x0 must lie in [0, L)")
+    return Orbital("kronecker-delta", length, energy, (float(x0),))
 
 
 def tabulated(values, length: float = 1.0, energy: float = 0.0) -> Orbital:
@@ -172,6 +175,13 @@ def tabulated(values, length: float = 1.0, energy: float = 0.0) -> Orbital:
     if not any(abs(v) > 0 for v in values):
         raise ValidationError("tabulated orbital is identically zero")
     return Orbital("tabulated", length, energy, (values,))
+
+
+#: Orbital family -> constructor, whose keywords are its config keys.
+FAMILIES = {"uniform": uniform, "box-sine": box_sine,
+            "ring-plane-wave": ring_plane_wave,
+            "harmonic-hermite": harmonic_hermite,
+            "kronecker-delta": kronecker_delta, "tabulated": tabulated}
 
 
 # -- integration -----------------------------------------------------------

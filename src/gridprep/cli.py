@@ -42,7 +42,6 @@ from typing import NamedTuple
 import numpy as np
 import yaml
 
-from . import basis as basis_mod
 from .analysis import (
     BoundCheck,
     CostRow,
@@ -53,7 +52,7 @@ from .analysis import (
     pure_infidelity,
 )
 from .assemble import OccupationVector, slater_oracle
-from .basis import BasisSet, IntegrationSpec, Orbital
+from .basis import FAMILIES, BasisSet, IntegrationSpec
 from .compose import (
     FockSuperposition,
     MixedSpec,
@@ -66,7 +65,7 @@ from .compose import (
     prepare_two_species,
     superposition_oracle,
 )
-from .discriminate import SymmetryOperator
+from .discriminate import SymmetryOperator, energy_phases
 from .errors import PipelineError, ResourceError, ValidationError
 
 EXIT_OK = 0
@@ -148,64 +147,53 @@ _integration = partial(IntegrationSpec, epsilon_i=0.01)
 
 
 def read_orbital_csv(path: Path) -> np.ndarray:
-    """Tabulated orbital: rows of (index, re, im); a header row is allowed.
-    Indices must form 0..2^l-1 for some l.  An unreadable file or a
-    malformed value raises ValidationError.
+    """Tabulated orbital: rows of (index, re, im), of which only the first
+    may be a header.  Indices must form 0..2^l-1 for some l.  An unreadable
+    file, or a malformed row (named by its number), raises ValidationError.
     """
-    rows = {}
     try:
         with open(path, newline="") as fh:
-            for rec in csv.reader(fh):
-                if not rec:
-                    continue
-                try:
-                    i = int(rec[0])
-                except ValueError:
-                    continue  # header
-                if len(rec) < 3:
-                    raise ValidationError(
-                        f"{path}: rows need (index, re, im), got {rec}"
-                    )
-                rows[i] = float(rec[1]) + 1j * float(rec[2])
+            records = list(csv.reader(fh))
     except (OSError, ValueError) as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+    rows = {}
+    for row, rec in enumerate(records, 1):
+        if not rec:
+            continue
+        with _reading(f"{path}: row {row}"):
+            try:
+                index = int(rec[0])
+            except ValueError:
+                if row == 1:
+                    continue  # header
+                raise
+            if len(rec) < 3:
+                raise ValueError(f"rows need (index, re, im), got {rec}")
+            rows[index] = float(rec[1]) + 1j * float(rec[2])
     n = len(rows)
     if n == 0 or n & (n - 1):
         raise ValidationError(
-            f"{path}: table length {n} is not a power of two"
-        )
+            f"{path}: table length {n} is not a power of two")
     if sorted(rows) != list(range(n)):
         raise ValidationError(f"{path}: indices must cover 0..{n - 1}")
     return np.array([rows[i] for i in range(n)])
 
 
-def _build_orbital(entry: dict, length: float, config_dir: Path) -> Orbital:
-    family = entry["family"]
-    kw = {"energy": entry["energy"]} if "energy" in entry else {}
-    if family == "uniform":
-        return basis_mod.uniform(length, **kw)
-    if family == "box-sine":
-        return basis_mod.box_sine(entry.get("n", 1), length, **kw)
-    if family == "ring-plane-wave":
-        return basis_mod.ring_plane_wave(entry.get("k", 0), length, **kw)
-    if family == "harmonic-hermite":
-        return basis_mod.harmonic_hermite(
-            entry.get("n", 0), length, width=entry.get("width"), **kw)
-    if family == "kronecker-delta":
-        return basis_mod.kronecker_delta(entry["x0"], length, **kw)
-    if family == "tabulated":
-        table = read_orbital_csv(config_dir / entry["path"])
-        return basis_mod.tabulated(table, length, **kw)
-    raise ValidationError(f"unknown orbital family {family!r}")
-
-
 def _build_basis(cfg: dict, config_dir: Path) -> BasisSet:
+    """Entry i, read under basis[i], is `family` and its constructor's
+    keywords, but a tabulated entry's `path` names the CSV file of `values`.
+    """
     if not cfg.get("basis"):
         raise ValidationError("config needs a 'basis' orbital list")
-    length = cfg.get("length", 1.0)
-    with _reading("basis"):
-        return BasisSet([_build_orbital(e, length, config_dir)
-                         for e in cfg["basis"]])
+    orbitals = []
+    for i, entry in enumerate(cfg["basis"]):
+        kw = dict(entry, length=cfg.get("length", 1.0))
+        family = kw.pop("family")
+        with _reading(f"basis[{i}]"):
+            if family == "tabulated":
+                kw["values"] = read_orbital_csv(config_dir / kw.pop("path"))
+            orbitals.append(FAMILIES[family](**kw))
+    return BasisSet(orbitals)
 
 
 def _require_l(cfg: dict) -> int:
@@ -278,29 +266,17 @@ def _occupation(cfg: dict, bas: BasisSet) -> OccupationVector:
         ).check_basis(bas)
 
 
-def _noise_perturb(spec: IntegrationSpec):
-    """Worst-sign constant ratio perturbation of magnitude epsilon_i: the
-    `noise: adversarial` model.
-    """
-    eps = spec.epsilon_i
-    return lambda i, k, ratio: ratio - eps
-
-
-def _orbital(cfg: dict, bas: BasisSet) -> Orbital:
-    index = cfg.get("orbital", 0)
-    if not 0 <= index < bas.size:
-        raise ValidationError(
-            f"orbital: index {index} is outside the {bas.size}-orbital basis")
-    return bas.orbitals[index]
-
-
 # A task reads its inputs from the config, building its own basis or
 # bases, and returns (driver, oracle): driver(l, spec) runs one preparation
 # (orbital and slater also take ratio_perturb=), and oracle(l) is the
 # brute-force reference it is checked against.
 
 def _task_orbital(cfg, config_dir, seed):
-    orbital = _orbital(cfg, _build_basis(cfg, config_dir))
+    bas, index = _build_basis(cfg, config_dir), cfg.get("orbital", 0)
+    if not 0 <= index < bas.size:
+        raise ValidationError(
+            f"orbital: index {index} is outside the {bas.size}-orbital basis")
+    orbital = bas.orbitals[index]
     return partial(prepare_orbital, orbital), orbital.grid_values
 
 
@@ -318,8 +294,10 @@ def _task_superposition(cfg, config_dir, seed):
         sup = FockSuperposition.from_strings(
             [(t["amplitude"], t["occupation"]) for t in cfg["superposition"]],
             cfg.get("statistics", "fermionic")).check_basis(bas)
-    driver = partial(prepare_superposition, sup, bas,
-                     **cfg.get("phase_estimation", {}), seed=seed,
+    pe = cfg.get("phase_estimation", {})
+    with _reading("phase_estimation"):
+        energy_phases(bas.energies, pe.get("t"), pe.get("eps_pe"))
+    driver = partial(prepare_superposition, sup, bas, **pe, seed=seed,
                      max_attempts=cfg.get("max_attempts", 20))
     return driver, partial(superposition_oracle, sup, bas)
 
@@ -355,8 +333,7 @@ def _task_two_species(cfg, config_dir, seed):
     """
     if "species_a" not in cfg or "species_b" not in cfg:
         raise ValidationError(
-            "config needs 'species_a' and 'species_b' sections"
-        )
+            "config needs 'species_a' and 'species_b' sections")
     species = []
     for key in ("species_a", "species_b"):
         with _reading(key):
@@ -398,9 +375,10 @@ def _count(value) -> int:
     return value
 
 
-#: One basis orbital; which keys apply depends on its family.
-_ORBITAL = {"family": _Required(str), "energy": float, "n": _integer,
-            "k": _integer, "width": float, "x0": float, "path": str}
+#: One basis orbital; its family's constructor takes the other keys.
+_ORBITAL = {"family": _Required(set(FAMILIES)), "energy": float,
+            "n": _integer, "k": _integer, "width": float, "x0": float,
+            "path": str}
 #: A species section; what it lacks comes from the top level.
 _SPECIES = {"occupation": _Required(str), "statistics": str,
             "basis": [_ORBITAL]}
@@ -452,7 +430,9 @@ def _verified(cfg: dict, read, l: int, spec: IntegrationSpec):
     config's noise model, and record the infidelity against the oracle.
     """
     driver, oracle = read
-    noise = {"ratio_perturb": _noise_perturb(spec)} if "noise" in cfg else {}
+    # noise: adversarial shifts every split ratio by -epsilon_i
+    noise = ({"ratio_perturb": lambda i, k, ratio: ratio - spec.epsilon_i}
+             if "noise" in cfg else {})
     prepared = driver(l, spec, **noise)
     reference = oracle(l)
     prepared.report.infidelity = (
@@ -489,11 +469,8 @@ def cmd_verify_bounds(cfg, config_dir, seed, out_dir):
     prepared = _verified(cfg, TASKS[task](cfg, config_dir, seed), l,
                          cfg["integration"])
     report = prepared.report
-    report.bound_checks.append(BoundCheck(
-        name="infidelity",
-        measured=report.infidelity,
-        bound=report.error_bound,
-    ))
+    report.bound_checks.append(
+        BoundCheck("infidelity", report.infidelity, report.error_bound))
     return _emit(out_dir, prepared)
 
 
@@ -567,16 +544,12 @@ def cmd_cost_table(cfg, config_dir, seed, out_dir):
     cells = _sweep_cells(cfg, config_dir, seed)
     if len(cells) < 2:
         raise ValidationError("cost table needs at least two sweep cells")
-    cost_rows = []
-    for _, l, _, prepared in cells:
-        costs = {
-            k: prepared.report.counters[k]
-            for k in ("integral_requests", "rotation_applications")
-            if k in prepared.report.counters
-        }
-        cost_rows.append(CostRow(parameter=1 << l, costs=costs))
-    exponents = cost_table(cost_rows)
-    return _emit_text(out_dir, cost_table_text(cost_rows, exponents))
+    cost_rows = [CostRow(parameter=1 << l, costs={
+        k: v for k, v in prepared.report.counters.items()
+        if k in ("integral_requests", "rotation_applications")})
+        for _, l, _, prepared in cells]
+    return _emit_text(out_dir,
+                      cost_table_text(cost_rows, cost_table(cost_rows)))
 
 
 COMMANDS = {

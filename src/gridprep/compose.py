@@ -378,7 +378,8 @@ def prepare_superposition(
     preparation restarts with fresh measurement randomness.
 
     The error bound is m + 1 times the load bound of one register, which
-    bounds the infidelity of the state exact phase estimation returns.
+    bounds the infidelity of the state exact phase estimation returns;
+    without eps_pe, phases it cannot read exactly raise (`energy_phases`).
     With eps_pe set, `phase_estimation_error_bound` bounds the infidelity
     of the returned state against that one, and `angle_error_bound` adds
     the two steps.  `max_attempts` must be at least 1.

@@ -82,22 +82,19 @@ class SymmetryOperator:
         return 0.0 if ph > 1.0 - PHASE_TOL else ph
 
 
-def _circular_distance(a, b):
-    d = np.abs(a - b) % 1.0
-    return np.minimum(d, 1.0 - d)
-
-
 def _keys(phases: np.ndarray, n: int) -> np.ndarray:
     """Each phase rounded to n bits (ties round up), as an n-bit integer."""
     return np.floor(phases * (1 << n) + 0.5).astype(np.int64) % (1 << n)
 
 
-def _readout_bits(phases: np.ndarray, groups) -> int | None:
+def _readout_bits(phases: np.ndarray, groups,
+                  eps_pe: float | None) -> int | None:
     """Smallest n <= MAX_PHASE_BITS at which every group (a list of orbital
     indices) holds distinct keys, widened to the smallest n at which every
     phase is an exact n-bit dyadic, so the estimator reads it out
     deterministically, where there is one (not for irrational phases).
-    None if no n separates the groups.
+    None if no n separates the groups.  Without eps_pe such phases raise a
+    ValidationError naming eps_pe, as no error bound covers their misread.
     """
     for n0 in range(1, MAX_PHASE_BITS + 1):
         keys = _keys(phases, n0)
@@ -105,11 +102,28 @@ def _readout_bits(phases: np.ndarray, groups) -> int | None:
             break
     else:
         return None
-    for n in range(n0, MAX_PHASE_BITS + 1):
-        scaled = phases * (1 << n)
-        if np.max(np.abs(scaled - np.round(scaled))) < PHASE_TOL:
-            return n
+    scaled = phases * (1 << np.arange(n0, MAX_PHASE_BITS + 1))[:, None]
+    exact = np.max(np.abs(scaled - np.round(scaled)), axis=1) < PHASE_TOL
+    if exact.any():
+        return n0 + int(exact.argmax())
+    if eps_pe is None:
+        raise ValidationError(
+            f"eps_pe: phases {np.round(phases, 6).tolist()} are not exact "
+            "dyadics; a misread of them is bounded only with eps_pe")
     return n0
+
+
+def energy_phases(energies: np.ndarray, t: float | None = None,
+                  eps_pe: float | None = None) -> np.ndarray:
+    """The energy readout's phases (-E t / 2pi) mod 1, by default at
+    t = 2pi 0.9 / (max|E| + 1).  They do not depend on l, and without
+    eps_pe they must be exact (see `_readout_bits`).
+    """
+    if t is None:
+        t = 2 * np.pi * 0.9 / (np.max(np.abs(energies)) + 1.0)
+    phases = (-energies * t / (2 * np.pi)) % 1.0
+    _readout_bits(phases, [], eps_pe)  # raises on inexact phases
+    return phases
 
 
 @dataclass
@@ -144,9 +158,7 @@ class PhaseEstimationConfig:
         symmetry: SymmetryOperator | None = None,
     ) -> "PhaseEstimationConfig":
         energies = basis.energies
-        if t is None:
-            t = 2 * np.pi * 0.9 / (np.max(np.abs(energies)) + 1.0)
-        thetas = (-energies * t / (2 * np.pi)) % 1.0
+        thetas = energy_phases(energies, t, eps_pe)
         p = extra_qubits_for(eps_pe) if eps_pe is not None else 0
 
         sym_keys = np.zeros(basis.size, dtype=np.int64)
@@ -158,7 +170,8 @@ class PhaseEstimationConfig:
                 [symmetry.eigenphase(phi[:, j]) for j in range(basis.size)]
             )
             # symmetry must split every cluster of coinciding energy phases
-            n_sym = _readout_bits(sym_phases, _phase_clusters(thetas))
+            n_sym = _readout_bits(sym_phases, _phase_clusters(thetas),
+                                  eps_pe)
             if n_sym is None:
                 raise DegeneracyError(
                     "symmetry eigenphases do not separate the degenerate "
@@ -169,7 +182,8 @@ class PhaseEstimationConfig:
                     sym_keys)]
 
         n_energy = _readout_bits(thetas, [np.flatnonzero(sym_keys == key)
-                                          for key in np.unique(sym_keys)])
+                                          for key in np.unique(sym_keys)],
+                                 eps_pe)
         if n_energy is None:
             collisions = _phase_clusters(thetas)
             raise DegeneracyError(
@@ -201,7 +215,8 @@ def _phase_clusters(phases: np.ndarray):
     clusters: list[list[int]] = []
     for i, th in enumerate(phases):
         for grp in clusters:
-            if _circular_distance(th, phases[grp[0]]) < PHASE_TOL:
+            d = abs(th - phases[grp[0]]) % 1.0  # the circular distance
+            if min(d, 1.0 - d) < PHASE_TOL:
                 grp.append(i)
                 break
         else:

@@ -14,7 +14,8 @@ from gridprep.assemble import apply_rank_to_permutation, \
     permutation_segments, sort_and_entangle
 import math
 
-from gridprep.basis import BasisSet, _hermite_value, kronecker_delta
+from gridprep.basis import EMPTY_MASS_THRESHOLD, BasisSet, _hermite_value, \
+    kronecker_delta
 from gridprep.compose import PreparedState
 from gridprep.errors import StructuralError, ValidationError
 from gridprep.loader import load_error_bound
@@ -117,7 +118,9 @@ def reference_grid_values(orbital, l: int) -> np.ndarray:
     norm = np.sqrt(np.einsum("i,i->", parts, parts))
     if not np.isfinite(norm):
         raise ValidationError("orbital is not finite on the grid")
-    if norm == 0:
+    # the squares sum to about 2^l / L, or to rounding noise where the
+    # orbital vanishes on every site (box-sine n a multiple of 2^l)
+    if not norm**2 > EMPTY_MASS_THRESHOLD * (1 << l) / orbital.length:
         raise ValidationError("orbital vanishes on every grid site")
     return vec / norm
 

@@ -116,6 +116,17 @@ class TestOrbitalFamilies:
         with pytest.raises(ValidationError, match="not finite"):
             orb.grid_values(2)
 
+    # sin(n pi j / 2^l) is 0 at every site when 2^l divides n, but evaluates
+    # to rounding noise (sin(pi) = 1.2e-16), which was normalized into a
+    # unit vector of noise
+    @pytest.mark.parametrize("n, l, length", [
+        (2, 1, 1.0), (4, 2, 1.0), (16, 4, 1.0), (24, 3, 2.5), (64, 5, 0.3)])
+    def test_box_sine_vanishing_on_the_grid_rejected(self, n, l, length):
+        with pytest.raises(ValidationError, match="vanishes"):
+            box_sine(n, length=length).grid_values(l)
+        with pytest.raises(ValidationError, match="vanishes"):
+            BasisSet([box_sine(1), box_sine(n)]).grid_matrix(l)
+
 
 @st.composite
 def continuum_orbitals(draw):

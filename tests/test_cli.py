@@ -21,6 +21,9 @@ BOX_BASIS = [
     {"family": "box-sine", "n": 2},
     {"family": "box-sine", "n": 3},
 ]
+#: BOX_BASIS's energies 1, 4 and 9 at this t have the exact, distinct
+#: phases 15/16, 12/16 and 7/16, which need no eps_pe.
+BOX_EXACT_PE = {"t": 2 * float(np.pi) / 16}
 
 
 #: Runs verify-bounds on the config named on the command line and prints
@@ -239,6 +242,7 @@ class TestValidate:
             {"l": 2, "basis": BOX_BASIS, "superposition": [
                 {"amplitude": 0.6, "occupation": "110"},
                 {"amplitude": 0.8, "occupation": "011"}],
+             "phase_estimation": BOX_EXACT_PE,
              "sweep": {"occupations": ["110", "011"]}},
             id="sweep-occupations-on-superposition"),
     ])
@@ -461,6 +465,29 @@ class TestVerifyAndSweep:
         assert "error bound: 0.00139008187252" in report
         assert "[ok]" in report
 
+    # the default t gives energies 1, 4 and 9 the phases 0.91, 0.64 and
+    # 0.19, which no readout width reads exactly; sweep exited 3 with an
+    # infidelity of 0.0311 against a bound of 0.03 that has no term for a
+    # misread
+    def test_inexact_phases_need_eps_pe(self, tmp_path, capsys):
+        cfg = {"l": 2, "basis": BOX_BASIS, "superposition": [
+            {"amplitude": 0.6, "occupation": "110"},
+            {"amplitude": 0.8, "occupation": "011"}], "sweep": {"l": [2]}}
+        path = write_config(tmp_path, "c.yaml", cfg)
+        out = str(tmp_path / "out")
+        for command in ("validate", "verify-bounds", "sweep",
+                        "prepare-superposition"):
+            assert run([command, "--config", path, "--seed", "1",
+                        "--out", out]) == 2
+            assert capsys.readouterr().err.startswith(
+                "error: phase_estimation: eps_pe: ")
+        # with eps_pe the bound covers the misread
+        path = write_config(tmp_path, "d.yaml", {
+            **cfg, "phase_estimation": {"eps_pe": 0.05}})
+        for command in ("verify-bounds", "sweep"):
+            assert run([command, "--config", path, "--seed", "1",
+                        "--out", out]) == 0
+
     @pytest.mark.parametrize("cfg", [
         {"task": "orbital", "orbital": 2, "l": 18, "basis": BOX_BASIS},
         {"l": 5, "basis": BOX_BASIS,
@@ -569,6 +596,24 @@ class TestTabulatedOrbitals:
         vals = [float(r[1]) for r in rows[1:]]
         assert vals == pytest.approx([0.5] * 4)
 
+    # a non-integer index past the first row was skipped as a header, so
+    # a stray row in a complete table validated
+    @pytest.mark.parametrize("text, row", [
+        ("index,re,im\n0,0.5,0\n1,0.5,0\nx3,0.9,0\n2,0.5,0\n3,0.5,0\n", 4),
+        ("0,0.5,0\n1,0.5,0\nindex,re,im\n2,0.5,0\n3,0.5,0\n", 3),
+    ], ids=["stray-row", "late-header"])
+    @pytest.mark.parametrize("command", ["validate", "prepare-orbital"])
+    def test_only_the_first_row_may_be_a_header(self, tmp_path, capsys,
+                                                command, text, row):
+        (tmp_path / "orb.csv").write_text(text)
+        cfg = write_config(tmp_path, "c.yaml", {
+            "l": 2, "basis": [{"family": "tabulated", "path": "orb.csv"}]})
+        assert run([command, "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: basis[0]: ")
+        assert f"orb.csv: row {row}: " in err
+
 
 TWO_SPECIES = {"l": 2, "basis": BOX_BASIS[:2],
                "species_a": {"occupation": "11"},
@@ -601,6 +646,8 @@ class TestConfigSchema:
         ("integration",
          {"l": 3, "basis": BOX_BASIS, "integration": {
              "backend": "monte-carlo", "bounds": [0.0, 1.0, 2.0]}}),
+        ("basis[1].family",
+         {"l": 3, "basis": [BOX_BASIS[0], {"family": "box-cosine"}]}),
     ])
     @pytest.mark.parametrize("command", ["validate", "prepare-orbital"])
     def test_malformed_config_names_its_path(self, tmp_path, capsys, command,
@@ -624,9 +671,37 @@ class TestConfigSchema:
         out = tmp_path / "out"
         assert run([command, "--config", write_config(tmp_path, "c.yaml", cfg),
                     "--out", str(out)]) == 2
-        assert "error: basis:" in capsys.readouterr().err
+        assert "error: basis[0]:" in capsys.readouterr().err
         assert not (out / "state.csv").exists()
         assert not out.exists()
+
+    # a basis entry is its family constructor's keyword arguments; the CLI
+    # read only the keys it looked up, so each of these prepared box-sine
+    # n = 1 (or ring k = 0) and validated
+    @pytest.mark.parametrize("basis, index, key", [
+        ([{"family": "box-sine", "k": 3}], 0, "k"),
+        ([BOX_BASIS[0], {"family": "ring-plane-wave", "n": 2}], 1, "n"),
+        ([BOX_BASIS[0], {"family": "box-sine", "width": 0.1}], 1, "width"),
+        ([{"family": "kronecker-delta", "x0": 0.5, "path": "orb.csv"}], 0,
+         "path"),
+    ], ids=["box-sine-k", "ring-n", "box-sine-width", "delta-path"])
+    @pytest.mark.parametrize("command", ["validate", "prepare-orbital"])
+    def test_key_its_family_does_not_take(self, tmp_path, capsys, command,
+                                          basis, index, key):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "c.yaml", {"l": 3, "basis": basis})
+        assert run([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: basis[{index}]: ")
+        assert f"keyword argument '{key}'" in err
+        assert not out.exists()
+
+    def test_tabulated_entry_needs_path(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.yaml", {
+            "l": 2, "basis": [BOX_BASIS[0], {"family": "tabulated"}]})
+        assert run(["validate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == \
+            "error: basis[1]: missing key 'path'\n"
 
     def test_null_value_counts_as_absent(self, tmp_path):
         cfg = write_config(tmp_path, "c.yaml", {
@@ -658,7 +733,8 @@ class TestConfigSchema:
     @pytest.mark.parametrize("task, cfg", [
         ("superposition", {"l": 2, "basis": BOX_BASIS, "superposition": [
             {"amplitude": 0.6, "occupation": "110"},
-            {"amplitude": 0.8, "occupation": "011"}]}),
+            {"amplitude": 0.8, "occupation": "011"}],
+            "phase_estimation": BOX_EXACT_PE}),
         ("mixed", {"l": 2, "basis": BOX_BASIS[:2], "mixed": {"components": [
             {"probability": 0.5, "occupation": "10"},
             {"probability": 0.5, "occupation": "01"}]}}),

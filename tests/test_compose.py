@@ -7,13 +7,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gridprep
 from gridprep import compose
-from gridprep.analysis import mixed_infidelity, pure_infidelity
+from gridprep.analysis import BoundCheck, mixed_infidelity, pure_infidelity
 from gridprep.basis import (
+    FAMILIES,
     BasisSet,
     IntegrationSpec,
     box_sine,
@@ -535,6 +536,132 @@ class TestAgainstFullLayoutLoad:
                           if seg.role == "particle")
         assert prep.report.qubits == layout.n_total + sum(
             m * math.ceil(math.log2(m)) for m in species.values())
+
+
+
+# -- every driver within its proved bound -----------------------------------
+
+#: Keyword strategies per continuum or delta family of basis.FAMILIES; some
+#: draws vanish on every site of a coarse grid.
+ORBITAL_KEYS = {
+    "uniform": {},
+    "box-sine": {"n": st.integers(1, 8)},
+    "ring-plane-wave": {"k": st.integers(-8, 8)},
+    "harmonic-hermite": {"n": st.integers(0, 4),
+                         "width": st.floats(0.05, 0.3)},
+    "kronecker-delta": {"x0": st.floats(0.0, 0.99)},
+}
+
+
+def _aliasing_basis(draw, l, energies):
+    """Box-sine or ring orbitals with quantum numbers up to twice the sites,
+    so that some alias (n and 2^(l+1) - n, k and k + 2^l) or vanish on the
+    grid; the test assumes them independent.
+    """
+    sites = 1 << l
+    family, numbers = draw(st.sampled_from([
+        (box_sine, st.integers(1, 2 * sites - 1)),
+        (ring_plane_wave, st.integers(-sites, sites))]))
+    return BasisSet([family(n, energy=e) for n, e in zip(draw(st.lists(
+        numbers, min_size=len(energies), max_size=len(energies),
+        unique=True)), energies)])
+
+
+def _independent(basis, l):
+    try:
+        basis.grid_matrix(l)
+    except ValidationError:
+        return False
+    return True
+
+
+@st.composite
+def bound_cases(draw):
+    """(bases, l, driver call, oracle call) for every driver with no open
+    fault: one orbital of any continuum or delta family, Slater
+    determinants and permanents, two species, thermal mixtures, and
+    superpositions with exact dyadic phases (distinct levels, or a +-k
+    ring pair split by a cyclic-shift readout), fermionic or bosonic.  l is
+    2-4; the orbital and Slater loads take a +-epsilon_i perturbation of
+    every split ratio, its sign drawn per (level, pair).
+    """
+    kind = draw(st.sampled_from(["orbital", "slater", "two-species",
+                                 "mixed", "superposition", "symmetry"]))
+    l = draw(st.integers(2, 4))
+    eps = draw(st.sampled_from([1e-4, 1e-3, 1e-2, 0.05]))
+    spec = IntegrationSpec(backend="analytic-cdf", epsilon_i=eps)
+    signs = draw(st.integers(0, 2**32 - 1))
+
+    def perturb(i, k, ratio):
+        return ratio + eps * (1 - 2 * (hash((signs, i, k)) & 1))
+
+    statistics = draw(st.sampled_from(["fermionic", "bosonic"]))
+    if kind == "orbital":
+        family = draw(st.sampled_from(sorted(ORBITAL_KEYS)))
+        orbital = FAMILIES[family](**{key: draw(keys) for key, keys
+                                      in ORBITAL_KEYS[family].items()})
+        return ([BasisSet([orbital])], l,
+                lambda: prepare_orbital(orbital, l, spec,
+                                        ratio_perturb=perturb),
+                lambda: orbital.grid_values(l))
+    if kind == "slater":
+        occ = _patterns(draw, 3, statistics, draw(st.integers(1, 3)))[0]
+        basis = _aliasing_basis(draw, l, [0.0] * 3)
+        return ([basis], l,
+                lambda: prepare_slater(occ, basis, l, spec,
+                                       ratio_perturb=perturb),
+                lambda: slater_oracle(occ, basis, l))
+    if kind == "two-species":
+        occs = [_patterns(draw, 3, draw(st.sampled_from(
+            ["fermionic", "bosonic"])), draw(st.integers(1, 2)))[0]
+            for _ in range(2)]
+        bases = [_aliasing_basis(draw, l, [0.0] * 3) for _ in range(2)]
+        return (bases, l,
+                lambda: prepare_two_species(*occs, *bases, l, spec),
+                lambda: np.kron(slater_oracle(occs[1], bases[1], l),
+                                slater_oracle(occs[0], bases[0], l)))
+    occs = _patterns(draw, 3, statistics, draw(st.integers(1, 2)))
+    if kind == "mixed":
+        energies = draw(st.lists(st.floats(0.0, 3.0), min_size=len(occs),
+                                 max_size=len(occs)))
+        mixed = MixedSpec.thermal(draw(st.floats(0.3, 1.5)),
+                                  list(zip(energies, occs)))
+        basis = _aliasing_basis(draw, l, [0.0] * 3)
+        return ([basis], l, lambda: prepare_mixed(mixed, basis, l, spec),
+                lambda: mixed_oracle(mixed, basis, l))
+    amps = draw(st.lists(st.complex_numbers(min_magnitude=0.1,
+                                            max_magnitude=1.0),
+                         min_size=len(occs), max_size=len(occs)))
+    sup = FockSuperposition.from_terms(list(zip(amps, occs)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "symmetry":
+        k = draw(st.integers(1, (1 << (l - 1)) - 1))
+        basis = BasisSet([ring_plane_wave(0, energy=0.0),
+                          ring_plane_wave(k, energy=1.0),
+                          ring_plane_wave(-k, energy=1.0)])
+        pe = {"symmetry": SymmetryOperator("cyclic-shift")}
+    else:  # distinct levels at t = 2 pi / 4: the phases 0, 3/4, 1/2, 1/4
+        basis = _aliasing_basis(
+            draw, l, draw(st.permutations([0.0, 1.0, 2.0, 3.0]))[:3])
+        pe = {}
+    return ([basis], l,
+            lambda: prepare_superposition(sup, basis, l, spec,
+                                          t=2 * np.pi / 4, seed=seed, **pe),
+            lambda: superposition_oracle(sup, basis, l))
+
+
+class TestWithinErrorBound:
+    @settings(max_examples=60, deadline=None)
+    @given(bound_cases())
+    def test_infidelity_within_error_bound(self, case):
+        bases, l, call, oracle = case
+        assume(all(_independent(basis, l) for basis in bases))
+        prep, reference = call(), oracle()
+        measured = (pure_infidelity(prep.vector, reference)
+                    if prep.rho is None
+                    else mixed_infidelity(prep.rho, reference))
+        check = BoundCheck("infidelity", measured, prep.report.error_bound)
+        assert check.satisfied, check.row()
 
 
 #: Prints a SHA-256 of the vector and the symmetrization norm of prepare_slater

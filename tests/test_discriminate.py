@@ -1,4 +1,5 @@
 """Phase estimation, lookup windows, symmetry readouts, uncomputation."""
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,7 @@ from gridprep.discriminate import (
     PhaseEstimationConfig,
     SymmetryOperator,
     _decrement_fock,
+    energy_phases,
     extra_qubits_for,
     identify_and_decrement,
     phase_estimate,
@@ -112,6 +114,23 @@ class TestConfigBuild:
         owners = {int(v) for v in np.unique(table) if v >= 0}
         assert owners == {0, 1, 2}
 
+    def test_inexact_symmetry_phases_need_eps_pe(self):
+        # a shift by 3 of 2^17 sites gives k = +-1 the phases +-3 / 2^17,
+        # which 15 bits separate but no readout of at most MAX_PHASE_BITS =
+        # 16 bits reads exactly; the energy phases 0, 3/4, 3/4 are exact
+        bas = BasisSet([ring_plane_wave(k, energy=float(k * k))
+                        for k in (0, 1, -1)])
+        with pytest.raises(ValidationError, match="^eps_pe: "):
+            PhaseEstimationConfig.build(
+                bas, 17, t=2 * np.pi / 4,
+                symmetry=SymmetryOperator("cyclic-shift", 3))
+
+    def test_inexact_energy_phases_need_eps_pe(self):
+        energies = np.array([0.0, np.sqrt(2)])  # phases 0 and 1 - sqrt(2)/4
+        with pytest.raises(ValidationError, match="^eps_pe: "):
+            energy_phases(energies, 2 * np.pi / 4)
+        assert energy_phases(energies, 2 * np.pi / 4, 0.05)[0] == 0.0
+
     def test_noncommuting_symmetry_rejected(self):
         bas = BasisSet([box_sine(1, energy=0.0), box_sine(2, energy=0.0)])
         with pytest.raises(ValidationError):
@@ -132,35 +151,44 @@ def lookup_cases(draw):
     8-bit integer and j in [-20, 20] (0 gives an exact dyadic), so 8 bits
     resolve distinct levels; p <= 4 extra bits.  Box sines on distinct
     levels have one readout; ring plane waves, which may share a level, a
-    cyclic shift (odd step) as the second.
+    cyclic shift (odd step) as the second.  The last item says whether
+    every orbital's level is exact.
     """
     count = draw(st.integers(1, 4))
-    levels = [(a + j * np.sqrt(2) / 64) / 256 for a, j in zip(
+    levels = [((a + j * np.sqrt(2) / 64) / 256, j == 0) for a, j in zip(
         draw(st.lists(st.integers(0, 255), min_size=count, max_size=count,
                       unique=True)),
         draw(st.lists(st.integers(-20, 20), min_size=count,
                       max_size=count)))]
     eps_pe = draw(st.sampled_from([None, 0.3, 0.1, 0.05]))
     if not draw(st.booleans()):
-        return BasisSet([box_sine(n + 1, energy=-ph)
-                         for n, ph in enumerate(levels)]), 3, eps_pe, None
+        return BasisSet([box_sine(n + 1, energy=-ph) for n, (ph, _)
+                         in enumerate(levels)]), 3, eps_pe, None, all(
+            exact for _, exact in levels)
     l = draw(st.integers(3, 4))
     ks = draw(st.lists(st.integers(-(1 << (l - 1)), (1 << (l - 1)) - 1),
                        min_size=count, max_size=count, unique=True))
     phases = [draw(st.sampled_from(levels)) for _ in ks]
     symmetry = SymmetryOperator("cyclic-shift",
                                 draw(st.sampled_from([1, 3, 5])))
-    return BasisSet([ring_plane_wave(k, energy=-ph)
-                     for k, ph in zip(ks, phases)]), l, eps_pe, symmetry
+    return BasisSet([ring_plane_wave(k, energy=-ph) for k, (ph, _)
+                     in zip(ks, phases)]), l, eps_pe, symmetry, all(
+        exact for _, exact in phases)
 
 
 class TestLookupAgainstWindows:
     @settings(max_examples=200, deadline=None)
     @given(lookup_cases())
     def test_lookup_matches_window_definition(self, case):
-        bas, l, eps_pe, symmetry = case
-        cfg = PhaseEstimationConfig.build(bas, l, t=2 * np.pi, eps_pe=eps_pe,
-                                          symmetry=symmetry)
+        bas, l, eps_pe, symmetry, exact = case
+        build = partial(PhaseEstimationConfig.build, bas, l, t=2 * np.pi,
+                        eps_pe=eps_pe, symmetry=symmetry)
+        if eps_pe is None and not exact:
+            # no bound covers a misread of an inexact phase
+            with pytest.raises(ValidationError, match="eps_pe"):
+                build()
+            return
+        cfg = build()
         p = 0 if eps_pe is None else extra_qubits_for(eps_pe)
         phases = [cfg.readouts[0][2][1]]
         if symmetry is not None:
