@@ -148,8 +148,9 @@ _integration = partial(IntegrationSpec, epsilon_i=0.01)
 
 def read_orbital_csv(path: Path) -> np.ndarray:
     """Tabulated orbital: rows of (index, re, im), of which only the first
-    may be a header.  Indices must form 0..2^l-1 for some l.  An unreadable
-    file, or a malformed row (named by its number), raises ValidationError.
+    may be a header.  Indices must form 0..2^l-1 for some l, each once.  An
+    unreadable file, or a malformed or repeated row (named by its number),
+    raises ValidationError.
     """
     try:
         with open(path, newline="") as fh:
@@ -169,6 +170,8 @@ def read_orbital_csv(path: Path) -> np.ndarray:
                 raise
             if len(rec) < 3:
                 raise ValueError(f"rows need (index, re, im), got {rec}")
+            if index in rows:
+                raise ValueError(f"index {index} repeats an earlier row")
             rows[index] = float(rec[1]) + 1j * float(rec[2])
     n = len(rows)
     if n == 0 or n & (n - 1):

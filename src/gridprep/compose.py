@@ -10,7 +10,9 @@ supplies only its load.  Superpositions load amplitudes onto an
 occupation register and orbitals per branch, then disentangle the register
 particle by particle (phase-estimate which orbital a register holds,
 remove that quantum) and verify it empty by measurement, retrying on
-failure.
+failure.  Without a symmetry readout the estimation is one Kraus map
+(`discriminate._kraus_pass`), so the load leaves out the energy readout
+as well.
 """
 from __future__ import annotations
 
@@ -169,7 +171,8 @@ class MixedSpec:
 @dataclass
 class PreparedState:
     """Output bundle: final object plus the run report.  `state` leaves out
-    the permutation banks that `report.qubits` counts: they end in |0>.
+    the permutation banks and any readout a Kraus map stands in for, which
+    `report.qubits` counts: they end in |0>.
     """
 
     vector: np.ndarray | None
@@ -247,18 +250,19 @@ def _names(segments: list[tuple[str, str, int]]) -> list[str]:
 def _prepare(
     kind: str, species: list[tuple[OccupationVector, str]], l: int,
     spec: IntegrationSpec, load, head: tuple = (), tail: tuple = (),
-    rho: bool = False,
+    blank: tuple = (), rho: bool = False,
 ) -> PreparedState:
     """The skeleton of every multi-particle driver, for (occupation,
     register-name prefix) species.
 
     Register order: the head (a branch or occupation register, if any),
-    every species' particle bank, every permutation bank, then the tail.
+    every species' particle bank, every permutation bank, the tail, then
+    the `blank` segments, readouts whose registers the load stands in for.
     The qubit cap and the report's qubit count apply to that layout.  The
-    permutation banks start and end blank, so the state leaves them out:
-    `load(layout, banks, counters)` gets the layout without them and
-    returns the loaded state and its attempt number, for `banks` each
-    species' particle register names.  Each species is then
+    permutation banks and the blank segments start and end blank, so the
+    state leaves them out: `load(layout, banks, counters)` gets the layout
+    without them and returns the loaded state and its attempt number, for
+    `banks` each species' particle register names.  Each species is then
     (anti)symmetrized in turn (`antisymmetrize`), and the particle banks
     (first species least significant) read out as a vector, or with `rho`
     as the density matrix with the rest traced out.  The error bound is
@@ -270,7 +274,7 @@ def _prepare(
              for occ, prefix in species]
     perms = [permutation_segments(occ.m, prefix=f"{prefix}perm")
              for occ, prefix in species]
-    layout = RegisterLayout([*head, *sum(parts + perms, []), *tail])
+    layout = RegisterLayout([*head, *sum(parts + perms, []), *tail, *blank])
     loaded = RegisterLayout([*head, *sum(parts, []), *tail])
     counters: dict = {}
     state, attempts = load(loaded, [_names(p) for p in parts], counters)
@@ -422,7 +426,8 @@ def prepare_superposition(
     prep = _prepare(
         "superposition", [(branches[0][2], "")], l, spec, load,
         head=(("fock", "fock", sup.num_orbitals * counter_width),),
-        tail=tuple(config.segments()))
+        tail=tuple(config.segments()),
+        blank=tuple(config.segments(emulated=True)))
     if eps_pe is not None:
         prep.report.error_bound = angle_error_bound(
             [prep.report.error_bound,

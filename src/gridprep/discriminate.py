@@ -6,7 +6,11 @@ Phase estimation is emulated in closed form.  The textbook circuit
 (Cleve, Ekert, Macchiavello and Mosca, Proc. R. Soc. A 454, 339 (1998))
 is u^k on the particle register wherever the readout holds k, between a
 QFT and its inverse; both readouts have u^k in closed form (see
-`phase_estimate`), so no eigendecomposition is taken.
+`phase_estimate`), so no eigendecomposition is taken.  Without a symmetry
+readout, the energy readout's estimation, the decrement, the adjoint and
+the measured reset together are one Kraus map on the state (`_instrument`
+builds it once per config, `_kraus_pass` applies it), so the state holds
+no readout; with one, every readout is a register of the state.
 
 Eigenphase convention: the estimated phase is the actual eigenphase of the
 unitary handed to the estimator, i.e. theta = (-E t / 2pi) mod 1 for the
@@ -26,7 +30,8 @@ import numpy as np
 
 from .assemble import OccupationVector
 from .basis import BasisSet
-from .errors import DegeneracyError, StructuralError, ValidationError
+from .errors import DegeneracyError, ImpossibleOutcomeError, \
+    StructuralError, ValidationError
 from .statevec import MATRIX_TOL, QuantumState, measure_segment, qft, \
     relabel, segment_masses, segment_view
 
@@ -87,43 +92,85 @@ def _keys(phases: np.ndarray, n: int) -> np.ndarray:
     return np.floor(phases * (1 << n) + 0.5).astype(np.int64) % (1 << n)
 
 
-def _readout_bits(phases: np.ndarray, groups,
-                  eps_pe: float | None) -> int | None:
+def _readout_bits(phases: np.ndarray, groups) -> int | None:
     """Smallest n <= MAX_PHASE_BITS at which every group (a list of orbital
-    indices) holds distinct keys, widened to the smallest n at which every
-    phase is an exact n-bit dyadic, so the estimator reads it out
-    deterministically, where there is one (not for irrational phases).
-    None if no n separates the groups.  Without eps_pe such phases raise a
-    ValidationError naming eps_pe, as no error bound covers their misread.
+    indices) holds distinct keys; None if no n separates the groups.  Exact
+    phases are read at their own width (`_exact_bits`), which is never
+    narrower: a group's phases distinct at it hold distinct keys there.
     """
-    for n0 in range(1, MAX_PHASE_BITS + 1):
-        keys = _keys(phases, n0)
+    for n in range(1, MAX_PHASE_BITS + 1):
+        keys = _keys(phases, n)
         if all(len(set(keys[g])) == len(g) for g in groups):
-            break
-    else:
-        return None
-    scaled = phases * (1 << np.arange(n0, MAX_PHASE_BITS + 1))[:, None]
+            return n
+    return None
+
+
+def _exact_bits(phases: np.ndarray, eps_pe: float | None) -> int | None:
+    """Smallest n <= MAX_PHASE_BITS at which every phase is an exact n-bit
+    dyadic, so the estimator reads it out deterministically; None for
+    irrational phases.  Without eps_pe those raise a ValidationError naming
+    eps_pe, as no error bound covers their misread.
+    """
+    scaled = phases * (1 << np.arange(1, MAX_PHASE_BITS + 1))[:, None]
     exact = np.max(np.abs(scaled - np.round(scaled)), axis=1) < PHASE_TOL
     if exact.any():
-        return n0 + int(exact.argmax())
+        return 1 + int(exact.argmax())
     if eps_pe is None:
         raise ValidationError(
             f"eps_pe: phases {np.round(phases, 6).tolist()} are not exact "
             "dyadics; a misread of them is bounded only with eps_pe")
-    return n0
+    return None
 
 
 def energy_phases(energies: np.ndarray, t: float | None = None,
                   eps_pe: float | None = None) -> np.ndarray:
     """The energy readout's phases (-E t / 2pi) mod 1, by default at
     t = 2pi 0.9 / (max|E| + 1).  They do not depend on l, and without
-    eps_pe they must be exact (see `_readout_bits`).
+    eps_pe they must be exact (see `_exact_bits`).
     """
+    return _energy_readout(energies, t, eps_pe)[0]
+
+
+def _energy_readout(energies: np.ndarray, t: float | None,
+                    eps_pe: float | None) -> tuple[np.ndarray, int | None]:
+    """`energy_phases` and the width at which they are exact."""
     if t is None:
         t = 2 * np.pi * 0.9 / (np.max(np.abs(energies)) + 1.0)
     phases = (-energies * t / (2 * np.pi)) % 1.0
-    _readout_bits(phases, [], eps_pe)  # raises on inexact phases
-    return phases
+    return phases, _exact_bits(phases, eps_pe)
+
+
+def _instrument(phases: np.ndarray, lookup: np.ndarray,
+                size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The energy readout's estimation, decrement, adjoint estimation and
+    measured reset as a Kraus instrument (Nielsen and Chuang, ch. 8), for
+    readout values k that name orbital lookup[k] (-1: none).
+
+    Eigencomponent j reads k with amplitude w_j[k], w_j = fft(e^{2 pi i
+    theta_j k}) / 2^q, the first column of the circulant W_j[k, r] =
+    w_j[(k - r) mod 2^q] that the estimation applies to the readout.
+    Returns C with C[j, r, 1 + o] = sum over k naming o of conj(W_j[k, r])
+    w_j[k], the amplitude with which j reads r after the decrement of
+    orbital o (a correlation, taken by one FFT pair), and the Fejer masses
+    P[j, 1 + o] = sum over k naming o of |w_j[k]|^2 (Cleve et al. 1998).
+    Raises StructuralError unless the instrument is complete within 1e-12:
+    sum_r conj(C[j, r, o]) C[j, r, o'] = delta_oo' P[j, o] and
+    sum_o P[j, o] = 1.
+    """
+    kick = np.exp(2j * np.pi * np.outer(phases, np.arange(lookup.size)))
+    w = np.fft.fft(kick, axis=1) / lookup.size
+    kept = w[:, None, :] * (np.arange(size + 1)[:, None] == lookup + 1)
+    kraus = np.moveaxis(np.fft.fft(np.fft.ifft(kept, axis=2)
+                                   * kick.conj()[:, None, :], axis=2), 1, 2)
+    parts = kept[..., None].view(np.float64)
+    masses = np.einsum("jokz,jokz->jo", parts, parts)
+    gram = np.einsum("jro,jrp->jop", kraus.conj(), kraus)
+    gram[:, np.arange(size + 1), np.arange(size + 1)] -= masses
+    if not (np.all(np.abs(gram) <= 1e-12)  # NaN fails too
+            and np.all(np.abs(masses.sum(axis=1) - 1.0) <= 1e-12)):
+        raise StructuralError("the energy readout's Kraus instrument is "
+                              "not complete")
+    return kraus, masses
 
 
 @dataclass
@@ -138,15 +185,22 @@ class PhaseEstimationConfig:
     plus p extra reads one n-bit integer key (see the module docstring).
     `lookup` has one axis per readout and holds the orbital index of each
     tuple of readout values, the orbital whose keys they read, -1 if none.
+    Without a symmetry readout, `kraus` and `masses` are the energy
+    readout's instrument (`_instrument`), which stands in for its register.
     """
 
     basis: BasisSet
     readouts: tuple[tuple, ...] = field(repr=False)
     lookup: np.ndarray = field(repr=False)
+    kraus: np.ndarray | None = field(default=None, repr=False)
+    masses: np.ndarray | None = field(default=None, repr=False)
 
-    def segments(self) -> list[tuple[str, str, int]]:
-        """Layout segments of the readouts, in readout order."""
-        return [(name, "readout", width) for name, width, *_ in self.readouts]
+    def segments(self, emulated: bool = False) -> list[tuple[str, str, int]]:
+        """Layout segments of the readouts a state holds, in readout order;
+        with `emulated`, of those that `kraus` stands in for (all or none).
+        """
+        return [(name, "readout", width) for name, width, *_ in self.readouts
+                if (self.kraus is not None) == emulated]
 
     @classmethod
     def build(
@@ -158,7 +212,7 @@ class PhaseEstimationConfig:
         symmetry: SymmetryOperator | None = None,
     ) -> "PhaseEstimationConfig":
         energies = basis.energies
-        thetas = energy_phases(energies, t, eps_pe)
+        thetas, n_exact = _energy_readout(energies, t, eps_pe)
         p = extra_qubits_for(eps_pe) if eps_pe is not None else 0
 
         sym_keys = np.zeros(basis.size, dtype=np.int64)
@@ -170,20 +224,19 @@ class PhaseEstimationConfig:
                 [symmetry.eigenphase(phi[:, j]) for j in range(basis.size)]
             )
             # symmetry must split every cluster of coinciding energy phases
-            n_sym = _readout_bits(sym_phases, _phase_clusters(thetas),
-                                  eps_pe)
+            n_sym = _readout_bits(sym_phases, _phase_clusters(thetas))
             if n_sym is None:
                 raise DegeneracyError(
                     "symmetry eigenphases do not separate the degenerate "
                     "orbitals"
                 )
+            n_sym = _exact_bits(sym_phases, eps_pe) or n_sym
             sym_keys = _keys(sym_phases, n_sym)
             sym = [(("symread", n_sym + p, symmetry.sites(l)), n_sym,
                     sym_keys)]
 
         n_energy = _readout_bits(thetas, [np.flatnonzero(sym_keys == key)
-                                          for key in np.unique(sym_keys)],
-                                 eps_pe)
+                                          for key in np.unique(sym_keys)])
         if n_energy is None:
             collisions = _phase_clusters(thetas)
             raise DegeneracyError(
@@ -193,6 +246,7 @@ class PhaseEstimationConfig:
                 + f": orbital groups {collisions} at energies "
                 + f"{[list(np.round(energies[list(g)], 6)) for g in collisions]}"
             )
+        n_energy = n_exact or n_energy
 
         readouts, bits, keys = zip((("readout", n_energy + p, (phi, thetas)),
                                     n_energy, _keys(thetas, n_energy)), *sym)
@@ -204,8 +258,10 @@ class PhaseEstimationConfig:
         # value k of n + p bits reads the key floor(k / 2^p + 1/2) mod 2^n
         reads = [((np.arange(1 << (n + p)) + ((1 << p) >> 1)) >> p) % (1 << n)
                  for n in bits]
-        return cls(basis=basis, readouts=readouts,
-                   lookup=table[np.ix_(*reads)])
+        lookup = table[np.ix_(*reads)]
+        kraus = (None, None) if sym else _instrument(thetas, lookup,
+                                                     basis.size)
+        return cls(basis, readouts, lookup, *kraus)
 
 
 def _phase_clusters(phases: np.ndarray):
@@ -366,9 +422,13 @@ def identify_and_decrement(
     quantum from the occupation register, undo the estimation, and recycle
     the readouts by measured reset, drawing outcomes from the numpy
     Generator `rng`.  The layout must hold each of the config's readout
-    segments; the occupation register holds one `counter_width`-bit
-    counter per orbital.
+    segments (`segments()`), and no readout that its Kraus map stands in
+    for (`_kraus_pass`); the occupation register holds one
+    `counter_width`-bit counter per orbital.
     """
+    if config.kraus is not None:
+        return _kraus_pass(state, config, fock_segment, particle_segment,
+                           rng, counter_width)
     for name, width, *_ in config.readouts:
         if state.layout.segment(name).width != width:
             raise StructuralError(
@@ -393,6 +453,83 @@ def identify_and_decrement(
         outcomes.append(outcome)
     return state, IdentificationRecord(orbital_mass, ambiguous_mass,
                                        tuple(outcomes))
+
+
+def _kraus_pass(state, config, fock_segment, particle_segment, rng,
+                counter_width):
+    """`identify_and_decrement` with the energy readout as the Kraus map
+    K_r = sum_j Pi_j (x) sum_o C[j, r, o] D_o + [r = 0] Pi_perp (x) D_o(0),
+    for the state that holds no readout (C is `config.kraus`).
+
+    Pi_j projects the particle register onto grid column phi_j and Pi_perp
+    onto the rest, whose phase 0 reads r = 0; D_o decrements counter o, and
+    is the identity for o = -1 or an orbital without a counter; o(0) is
+    the orbital that readout value 0 names.  With c_j = phi_j^dagger psi,
+    outcome r leaves sum_j phi_j (x) A[j, r] (plus D_o(0) Pi_perp psi at
+    r = 0), A[j, r] = sum_o C[j, r, o] D_o c_j, drawn and normalized as
+    `measure_segment` draws and normalizes.  The record's masses are the
+    Fejer masses P[j, o] |c_j|^2, as the estimated readout holds them.
+    """
+    names = {seg.name for seg in state.layout}
+    for name, *_ in config.segments(emulated=True):
+        if name in names:
+            raise StructuralError(f"the layout holds readout {name!r}, "
+                                  "which the Kraus map stands in for")
+    grid = config.readouts[0][2][0]
+    fock = state.layout.segment(fock_segment)
+    counters = min(fock.width // counter_width, config.basis.size)
+    # row 1 + o of `source` reads, for each occupation value, the value
+    # that D_o sends there: counter o incremented, or the value itself for
+    # an orbital without a counter and in row 0, which names no orbital
+    values = np.arange(fock.dim)
+    shift = np.arange(counters)[:, None] * counter_width
+    cmask = (1 << counter_width) - 1
+    count = (values >> shift) & cmask
+    source = np.tile(values, (config.basis.size + 1, 1))
+    source[1:counters + 1] ^= (count ^ ((count + 1) & cmask)) << shift
+
+    view, (x, f) = segment_view(state, [particle_segment, fock_segment])
+    table = np.moveaxis(view, (x, f), (0, 1))
+    shape = table.shape
+    table = table.reshape(shape[0], shape[1], -1)
+    # the map acts on each column of the other registers' values alone; the
+    # columns that hold nothing are left out, so that registers which stay
+    # blank (and their size) change no sum
+    columns = np.flatnonzero(table.any(axis=(0, 1)))
+    rows = table[:, :, columns]
+    # einsum sums in its own loops, whatever BLAS does
+    coef = np.einsum("xj,xfy->jfy", grid.conj(), rows)
+    perp = rows - np.einsum("xj,jfy->xfy", grid, coef)
+    amps = np.einsum("jro,jofy->jrfy", config.kraus, coef[:, source])
+    zero = int(config.lookup[0]) + 1  # the cell that the rest reads
+    parts, rest = (a[..., None].view(np.float64) for a in (amps, perp))
+    probs = np.einsum("jrfyz,jrfyz->r", parts, parts)
+    rest = np.einsum("xfyz,xfyz->", rest, rest)
+    probs[0] += rest
+
+    total = probs.sum()
+    if not abs(math.sqrt(total) - 1.0) <= 1e-8:  # NaN fails too
+        raise ValidationError(f"state norm {math.sqrt(total)} deviates from 1")
+    outcome = int(rng.choice(probs.size, p=probs / total))
+    p = probs[outcome]
+    if p <= 0:
+        raise ImpossibleOutcomeError(f"outcome {outcome} has zero probability")
+    kept = np.einsum("xj,jfy->xfy", grid, amps[:, outcome])
+    if outcome == 0:
+        kept += perp[:, source[zero]]
+    out = np.zeros_like(table)
+    out[:, :, columns] = kept / np.sqrt(p)
+    out = np.moveaxis(out.reshape(shape), (0, 1), (x, f))
+
+    parts = coef[..., None].view(np.float64)
+    cells = np.einsum("jo,j->o", config.masses,
+                      np.einsum("jfyz,jfyz->j", parts, parts))
+    cells[zero] += rest
+    orbital_mass = np.zeros(config.basis.size)
+    orbital_mass[:counters] = cells[1:counters + 1]
+    return QuantumState(state.layout, out.reshape(-1)), IdentificationRecord(
+        orbital_mass, float(cells[0] + cells[counters + 1:].sum()),
+        (outcome,))
 
 
 def verify_uncomputation(

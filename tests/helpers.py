@@ -377,10 +377,11 @@ def reference_antisymmetrize(state: QuantumState, b_segments, p_segments,
 
 
 def reference_prepare(kind, species, l, spec, load, head=(), tail=(),
-                      rho=False) -> PreparedState:
+                      blank=(), rho=False) -> PreparedState:
     """`compose._prepare` with the load run on the layout that holds the
     permutation banks, and each bank (anti)symmetrized from the dense
-    vector.
+    vector.  The `blank` readouts, whose registers the load stands in for,
+    count toward the qubits only.
     """
     def names(segments):
         return [name for name, _, _ in segments]
@@ -404,8 +405,8 @@ def reference_prepare(kind, species, l, spec, load, head=(), tail=(),
     report = PreparationReport(
         kind=kind, l=l, m=m,
         statistics="+".join(occ.statistics for occ, _ in species),
-        qubits=layout.n_total, attempts=attempts, retries=attempts - 1,
-        counters=counters,
+        qubits=layout.n_total + sum(width for *_, width in blank),
+        attempts=attempts, retries=attempts - 1, counters=counters,
         error_bound=(m + len(head)) * load_error_bound(l, spec.epsilon_i),
     )
     kept = names(sum(parts, []))

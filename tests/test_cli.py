@@ -614,6 +614,20 @@ class TestTabulatedOrbitals:
         assert err.startswith("error: basis[0]: ")
         assert f"orb.csv: row {row}: " in err
 
+    # the rows were a dict by index, so the last of two rows 1 was loaded
+    # and the table of four distinct indices validated
+    @pytest.mark.parametrize("command", ["validate", "prepare-orbital"])
+    def test_repeated_index_rejected(self, tmp_path, capsys, command):
+        (tmp_path / "orb.csv").write_text(
+            "index,re,im\n0,0.5,0\n1,0.5,0\n1,0.9,0\n2,0.5,0\n3,0.5,0\n")
+        cfg = write_config(tmp_path, "c.yaml", {
+            "l": 2, "basis": [{"family": "tabulated", "path": "orb.csv"}]})
+        assert run([command, "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: basis[0]: ")
+        assert "orb.csv: row 4: index 1 repeats an earlier row" in err
+
 
 TWO_SPECIES = {"l": 2, "basis": BOX_BASIS[:2],
                "species_a": {"occupation": "11"},

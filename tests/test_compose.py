@@ -2,6 +2,7 @@
 import inspect
 import math
 from collections import Counter
+from dataclasses import replace
 from itertools import permutations
 from unittest import mock
 
@@ -25,6 +26,7 @@ from gridprep.analysis import angle_error_bound
 from gridprep.compose import (
     FockSuperposition,
     MixedSpec,
+    PreparedState,
     boson_counter_width,
     fock_encode,
     mixed_oracle,
@@ -36,8 +38,10 @@ from gridprep.compose import (
     prepare_two_species,
     superposition_oracle,
 )
-from gridprep.discriminate import SymmetryOperator
-from gridprep.errors import ResourceError, ValidationError
+from gridprep.discriminate import PhaseEstimationConfig, SymmetryOperator, \
+    identify_and_decrement
+from gridprep.errors import DegeneracyError, ResourceError, \
+    RetryBudgetError, ValidationError
 from gridprep.loader import load_error_bound
 from helpers import eigenvalues, outputs_under_blas_threads, purity, \
     reference_prepare
@@ -522,21 +526,152 @@ class TestAgainstFullLayoutLoad:
     @settings(max_examples=40, deadline=None)
     @given(driver_calls())
     def test_bitwise_equal_to_full_layout_load(self, call):
-        prep = call()
+        with mock.patch.object(compose, "_prepare",
+                               wraps=compose._prepare) as skeleton:
+            prep = call()
         with mock.patch.object(compose, "_prepare", reference_prepare):
             ref = call()
         assert _artifacts(prep) == _artifacts(ref)
         slab, rest = _bank_slab(ref.state)
         assert prep.state.amplitudes.tobytes() == slab.tobytes()
         assert not rest.any()  # the banks left out held nothing
-        # the returned layout has no banks, and report.qubits counts them
+        # the returned layout has neither the banks nor the readouts a
+        # Kraus map stands in for, and report.qubits counts both
         layout = prep.state.layout
         assert all(seg.role != "scratch" for seg in layout)
+        blank = skeleton.call_args.kwargs.get("blank", ())
+        assert not {name for name, *_ in blank} & {seg.name for seg in layout}
         species = Counter(seg.name.split("particle")[0] for seg in layout
                           if seg.role == "particle")
         assert prep.report.qubits == layout.n_total + sum(
-            m * math.ceil(math.log2(m)) for m in species.values())
+            m * math.ceil(math.log2(m)) for m in species.values()) + sum(
+            width for *_, width in blank)
 
+
+
+# -- the energy readout as a Kraus map against its register -----------------
+
+IRRATIONAL_LEVELS = [0.0, math.sqrt(2), math.sqrt(5)]
+
+
+@st.composite
+def energy_readout_calls(draw):
+    """`prepare_superposition` keyword arguments with an energy readout
+    alone: exact phases (levels 0, 1, 2 at t = 2 pi / 4) or irrational ones
+    (levels 0, sqrt 2, sqrt 5 at a random t, read with eps_pe), fermionic
+    or bosonic terms with m = 1 or 2, and a random measurement seed.
+    """
+    statistics = draw(st.sampled_from(["fermionic", "bosonic"]))
+    occs = _patterns(draw, 3, statistics, draw(st.integers(1, 2)))
+    amps = draw(st.lists(st.complex_numbers(min_magnitude=0.1,
+                                            max_magnitude=1.0),
+                         min_size=len(occs), max_size=len(occs)))
+    l = draw(st.integers(2, 3))
+    call = dict(sup=FockSuperposition.from_terms(list(zip(amps, occs))),
+                l=l, spec=CDF, seed=draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return dict(call, basis=_grid_basis(draw, l, [0.0, 1.0, 2.0]),
+                    t=2 * np.pi / 4)
+    return dict(call, basis=_grid_basis(draw, l, IRRATIONAL_LEVELS),
+                t=draw(st.floats(0.3, 3.0)),
+                eps_pe=draw(st.sampled_from([0.3, 0.1, 0.05])))
+
+
+def _run_recorded(call, register):
+    """The preparation (or the exception it raised) and every
+    identification record, with the energy readout held as a register when
+    `register`.
+    """
+    records = []
+
+    def identify(*args, **kwargs):
+        state, record = identify_and_decrement(*args, **kwargs)
+        records.append(record)
+        return state, record
+
+    build = PhaseEstimationConfig.build
+
+    def register_build(*args, **kwargs):
+        return replace(build(*args, **kwargs), kraus=None, masses=None)
+
+    with mock.patch.object(compose, "identify_and_decrement", identify), \
+            mock.patch.object(PhaseEstimationConfig, "build",
+                              register_build if register else build):
+        try:
+            return prepare_superposition(**call), records
+        except RetryBudgetError as exc:
+            return type(exc), records
+
+
+class TestKrausAgainstRegister:
+    @settings(max_examples=40, deadline=None)
+    @given(energy_readout_calls())
+    def test_equal_to_the_register_path(self, call):
+        try:
+            config = PhaseEstimationConfig.build(
+                call["basis"], call["l"], t=call["t"],
+                eps_pe=call.get("eps_pe"))
+        except DegeneracyError:  # a random t can make two phases collide
+            assume(False)
+        assume(config.readouts[0][1] <= 8)  # keeps the register small
+        prep, records = _run_recorded(call, register=False)
+        ref, ref_records = _run_recorded(call, register=True)
+        assert len(records) == len(ref_records)
+        for record, ref_record in zip(records, ref_records):
+            assert record.readout_outcomes == ref_record.readout_outcomes
+            np.testing.assert_allclose(record.orbital_mass,
+                                       ref_record.orbital_mass, rtol=0,
+                                       atol=1e-12)
+            assert record.ambiguous_mass == pytest.approx(
+                ref_record.ambiguous_mass, rel=0, abs=1e-12)
+        if not isinstance(prep, PreparedState):
+            assert prep is ref
+            return
+        assert prep.report.attempts == ref.report.attempts
+        assert prep.report.qubits == ref.report.qubits
+        np.testing.assert_allclose(prep.vector, ref.vector, rtol=0,
+                                   atol=1e-12)
+        assert "readout" not in {seg.name for seg in prep.state.layout}
+        assert "readout" in {seg.name for seg in ref.state.layout}
+
+
+class TestReadoutLayout:
+    #: (terms, statistics, levels, l, keywords) per energy-only kind
+    CASES = {
+        "exact": ([(0.6, "110"), (0.8, "101")], "fermionic",
+                  [0.0, 1.0, 2.0], 2, {"t": 2 * np.pi / 4}),
+        "irrational": ([(0.6, "110"), (0.8, "101")], "fermionic",
+                       IRRATIONAL_LEVELS, 2,
+                       {"t": 2 * np.pi * 0.3 / math.sqrt(2), "eps_pe": 0.05}),
+        "bosonic": ([(0.6, "2,0,0"), (0.8, "0,2,0")], "bosonic",
+                    [0.0, 1.0, 2.0], 3, {"t": 2 * np.pi / 4}),
+    }
+
+    # the qubit counts are those reported while the state held the readout
+    @pytest.mark.parametrize("kind, qubits", [
+        ("exact", 11), ("irrational", 15), ("bosonic", 16)])
+    def test_energy_readout_left_out(self, kind, qubits):
+        terms, statistics, levels, l, keywords = self.CASES[kind]
+        sup = FockSuperposition.from_strings(terms, statistics)
+        basis = BasisSet([box_sine(n + 1, energy=e)
+                          for n, e in enumerate(levels)])
+        prep = prepare_superposition(sup, basis, l, CDF, seed=1, **keywords)
+        assert all(seg.role != "readout" for seg in prep.state.layout)
+        assert prep.report.qubits == qubits
+        assert pure_infidelity(prep.vector, superposition_oracle(
+            sup, basis, l)) <= prep.report.error_bound
+
+    def test_symmetry_readouts_kept(self):
+        ring = BasisSet([ring_plane_wave(0, energy=0.0),
+                         ring_plane_wave(1, energy=1.0),
+                         ring_plane_wave(-1, energy=1.0)])
+        sup = FockSuperposition.from_strings([(0.6, "110"), (0.8, "101")])
+        prep = prepare_superposition(
+            sup, ring, 3, CDF, t=2 * np.pi / 4,
+            symmetry=SymmetryOperator("cyclic-shift"), seed=1)
+        assert [(seg.name, seg.width) for seg in prep.state.layout
+                if seg.role == "readout"] == [("readout", 2), ("symread", 3)]
+        assert prep.report.qubits == 16
 
 
 # -- every driver within its proved bound -----------------------------------

@@ -1,6 +1,8 @@
 """Phase estimation, lookup windows, symmetry readouts, uncomputation."""
+from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from gridprep import discriminate
 from gridprep.basis import BasisSet, IntegrationSpec, box_sine, \
     ring_plane_wave
 from gridprep.discriminate import (
     PhaseEstimationConfig,
     SymmetryOperator,
     _decrement_fock,
+    _instrument,
     energy_phases,
     extra_qubits_for,
     identify_and_decrement,
@@ -23,7 +27,7 @@ from gridprep.discriminate import (
 from gridprep.errors import DegeneracyError, StructuralError, ValidationError
 from gridprep.loader import load_orbital
 from gridprep.statevec import QuantumState, RegisterLayout, vector_norm
-from helpers import fock_matrix, from_basis_index, \
+from helpers import fock_matrix, from_basis_index, qft_matrix, \
     reference_decrement_fock, reference_lookup, segment_probabilities, \
     symmetry_unitary, textbook_phase_estimate
 
@@ -130,6 +134,28 @@ class TestConfigBuild:
         with pytest.raises(ValidationError, match="^eps_pe: "):
             energy_phases(energies, 2 * np.pi / 4)
         assert energy_phases(energies, 2 * np.pi / 4, 0.05)[0] == 0.0
+
+    def test_inexact_colliding_phases_need_eps_pe(self):
+        # exactness is tested before separation, so without eps_pe phases
+        # that are both inexact and colliding name eps_pe
+        bas = BasisSet([box_sine(1, energy=np.sqrt(2)),
+                        box_sine(2, energy=np.sqrt(2))])
+        with pytest.raises(ValidationError, match="^eps_pe: "):
+            PhaseEstimationConfig.build(bas, 3, t=1.0)
+        with pytest.raises(DegeneracyError, match="collide"):
+            PhaseEstimationConfig.build(bas, 3, t=1.0, eps_pe=0.05)
+
+    @pytest.mark.parametrize("symmetry, tests", [
+        (None, 1), (SymmetryOperator("cyclic-shift"), 2)])
+    def test_each_readout_tested_for_exactness_once(self, symmetry, tests):
+        bas = BasisSet([ring_plane_wave(0, energy=0.0),
+                        ring_plane_wave(1, energy=1.0),
+                        ring_plane_wave(-1, energy=np.sqrt(2))])
+        with mock.patch.object(discriminate, "_exact_bits",
+                               wraps=discriminate._exact_bits) as exact:
+            PhaseEstimationConfig.build(bas, 3, t=2 * np.pi / 4,
+                                        eps_pe=0.05, symmetry=symmetry)
+        assert exact.call_count == tests
 
     def test_noncommuting_symmetry_rejected(self):
         bas = BasisSet([box_sine(1, energy=0.0), box_sine(2, energy=0.0)])
@@ -408,6 +434,168 @@ class TestIdentifyAndDecrement:
         with pytest.raises(StructuralError):
             identify_and_decrement(state, self.cfg, "fock", "particle0",
                                    rng=np.random.default_rng(0))
+
+
+    def test_emulated_readout_must_not_be_held(self):
+        # the Kraus map stands in for the energy readout, so a layout that
+        # holds it, even at its width, is not one the map was made for
+        (name, _, width), = self.cfg.segments(emulated=True)
+        layout = RegisterLayout([("fock", "fock", 3),
+                                 ("particle0", "particle", 3),
+                                 (name, "readout", width)])
+        with pytest.raises(StructuralError, match="stands in for"):
+            identify_and_decrement(QuantumState.zero(layout), self.cfg,
+                                   "fock", "particle0",
+                                   rng=np.random.default_rng(0))
+
+    def test_wrong_symmetry_readout_width_rejected(self):
+        ring = BasisSet([ring_plane_wave(0, energy=0.0),
+                         ring_plane_wave(1, energy=1.0),
+                         ring_plane_wave(-1, energy=1.0)])
+        cfg = PhaseEstimationConfig.build(
+            ring, 3, t=2 * np.pi / 4,
+            symmetry=SymmetryOperator("cyclic-shift"))
+        segments = cfg.segments()
+        name, role, width = segments[1]
+        segments[1] = (name, role, width + 1)
+        layout = RegisterLayout([("fock", "fock", 3),
+                                 ("particle0", "particle", 3), *segments])
+        with pytest.raises(StructuralError, match="symread"):
+            identify_and_decrement(QuantumState.zero(layout), cfg, "fock",
+                                   "particle0", rng=np.random.default_rng(0))
+
+
+@st.composite
+def instrument_cases(draw):
+    """One to four random phases, a readout of 1-8 qubits and a lookup
+    whose values name the orbitals or -1 (none), -1 always among them.
+    """
+    phases = np.array(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                    min_size=1, max_size=4)))
+    q = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    lookup = rng.integers(-1, phases.size, size=1 << q)
+    lookup[rng.integers(1 << q)] = -1
+    return phases, lookup
+
+
+class TestKrausInstrument:
+    @settings(max_examples=60, deadline=None)
+    @given(instrument_cases())
+    def test_complete_and_equal_to_its_definition(self, case):
+        phases, lookup = case
+        kraus, masses = _instrument(phases, lookup, phases.size)
+        dim = lookup.size
+        width = dim.bit_length() - 1
+        cells = np.arange(phases.size + 1)[:, None] == lookup + 1
+        for j, theta in enumerate(phases):
+            # W_j = QFT^-1 diag(e^{2 pi i theta k}) QFT, as the estimator
+            w = qft_matrix(width, inverse=True) @ np.diag(np.exp(
+                2j * np.pi * theta * np.arange(dim))) @ qft_matrix(width)
+            want = np.einsum("kr,k,ok->ro", w.conj(), w[:, 0], cells)
+            np.testing.assert_allclose(kraus[j], want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(masses[j],
+                                       cells @ np.abs(w[:, 0]) ** 2,
+                                       rtol=0, atol=1e-12)
+            gram = kraus[j].conj().T @ kraus[j]
+            np.testing.assert_allclose(gram, np.diag(masses[j]), rtol=0,
+                                       atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(instrument_cases())
+    def test_masses_are_the_textbook_readout_distribution(self, case):
+        phases, lookup = case
+        _, masses = _instrument(phases, lookup, phases.size)
+        width = lookup.size.bit_length() - 1
+        layout = RegisterLayout([("t", "particle", 1),
+                                 ("r", "readout", width)])
+        cells = np.arange(phases.size + 1)[:, None] == lookup + 1
+        for j, theta in enumerate(phases):
+            state = textbook_phase_estimate(
+                from_basis_index(layout, 1), "r", "t",
+                np.diag([1.0, np.exp(2j * np.pi * theta)]))
+            np.testing.assert_allclose(
+                masses[j], cells @ segment_probabilities(state, "r"),
+                rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("phase", [np.nan, np.inf])
+    def test_incomplete_instrument_rejected(self, phase):
+        with pytest.raises(StructuralError, match="not complete"), \
+                np.errstate(invalid="ignore"):
+            _instrument(np.array([0.25, phase]), np.array([0, 1, -1, 0]), 2)
+
+
+@st.composite
+def kraus_cases(draw):
+    """A random normalized state of (occupation register, particle
+    register, spectator), with mass outside the orbitals' span, and an
+    energy-only config: exact levels, or irrational ones read with eps_pe;
+    the register may hold fewer counters than the basis has orbitals.
+    """
+    l = draw(st.integers(2, 3))
+    size = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        energies, t, eps_pe = [0.0, 1.0, 2.0], 2 * np.pi / 4, None
+    else:
+        energies = [0.0, np.sqrt(2), np.sqrt(5)]
+        t = 2 * np.pi * 0.3 / np.sqrt(2)
+        eps_pe = draw(st.sampled_from([0.3, 0.1, 0.05]))
+    bas = BasisSet([box_sine(n + 1, energy=e)
+                    for n, e in enumerate(energies[:size])])
+    cfg = PhaseEstimationConfig.build(bas, l, t=t, eps_pe=eps_pe)
+    counter_width = draw(st.sampled_from([1, 2]))
+    counters = draw(st.integers(1, size))
+    layout = RegisterLayout([
+        ("fock", "fock", counters * counter_width),
+        ("particle0", "particle", l),
+        ("spectator", "particle", draw(st.integers(0, 2)))])
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+    return (QuantumState(layout, amps / np.linalg.norm(amps)), cfg,
+            counter_width, draw(st.integers(0, 2**31 - 1)), draw(
+                st.booleans()))
+
+
+class FirstLeak:
+    """A stand-in for the numpy Generator whose draw is the first readout
+    value other than 0 with probability above 1e-6 (0 if none), so that the
+    comparison sees the state a leaked readout leaves.
+    """
+
+    def choice(self, size, p):
+        return next((r for r in range(1, size) if p[r] > 1e-6), 0)
+
+
+class TestKrausAgainstRegister:
+    @settings(max_examples=80, deadline=None)
+    @given(kraus_cases())
+    def test_equal_to_the_register_path(self, case):
+        state, cfg, counter_width, seed, leak = case
+
+        def rng():
+            return FirstLeak() if leak else np.random.default_rng(seed)
+
+        got, record = identify_and_decrement(
+            state, cfg, "fock", "particle0", rng(), counter_width)
+        # the register path on the state with the readout appended, blank
+        (segment,) = cfg.segments(emulated=True)
+        held = RegisterLayout([*((seg.name, seg.role, seg.width)
+                                 for seg in state.layout), segment])
+        amps = np.zeros(held.dim, dtype=complex)
+        amps[:state.layout.dim] = state.amplitudes
+        ref, ref_record = identify_and_decrement(
+            QuantumState(held, amps), replace(cfg, kraus=None, masses=None),
+            "fock", "particle0", rng(), counter_width)
+        assert record.readout_outcomes == ref_record.readout_outcomes
+        assert not np.any(ref.amplitudes[state.layout.dim:])
+        np.testing.assert_allclose(got.amplitudes,
+                                   ref.amplitudes[:state.layout.dim],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(record.orbital_mass,
+                                   ref_record.orbital_mass, rtol=0,
+                                   atol=1e-12)
+        assert record.ambiguous_mass == pytest.approx(
+            ref_record.ambiguous_mass, rel=0, abs=1e-12)
 
 
 @st.composite

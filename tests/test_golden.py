@@ -128,9 +128,9 @@ GOLDEN = {
     },
     "superposition-bosonic": {
         "report.csv":
-            "7d76f725d3b0104d68da04d9b3abd4167e18bcf2c101948b1932e87c9eb375cc",
+            "5586afe1f136ff7ea6b99cce1e16a5c78dcc2d137e96c288044a0f373b04a9e1",
         "report.txt":
-            "42fe8e9061fe52c6d2be795cf51042257e3f7b4e9545abc31d2b0d926439938d",
+            "01d13e532cabf4eecc37988f6e3534da4dbfbc52bc354ff5acebc60276b4350d",
         "state.csv":
             "c3986fa2e2643f7bcac1d45da80619d728957ae599a0938f8d2f0222328e28b0",
     },
