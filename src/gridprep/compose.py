@@ -10,9 +10,8 @@ supplies only its load.  Superpositions load amplitudes onto an
 occupation register and orbitals per branch, then disentangle the register
 particle by particle (phase-estimate which orbital a register holds,
 remove that quantum) and verify it empty by measurement, retrying on
-failure.  Without a symmetry readout the estimation is one Kraus map
-(`discriminate._kraus_pass`), so the load leaves out the energy readout
-as well.
+failure.  The estimation is one Kraus map (`identify_and_decrement`), so
+the load leaves out the readouts as well.
 """
 from __future__ import annotations
 
@@ -171,7 +170,7 @@ class MixedSpec:
 @dataclass
 class PreparedState:
     """Output bundle: final object plus the run report.  `state` leaves out
-    the permutation banks and any readout a Kraus map stands in for, which
+    the permutation banks and the readouts a Kraus map stands in for, which
     `report.qubits` counts: they end in |0>.
     """
 
@@ -249,15 +248,15 @@ def _names(segments: list[tuple[str, str, int]]) -> list[str]:
 
 def _prepare(
     kind: str, species: list[tuple[OccupationVector, str]], l: int,
-    spec: IntegrationSpec, load, head: tuple = (), tail: tuple = (),
-    blank: tuple = (), rho: bool = False,
+    spec: IntegrationSpec, load, head: tuple = (), blank: tuple = (),
+    rho: bool = False,
 ) -> PreparedState:
     """The skeleton of every multi-particle driver, for (occupation,
     register-name prefix) species.
 
     Register order: the head (a branch or occupation register, if any),
-    every species' particle bank, every permutation bank, the tail, then
-    the `blank` segments, readouts whose registers the load stands in for.
+    every species' particle bank, every permutation bank, then the `blank`
+    segments, readouts whose registers the load stands in for.
     The qubit cap and the report's qubit count apply to that layout.  The
     permutation banks and the blank segments start and end blank, so the
     state leaves them out: `load(layout, banks, counters)` gets the layout
@@ -274,8 +273,8 @@ def _prepare(
              for occ, prefix in species]
     perms = [permutation_segments(occ.m, prefix=f"{prefix}perm")
              for occ, prefix in species]
-    layout = RegisterLayout([*head, *sum(parts + perms, []), *tail, *blank])
-    loaded = RegisterLayout([*head, *sum(parts, []), *tail])
+    layout = RegisterLayout([*head, *sum(parts + perms, []), *blank])
+    loaded = RegisterLayout([*head, *sum(parts, [])])
     counters: dict = {}
     state, attempts = load(loaded, [_names(p) for p in parts], counters)
     syms = []
@@ -384,9 +383,11 @@ def prepare_superposition(
     The error bound is m + 1 times the load bound of one register, which
     bounds the infidelity of the state exact phase estimation returns;
     without eps_pe, phases it cannot read exactly raise (`energy_phases`).
-    With eps_pe set, `phase_estimation_error_bound` bounds the infidelity
-    of the returned state against that one, and `angle_error_bound` adds
-    the two steps.  `max_attempts` must be at least 1.
+    With eps_pe set, the energy readout is wide enough that each
+    identification misreads with probability at most eps_pe
+    (`PhaseEstimationConfig.build`), `phase_estimation_error_bound` bounds
+    the infidelity of the returned state against that one, and
+    `angle_error_bound` adds the two steps.  `max_attempts` must be at least 1.
     """
     _expect(sup=(sup, FockSuperposition), spec=(spec, IntegrationSpec))
     if max_attempts < 1:
@@ -426,8 +427,7 @@ def prepare_superposition(
     prep = _prepare(
         "superposition", [(branches[0][2], "")], l, spec, load,
         head=(("fock", "fock", sup.num_orbitals * counter_width),),
-        tail=tuple(config.segments()),
-        blank=tuple(config.segments(emulated=True)))
+        blank=tuple(config.segments()))
     if eps_pe is not None:
         prep.report.error_bound = angle_error_bound(
             [prep.report.error_bound,

@@ -4,13 +4,17 @@ whose counter format (`fock_encode`) is defined here next to the decrement.
 
 Phase estimation is emulated in closed form.  The textbook circuit
 (Cleve, Ekert, Macchiavello and Mosca, Proc. R. Soc. A 454, 339 (1998))
-is u^k on the particle register wherever the readout holds k, between a
-QFT and its inverse; both readouts have u^k in closed form (see
-`phase_estimate`), so no eigendecomposition is taken.  Without a symmetry
-readout, the energy readout's estimation, the decrement, the adjoint and
-the measured reset together are one Kraus map on the state (`_instrument`
-builds it once per config, `_kraus_pass` applies it), so the state holds
-no readout; with one, every readout is a register of the state.
+applies u^k to the particle register wherever the readout holds k, between
+a QFT and its inverse, so an eigencomponent of phase theta leaves a blank
+readout holding k with amplitude `phase_estimate(theta, q)[k]`.  The
+particle register splits into components with one phase in every readout:
+the grid columns phi_j, and the rest of the register, of energy phase 0,
+split by the symmetry's eigenspaces (`SymmetryOperator.modes`).  On each,
+the estimations, the decrement, the adjoint estimations and the measured
+reset of every readout together are one Kraus map (Nielsen and Chuang,
+ch. 8): `_instrument` builds it once per config
+(`PhaseEstimationConfig.instrument`) and `identify_and_decrement` applies
+it, so no state holds a readout.
 
 Eigenphase convention: the estimated phase is the actual eigenphase of the
 unitary handed to the estimator, i.e. theta = (-E t / 2pi) mod 1 for the
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,8 +37,7 @@ from .assemble import OccupationVector
 from .basis import BasisSet
 from .errors import DegeneracyError, ImpossibleOutcomeError, \
     StructuralError, ValidationError
-from .statevec import MATRIX_TOL, QuantumState, measure_segment, qft, \
-    relabel, segment_masses, segment_view
+from .statevec import QuantumState, measure_segment, segment_view
 
 #: Widest phase readout tried when separating orbitals by their phases.
 MAX_PHASE_BITS = 16
@@ -85,6 +89,31 @@ class SymmetryOperator:
             )
         ph = float(np.angle(overlap) / (2 * np.pi) % 1.0)
         return 0.0 if ph > 1.0 - PHASE_TOL else ph
+
+    def mode_phases(self, l: int) -> np.ndarray:
+        """The eigenphase of each vector of the eigenbasis `modes` uses."""
+        x = np.arange(1 << l)
+        if self.kind == "reflection":
+            return np.where(2 * x > x.size, 0.5, 0.0)
+        return x * self.step % x.size / x.size
+
+    def modes(self, values: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """`values`, whose axis 0 holds the 2^l sites, in an orthonormal
+        eigenbasis of the permutation (with `inverse`, back from it): for a
+        cyclic shift the plane waves (the unitary DFT); for a reflection the
+        fixed sites and, for the pair x < N - x, (|x> + |N - x>) / sqrt 2 at
+        x and (|N - x> - |x>) / sqrt 2 at N - x, which is its own inverse.
+        """
+        if self.kind == "cyclic-shift":
+            transform = np.fft.ifft if inverse else np.fft.fft
+            return transform(values, axis=0, norm="ortho")
+        x = np.arange(values.shape[0])
+        y = self.sites(x.size.bit_length() - 1)
+        pair = values[y]
+        low, fixed = (a.reshape(-1, *[1] * (values.ndim - 1))
+                      for a in (2 * x < x.size, y == x))
+        return np.where(fixed, values, np.where(low, values + pair,
+                                                pair - values) / np.sqrt(2))
 
 
 def _keys(phases: np.ndarray, n: int) -> np.ndarray:
@@ -140,67 +169,101 @@ def _energy_readout(energies: np.ndarray, t: float | None,
     return phases, _exact_bits(phases, eps_pe)
 
 
+def phase_estimate(phases: np.ndarray, width: int) -> np.ndarray:
+    """Phase estimation of each eigenphase theta on a blank readout of
+    `width` qubits, in closed form: row j holds w_j = fft(e^{2 pi i
+    theta_j k}) / 2^width, the amplitude with which the readout then holds
+    k (Cleve et al. 1998).  w_j is the first column of the circulant
+    W_j[k, r] = w_j[(k - r) mod 2^width] that the estimation applies to a
+    readout holding r.
+    """
+    k = np.arange(1 << width)
+    return np.fft.fft(np.exp(2j * np.pi * np.outer(phases, k)), axis=1) / k.size
+
+
 def _instrument(phases: np.ndarray, lookup: np.ndarray,
                 size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The energy readout's estimation, decrement, adjoint estimation and
-    measured reset as a Kraus instrument (Nielsen and Chuang, ch. 8), for
+    """The readouts' estimation, decrement, adjoint estimation and measured
+    reset as a Kraus instrument (Nielsen and Chuang, ch. 8), for components
+    whose phase in the readout of `lookup` axis a is phases[c, a], and for
     readout values k that name orbital lookup[k] (-1: none).
 
-    Eigencomponent j reads k with amplitude w_j[k], w_j = fft(e^{2 pi i
-    theta_j k}) / 2^q, the first column of the circulant W_j[k, r] =
-    w_j[(k - r) mod 2^q] that the estimation applies to the readout.
-    Returns C with C[j, r, 1 + o] = sum over k naming o of conj(W_j[k, r])
-    w_j[k], the amplitude with which j reads r after the decrement of
-    orbital o (a correlation, taken by one FFT pair), and the Fejer masses
-    P[j, 1 + o] = sum over k naming o of |w_j[k]|^2 (Cleve et al. 1998).
-    Raises StructuralError unless the instrument is complete within 1e-12:
-    sum_r conj(C[j, r, o]) C[j, r, o'] = delta_oo' P[j, o] and
-    sum_o P[j, o] = 1.
+    Component c reads k with amplitude w_c[k], the product over readouts
+    of `phase_estimate`, and W_c, the product of their circulants, is the
+    estimation.  Returns C with C[c, r, 1 + o] = sum over k naming o of
+    conj(W_c[k, r]) w_c[k], the amplitude with which c reads r after the
+    decrement of orbital o (a correlation, ifft(conj(fft(w_c)) fft(w_c on
+    the cells of o)) over the readout axes), and the Fejer masses
+    P[c, 1 + o] = sum over k naming o of |w_c[k]|^2 (Cleve et al. 1998);
+    r is the readout axes of `lookup`, and o the last axis of C.  Raises
+    StructuralError unless the instrument is complete within 1e-12:
+    sum_r conj(C[c, r, o]) C[c, r, o'] = delta_oo' P[c, o] and
+    sum_o P[c, o] = 1.
     """
-    kick = np.exp(2j * np.pi * np.outer(phases, np.arange(lookup.size)))
-    w = np.fft.fft(kick, axis=1) / lookup.size
-    kept = w[:, None, :] * (np.arange(size + 1)[:, None] == lookup + 1)
-    kraus = np.moveaxis(np.fft.fft(np.fft.ifft(kept, axis=2)
-                                   * kick.conj()[:, None, :], axis=2), 1, 2)
-    parts = kept[..., None].view(np.float64)
+    readouts = tuple(range(-lookup.ndim, 0))  # the trailing axes
+    w = np.ones(1)
+    for a, dim in enumerate(lookup.shape):
+        w = w * np.expand_dims(phase_estimate(phases[:, a], dim.bit_length()
+                                              - 1),
+                               [1 + b for b in range(lookup.ndim) if b != a])
+    cells = np.arange(size + 1).reshape(-1, *[1] * lookup.ndim) == lookup + 1
+    kept = w[:, None] * cells
+    kraus = np.moveaxis(np.fft.ifftn(
+        np.fft.fftn(w, axes=readouts).conj()[:, None]
+        * np.fft.fftn(kept, axes=readouts), axes=readouts), 1, -1)
+    parts = kept.reshape(len(phases), size + 1, -1, 1).view(np.float64)
     masses = np.einsum("jokz,jokz->jo", parts, parts)
-    gram = np.einsum("jro,jrp->jop", kraus.conj(), kraus)
+    flat = kraus.reshape(len(phases), -1, size + 1)
+    gram = np.einsum("jro,jrp->jop", flat.conj(), flat)
     gram[:, np.arange(size + 1), np.arange(size + 1)] -= masses
     if not (np.all(np.abs(gram) <= 1e-12)  # NaN fails too
             and np.all(np.abs(masses.sum(axis=1) - 1.0) <= 1e-12)):
-        raise StructuralError("the energy readout's Kraus instrument is "
-                              "not complete")
+        raise StructuralError("the readouts' Kraus instrument is not "
+                              "complete")
     return kraus, masses
 
 
 @dataclass
 class PhaseEstimationConfig:
-    """Readouts and the readout->orbital lookup.
+    """Readouts, the readout->orbital lookup and their Kraus instrument.
 
     Each readout is (segment name, width, u): phase estimation of u on a
-    particle register writes its eigenphase into that segment.  The energy
-    readout's u is exp(-i F t) as (grid matrix, thetas); a symmetry
-    readout, present when a grid symmetry is given, splits degenerate
+    particle register writes its eigenphase into a readout of that width.
+    The energy readout's u is exp(-i F t) as (grid matrix, thetas); a symmetry
+    readout, present when a grid `symmetry` is given, splits degenerate
     levels, and its u is the symmetry's `sites`.  A readout n bits wide
     plus p extra reads one n-bit integer key (see the module docstring).
     `lookup` has one axis per readout and holds the orbital index of each
     tuple of readout values, the orbital whose keys they read, -1 if none.
-    Without a symmetry readout, `kraus` and `masses` are the energy
-    readout's instrument (`_instrument`), which stands in for its register.
+    The particle register splits into components, each with one phase in
+    every readout, `phases[c, a]` in readout a: the orbitals, then the
+    rest by its phases; `components` holds the component of each orbital,
+    then of each mode of the rest (`symmetry.modes`, or each site without a
+    symmetry).
     """
 
     basis: BasisSet
     readouts: tuple[tuple, ...] = field(repr=False)
     lookup: np.ndarray = field(repr=False)
-    kraus: np.ndarray | None = field(default=None, repr=False)
-    masses: np.ndarray | None = field(default=None, repr=False)
+    phases: np.ndarray = field(repr=False)
+    components: np.ndarray = field(repr=False)
+    symmetry: SymmetryOperator | None
 
-    def segments(self, emulated: bool = False) -> list[tuple[str, str, int]]:
-        """Layout segments of the readouts a state holds, in readout order;
-        with `emulated`, of those that `kraus` stands in for (all or none).
+    @cached_property
+    def instrument(self) -> tuple[np.ndarray, np.ndarray]:
+        """The readouts' Kraus instrument on the components, (C, P) of
+        `_instrument`, made on first use: it spans every joint readout
+        value, so for readouts wider than any layout holds it would take
+        gigabytes in `build`.
         """
-        return [(name, "readout", width) for name, width, *_ in self.readouts
-                if (self.kraus is not None) == emulated]
+        return _instrument(self.phases, self.lookup, self.basis.size)
+
+    def segments(self) -> list[tuple[str, str, int]]:
+        """Layout segments of the readouts, in readout order: the instrument
+        stands in for them, so a state holds none of them, while the qubit
+        count of a preparation counts them.
+        """
+        return [(name, "readout", width) for name, width, _ in self.readouts]
 
     @classmethod
     def build(
@@ -211,13 +274,22 @@ class PhaseEstimationConfig:
         eps_pe: float | None = None,
         symmetry: SymmetryOperator | None = None,
     ) -> "PhaseEstimationConfig":
+        """The readouts at the widths that separate the orbitals.  With
+        eps_pe, the energy readout widens one bit at a time until it reads
+        every orbital right with probability at least 1 - eps_pe, which
+        the error bound assumes: the Fejer mass of the orbital's own cell,
+        `instrument[1][j, 1 + j]`, the product over the readouts of the
+        mass `phase_estimate` puts in the window of its key.
+        """
         energies = basis.energies
         thetas, n_exact = _energy_readout(energies, t, eps_pe)
         p = extra_qubits_for(eps_pe) if eps_pe is not None else 0
 
+        sym_phases = np.zeros(basis.size)
         sym_keys = np.zeros(basis.size, dtype=np.int64)
         sym = []  # the symmetry readout, its bits and its keys
         phi = basis.grid_matrix(l)
+        rest = np.zeros(1 << l)  # the phase of each mode of the rest
         if symmetry is not None:
             # each orbital must be an eigenvector of P, so [P, F] = 0
             sym_phases = np.array(
@@ -234,6 +306,7 @@ class PhaseEstimationConfig:
             sym_keys = _keys(sym_phases, n_sym)
             sym = [(("symread", n_sym + p, symmetry.sites(l)), n_sym,
                     sym_keys)]
+            rest = symmetry.mode_phases(l)
 
         n_energy = _readout_bits(thetas, [np.flatnonzero(sym_keys == key)
                                           for key in np.unique(sym_keys)])
@@ -248,20 +321,40 @@ class PhaseEstimationConfig:
             )
         n_energy = n_exact or n_energy
 
-        readouts, bits, keys = zip((("readout", n_energy + p, (phi, thetas)),
-                                    n_energy, _keys(thetas, n_energy)), *sym)
-        table = np.full([1 << n for n in bits], -1, dtype=np.int64)
-        table[keys] = np.arange(basis.size)
-        if np.count_nonzero(table >= 0) < basis.size:
-            raise DegeneracyError("two orbitals share their key in every "
-                                  "readout")
-        # value k of n + p bits reads the key floor(k / 2^p + 1/2) mod 2^n
-        reads = [((np.arange(1 << (n + p)) + ((1 << p) >> 1)) >> p) % (1 << n)
-                 for n in bits]
-        lookup = table[np.ix_(*reads)]
-        kraus = (None, None) if sym else _instrument(thetas, lookup,
-                                                     basis.size)
-        return cls(basis, readouts, lookup, *kraus)
+        # each component's phase in each readout: the orbitals, then the
+        # phases of the rest, which the energy readout reads as 0
+        rest, modes = np.unique(rest, return_inverse=True)
+        phases = np.column_stack([np.append(thetas, np.zeros(rest.size)),
+                                  np.append(sym_phases, rest)])
+        orbitals = np.arange(basis.size)
+        while True:
+            readouts, bits, keys = zip(
+                (("readout", n_energy + p, (phi, thetas)), n_energy,
+                 _keys(thetas, n_energy)), *sym)
+            table = np.full([1 << n for n in bits], -1, dtype=np.int64)
+            table[keys] = orbitals
+            # value k of n + p bits reads the key floor(k / 2^p + 1/2) mod 2^n
+            reads = [((np.arange(1 << (n + p)) + ((1 << p) >> 1)) >> p)
+                     % (1 << n) for n in bits]
+            # an orbital whose keys another orbital holds has no cell
+            right = (table[keys] == orbitals) * np.prod([
+                np.sum(np.abs(phase_estimate(ph[:basis.size], n + p)) ** 2
+                       * (read == key[:, None]), axis=1)
+                for ph, n, read, key in zip(phases.T, bits, reads, keys)],
+                axis=0)
+            if np.all(right >= 1.0 - (eps_pe or PHASE_TOL)):
+                return cls(basis, readouts, table[np.ix_(*reads)],
+                           phases[:, :len(bits)],
+                           np.append(orbitals, basis.size + modes), symmetry)
+            if eps_pe is None:
+                raise DegeneracyError("two orbitals share their key in every "
+                                      "readout")
+            if n_energy == MAX_PHASE_BITS:
+                raise DegeneracyError(
+                    f"a {n_energy + p}-qubit energy readout reads the "
+                    "orbitals right with probabilities "
+                    f"{np.round(right, 6).tolist()}, not all 1 - eps_pe")
+            n_energy += 1
 
 
 def _phase_clusters(phases: np.ndarray):
@@ -278,66 +371,6 @@ def _phase_clusters(phases: np.ndarray):
         else:
             clusters.append([i])
     return [g for g in clusters if len(g) > 1]
-
-
-def phase_estimate(
-    state: QuantumState,
-    readout_segment: str,
-    target_segment: str,
-    u,
-    adjoint: bool = False,
-) -> QuantumState:
-    """Phase estimation of u on the target, writing its eigenphase into
-    (adjoint: erasing it from) the readout, a distinct segment.  The circuit
-    (QFT on the readout, u^(2^b) controlled by readout qubit b, inverse QFT)
-    applies u^(+-k) wherever the readout holds k.  u is either the integer
-    array `sites` of a permutation u|x> = |sites[x]>, whose powers are one
-    relabel of (target, readout), or (grid, phases) for orthonormal columns,
-    u = I + grid diag(e^{2 pi i phases} - 1) grid^dagger: the state then
-    gains grid (QFT^-1 e^{+-2 pi i phases k} QFT - 1) c for its projections
-    c onto the columns, so only c is transformed.
-    """
-    readout = state.layout.segment(readout_segment)
-    target = state.layout.segment(target_segment)
-    spectral = isinstance(u, tuple)
-    if spectral:
-        grid, phases = (np.asarray(a) for a in u)
-        fits = grid.shape == (target.dim, phases.size)
-    else:
-        fits = np.array_equal(np.sort(u), np.arange(target.dim))
-    if readout == target or not fits:
-        raise StructuralError("phase estimation needs a readout apart "
-                              "from the target and u on the target's values")
-    k = np.arange(readout.dim)
-    if not spectral:
-        step = np.argsort(u) if adjoint else np.asarray(u)
-        # row j of `power` is the j-th power of the permutation
-        power = np.arange(target.dim)[None, :]
-        while power.shape[0] < readout.dim:
-            power, step = np.concatenate([power, step[power]]), step[step]
-        state = relabel(qft(state, readout_segment),
-                        [target_segment, readout_segment],
-                        (power + target.dim * k[:, None]).ravel())
-        return qft(state, readout_segment, inverse=True)
-    if np.max(np.abs(grid.conj().T @ grid - np.eye(phases.size)),
-              initial=0.0) > MATRIX_TOL:
-        raise ValidationError("grid columns are not orthonormal")
-    # the target's values as rows, every other index as columns; the
-    # readout's axis among the columns is `r`
-    view, (t, r) = segment_view(state, [target_segment, readout_segment])
-    rows = np.moveaxis(view, t, 0)
-    r -= r > t
-    # einsum sums in its own loops, whatever BLAS does
-    coef = np.einsum("xj,xr->jr", grid.conj(), rows.reshape(target.dim, -1)
-                     ).reshape(phases.size, -1, readout.dim,
-                               math.prod(rows.shape[r + 2:]))
-    kick = np.exp((-2j if adjoint else 2j) * np.pi * np.outer(phases, k))
-    # the QFT and its inverse as `qft` applies them
-    coef = np.fft.fft(np.fft.ifft(coef, axis=2, norm="ortho")
-                      * kick[:, None, :, None], axis=2, norm="ortho") - coef
-    gain = np.einsum("xj,jr->xr", grid, coef.reshape(phases.size, -1))
-    return QuantumState(state.layout, (view + np.moveaxis(
-        gain.reshape(rows.shape), 0, t)).reshape(-1))
 
 
 @dataclass
@@ -377,38 +410,6 @@ def fock_encode(occupation: OccupationVector, counter_width: int = 1) -> int:
     return code
 
 
-def _decrement_fock(
-    state: QuantumState,
-    config: PhaseEstimationConfig,
-    fock_segment: str,
-    counter_width: int,
-) -> tuple[QuantumState, np.ndarray, float]:
-    """Relabeling permutation: on branches whose readouts read orbital
-    i's keys, remove one quantum of orbital i from the occupation
-    register, a modular decrement of its counter (a bit flip when the
-    counter is one bit wide, as for fermions).  Branches with an ambiguous
-    readout, or one naming an orbital the register has no counter for,
-    are left untouched.  One table over the joint value of (readouts...,
-    occupation register) drives the relabel, and the orbital and ambiguous
-    masses sum the readouts' joint masses by lookup cell.
-    """
-    names = [name for name, *_ in config.readouts]
-    fock = state.layout.segment(fock_segment)
-    # transposed, the lookup ravels first readout least significant
-    cells = np.where(config.lookup < fock.width // counter_width,
-                     config.lookup, -1).T.ravel()
-    mass = np.bincount(cells + 1, weights=segment_masses(state, names),
-                       minlength=config.basis.size + 1)
-    fvals, readouts = np.divmod(np.arange(cells.size * fock.dim), cells.size)
-    orb = cells[readouts]
-    shift, cmask = np.maximum(orb, 0) * counter_width, (1 << counter_width) - 1
-    count = (fvals >> shift) & cmask
-    flip = np.where(orb >= 0, count ^ ((count - 1) & cmask), 0) << shift
-    state = relabel(state, names + [fock_segment],
-                    readouts + (fvals ^ flip) * cells.size)
-    return state, mass[1:], float(mass[0])
-
-
 def identify_and_decrement(
     state: QuantumState,
     config: PhaseEstimationConfig,
@@ -421,63 +422,32 @@ def identify_and_decrement(
     phase-estimate which orbital the register holds, remove that orbital's
     quantum from the occupation register, undo the estimation, and recycle
     the readouts by measured reset, drawing outcomes from the numpy
-    Generator `rng`.  The layout must hold each of the config's readout
-    segments (`segments()`), and no readout that its Kraus map stands in
-    for (`_kraus_pass`); the occupation register holds one
-    `counter_width`-bit counter per orbital.
-    """
-    if config.kraus is not None:
-        return _kraus_pass(state, config, fock_segment, particle_segment,
-                           rng, counter_width)
-    for name, width, *_ in config.readouts:
-        if state.layout.segment(name).width != width:
-            raise StructuralError(
-                f"readout segment {name!r} is not {width} qubits wide")
+    Generator `rng`.  The layout holds none of the config's readouts
+    (`segments()`); the occupation register holds one `counter_width`-bit
+    counter per orbital.
 
-    for name, _, u in config.readouts:
-        state = phase_estimate(state, name, particle_segment, u)
-    state, orbital_mass, ambiguous_mass = _decrement_fock(
-        state, config, fock_segment, counter_width)
-    for name, _, u in reversed(config.readouts):
-        state = phase_estimate(state, name, particle_segment, u,
-                               adjoint=True)
-
-    # recycle each readout by measured reset; a nonzero outcome flags
-    # imperfect uncomputation upstream
-    outcomes = []
-    for name, *_ in config.readouts:
-        outcome, state = measure_segment(state, name, rng)
-        if outcome:
-            state = relabel(state, [name], np.arange(
-                state.layout.segment(name).dim) ^ outcome)
-        outcomes.append(outcome)
-    return state, IdentificationRecord(orbital_mass, ambiguous_mass,
-                                       tuple(outcomes))
-
-
-def _kraus_pass(state, config, fock_segment, particle_segment, rng,
-                counter_width):
-    """`identify_and_decrement` with the energy readout as the Kraus map
-    K_r = sum_j Pi_j (x) sum_o C[j, r, o] D_o + [r = 0] Pi_perp (x) D_o(0),
-    for the state that holds no readout (C is `config.kraus`).
-
-    Pi_j projects the particle register onto grid column phi_j and Pi_perp
-    onto the rest, whose phase 0 reads r = 0; D_o decrements counter o, and
-    is the identity for o = -1 or an orbital without a counter; o(0) is
-    the orbital that readout value 0 names.  With c_j = phi_j^dagger psi,
-    outcome r leaves sum_j phi_j (x) A[j, r] (plus D_o(0) Pi_perp psi at
-    r = 0), A[j, r] = sum_o C[j, r, o] D_o c_j, drawn and normalized as
-    `measure_segment` draws and normalizes.  The record's masses are the
-    Fejer masses P[j, o] |c_j|^2, as the estimated readout holds them.
+    The pass is the Kraus map K_r = sum_c Pi_c (x) sum_o C[c, r, o] D_o,
+    with (C, P) the `config.instrument`.  Pi_c projects the particle
+    register onto component c: grid column phi_j, or the modes of the rest
+    of one phase; D_o decrements counter o, and is the identity for o = -1
+    or an orbital without a counter.  With x_c the projections, outcome
+    r = (r_1, ...) has mass p(r) = sum_c |sum_o C[c, r, o] D_o x_c|^2, a
+    quadratic form in the Gram matrix <D_o x_c, D_o' x_c>, so no array
+    spans the readout values and the state at once.  r is drawn one readout
+    at a time, each by `measure_segment`'s draw and checks on its masses
+    given the outcomes before it, and leaves sum_c sum_o C[c, r, o] D_o x_c
+    / sqrt(p(r)).  The record's masses are the Fejer masses P[c, o]
+    |x_c|^2, as the estimated readouts hold them.
     """
     names = {seg.name for seg in state.layout}
-    for name, *_ in config.segments(emulated=True):
+    for name, *_ in config.segments():
         if name in names:
             raise StructuralError(f"the layout holds readout {name!r}, "
                                   "which the Kraus map stands in for")
     grid = config.readouts[0][2][0]
+    size = config.basis.size
     fock = state.layout.segment(fock_segment)
-    counters = min(fock.width // counter_width, config.basis.size)
+    counters = min(fock.width // counter_width, size)
     # row 1 + o of `source` reads, for each occupation value, the value
     # that D_o sends there: counter o incremented, or the value itself for
     # an orbital without a counter and in row 0, which names no orbital
@@ -485,7 +455,7 @@ def _kraus_pass(state, config, fock_segment, particle_segment, rng,
     shift = np.arange(counters)[:, None] * counter_width
     cmask = (1 << counter_width) - 1
     count = (values >> shift) & cmask
-    source = np.tile(values, (config.basis.size + 1, 1))
+    source = np.tile(values, (size + 1, 1))
     source[1:counters + 1] ^= (count ^ ((count + 1) & cmask)) << shift
 
     view, (x, f) = segment_view(state, [particle_segment, fock_segment])
@@ -496,40 +466,60 @@ def _kraus_pass(state, config, fock_segment, particle_segment, rng,
     # columns that hold nothing are left out, so that registers which stay
     # blank (and their size) change no sum
     columns = np.flatnonzero(table.any(axis=(0, 1)))
-    rows = table[:, :, columns]
+    held = table[:, :, columns]
     # einsum sums in its own loops, whatever BLAS does
-    coef = np.einsum("xj,xfy->jfy", grid.conj(), rows)
-    perp = rows - np.einsum("xj,jfy->xfy", grid, coef)
-    amps = np.einsum("jro,jofy->jrfy", config.kraus, coef[:, source])
-    zero = int(config.lookup[0]) + 1  # the cell that the rest reads
-    parts, rest = (a[..., None].view(np.float64) for a in (amps, perp))
-    probs = np.einsum("jrfyz,jrfyz->r", parts, parts)
-    rest = np.einsum("xfyz,xfyz->", rest, rest)
-    probs[0] += rest
+    coef = np.einsum("xj,xfy->jfy", grid.conj(), held)
+    rest = held - np.einsum("xj,jfy->xfy", grid, coef)
+    if config.symmetry is not None:
+        rest = config.symmetry.modes(rest)
+    # each orbital's and mode's part after each decrement D_o
+    shifted = np.concatenate([coef, rest])[:, source]
+    # gram[c, o, p] sums <D_o x, D_p x> over the parts x of component c,
+    # from their float view, with no conjugate copied: re re + im im, and
+    # i (re im - im re)
+    parts = shifted[..., None].view(np.float64)
+    cross = np.einsum("kofy,kpfy->kop", parts[..., 0], parts[..., 1])
+    kraus, masses = config.instrument
+    gram = np.zeros((len(kraus), size + 1, size + 1), complex)
+    np.add.at(gram, config.components,
+              np.einsum("kofyz,kpfyz->kop", parts, parts)
+              + 1j * (cross - cross.transpose(0, 2, 1)))
+    flat = kraus.reshape(len(gram), -1, size + 1)
+    # a quadratic form can round below 0 where p(r) is 0
+    probs = np.maximum(np.einsum("cro,cop,crp->r", flat.conj(), gram, flat)
+                       .real, 0.0).reshape(config.lookup.shape)
 
-    total = probs.sum()
-    if not abs(math.sqrt(total) - 1.0) <= 1e-8:  # NaN fails too
-        raise ValidationError(f"state norm {math.sqrt(total)} deviates from 1")
-    outcome = int(rng.choice(probs.size, p=probs / total))
-    p = probs[outcome]
-    if p <= 0:
-        raise ImpossibleOutcomeError(f"outcome {outcome} has zero probability")
-    kept = np.einsum("xj,jfy->xfy", grid, amps[:, outcome])
-    if outcome == 0:
-        kept += perp[:, source[zero]]
+    # each readout's measured reset in turn, on its masses given the
+    # outcomes drawn before it
+    joint, outcomes = probs, []
+    for _ in config.readouts:
+        marginal = joint.reshape(joint.shape[0], -1).sum(axis=1)
+        total = marginal.sum()
+        if not abs(math.sqrt(total) - 1.0) <= 1e-8:  # NaN fails too
+            raise ValidationError(
+                f"state norm {math.sqrt(total)} deviates from 1")
+        outcome = int(rng.choice(marginal.size, p=marginal / total))
+        if marginal[outcome] <= 0:
+            raise ImpossibleOutcomeError(
+                f"outcome {outcome} has zero probability")
+        joint = joint[outcome] / marginal[outcome]
+        outcomes.append(outcome)
+    kept = np.einsum("ko,kofy->kfy",
+                     kraus[(slice(None), *outcomes)][config.components],
+                     shifted)
+    if config.symmetry is not None:
+        kept[size:] = config.symmetry.modes(kept[size:], inverse=True)
     out = np.zeros_like(table)
-    out[:, :, columns] = kept / np.sqrt(p)
+    out[:, :, columns] = (np.einsum("xj,jfy->xfy", grid, kept[:size])
+                          + kept[size:]) / np.sqrt(probs[tuple(outcomes)])
     out = np.moveaxis(out.reshape(shape), (0, 1), (x, f))
 
-    parts = coef[..., None].view(np.float64)
-    cells = np.einsum("jo,j->o", config.masses,
-                      np.einsum("jfyz,jfyz->j", parts, parts))
-    cells[zero] += rest
-    orbital_mass = np.zeros(config.basis.size)
+    cells = np.einsum("co,c->o", masses, gram[:, 0, 0].real)
+    orbital_mass = np.zeros(size)
     orbital_mass[:counters] = cells[1:counters + 1]
     return QuantumState(state.layout, out.reshape(-1)), IdentificationRecord(
         orbital_mass, float(cells[0] + cells[counters + 1:].sum()),
-        (outcome,))
+        tuple(outcomes))
 
 
 def verify_uncomputation(

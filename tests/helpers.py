@@ -17,11 +17,12 @@ import math
 from gridprep.basis import EMPTY_MASS_THRESHOLD, BasisSet, _hermite_value, \
     kronecker_delta
 from gridprep.compose import PreparedState
+from gridprep.discriminate import IdentificationRecord
 from gridprep.errors import StructuralError, ValidationError
 from gridprep.loader import load_error_bound
 from gridprep.statevec import MATRIX_TOL, DensityMatrix, QuantumState, \
-    RegisterLayout, SparseState, extract_segment_vector, partial_trace, \
-    vector_norm
+    RegisterLayout, SparseState, extract_segment_vector, measure_segment, \
+    partial_trace, qft, relabel, segment_masses, segment_view, vector_norm
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -222,7 +223,7 @@ def reference_lookup(phases, bits, p: int) -> np.ndarray:
 
 
 def reference_decrement_fock(state, config, fock_segment, counter_width):
-    """`discriminate._decrement_fock` over the whole index range."""
+    """`register_decrement_fock` over the whole index range."""
     layout = state.layout
     idx = np.arange(layout.dim)
     n_counters = layout.segment(fock_segment).width // counter_width
@@ -252,6 +253,145 @@ def reference_measure_segment(state: QuantumState, segment: str, rng):
     amps = np.where(vals == outcome, state.amplitudes, 0.0) \
         / np.sqrt(probs[outcome])
     return outcome, probs, QuantumState(state.layout, amps)
+
+
+# -- the readouts as registers of the state: the reference for
+# `discriminate.identify_and_decrement` and `discriminate.phase_estimate` ---
+
+def register_phase_estimate(
+    state: QuantumState,
+    readout_segment: str,
+    target_segment: str,
+    u,
+    adjoint: bool = False,
+) -> QuantumState:
+    """Phase estimation of u on the target, writing its eigenphase into
+    (adjoint: erasing it from) the readout, a distinct segment of the
+    state.  The circuit
+    (QFT on the readout, u^(2^b) controlled by readout qubit b, inverse QFT)
+    applies u^(+-k) wherever the readout holds k.  u is either the integer
+    array `sites` of a permutation u|x> = |sites[x]>, whose powers are one
+    relabel of (target, readout), or (grid, phases) for orthonormal columns,
+    u = I + grid diag(e^{2 pi i phases} - 1) grid^dagger: the state then
+    gains grid (QFT^-1 e^{+-2 pi i phases k} QFT - 1) c for its projections
+    c onto the columns, so only c is transformed.
+    """
+    readout = state.layout.segment(readout_segment)
+    target = state.layout.segment(target_segment)
+    spectral = isinstance(u, tuple)
+    if spectral:
+        grid, phases = (np.asarray(a) for a in u)
+        fits = grid.shape == (target.dim, phases.size)
+    else:
+        fits = np.array_equal(np.sort(u), np.arange(target.dim))
+    if readout == target or not fits:
+        raise StructuralError("phase estimation needs a readout apart "
+                              "from the target and u on the target's values")
+    k = np.arange(readout.dim)
+    if not spectral:
+        step = np.argsort(u) if adjoint else np.asarray(u)
+        # row j of `power` is the j-th power of the permutation
+        power = np.arange(target.dim)[None, :]
+        while power.shape[0] < readout.dim:
+            power, step = np.concatenate([power, step[power]]), step[step]
+        state = relabel(qft(state, readout_segment),
+                        [target_segment, readout_segment],
+                        (power + target.dim * k[:, None]).ravel())
+        return qft(state, readout_segment, inverse=True)
+    if np.max(np.abs(grid.conj().T @ grid - np.eye(phases.size)),
+              initial=0.0) > MATRIX_TOL:
+        raise ValidationError("grid columns are not orthonormal")
+    # the target's values as rows, every other index as columns; the
+    # readout's axis among the columns is `r`
+    view, (t, r) = segment_view(state, [target_segment, readout_segment])
+    rows = np.moveaxis(view, t, 0)
+    r -= r > t
+    # einsum sums in its own loops, whatever BLAS does
+    coef = np.einsum("xj,xr->jr", grid.conj(), rows.reshape(target.dim, -1)
+                     ).reshape(phases.size, -1, readout.dim,
+                               math.prod(rows.shape[r + 2:]))
+    kick = np.exp((-2j if adjoint else 2j) * np.pi * np.outer(phases, k))
+    # the QFT and its inverse as `qft` applies them
+    coef = np.fft.fft(np.fft.ifft(coef, axis=2, norm="ortho")
+                      * kick[:, None, :, None], axis=2, norm="ortho") - coef
+    gain = np.einsum("xj,jr->xr", grid, coef.reshape(phases.size, -1))
+    return QuantumState(state.layout, (view + np.moveaxis(
+        gain.reshape(rows.shape), 0, t)).reshape(-1))
+
+
+def register_decrement_fock(state, config, fock_segment, counter_width):
+    """Relabeling permutation: on branches whose readouts read orbital
+    i's keys, remove one quantum of orbital i from the occupation
+    register, a modular decrement of its counter (a bit flip when the
+    counter is one bit wide, as for fermions).  Branches with an ambiguous
+    readout, or one naming an orbital the register has no counter for,
+    are left untouched.  One table over the joint value of (readouts...,
+    occupation register) drives the relabel, and the orbital and ambiguous
+    masses sum the readouts' joint masses by lookup cell.
+    """
+    names = [name for name, *_ in config.readouts]
+    fock = state.layout.segment(fock_segment)
+    # transposed, the lookup ravels first readout least significant
+    cells = np.where(config.lookup < fock.width // counter_width,
+                     config.lookup, -1).T.ravel()
+    mass = np.bincount(cells + 1, weights=segment_masses(state, names),
+                       minlength=config.basis.size + 1)
+    fvals, readouts = np.divmod(np.arange(cells.size * fock.dim), cells.size)
+    orb = cells[readouts]
+    shift, cmask = np.maximum(orb, 0) * counter_width, (1 << counter_width) - 1
+    count = (fvals >> shift) & cmask
+    flip = np.where(orb >= 0, count ^ ((count - 1) & cmask), 0) << shift
+    state = relabel(state, names + [fock_segment],
+                    readouts + (fvals ^ flip) * cells.size)
+    return state, mass[1:], float(mass[0])
+
+
+def register_identify_and_decrement(state, config, fock_segment,
+                                    particle_segment, rng, counter_width=1):
+    """`discriminate.identify_and_decrement` on a state that holds every
+    readout as a register, blank on entry: estimate each readout in turn,
+    decrement (`register_decrement_fock`), undo the estimations in reverse
+    order, and recycle each readout by measured reset.
+    """
+    for name, width, *_ in config.readouts:
+        if state.layout.segment(name).width != width:
+            raise StructuralError(
+                f"readout segment {name!r} is not {width} qubits wide")
+    for name, _, u in config.readouts:
+        state = register_phase_estimate(state, name, particle_segment, u)
+    state, orbital_mass, ambiguous_mass = register_decrement_fock(
+        state, config, fock_segment, counter_width)
+    for name, _, u in reversed(config.readouts):
+        state = register_phase_estimate(state, name, particle_segment, u,
+                                        adjoint=True)
+    # a nonzero outcome flags imperfect uncomputation upstream
+    outcomes = []
+    for name, *_ in config.readouts:
+        outcome, state = measure_segment(state, name, rng)
+        if outcome:
+            state = relabel(state, [name], np.arange(
+                state.layout.segment(name).dim) ^ outcome)
+        outcomes.append(outcome)
+    return state, IdentificationRecord(orbital_mass, ambiguous_mass,
+                                       tuple(outcomes))
+
+
+def register_identify(state, config, fock_segment, particle_segment, rng,
+                      counter_width=1):
+    """`register_identify_and_decrement` on `state` with the readouts
+    appended blank, returned on the layout of `state`: the measured resets
+    leave the readouts blank.
+    """
+    held = RegisterLayout([*((seg.name, seg.role, seg.width)
+                             for seg in state.layout), *config.segments()])
+    amps = np.zeros(held.dim, dtype=np.complex128)
+    amps[:state.layout.dim] = state.amplitudes
+    out, record = register_identify_and_decrement(
+        QuantumState(held, amps), config, fock_segment, particle_segment,
+        rng, counter_width)
+    assert not out.amplitudes[state.layout.dim:].any()
+    return QuantumState(state.layout, out.amplitudes[:state.layout.dim]), \
+        record
 
 
 # -- gate-level phase estimation: the reference for the closed form --------
@@ -376,8 +516,8 @@ def reference_antisymmetrize(state: QuantumState, b_segments, p_segments,
     return (state if len(p_segments) == 1 else out), counters
 
 
-def reference_prepare(kind, species, l, spec, load, head=(), tail=(),
-                      blank=(), rho=False) -> PreparedState:
+def reference_prepare(kind, species, l, spec, load, head=(), blank=(),
+                      rho=False) -> PreparedState:
     """`compose._prepare` with the load run on the layout that holds the
     permutation banks, and each bank (anti)symmetrized from the dense
     vector.  The `blank` readouts, whose registers the load stands in for,
@@ -390,7 +530,7 @@ def reference_prepare(kind, species, l, spec, load, head=(), tail=(),
              for occ, prefix in species]
     perms = [permutation_segments(occ.m, prefix=f"{prefix}perm")
              for occ, prefix in species]
-    layout = RegisterLayout([*head, *sum(parts + perms, []), *tail])
+    layout = RegisterLayout([*head, *sum(parts + perms, [])])
     counters: dict = {}
     state, attempts = load(layout, [names(p) for p in parts], counters)
     syms = []

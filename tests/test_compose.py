@@ -2,7 +2,6 @@
 import inspect
 import math
 from collections import Counter
-from dataclasses import replace
 from itertools import permutations
 from unittest import mock
 
@@ -44,7 +43,7 @@ from gridprep.errors import DegeneracyError, ResourceError, \
     RetryBudgetError, ValidationError
 from gridprep.loader import load_error_bound
 from helpers import eigenvalues, outputs_under_blas_threads, purity, \
-    reference_prepare
+    reference_prepare, register_identify
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
 
@@ -549,17 +548,20 @@ class TestAgainstFullLayoutLoad:
 
 
 
-# -- the energy readout as a Kraus map against its register -----------------
+# -- the readouts as a Kraus map against their registers --------------------
 
 IRRATIONAL_LEVELS = [0.0, math.sqrt(2), math.sqrt(5)]
 
 
 @st.composite
-def energy_readout_calls(draw):
-    """`prepare_superposition` keyword arguments with an energy readout
-    alone: exact phases (levels 0, 1, 2 at t = 2 pi / 4) or irrational ones
-    (levels 0, sqrt 2, sqrt 5 at a random t, read with eps_pe), fermionic
-    or bosonic terms with m = 1 or 2, and a random measurement seed.
+def readout_calls(draw):
+    """`prepare_superposition` keyword arguments: an energy readout alone,
+    with exact phases (levels 0, 1, 2 at t = 2 pi / 4) or irrational ones
+    (levels 0, sqrt 2, sqrt 5 at a random t, read with eps_pe), or split by
+    a symmetry readout (ring plane waves 0, 1, -1 at levels 0, 1, 1 and a
+    cyclic shift of step 1 or 3, or box sines 1, 2, 3 at levels 0, 0, 1 and
+    a reflection); fermionic or bosonic terms with m = 1 or 2, and a random
+    measurement seed.
     """
     statistics = draw(st.sampled_from(["fermionic", "bosonic"]))
     occs = _patterns(draw, 3, statistics, draw(st.integers(1, 2)))
@@ -569,34 +571,39 @@ def energy_readout_calls(draw):
     l = draw(st.integers(2, 3))
     call = dict(sup=FockSuperposition.from_terms(list(zip(amps, occs))),
                 l=l, spec=CDF, seed=draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["exact", "irrational", "shift",
+                                 "reflection"]))
+    if kind == "exact":
         return dict(call, basis=_grid_basis(draw, l, [0.0, 1.0, 2.0]),
                     t=2 * np.pi / 4)
-    return dict(call, basis=_grid_basis(draw, l, IRRATIONAL_LEVELS),
-                t=draw(st.floats(0.3, 3.0)),
-                eps_pe=draw(st.sampled_from([0.3, 0.1, 0.05])))
+    if kind == "irrational":
+        return dict(call, basis=_grid_basis(draw, l, IRRATIONAL_LEVELS),
+                    t=draw(st.floats(0.3, 3.0)),
+                    eps_pe=draw(st.sampled_from([0.3, 0.1, 0.05])))
+    if kind == "shift":
+        basis = BasisSet([ring_plane_wave(k, energy=e)
+                          for k, e in [(0, 0.0), (1, 1.0), (-1, 1.0)]])
+        symmetry = SymmetryOperator("cyclic-shift", draw(st.sampled_from(
+            [1, 3])))
+    else:
+        basis = BasisSet([box_sine(n, energy=e)
+                          for n, e in [(1, 0.0), (2, 0.0), (3, 1.0)]])
+        symmetry = SymmetryOperator("reflection")
+    return dict(call, basis=basis, t=2 * np.pi / 4, symmetry=symmetry)
 
 
-def _run_recorded(call, register):
+def _run_recorded(call, identify):
     """The preparation (or the exception it raised) and every
-    identification record, with the energy readout held as a register when
-    `register`.
+    identification record, with `identify` as the identification pass.
     """
     records = []
 
-    def identify(*args, **kwargs):
-        state, record = identify_and_decrement(*args, **kwargs)
+    def recorded(*args, **kwargs):
+        state, record = identify(*args, **kwargs)
         records.append(record)
         return state, record
 
-    build = PhaseEstimationConfig.build
-
-    def register_build(*args, **kwargs):
-        return replace(build(*args, **kwargs), kraus=None, masses=None)
-
-    with mock.patch.object(compose, "identify_and_decrement", identify), \
-            mock.patch.object(PhaseEstimationConfig, "build",
-                              register_build if register else build):
+    with mock.patch.object(compose, "identify_and_decrement", recorded):
         try:
             return prepare_superposition(**call), records
         except RetryBudgetError as exc:
@@ -605,17 +612,18 @@ def _run_recorded(call, register):
 
 class TestKrausAgainstRegister:
     @settings(max_examples=40, deadline=None)
-    @given(energy_readout_calls())
+    @given(readout_calls())
     def test_equal_to_the_register_path(self, call):
         try:
             config = PhaseEstimationConfig.build(
                 call["basis"], call["l"], t=call["t"],
-                eps_pe=call.get("eps_pe"))
+                eps_pe=call.get("eps_pe"), symmetry=call.get("symmetry"))
         except DegeneracyError:  # a random t can make two phases collide
             assume(False)
-        assume(config.readouts[0][1] <= 8)  # keeps the register small
-        prep, records = _run_recorded(call, register=False)
-        ref, ref_records = _run_recorded(call, register=True)
+        # keeps the register small
+        assume(sum(width for *_, width in config.segments()) <= 8)
+        prep, records = _run_recorded(call, identify_and_decrement)
+        ref, ref_records = _run_recorded(call, register_identify)
         assert len(records) == len(ref_records)
         for record, ref_record in zip(records, ref_records):
             assert record.readout_outcomes == ref_record.readout_outcomes
@@ -631,8 +639,7 @@ class TestKrausAgainstRegister:
         assert prep.report.qubits == ref.report.qubits
         np.testing.assert_allclose(prep.vector, ref.vector, rtol=0,
                                    atol=1e-12)
-        assert "readout" not in {seg.name for seg in prep.state.layout}
-        assert "readout" in {seg.name for seg in ref.state.layout}
+        assert all(seg.role != "readout" for seg in prep.state.layout)
 
 
 class TestReadoutLayout:
@@ -661,7 +668,8 @@ class TestReadoutLayout:
         assert pure_infidelity(prep.vector, superposition_oracle(
             sup, basis, l)) <= prep.report.error_bound
 
-    def test_symmetry_readouts_kept(self):
+    def test_symmetry_readouts_left_out(self):
+        # the report still counts the readout (2) and symread (3) qubits
         ring = BasisSet([ring_plane_wave(0, energy=0.0),
                          ring_plane_wave(1, energy=1.0),
                          ring_plane_wave(-1, energy=1.0)])
@@ -669,9 +677,27 @@ class TestReadoutLayout:
         prep = prepare_superposition(
             sup, ring, 3, CDF, t=2 * np.pi / 4,
             symmetry=SymmetryOperator("cyclic-shift"), seed=1)
-        assert [(seg.name, seg.width) for seg in prep.state.layout
-                if seg.role == "readout"] == [("readout", 2), ("symread", 3)]
+        assert all(seg.role != "readout" for seg in prep.state.layout)
+        assert prep.state.layout.n_total == 9
         assert prep.report.qubits == 16
+        assert pure_infidelity(prep.vector, superposition_oracle(
+            sup, ring, 3)) <= prep.report.error_bound
+
+
+class TestEdgePhases:
+    def test_within_bound_over_50_seeds(self):
+        # orbital n = 3 has theta 2^5 = 20.4985, near the edge of its key's
+        # window: the energy readout widens from 9 to 10 qubits so that
+        # every orbital reads right with probability 1 - eps_pe
+        basis = BasisSet([box_sine(n, energy=float(np.sqrt(1.7 * n)))
+                          for n in (7, 5, 4, 3)])
+        sup = FockSuperposition.from_strings([(0.6, "1100"), (0.8, "0011")])
+        target = superposition_oracle(sup, basis, 3)
+        for seed in range(50):
+            prep = prepare_superposition(sup, basis, 3, CDF, t=1.0,
+                                         eps_pe=0.05, seed=seed)
+            assert pure_infidelity(prep.vector, target) \
+                <= prep.report.error_bound, seed
 
 
 # -- every driver within its proved bound -----------------------------------

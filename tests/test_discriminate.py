@@ -1,12 +1,11 @@
 """Phase estimation, lookup windows, symmetry readouts, uncomputation."""
-from dataclasses import replace
-from functools import partial
+from functools import partial, reduce
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -14,9 +13,9 @@ from gridprep import discriminate
 from gridprep.basis import BasisSet, IntegrationSpec, box_sine, \
     ring_plane_wave
 from gridprep.discriminate import (
+    MAX_PHASE_BITS,
     PhaseEstimationConfig,
     SymmetryOperator,
-    _decrement_fock,
     _instrument,
     energy_phases,
     extra_qubits_for,
@@ -28,7 +27,8 @@ from gridprep.errors import DegeneracyError, StructuralError, ValidationError
 from gridprep.loader import load_orbital
 from gridprep.statevec import QuantumState, RegisterLayout, vector_norm
 from helpers import fock_matrix, from_basis_index, qft_matrix, \
-    reference_decrement_fock, reference_lookup, segment_probabilities, \
+    reference_decrement_fock, reference_lookup, register_decrement_fock, \
+    register_identify, register_phase_estimate, segment_probabilities, \
     symmetry_unitary, textbook_phase_estimate
 
 CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
@@ -76,6 +76,23 @@ class TestSymmetryOperator:
         phi = BasisSet([box_sine(1), box_sine(2)]).grid_matrix(3)
         assert op.eigenphase(phi[:, 0]) == pytest.approx(0.0, abs=1e-10)
         assert op.eigenphase(phi[:, 1]) == pytest.approx(0.5, abs=1e-10)
+
+    @pytest.mark.parametrize("op", [
+        SymmetryOperator("reflection"), SymmetryOperator("cyclic-shift"),
+        SymmetryOperator("cyclic-shift", 2),
+        SymmetryOperator("cyclic-shift", -3)])
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_modes_are_an_eigenbasis(self, op, l):
+        # the columns of the inverse transform are the basis vectors
+        vectors = op.modes(np.eye(1 << l), inverse=True)
+        np.testing.assert_allclose(vectors.conj().T @ vectors,
+                                   np.eye(1 << l), rtol=0, atol=1e-12)
+        assert np.allclose([op.eigenphase(v) for v in vectors.T],
+                           op.mode_phases(l), rtol=0, atol=1e-12)
+        values = np.random.default_rng(l).normal(size=(1 << l, 3, 2))
+        np.testing.assert_allclose(
+            op.modes(op.modes(values), inverse=True), values, rtol=0,
+            atol=1e-12)
 
     def test_non_eigenstate_rejected(self):
         op = SymmetryOperator("cyclic-shift")
@@ -221,10 +238,60 @@ class TestLookupAgainstWindows:
             phi = bas.grid_matrix(l)
             phases.append([symmetry.eigenphase(phi[:, j])
                            for j in range(bas.size)])
+        # the (n, p) the config chose: 8 bits resolve distinct levels, and
+        # with eps_pe the energy readout may widen past them until it reads
+        # every orbital right
         bits = [width - p for _, width, _ in cfg.readouts]
         assert len(bits) == 1 + (symmetry is not None)
-        assert max(bits) <= 8
+        assert max(bits) <= (8 if eps_pe is None else MAX_PHASE_BITS)
         assert np.array_equal(cfg.lookup, reference_lookup(phases, bits, p))
+
+
+#: Box-sine orbitals n = 7, 5, 4, 3 at energies sqrt(1.7 n): at t = 1,
+#: orbital n = 3 has theta 2^5 = 20.4985, near the edge of its 5-bit key's
+#: window, so with eps_pe = 0.05 its 9-qubit readout mostly reads key 21
+EDGE_BASIS = BasisSet([box_sine(n, energy=float(np.sqrt(1.7 * n)))
+                       for n in (7, 5, 4, 3)])
+
+
+def _read_right(thetas, n, p):
+    """The mass the closed-form readout of n + p qubits puts in each
+    orbital's window at n bits (`reference_lookup`).
+    """
+    cells = reference_lookup([thetas], [n], p)
+    return np.sum(np.abs(phase_estimate(thetas, n + p)) ** 2
+                  * (cells == np.arange(len(thetas))[:, None]), axis=1)
+
+
+class TestReadoutWidening:
+    @settings(max_examples=100, deadline=None)
+    @given(lookup_cases())
+    def test_every_orbital_read_right(self, case):
+        bas, l, eps_pe, symmetry, _ = case
+        assume(eps_pe is not None and symmetry is None)
+        cfg = PhaseEstimationConfig.build(bas, l, t=2 * np.pi, eps_pe=eps_pe)
+        (_, width, (_, thetas)), = cfg.readouts
+        right = _read_right(thetas, width - extra_qubits_for(eps_pe),
+                            extra_qubits_for(eps_pe))
+        assert np.all(right >= 1.0 - eps_pe)
+        _, masses = cfg.instrument
+        orbitals = np.arange(bas.size)
+        np.testing.assert_allclose(masses[orbitals, 1 + orbitals], right,
+                                   rtol=0, atol=1e-12)
+
+    def test_edge_phase_widens_the_readout(self):
+        cfg = PhaseEstimationConfig.build(EDGE_BASIS, 3, t=1.0, eps_pe=0.05)
+        (_, width, (_, thetas)), = cfg.readouts
+        assert width == 10
+        # at the separating width, 5 bits + p = 4, orbital n = 3 misreads
+        assert _read_right(thetas, 5, 4)[3] < 0.95 <= min(
+            _read_right(thetas, 6, 4))
+
+    def test_no_width_reads_right(self):
+        # the energy readout would widen past MAX_PHASE_BITS (5 here)
+        with mock.patch.object(discriminate, "MAX_PHASE_BITS", 5), \
+                pytest.raises(DegeneracyError, match="eps_pe"):
+            PhaseEstimationConfig.build(EDGE_BASIS, 3, t=1.0, eps_pe=0.05)
 
 
 def _pe_distribution(theta, q):
@@ -236,7 +303,8 @@ def _pe_distribution(theta, q):
     amps[1] = 1.0  # target |1>, readout |0>
     state = QuantumState(layout, amps)
     # u = diag(1, e^{2 pi i theta})
-    state = phase_estimate(state, "r", "t", (np.eye(2)[:, 1:], [theta]))
+    state = register_phase_estimate(state, "r", "t",
+                                    (np.eye(2)[:, 1:], [theta]))
     return segment_probabilities(state, "r"), state
 
 
@@ -267,23 +335,40 @@ class TestPhaseEstimate:
         h = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
         grid, _ = np.linalg.qr(h)
         for u in ((grid, rng.uniform(size=2)), rng.permutation(4)):
-            forward = phase_estimate(state, "r", "t", u)
-            back = phase_estimate(forward, "r", "t", u, adjoint=True)
+            forward = register_phase_estimate(state, "r", "t", u)
+            back = register_phase_estimate(forward, "r", "t", u, adjoint=True)
             np.testing.assert_allclose(back.amplitudes, amps, atol=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1,
+                    max_size=3), st.integers(1, 6))
+    def test_closed_form_readout_is_the_textbook_circuit(self, phases, width):
+        # the |1> eigenstate of diag(1, e^{2 pi i theta}) leaves the readout
+        # at the odd indices of the state
+        layout = RegisterLayout([("t", "particle", 1),
+                                 ("r", "readout", width)])
+        got = phase_estimate(np.array(phases), width)
+        for j, theta in enumerate(phases):
+            state = textbook_phase_estimate(
+                from_basis_index(layout, 1), "r", "t",
+                np.diag([1.0, np.exp(2j * np.pi * theta)]))
+            np.testing.assert_allclose(got[j], state.amplitudes[1::2],
+                                       rtol=0, atol=1e-12)
 
     def test_symmetry_discriminate_separates_conjugate_pair(self):
         layout = RegisterLayout([("x", "particle", 3), ("r", "readout", 3)])
         for k, expected in ((1, 1), (-1, 7)):
             state = QuantumState.zero(layout)
             state, _ = load_orbital(state, "x", ring_plane_wave(k), CDF)
-            state = phase_estimate(state, "r", "x",
-                                   SymmetryOperator("cyclic-shift").sites(3))
+            state = register_phase_estimate(
+                state, "r", "x", SymmetryOperator("cyclic-shift").sites(3))
             probs = segment_probabilities(state, "r")
             assert probs[expected] == pytest.approx(1.0, abs=1e-10)
 
 
 def _test_unitary(kind, l, rng):
-    """A readout's u on 2^l sites, in the form `phase_estimate` takes, and
+    """A readout's u on 2^l sites, in the form `register_phase_estimate`
+    takes, and
     its dense matrix: a propagator exp(-i F t) of up to 3 orbitals, so the
     complement is a large eigenspace of phase 0, or a grid symmetry.
     """
@@ -317,7 +402,7 @@ class TestClosedForm:
         amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
         state = QuantumState(layout, amps / np.linalg.norm(amps))
         u, dense = _test_unitary(kind, l, rng)
-        got = phase_estimate(state, "r", "t", u, adjoint=adjoint)
+        got = register_phase_estimate(state, "r", "t", u, adjoint=adjoint)
         want = textbook_phase_estimate(state, "r", "t", dense,
                                        adjoint=adjoint)
         np.testing.assert_allclose(got.amplitudes, want.amplitudes,
@@ -334,8 +419,8 @@ class TestClosedForm:
         layout = RegisterLayout([("t", "particle", 1), ("r", "readout", 2)])
         grid = np.array(matrix, dtype=complex)
         with pytest.raises(ValidationError, match="orthonormal"):
-            phase_estimate(QuantumState.zero(layout), "r", "t",
-                           (grid, np.full(grid.shape[1], 0.25)))
+            register_phase_estimate(QuantumState.zero(layout), "r", "t",
+                                    (grid, np.full(grid.shape[1], 0.25)))
 
     def test_segments_and_phases_checked(self):
         layout = RegisterLayout([("t", "particle", 2), ("r", "readout", 2)])
@@ -343,17 +428,15 @@ class TestClosedForm:
         for u in ((np.eye(4)[:, :2], [0.5]), np.arange(8),
                   np.array([0, 0, 1, 2])):
             with pytest.raises(StructuralError):
-                phase_estimate(state, "r", "t", u)
+                register_phase_estimate(state, "r", "t", u)
         with pytest.raises(StructuralError):
-            phase_estimate(state, "t", "t", np.arange(4))
+            register_phase_estimate(state, "t", "t", np.arange(4))
 
 
-def _loaded_state(bas, orbital_index, cfg, extra_fock=None):
-    segments = [("fock", "fock", bas.size), ("particle0", "particle", 3),
-                *cfg.segments()]
-    layout = RegisterLayout(segments)
-    fock_value = (1 << orbital_index) if extra_fock is None else extra_fock
-    state = from_basis_index(layout, fock_value)
+def _loaded_state(bas, orbital_index):
+    layout = RegisterLayout([("fock", "fock", bas.size),
+                             ("particle0", "particle", 3)])
+    state = from_basis_index(layout, 1 << orbital_index)
     state, _ = load_orbital(state, "particle0",
                             bas.orbitals[orbital_index], CDF)
     return state
@@ -368,7 +451,7 @@ class TestIdentifyAndDecrement:
 
     def test_clears_fock_bit_and_readout(self):
         for j in range(3):
-            state = _loaded_state(self.bas, j, self.cfg)
+            state = _loaded_state(self.bas, j)
             state, record = identify_and_decrement(
                 state, self.cfg, "fock", "particle0",
                 rng=np.random.default_rng(0))
@@ -380,7 +463,7 @@ class TestIdentifyAndDecrement:
             assert ok and outcome == 0
 
     def test_particle_state_survives(self):
-        state = _loaded_state(self.bas, 1, self.cfg)
+        state = _loaded_state(self.bas, 1)
         state, _ = identify_and_decrement(
             state, self.cfg, "fock", "particle0", rng=np.random.default_rng(0))
         from gridprep.statevec import extract_segment_vector
@@ -390,9 +473,8 @@ class TestIdentifyAndDecrement:
 
     def test_superposed_fock_branches(self):
         # (0.6 |001>|phi0> + 0.8 |010>|phi1>) -> fock empty on both branches
-        segments = [("fock", "fock", 3), ("particle0", "particle", 3),
-                    *self.cfg.segments()]
-        layout = RegisterLayout(segments)
+        layout = RegisterLayout([("fock", "fock", 3),
+                                 ("particle0", "particle", 3)])
         amps = np.zeros(layout.dim, dtype=complex)
         state = QuantumState(layout, amps)
         phi0 = self.bas.orbitals[0].grid_values(3)
@@ -413,8 +495,7 @@ class TestIdentifyAndDecrement:
         bas = BasisSet([box_sine(1, energy=0.0), box_sine(2, energy=1.0)])
         cfg = PhaseEstimationConfig.build(bas, 3, t=2 * np.pi / 4)
         layout = RegisterLayout([("fock", "fock", 4),
-                                 ("particle0", "particle", 3),
-                                 *cfg.segments()])
+                                 ("particle0", "particle", 3)])
         # counters (2, 0): value 0b0010
         state = from_basis_index(layout, 0b0010)
         state, _ = load_orbital(state, "particle0", bas.orbitals[0], CDF)
@@ -425,21 +506,20 @@ class TestIdentifyAndDecrement:
         assert vals[0b0001] == pytest.approx(1.0, abs=1e-10)
 
     def test_wrong_readout_width_rejected(self):
-        from gridprep.errors import StructuralError
+        # a held readout is rejected at any width
         layout = RegisterLayout([("fock", "fock", 3),
                                  ("particle0", "particle", 3),
                                  ("readout", "readout",
                                   self.cfg.readouts[0][1] + 1)])
         state = QuantumState.zero(layout)
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match="stands in for"):
             identify_and_decrement(state, self.cfg, "fock", "particle0",
                                    rng=np.random.default_rng(0))
-
 
     def test_emulated_readout_must_not_be_held(self):
         # the Kraus map stands in for the energy readout, so a layout that
         # holds it, even at its width, is not one the map was made for
-        (name, _, width), = self.cfg.segments(emulated=True)
+        (name, _, width), = self.cfg.segments()
         layout = RegisterLayout([("fock", "fock", 3),
                                  ("particle0", "particle", 3),
                                  (name, "readout", width)])
@@ -455,100 +535,144 @@ class TestIdentifyAndDecrement:
         cfg = PhaseEstimationConfig.build(
             ring, 3, t=2 * np.pi / 4,
             symmetry=SymmetryOperator("cyclic-shift"))
-        segments = cfg.segments()
-        name, role, width = segments[1]
-        segments[1] = (name, role, width + 1)
+        name, role, width = cfg.segments()[1]
         layout = RegisterLayout([("fock", "fock", 3),
-                                 ("particle0", "particle", 3), *segments])
-        with pytest.raises(StructuralError, match="symread"):
+                                 ("particle0", "particle", 3),
+                                 (name, role, width + 1)])
+        with pytest.raises(StructuralError, match="'symread'.*stands in for"):
             identify_and_decrement(QuantumState.zero(layout), cfg, "fock",
                                    "particle0", rng=np.random.default_rng(0))
 
 
 @st.composite
 def instrument_cases(draw):
-    """One to four random phases, a readout of 1-8 qubits and a lookup
-    whose values name the orbitals or -1 (none), -1 always among them.
+    """One to four components with a random phase in each of one or two
+    readouts (of up to 8 qubits in all), one to three orbitals, and a
+    lookup whose values name the orbitals or -1 (none), -1 always among
+    them.
     """
-    phases = np.array(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
-                                    min_size=1, max_size=4)))
-    q = draw(st.integers(1, 8))
+    widths = draw(st.one_of(st.tuples(st.integers(1, 8)),
+                            st.tuples(st.integers(1, 4), st.integers(1, 4))))
+    phases = np.array(draw(st.lists(
+        st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                 min_size=len(widths), max_size=len(widths)),
+        min_size=1, max_size=4)))
+    size = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    lookup = rng.integers(-1, phases.size, size=1 << q)
-    lookup[rng.integers(1 << q)] = -1
-    return phases, lookup
+    lookup = rng.integers(-1, size, size=[1 << w for w in widths])
+    lookup[tuple(rng.integers(1 << w) for w in widths)] = -1
+    return phases, lookup, size
+
+
+def _widths(lookup):
+    return [dim.bit_length() - 1 for dim in lookup.shape]
 
 
 class TestKrausInstrument:
     @settings(max_examples=60, deadline=None)
     @given(instrument_cases())
     def test_complete_and_equal_to_its_definition(self, case):
-        phases, lookup = case
-        kraus, masses = _instrument(phases, lookup, phases.size)
-        dim = lookup.size
-        width = dim.bit_length() - 1
-        cells = np.arange(phases.size + 1)[:, None] == lookup + 1
-        for j, theta in enumerate(phases):
-            # W_j = QFT^-1 diag(e^{2 pi i theta k}) QFT, as the estimator
-            w = qft_matrix(width, inverse=True) @ np.diag(np.exp(
-                2j * np.pi * theta * np.arange(dim))) @ qft_matrix(width)
+        phases, lookup, size = case
+        kraus, masses = _instrument(phases, lookup, size)
+        assert kraus.shape == (len(phases), *lookup.shape, size + 1)
+        # the lookup raveled first readout most significant, as np.kron
+        # orders the joint readout value
+        cells = np.arange(size + 1)[:, None] == lookup.ravel() + 1
+        for c, row in enumerate(phases):
+            # W_c = QFT^-1 diag(e^{2 pi i theta k}) QFT on each readout, as
+            # the estimator, and the joint readout is their product
+            w = reduce(np.kron, [
+                qft_matrix(n, inverse=True) @ np.diag(np.exp(
+                    2j * np.pi * theta * np.arange(1 << n))) @ qft_matrix(n)
+                for theta, n in zip(row, _widths(lookup))])
             want = np.einsum("kr,k,ok->ro", w.conj(), w[:, 0], cells)
-            np.testing.assert_allclose(kraus[j], want, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(masses[j],
+            got = kraus[c].reshape(-1, size + 1)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(masses[c],
                                        cells @ np.abs(w[:, 0]) ** 2,
                                        rtol=0, atol=1e-12)
-            gram = kraus[j].conj().T @ kraus[j]
-            np.testing.assert_allclose(gram, np.diag(masses[j]), rtol=0,
+            np.testing.assert_allclose(got.conj().T @ got,
+                                       np.diag(masses[c]), rtol=0,
                                        atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(instrument_cases())
     def test_masses_are_the_textbook_readout_distribution(self, case):
-        phases, lookup = case
-        _, masses = _instrument(phases, lookup, phases.size)
-        width = lookup.size.bit_length() - 1
-        layout = RegisterLayout([("t", "particle", 1),
-                                 ("r", "readout", width)])
-        cells = np.arange(phases.size + 1)[:, None] == lookup + 1
-        for j, theta in enumerate(phases):
-            state = textbook_phase_estimate(
-                from_basis_index(layout, 1), "r", "t",
-                np.diag([1.0, np.exp(2j * np.pi * theta)]))
+        phases, lookup, size = case
+        _, masses = _instrument(phases, lookup, size)
+        names = [f"r{a}" for a in range(lookup.ndim)]
+        layout = RegisterLayout([("t", "particle", 1), *(
+            (name, "readout", n) for name, n in zip(names, _widths(lookup)))])
+        cells = np.arange(size + 1)[:, None] == lookup.ravel() + 1
+        for c, row in enumerate(phases):
+            state = from_basis_index(layout, 1)
+            for name, theta in zip(names, row):
+                state = textbook_phase_estimate(
+                    state, name, "t",
+                    np.diag([1.0, np.exp(2j * np.pi * theta)]))
+            # the readouts at the odd indices, first readout least
+            # significant: transposed, the lookup's order
+            probs = np.abs(state.amplitudes[1::2]) ** 2
             np.testing.assert_allclose(
-                masses[j], cells @ segment_probabilities(state, "r"),
+                masses[c], cells @ probs.reshape(lookup.shape[::-1]).T.ravel(),
                 rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("phase", [np.nan, np.inf])
     def test_incomplete_instrument_rejected(self, phase):
         with pytest.raises(StructuralError, match="not complete"), \
                 np.errstate(invalid="ignore"):
-            _instrument(np.array([0.25, phase]), np.array([0, 1, -1, 0]), 2)
+            _instrument(np.array([[0.25], [phase]]), np.array([0, 1, -1, 0]),
+                        2)
+
+
+#: (basis orbitals as (family, quantum number, energy), t, eps_pe, symmetry)
+#: per kind of config; the symmetry splits the degenerate levels
+KRAUS_CONFIGS = {
+    "exact": ([(box_sine, n + 1, e) for n, e in enumerate([0.0, 1.0, 2.0])],
+              2 * np.pi / 4, None, None),
+    "irrational": ([(box_sine, n + 1, e) for n, e in enumerate(
+        [0.0, np.sqrt(2), np.sqrt(5)])], 2 * np.pi * 0.3 / np.sqrt(2),
+        (0.3, 0.1, 0.05), None),
+    "shift": ([(ring_plane_wave, k, e) for k, e in [(0, 0.0), (1, 1.0),
+                                                    (-1, 1.0)]],
+              2 * np.pi / 4, None, "cyclic-shift"),
+    "shift-irrational": ([(ring_plane_wave, k, e) for k, e in [
+        (0, 0.0), (1, np.sqrt(2)), (-1, np.sqrt(2))]], 1.0, (0.3, 0.1),
+        "cyclic-shift"),
+    "reflection": ([(box_sine, n + 1, e) for n, e in enumerate(
+        [0.0, 0.0, 1.0])], 2 * np.pi / 4, None, "reflection"),
+    "reflection-irrational": ([(box_sine, n + 1, e) for n, e in enumerate(
+        [np.sqrt(2), np.sqrt(2), np.sqrt(5)])], 1.0, (0.3, 0.1),
+        "reflection"),
+}
 
 
 @st.composite
 def kraus_cases(draw):
     """A random normalized state of (occupation register, particle
-    register, spectator), with mass outside the orbitals' span, and an
-    energy-only config: exact levels, or irrational ones read with eps_pe;
-    the register may hold fewer counters than the basis has orbitals.
+    register, spectator), with mass outside the orbitals' span, and a
+    config of each kind: exact levels, or irrational ones read with eps_pe,
+    alone or split by a cyclic shift (step 1 or 3) or a reflection; the
+    register may hold fewer counters than the basis has orbitals.
     """
+    orbitals, t, eps, kind = KRAUS_CONFIGS[draw(st.sampled_from(
+        sorted(KRAUS_CONFIGS)))]
     l = draw(st.integers(2, 3))
     size = draw(st.integers(2, 3))
-    if draw(st.booleans()):
-        energies, t, eps_pe = [0.0, 1.0, 2.0], 2 * np.pi / 4, None
-    else:
-        energies = [0.0, np.sqrt(2), np.sqrt(5)]
-        t = 2 * np.pi * 0.3 / np.sqrt(2)
-        eps_pe = draw(st.sampled_from([0.3, 0.1, 0.05]))
-    bas = BasisSet([box_sine(n + 1, energy=e)
-                    for n, e in enumerate(energies[:size])])
-    cfg = PhaseEstimationConfig.build(bas, l, t=t, eps_pe=eps_pe)
+    bas = BasisSet([family(n, energy=e) for family, n, e in orbitals[:size]])
+    symmetry = None if kind is None else SymmetryOperator(
+        kind, draw(st.sampled_from([1, 3])))
+    cfg = PhaseEstimationConfig.build(
+        bas, l, t=t, eps_pe=None if eps is None else draw(st.sampled_from(eps)),
+        symmetry=symmetry)
     counter_width = draw(st.sampled_from([1, 2]))
     counters = draw(st.integers(1, size))
     layout = RegisterLayout([
         ("fock", "fock", counters * counter_width),
         ("particle0", "particle", l),
         ("spectator", "particle", draw(st.integers(0, 2)))])
+    # keeps the state that holds the readouts small
+    assume(layout.n_total + sum(w for *_, w in cfg.segments()) <= 18)
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
     return (QuantumState(layout, amps / np.linalg.norm(amps)), cfg,
@@ -567,7 +691,7 @@ class FirstLeak:
 
 
 class TestKrausAgainstRegister:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(kraus_cases())
     def test_equal_to_the_register_path(self, case):
         state, cfg, counter_width, seed, leak = case
@@ -577,19 +701,12 @@ class TestKrausAgainstRegister:
 
         got, record = identify_and_decrement(
             state, cfg, "fock", "particle0", rng(), counter_width)
-        # the register path on the state with the readout appended, blank
-        (segment,) = cfg.segments(emulated=True)
-        held = RegisterLayout([*((seg.name, seg.role, seg.width)
-                                 for seg in state.layout), segment])
-        amps = np.zeros(held.dim, dtype=complex)
-        amps[:state.layout.dim] = state.amplitudes
-        ref, ref_record = identify_and_decrement(
-            QuantumState(held, amps), replace(cfg, kraus=None, masses=None),
-            "fock", "particle0", rng(), counter_width)
+        # the register path on the state with the readouts appended, blank
+        ref, ref_record = register_identify(
+            state, cfg, "fock", "particle0", rng(), counter_width)
         assert record.readout_outcomes == ref_record.readout_outcomes
-        assert not np.any(ref.amplitudes[state.layout.dim:])
-        np.testing.assert_allclose(got.amplitudes,
-                                   ref.amplitudes[:state.layout.dim],
+        assert len(record.readout_outcomes) == len(cfg.readouts)
+        np.testing.assert_allclose(got.amplitudes, ref.amplitudes,
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(record.orbital_mass,
                                    ref_record.orbital_mass, rtol=0,
@@ -632,8 +749,8 @@ class TestDecrementAgainstFullLength:
     @given(decrement_cases())
     def test_bitwise_equal_to_full_length_reference(self, case):
         state, config, counter_width = case
-        got, mass, ambiguous = _decrement_fock(state, config, "fock",
-                                               counter_width)
+        got, mass, ambiguous = register_decrement_fock(state, config, "fock",
+                                                       counter_width)
         ref, ref_mass, ref_ambiguous = reference_decrement_fock(
             state, config, "fock", counter_width)
         assert got.amplitudes.tobytes() == ref.amplitudes.tobytes()

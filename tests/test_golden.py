@@ -136,11 +136,11 @@ GOLDEN = {
     },
     "superposition-ring": {
         "report.csv":
-            "70f813153dd630da8161de097637b249d73e0ea8da58f944bb2a37816923d4a4",
+            "0ddc51a110a93bab69f71f852b99dbf358d66c304420e7a3add6c3a394c7a69e",
         "report.txt":
-            "3eb2230de155ef7066a62f1ecd8038f32f30d1b0409874cbeb440b55dce68c07",
+            "402d861e50c7394aaae117fd6abdf1610c25cb05d116d5084970c4572c63f6a6",
         "state.csv":
-            "1ce4f9cd8ba709cf714be2a87b84f1bb79da09f108d53bb3f99090f517a9e4b3",
+            "7779f276f9b2c46038d1f906b5ed84730a319b144237583b9e69d00525d77a27",
     },
     "sweep": {
         "report.csv":
@@ -182,11 +182,11 @@ GOLDEN = {
     },
     "verify-bounds-superposition": {
         "report.csv":
-            "a435f6c4fd20cb14b9443381a145d2811b6e6bade4520062d103aca71417941e",
+            "e7ff82122ac70f623eed7f4de269f01ee991b869f3456fb8a3c2ffd2b6218621",
         "report.txt":
-            "9d3194d51aba266df0cf4c2dff88e4f788f0d39902e542a8ecaf5f98e5feacff",
+            "6815724d0c2b851dc83c256fb5c6210b15df13087ef811020cc65d21ecd148de",
         "state.csv":
-            "1ce4f9cd8ba709cf714be2a87b84f1bb79da09f108d53bb3f99090f517a9e4b3",
+            "7779f276f9b2c46038d1f906b5ed84730a319b144237583b9e69d00525d77a27",
     },
 }
 
