@@ -383,7 +383,7 @@ def prepare_superposition(
     The error bound is m + 1 times the load bound of one register, which
     bounds the infidelity of the state exact phase estimation returns;
     without eps_pe, phases it cannot read exactly raise (`energy_phases`).
-    With eps_pe set, the energy readout is wide enough that each
+    With eps_pe set, the readouts are wide enough that each
     identification misreads with probability at most eps_pe
     (`PhaseEstimationConfig.build`), `phase_estimation_error_bound` bounds
     the infidelity of the returned state against that one, and

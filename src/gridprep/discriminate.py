@@ -24,6 +24,13 @@ of n + p bits reads the key floor(k / 2^p + 1/2) mod 2^n, so k / 2^(n+p)
 lies in the half-open interval of width 2^-n centred on the key / 2^n it
 reads.  Readout values whose keys no orbital holds route to the
 detect-and-retry path.
+
+One rule sizes every readout (`PhaseEstimationConfig.build`): each orbital
+must be read right, its keys held by no other orbital and its own cell's
+Fejer mass at least 1 - eps_pe.  Exact dyadic phases are read right at
+their own width with p = 0; inexact ones take p = `extra_qubits_for(eps_pe)`
+(Cleve et al. 1998; Nielsen and Chuang, sec. 5.2.1) and the narrowest n
+that reads them right.
 """
 from __future__ import annotations
 
@@ -35,11 +42,10 @@ import numpy as np
 
 from .assemble import OccupationVector
 from .basis import BasisSet
-from .errors import DegeneracyError, ImpossibleOutcomeError, \
-    StructuralError, ValidationError
-from .statevec import QuantumState, measure_segment, segment_view
+from .errors import DegeneracyError, StructuralError, ValidationError
+from .statevec import QuantumState, born_draw, measure_segment, segment_view
 
-#: Widest phase readout tried when separating orbitals by their phases.
+#: Widest key n of a readout, exact or widened (before its p extra bits).
 MAX_PHASE_BITS = 16
 #: Phases closer than this coincide (with each other, or with a dyadic).
 PHASE_TOL = 1e-9
@@ -119,19 +125,6 @@ class SymmetryOperator:
 def _keys(phases: np.ndarray, n: int) -> np.ndarray:
     """Each phase rounded to n bits (ties round up), as an n-bit integer."""
     return np.floor(phases * (1 << n) + 0.5).astype(np.int64) % (1 << n)
-
-
-def _readout_bits(phases: np.ndarray, groups) -> int | None:
-    """Smallest n <= MAX_PHASE_BITS at which every group (a list of orbital
-    indices) holds distinct keys; None if no n separates the groups.  Exact
-    phases are read at their own width (`_exact_bits`), which is never
-    narrower: a group's phases distinct at it hold distinct keys there.
-    """
-    for n in range(1, MAX_PHASE_BITS + 1):
-        keys = _keys(phases, n)
-        if all(len(set(keys[g])) == len(g) for g in groups):
-            return n
-    return None
 
 
 def _exact_bits(phases: np.ndarray, eps_pe: float | None) -> int | None:
@@ -232,7 +225,8 @@ class PhaseEstimationConfig:
     The energy readout's u is exp(-i F t) as (grid matrix, thetas); a symmetry
     readout, present when a grid `symmetry` is given, splits degenerate
     levels, and its u is the symmetry's `sites`.  A readout n bits wide
-    plus p extra reads one n-bit integer key (see the module docstring).
+    plus p extra reads one n-bit integer key (see the module docstring);
+    p is 0 where the phases are exact.
     `lookup` has one axis per readout and holds the orbital index of each
     tuple of readout values, the orbital whose keys they read, -1 if none.
     The particle register splits into components, each with one phase in
@@ -274,103 +268,81 @@ class PhaseEstimationConfig:
         eps_pe: float | None = None,
         symmetry: SymmetryOperator | None = None,
     ) -> "PhaseEstimationConfig":
-        """The readouts at the widths that separate the orbitals.  With
-        eps_pe, the energy readout widens one bit at a time until it reads
-        every orbital right with probability at least 1 - eps_pe, which
-        the error bound assumes: the Fejer mass of the orbital's own cell,
-        `instrument[1][j, 1 + j]`, the product over the readouts of the
-        mass `phase_estimate` puts in the window of its key.
+        """The readouts, each at the width the one rule gives it: every
+        orbital j must be read right with probability at least 1 - eps_pe
+        (1 - PHASE_TOL without eps_pe), which the error bound assumes.  j
+        is read right when no other orbital holds its keys, with the Fejer
+        mass of its own cell, `instrument[1][j, 1 + j]`: the product over
+        the readouts of the mass `phase_estimate` puts in the window of its
+        key.  A readout whose phases are exact dyadics reads them
+        deterministically at their width (`_exact_bits`) and takes no extra
+        qubits.  The others take p = `extra_qubits_for(eps_pe)` extra
+        qubits and widen together, one bit at a time from 1, until every
+        orbital is read right; past MAX_PHASE_BITS they raise a
+        DegeneracyError, and so do orbitals whose phases coincide in every
+        readout, which no width separates.
         """
         energies = basis.energies
         thetas, n_exact = _energy_readout(energies, t, eps_pe)
-        p = extra_qubits_for(eps_pe) if eps_pe is not None else 0
-
-        sym_phases = np.zeros(basis.size)
-        sym_keys = np.zeros(basis.size, dtype=np.int64)
-        sym = []  # the symmetry readout, its bits and its keys
         phi = basis.grid_matrix(l)
+        # per readout: segment name, u, the orbitals' phases, the exact width
+        readouts = [("readout", (phi, thetas), thetas, n_exact)]
         rest = np.zeros(1 << l)  # the phase of each mode of the rest
         if symmetry is not None:
             # each orbital must be an eigenvector of P, so [P, F] = 0
             sym_phases = np.array(
-                [symmetry.eigenphase(phi[:, j]) for j in range(basis.size)]
-            )
-            # symmetry must split every cluster of coinciding energy phases
-            n_sym = _readout_bits(sym_phases, _phase_clusters(thetas))
-            if n_sym is None:
-                raise DegeneracyError(
-                    "symmetry eigenphases do not separate the degenerate "
-                    "orbitals"
-                )
-            n_sym = _exact_bits(sym_phases, eps_pe) or n_sym
-            sym_keys = _keys(sym_phases, n_sym)
-            sym = [(("symread", n_sym + p, symmetry.sites(l)), n_sym,
-                    sym_keys)]
+                [symmetry.eigenphase(phi[:, j]) for j in range(basis.size)])
+            readouts.append(("symread", symmetry.sites(l), sym_phases,
+                             _exact_bits(sym_phases, eps_pe)))
             rest = symmetry.mode_phases(l)
+        names, us, columns, exact = zip(*readouts)
 
-        n_energy = _readout_bits(thetas, [np.flatnonzero(sym_keys == key)
-                                          for key in np.unique(sym_keys)])
-        if n_energy is None:
-            collisions = _phase_clusters(thetas)
+        same = np.ones((basis.size, basis.size), dtype=bool)
+        for ph in columns:
+            d = np.abs(np.subtract.outer(ph, ph))  # circular: min(d, 1 - d)
+            same &= np.minimum(d, 1.0 - d) < PHASE_TOL
+        if np.count_nonzero(same) > basis.size:  # beyond the diagonal
+            groups = sorted({tuple(np.flatnonzero(row).tolist())
+                             for row in same if row.sum() > 1})
             raise DegeneracyError(
-                "energy phases collide and cannot be separated"
-                + ("" if symmetry is not None else
-                   " without a symmetry readout")
-                + f": orbital groups {collisions} at energies "
-                + f"{[list(np.round(energies[list(g)], 6)) for g in collisions]}"
-            )
-        n_energy = n_exact or n_energy
+                f"orbital groups {[list(g) for g in groups]} at energies "
+                f"{[np.round(energies[list(g)], 6).tolist() for g in groups]}"
+                " collide: their phases coincide in every readout")
 
         # each component's phase in each readout: the orbitals, then the
         # phases of the rest, which the energy readout reads as 0
         rest, modes = np.unique(rest, return_inverse=True)
-        phases = np.column_stack([np.append(thetas, np.zeros(rest.size)),
-                                  np.append(sym_phases, rest)])
+        phases = np.column_stack([np.append(ph, r) for ph, r in zip(
+            columns, (np.zeros_like(rest), rest))])
+        extra = [0 if n else extra_qubits_for(eps_pe) for n in exact]
         orbitals = np.arange(basis.size)
-        while True:
-            readouts, bits, keys = zip(
-                (("readout", n_energy + p, (phi, thetas)), n_energy,
-                 _keys(thetas, n_energy)), *sym)
-            table = np.full([1 << n for n in bits], -1, dtype=np.int64)
-            table[keys] = orbitals
+        for n in range(1, MAX_PHASE_BITS + 1):
+            bits = [e or n for e in exact]
+            widths = [b + p for b, p in zip(bits, extra)]
+            keys = [_keys(ph, b) for ph, b in zip(columns, bits)]
+            right = np.zeros(basis.size)
+            # an orbital whose keys another orbital holds has no cell, so it
+            # is read right with probability 0, which needs no estimate
+            if len(set(zip(*(k.tolist() for k in keys)))) < basis.size:
+                continue
             # value k of n + p bits reads the key floor(k / 2^p + 1/2) mod 2^n
-            reads = [((np.arange(1 << (n + p)) + ((1 << p) >> 1)) >> p)
-                     % (1 << n) for n in bits]
-            # an orbital whose keys another orbital holds has no cell
-            right = (table[keys] == orbitals) * np.prod([
-                np.sum(np.abs(phase_estimate(ph[:basis.size], n + p)) ** 2
+            reads = [((np.arange(1 << w) + ((1 << p) >> 1)) >> p) % (1 << b)
+                     for b, p, w in zip(bits, extra, widths)]
+            right = np.prod([
+                np.sum(np.abs(phase_estimate(ph, w)) ** 2
                        * (read == key[:, None]), axis=1)
-                for ph, n, read, key in zip(phases.T, bits, reads, keys)],
+                for ph, w, read, key in zip(columns, widths, reads, keys)],
                 axis=0)
             if np.all(right >= 1.0 - (eps_pe or PHASE_TOL)):
-                return cls(basis, readouts, table[np.ix_(*reads)],
-                           phases[:, :len(bits)],
+                table = np.full([1 << b for b in bits], -1, dtype=np.int64)
+                table[tuple(keys)] = orbitals
+                return cls(basis, tuple(zip(names, widths, us)),
+                           table[np.ix_(*reads)], phases,
                            np.append(orbitals, basis.size + modes), symmetry)
-            if eps_pe is None:
-                raise DegeneracyError("two orbitals share their key in every "
-                                      "readout")
-            if n_energy == MAX_PHASE_BITS:
-                raise DegeneracyError(
-                    f"a {n_energy + p}-qubit energy readout reads the "
-                    "orbitals right with probabilities "
-                    f"{np.round(right, 6).tolist()}, not all 1 - eps_pe")
-            n_energy += 1
-
-
-def _phase_clusters(phases: np.ndarray):
-    """Groups (size >= 2) of orbital indices whose phases coincide within
-    PHASE_TOL.
-    """
-    clusters: list[list[int]] = []
-    for i, th in enumerate(phases):
-        for grp in clusters:
-            d = abs(th - phases[grp[0]]) % 1.0  # the circular distance
-            if min(d, 1.0 - d) < PHASE_TOL:
-                grp.append(i)
-                break
-        else:
-            clusters.append([i])
-    return [g for g in clusters if len(g) > 1]
+        raise DegeneracyError(
+            f"readouts of {widths} qubits read the orbitals right with "
+            f"probabilities {np.round(right, 6).tolist()}, not all "
+            "1 - eps_pe")
 
 
 @dataclass
@@ -434,10 +406,10 @@ def identify_and_decrement(
     r = (r_1, ...) has mass p(r) = sum_c |sum_o C[c, r, o] D_o x_c|^2, a
     quadratic form in the Gram matrix <D_o x_c, D_o' x_c>, so no array
     spans the readout values and the state at once.  r is drawn one readout
-    at a time, each by `measure_segment`'s draw and checks on its masses
-    given the outcomes before it, and leaves sum_c sum_o C[c, r, o] D_o x_c
-    / sqrt(p(r)).  The record's masses are the Fejer masses P[c, o]
-    |x_c|^2, as the estimated readouts hold them.
+    at a time, each by `born_draw` on its masses given the outcomes before
+    it, and leaves sum_c sum_o C[c, r, o] D_o x_c / sqrt(p(r)).  The
+    record's masses are the Fejer masses P[c, o] |x_c|^2, as the estimated
+    readouts hold them.
     """
     names = {seg.name for seg in state.layout}
     for name, *_ in config.segments():
@@ -494,14 +466,7 @@ def identify_and_decrement(
     joint, outcomes = probs, []
     for _ in config.readouts:
         marginal = joint.reshape(joint.shape[0], -1).sum(axis=1)
-        total = marginal.sum()
-        if not abs(math.sqrt(total) - 1.0) <= 1e-8:  # NaN fails too
-            raise ValidationError(
-                f"state norm {math.sqrt(total)} deviates from 1")
-        outcome = int(rng.choice(marginal.size, p=marginal / total))
-        if marginal[outcome] <= 0:
-            raise ImpossibleOutcomeError(
-                f"outcome {outcome} has zero probability")
+        outcome = born_draw(marginal, rng)
         joint = joint[outcome] / marginal[outcome]
         outcomes.append(outcome)
     kept = np.einsum("ko,kofy->kfy",

@@ -326,22 +326,28 @@ def relabel(state: QuantumState, names, table) -> QuantumState:
 def measure_segment(
     state: QuantumState, segment: str, rng
 ) -> tuple[int, QuantumState]:
-    """Born-rule measurement of a segment's integer value, drawn from the
-    numpy Generator `rng`.  The state's norm must lie within 1e-8 of 1.
-    """
+    """Measurement of a segment's integer value, drawn by `born_draw`."""
     probs = segment_masses(state, [segment])
-    total = probs.sum()
-    if not abs(math.sqrt(total) - 1.0) <= 1e-8:  # NaN fails too
-        raise ValidationError(f"state norm {math.sqrt(total)} deviates from 1")
-    outcome = int(rng.choice(probs.size, p=probs / total))
-    p = probs[outcome]
-    if p <= 0:
-        raise ImpossibleOutcomeError(f"outcome {outcome} has zero probability")
+    outcome = born_draw(probs, rng)
     branch = [(segment, outcome)]
     collapsed = QuantumState(state.layout, np.zeros_like(state.amplitudes))
     segment_view(collapsed, [], branch)[0][...] = \
-        segment_view(state, [], branch)[0] / np.sqrt(p)
+        segment_view(state, [], branch)[0] / np.sqrt(probs[outcome])
     return outcome, collapsed
+
+
+def born_draw(masses: np.ndarray, rng) -> int:
+    """Outcome k drawn from the numpy Generator `rng` with probability
+    masses[k] / sum(masses), the Born rule: the masses' norm must lie within
+    1e-8 of 1, and the outcome drawn must have positive mass.
+    """
+    total = masses.sum()
+    if not abs(math.sqrt(total) - 1.0) <= 1e-8:  # NaN fails too
+        raise ValidationError(f"state norm {math.sqrt(total)} deviates from 1")
+    outcome = int(rng.choice(masses.size, p=masses / total))
+    if masses[outcome] <= 0:
+        raise ImpossibleOutcomeError(f"outcome {outcome} has zero probability")
+    return outcome
 
 
 def _kept_table(state: QuantumState, keep_segments: list[str]) -> np.ndarray:

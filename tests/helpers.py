@@ -200,16 +200,17 @@ def reference_relabel(state: QuantumState, names, table) -> QuantumState:
     return permute_basis(state, layout.with_values(idx, fields))
 
 
-def reference_lookup(phases, bits, p: int) -> np.ndarray:
+def reference_lookup(phases, bits, extras) -> np.ndarray:
     """`PhaseEstimationConfig.lookup` by its definition, for each readout's
-    orbital phases and resolving bits n (the readout is n + p wide): value
-    k of a readout lies in orbital i's window when k / 2^(n+p) lies in the
-    half-open interval of width 2^-n centred on i's phase rounded to n bits
-    (ties round up); a tuple of values names the orbital whose windows hold
-    every one of them, -1 if none.  Overlapping windows fail the check.
+    orbital phases, resolving bits n and extra qubits p (the readout is
+    n + p wide): value k of a readout lies in orbital i's window when
+    k / 2^(n+p) lies in the half-open interval of width 2^-n centred on i's
+    phase rounded to n bits (ties round up); a tuple of values names the
+    orbital whose windows hold every one of them, -1 if none.  Overlapping
+    windows fail the check.
     """
     windows = []
-    for ph, n in zip(phases, bits):
+    for ph, n, p in zip(phases, bits, extras):
         scale, width = 1 << n, n + p
         centers = (np.floor(np.asarray(ph) * scale + 0.5) % scale) / scale
         d = (np.arange(1 << width) / (1 << width) - centers[:, None]) % 1.0

@@ -383,10 +383,10 @@ SUP_110_101 = FockSuperposition.from_strings([(0.6, "110"), (0.8, "101")])
                                        t=2 * np.pi / 4, seed=0),
          "superposition", 2, "fermionic", 11, 3,
          {"symmetrization_norm", "max_ambiguous_mass"}, None),
-        # eps_pe widens the readout to 6 qubits
+        # the exact 2-bit phases take no extra readout qubits with eps_pe
         (lambda: prepare_superposition(SUP_110_101, dyadic_basis(3), 2, CDF,
                                        t=2 * np.pi / 4, eps_pe=0.05, seed=0),
-         "superposition", 2, "fermionic", 15, 3,
+         "superposition", 2, "fermionic", 11, 3,
          {"symmetrization_norm", "max_ambiguous_mass"}, 0.05),
     ], ids=["slater", "permanent", "two-species", "mixed", "superposition",
             "superposition-eps-pe"])

@@ -181,28 +181,63 @@ class TestConfigBuild:
                 bas, 3, symmetry=SymmetryOperator("cyclic-shift"))
 
     def test_extra_qubits_included(self):
+        # only an inexact readout takes p = extra_qubits_for(eps_pe) = 4
+        # extra qubits: exact phases read deterministically at their width
         bas = BasisSet([box_sine(1, energy=0.0), box_sine(2, energy=1.0)])
         widths = [PhaseEstimationConfig.build(
             bas, 3, t=2 * np.pi / 4, eps_pe=eps).readouts[0][1]
             for eps in (None, 0.05)]
-        assert widths[1] == widths[0] + 4
+        assert widths == [2, 2]
+        # energy phases 0, 1 - sqrt(2)/4 (twice) at 1 bit + 4; the cyclic
+        # shift splits the pair at its exact 3 bits
+        ring = BasisSet([ring_plane_wave(0, energy=0.0),
+                         ring_plane_wave(1, energy=np.sqrt(2)),
+                         ring_plane_wave(-1, energy=np.sqrt(2))])
+        cfg = PhaseEstimationConfig.build(
+            ring, 3, t=2 * np.pi / 4, eps_pe=0.05,
+            symmetry=SymmetryOperator("cyclic-shift"))
+        assert [width for _, width, _ in cfg.readouts] == [5, 3]
+        assert _extra_bits(cfg, 0.05) == [4, 0]
+
+    def test_symmetry_collision_raises(self):
+        # box sines 1 and 3 at one energy are both even under the
+        # reflection: phase 0 in both readouts
+        bas = BasisSet([box_sine(1, energy=1.0), box_sine(3, energy=1.0)])
+        with pytest.raises(DegeneracyError, match=r"\[\[0, 1\]\].*collide"):
+            PhaseEstimationConfig.build(
+                bas, 3, t=2 * np.pi / 4,
+                symmetry=SymmetryOperator("reflection"))
+
+
+def _extra_bits(cfg, eps_pe):
+    """Each readout's extra qubits p: none where the orbitals' phases are
+    exact dyadics at its width, else extra_qubits_for(eps_pe).
+    """
+    extras = []
+    for phases, (_, width, _) in zip(cfg.phases[:cfg.basis.size].T,
+                                     cfg.readouts):
+        scaled = phases * (1 << width)
+        exact = np.max(np.abs(scaled - np.round(scaled))) \
+            < discriminate.PHASE_TOL
+        extras.append(0 if exact else extra_qubits_for(eps_pe))
+    return extras
 
 
 @st.composite
-def lookup_cases(draw):
+def lookup_cases(draw, exact=False):
     """Energy phases at random levels (a + j sqrt(2) / 64) / 256, a an
-    8-bit integer and j in [-20, 20] (0 gives an exact dyadic), so 8 bits
-    resolve distinct levels; p <= 4 extra bits.  Box sines on distinct
-    levels have one readout; ring plane waves, which may share a level, a
-    cyclic shift (odd step) as the second.  The last item says whether
-    every orbital's level is exact.
+    8-bit integer and j in [-20, 20] (0 gives an exact dyadic; with `exact`
+    every j is 0), so 8 bits resolve distinct levels; p <= 4 extra bits.
+    Box sines on distinct levels have one readout; ring plane waves, which
+    may share a level, a cyclic shift (odd step) as the second.  The last
+    item says whether every orbital's level is exact.
     """
     count = draw(st.integers(1, 4))
     levels = [((a + j * np.sqrt(2) / 64) / 256, j == 0) for a, j in zip(
         draw(st.lists(st.integers(0, 255), min_size=count, max_size=count,
                       unique=True)),
-        draw(st.lists(st.integers(-20, 20), min_size=count,
-                      max_size=count)))]
+        draw(st.lists(st.just(0) if exact else st.integers(-20, 20),
+                      min_size=count, max_size=count)))]
     eps_pe = draw(st.sampled_from([None, 0.3, 0.1, 0.05]))
     if not draw(st.booleans()):
         return BasisSet([box_sine(n + 1, energy=-ph) for n, (ph, _)
@@ -232,19 +267,39 @@ class TestLookupAgainstWindows:
                 build()
             return
         cfg = build()
-        p = 0 if eps_pe is None else extra_qubits_for(eps_pe)
+        extras = _extra_bits(cfg, eps_pe)
         phases = [cfg.readouts[0][2][1]]
         if symmetry is not None:
             phi = bas.grid_matrix(l)
             phases.append([symmetry.eigenphase(phi[:, j])
                            for j in range(bas.size)])
-        # the (n, p) the config chose: 8 bits resolve distinct levels, and
-        # with eps_pe the energy readout may widen past them until it reads
-        # every orbital right
-        bits = [width - p for _, width, _ in cfg.readouts]
+        # the (n, p) the config chose: 8 bits read exact levels, and an
+        # inexact readout may widen past them until it reads every orbital
+        # right
+        bits = [width - p for (_, width, _), p in zip(cfg.readouts, extras)]
         assert len(bits) == 1 + (symmetry is not None)
-        assert max(bits) <= (8 if eps_pe is None else MAX_PHASE_BITS)
-        assert np.array_equal(cfg.lookup, reference_lookup(phases, bits, p))
+        assert max(bits) <= (8 if exact else MAX_PHASE_BITS)
+        assert np.array_equal(cfg.lookup,
+                              reference_lookup(phases, bits, extras))
+
+    @settings(max_examples=100, deadline=None)
+    @given(lookup_cases(exact=True))
+    def test_exact_widths_do_not_depend_on_eps_pe(self, case):
+        bas, l, _, symmetry, _ = case
+        widths = [[width for _, width, _ in PhaseEstimationConfig.build(
+            bas, l, t=2 * np.pi, eps_pe=eps, symmetry=symmetry).readouts]
+            for eps in (None, 0.3, 0.1, 0.05)]
+        assert widths[1:] == widths[:1] * 3
+
+    def test_exact_ring_readouts_take_no_extra_qubits(self):
+        # exact 8-bit levels split by a 4-bit cyclic shift; with 4 extra
+        # qubits on each readout the instrument would span 2^20 values
+        ring = BasisSet([ring_plane_wave(k, energy=-a / 256)
+                         for k, a in zip((0, 1, -1, 3), (1, 3, 3, 5))])
+        cfg = PhaseEstimationConfig.build(
+            ring, 4, t=2 * np.pi, eps_pe=0.05,
+            symmetry=SymmetryOperator("cyclic-shift"))
+        assert [width for _, width, _ in cfg.readouts] == [8, 4]
 
 
 #: Box-sine orbitals n = 7, 5, 4, 3 at energies sqrt(1.7 n): at t = 1,
@@ -258,7 +313,7 @@ def _read_right(thetas, n, p):
     """The mass the closed-form readout of n + p qubits puts in each
     orbital's window at n bits (`reference_lookup`).
     """
-    cells = reference_lookup([thetas], [n], p)
+    cells = reference_lookup([thetas], [n], [p])
     return np.sum(np.abs(phase_estimate(thetas, n + p)) ** 2
                   * (cells == np.arange(len(thetas))[:, None]), axis=1)
 
@@ -271,8 +326,8 @@ class TestReadoutWidening:
         assume(eps_pe is not None and symmetry is None)
         cfg = PhaseEstimationConfig.build(bas, l, t=2 * np.pi, eps_pe=eps_pe)
         (_, width, (_, thetas)), = cfg.readouts
-        right = _read_right(thetas, width - extra_qubits_for(eps_pe),
-                            extra_qubits_for(eps_pe))
+        p, = _extra_bits(cfg, eps_pe)
+        right = _read_right(thetas, width - p, p)
         assert np.all(right >= 1.0 - eps_pe)
         _, masses = cfg.instrument
         orbitals = np.arange(bas.size)
