@@ -90,13 +90,13 @@ def quword_width(m: int) -> int:
     return math.ceil(math.log2(m)) if m > 1 else 0
 
 
-def permutation_segments(m: int, prefix: str = "perm") -> list[tuple[str, str, int]]:
+def permutation_segments(m: int, prefix: str = "perm") -> list[tuple[str, int]]:
     w = quword_width(m)
-    return [(f"{prefix}{i}", "scratch", w) for i in range(m)]
+    return [(f"{prefix}{i}", w) for i in range(m)]
 
 
-def particle_segments(m: int, l: int, prefix: str = "particle") -> list[tuple[str, str, int]]:
-    return [(f"{prefix}{i}", "particle", l) for i in range(m)]
+def particle_segments(m: int, l: int, prefix: str = "particle") -> list[tuple[str, int]]:
+    return [(f"{prefix}{i}", l) for i in range(m)]
 
 
 def prepare_hartree_product(

@@ -56,10 +56,10 @@ class Orbital:
         return self.sample_grid(l)[0]
 
     def sample_grid(self, l: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """`grid_values(l)` and the unit factors e^{i arg phi(x_j)} that a
-        continuum family's evaluation multiplied in (None when every arg
-        phi(x_j) is 0); a grid-native family's sites are given as they
-        are, with None.
+        """`grid_values(l)` and the unit factors e^{i arg phi(x_j)}, None
+        when every arg phi(x_j) is 0: those a continuum family's evaluation
+        multiplied in, and for a tabulated orbital those of its normalized
+        values.  A grid-native family's sites are given as they are.
         """
         n_sites = 1 << l
         if self.family == "kronecker-delta":
@@ -92,6 +92,9 @@ class Orbital:
         if not norm**2 > floor:
             raise ValidationError("orbital vanishes on every grid site")
         vec /= norm
+        if self.family == "tabulated":  # its table carries its phases
+            angle = np.angle(vec)
+            phases = np.exp(1j * angle) if np.any(angle) else None
         return vec, phases
 
     def _magnitudes_and_phases(self, x: np.ndarray):

@@ -65,7 +65,8 @@ from .compose import (
     prepare_two_species,
     superposition_oracle,
 )
-from .discriminate import SymmetryOperator, energy_phases
+from .discriminate import PhaseEstimationConfig, SymmetryOperator, \
+    energy_phases
 from .errors import PipelineError, ResourceError, ValidationError
 
 EXIT_OK = 0
@@ -300,6 +301,12 @@ def _task_superposition(cfg, config_dir, seed):
     pe = cfg.get("phase_estimation", {})
     with _reading("phase_estimation"):
         energy_phases(bas.energies, pe.get("t"), pe.get("eps_pe"))
+    if "l" in cfg:  # the readouts the driver builds, as it builds them
+        with _reading("basis"):
+            bas.grid_matrix(cfg["l"])
+        with _reading("phase_estimation.symmetry" if "symmetry" in pe
+                      else "phase_estimation"):
+            PhaseEstimationConfig.build(bas, cfg["l"], **pe)
     driver = partial(prepare_superposition, sup, bas, **pe, seed=seed,
                      max_attempts=cfg.get("max_attempts", 20))
     return driver, partial(superposition_oracle, sup, bas)

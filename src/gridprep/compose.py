@@ -242,8 +242,8 @@ def prepare_orbital(
                          rho=None, report=report, state=state)
 
 
-def _names(segments: list[tuple[str, str, int]]) -> list[str]:
-    return [name for name, _, _ in segments]
+def _names(segments: list[tuple[str, int]]) -> list[str]:
+    return [name for name, _ in segments]
 
 
 def _prepare(
@@ -256,7 +256,7 @@ def _prepare(
 
     Register order: the head (a branch or occupation register, if any),
     every species' particle bank, every permutation bank, then the `blank`
-    segments, readouts whose registers the load stands in for.
+    readouts, which a Kraus map stands in for; each is (name, width).
     The qubit cap and the report's qubit count apply to that layout.  The
     permutation banks and the blank segments start and end blank, so the
     state leaves them out: `load(layout, banks, counters)` gets the layout
@@ -426,8 +426,8 @@ def prepare_superposition(
 
     prep = _prepare(
         "superposition", [(branches[0][2], "")], l, spec, load,
-        head=(("fock", "fock", sup.num_orbitals * counter_width),),
-        blank=tuple(config.segments()))
+        head=(("fock", sup.num_orbitals * counter_width),),
+        blank=config.readouts)
     if eps_pe is not None:
         prep.report.error_bound = angle_error_bound(
             [prep.report.error_bound,
@@ -491,7 +491,7 @@ def prepare_mixed(
                               spec, counters, cache), 1
 
     return _prepare("mixed", [(comps[0][1], "")], l, spec, load,
-                    head=(("branch", "spec", w_spec),), rho=True)
+                    head=(("branch", w_spec),), rho=True)
 
 
 def mixed_oracle(mixed: MixedSpec, basis: BasisSet, l: int) -> DensityMatrix:

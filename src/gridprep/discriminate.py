@@ -220,13 +220,13 @@ def _instrument(phases: np.ndarray, lookup: np.ndarray,
 class PhaseEstimationConfig:
     """Readouts, the readout->orbital lookup and their Kraus instrument.
 
-    Each readout is (segment name, width, u): phase estimation of u on a
-    particle register writes its eigenphase into a readout of that width.
-    The energy readout's u is exp(-i F t) as (grid matrix, thetas); a symmetry
-    readout, present when a grid `symmetry` is given, splits degenerate
-    levels, and its u is the symmetry's `sites`.  A readout n bits wide
-    plus p extra reads one n-bit integer key (see the module docstring);
-    p is 0 where the phases are exact.
+    `readouts` holds the readouts' layout segments, (name, width) in readout
+    order, which the instrument stands in for: phase estimation on a
+    particle register of `l` qubits writes an eigenphase into each, of
+    exp(-i F t) in the energy readout and, when a grid `symmetry` is given
+    to split degenerate levels, of its site permutation in a symmetry
+    readout.  A readout n bits wide plus p extra reads one n-bit integer
+    key (see the module docstring); p is 0 where the phases are exact.
     `lookup` has one axis per readout and holds the orbital index of each
     tuple of readout values, the orbital whose keys they read, -1 if none.
     The particle register splits into components, each with one phase in
@@ -237,7 +237,8 @@ class PhaseEstimationConfig:
     """
 
     basis: BasisSet
-    readouts: tuple[tuple, ...] = field(repr=False)
+    l: int
+    readouts: tuple[tuple[str, int], ...]
     lookup: np.ndarray = field(repr=False)
     phases: np.ndarray = field(repr=False)
     components: np.ndarray = field(repr=False)
@@ -251,13 +252,6 @@ class PhaseEstimationConfig:
         gigabytes in `build`.
         """
         return _instrument(self.phases, self.lookup, self.basis.size)
-
-    def segments(self) -> list[tuple[str, str, int]]:
-        """Layout segments of the readouts, in readout order: the instrument
-        stands in for them, so a state holds none of them, while the qubit
-        count of a preparation counts them.
-        """
-        return [(name, "readout", width) for name, width, _ in self.readouts]
 
     @classmethod
     def build(
@@ -285,17 +279,17 @@ class PhaseEstimationConfig:
         energies = basis.energies
         thetas, n_exact = _energy_readout(energies, t, eps_pe)
         phi = basis.grid_matrix(l)
-        # per readout: segment name, u, the orbitals' phases, the exact width
-        readouts = [("readout", (phi, thetas), thetas, n_exact)]
+        # per readout: segment name, the orbitals' phases, the exact width
+        readouts = [("readout", thetas, n_exact)]
         rest = np.zeros(1 << l)  # the phase of each mode of the rest
         if symmetry is not None:
             # each orbital must be an eigenvector of P, so [P, F] = 0
             sym_phases = np.array(
                 [symmetry.eigenphase(phi[:, j]) for j in range(basis.size)])
-            readouts.append(("symread", symmetry.sites(l), sym_phases,
+            readouts.append(("symread", sym_phases,
                              _exact_bits(sym_phases, eps_pe)))
             rest = symmetry.mode_phases(l)
-        names, us, columns, exact = zip(*readouts)
+        names, columns, exact = zip(*readouts)
 
         same = np.ones((basis.size, basis.size), dtype=bool)
         for ph in columns:
@@ -336,7 +330,7 @@ class PhaseEstimationConfig:
             if np.all(right >= 1.0 - (eps_pe or PHASE_TOL)):
                 table = np.full([1 << b for b in bits], -1, dtype=np.int64)
                 table[tuple(keys)] = orbitals
-                return cls(basis, tuple(zip(names, widths, us)),
+                return cls(basis, l, tuple(zip(names, widths)),
                            table[np.ix_(*reads)], phases,
                            np.append(orbitals, basis.size + modes), symmetry)
         raise DegeneracyError(
@@ -394,9 +388,9 @@ def identify_and_decrement(
     phase-estimate which orbital the register holds, remove that orbital's
     quantum from the occupation register, undo the estimation, and recycle
     the readouts by measured reset, drawing outcomes from the numpy
-    Generator `rng`.  The layout holds none of the config's readouts
-    (`segments()`); the occupation register holds one `counter_width`-bit
-    counter per orbital.
+    Generator `rng`.  The layout holds none of the config's readouts, the
+    particle register is `config.l` qubits wide, and the occupation register
+    holds one `counter_width`-bit counter per orbital.
 
     The pass is the Kraus map K_r = sum_c Pi_c (x) sum_o C[c, r, o] D_o,
     with (C, P) the `config.instrument`.  Pi_c projects the particle
@@ -412,11 +406,14 @@ def identify_and_decrement(
     readouts hold them.
     """
     names = {seg.name for seg in state.layout}
-    for name, *_ in config.segments():
+    for name, _ in config.readouts:
         if name in names:
             raise StructuralError(f"the layout holds readout {name!r}, "
                                   "which the Kraus map stands in for")
-    grid = config.readouts[0][2][0]
+    if state.layout.segment(particle_segment).width != config.l:
+        raise StructuralError(f"particle register {particle_segment!r} is "
+                              f"not {config.l} qubits wide")
+    grid = config.basis.grid_matrix(config.l)
     size = config.basis.size
     fock = state.layout.segment(fock_segment)
     counters = min(fock.width // counter_width, size)

@@ -235,14 +235,10 @@ def load_orbital(
 def _load_tables(orbital: Orbital, l: int, spec: IntegrationSpec):
     """Split ratios and phase-kickback factors from one evaluation of the
     orbital on the grid (`Orbital.sample_grid`): the ratios of its site
-    masses |phi(x)|^2, and the unit factors e^{i arg phi(x)} that the
-    evaluation multiplied in, or a tabulated orbital's own phases (None
-    when every arg phi(x) is 0).
+    masses |phi(x)|^2, and its unit factors e^{i arg phi(x)} (None when
+    every arg phi(x) is 0).
     """
     values, phases = orbital.sample_grid(l)
-    if orbital.family == "tabulated":  # its table carries its phases
-        angle = np.angle(values)
-        phases = np.exp(1j * angle) if np.any(angle) else None
     return _split_ratios(np.abs(values) ** 2, l, spec), phases
 
 

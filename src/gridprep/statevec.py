@@ -41,7 +41,6 @@ BLANK_TOL = 1e-9
 #: Norm outside the kept segments up to which a pure state is extracted.
 LEAK_TOL = 1e-8
 
-SEGMENT_ROLES = ("fock", "particle", "readout", "spec", "scratch")
 #: einsum subscripts, one per axis of a segment view.
 AXES = "abcdefghijklmnopqrstuvwxyz"
 
@@ -59,7 +58,6 @@ def qubit_cap() -> int:
 @dataclass(frozen=True)
 class Segment:
     name: str
-    role: str
     width: int
     offset: int
 
@@ -73,19 +71,17 @@ class Segment:
 
 
 class RegisterLayout:
-    """Named, contiguous, disjoint qubit segments tiling [0, n_total)."""
+    """Contiguous, disjoint (name, width) segments tiling [0, n_total)."""
 
-    def __init__(self, segments: list[tuple[str, str, int]]):
+    def __init__(self, segments: list[tuple[str, int]]):
         offset = 0
         self._segments: dict[str, Segment] = {}
-        for name, role, width in segments:
-            if role not in SEGMENT_ROLES:
-                raise StructuralError(f"unknown segment role {role!r}")
+        for name, width in segments:
             if width < 0:
                 raise StructuralError(f"segment {name!r} has negative width")
             if name in self._segments:
                 raise StructuralError(f"duplicate segment name {name!r}")
-            self._segments[name] = Segment(name, role, width, offset)
+            self._segments[name] = Segment(name, width, offset)
             offset += width
         self.n_total = offset
         cap = qubit_cap()

@@ -230,7 +230,7 @@ def reference_decrement_fock(state, config, fock_segment, counter_width):
     n_counters = layout.segment(fock_segment).width // counter_width
     lookup = np.where(config.lookup < n_counters, config.lookup, -1)
     orb = lookup[tuple(layout.values(name, idx)
-                       for name, *_ in config.readouts)]
+                       for name, _ in config.readouts)]
     mass = np.bincount(orb + 1, weights=np.abs(state.amplitudes) ** 2,
                        minlength=config.basis.size + 1)
     fvals = layout.values(fock_segment, idx)
@@ -330,7 +330,7 @@ def register_decrement_fock(state, config, fock_segment, counter_width):
     occupation register) drives the relabel, and the orbital and ambiguous
     masses sum the readouts' joint masses by lookup cell.
     """
-    names = [name for name, *_ in config.readouts]
+    names = [name for name, _ in config.readouts]
     fock = state.layout.segment(fock_segment)
     # transposed, the lookup ravels first readout least significant
     cells = np.where(config.lookup < fock.width // counter_width,
@@ -347,6 +347,18 @@ def register_decrement_fock(state, config, fock_segment, counter_width):
     return state, mass[1:], float(mass[0])
 
 
+def readout_unitaries(config) -> list:
+    """The unitary each readout of `config` estimates, in the form
+    `register_phase_estimate` takes: exp(-i F t) as (grid matrix, the
+    orbitals' energy phases), then the symmetry's `sites` if it has one.
+    """
+    size = config.basis.size
+    us = [(config.basis.grid_matrix(config.l), config.phases[:size, 0])]
+    if config.symmetry is not None:
+        us.append(config.symmetry.sites(config.l))
+    return us
+
+
 def register_identify_and_decrement(state, config, fock_segment,
                                     particle_segment, rng, counter_width=1):
     """`discriminate.identify_and_decrement` on a state that holds every
@@ -354,20 +366,21 @@ def register_identify_and_decrement(state, config, fock_segment,
     decrement (`register_decrement_fock`), undo the estimations in reverse
     order, and recycle each readout by measured reset.
     """
-    for name, width, *_ in config.readouts:
+    for name, width in config.readouts:
         if state.layout.segment(name).width != width:
             raise StructuralError(
                 f"readout segment {name!r} is not {width} qubits wide")
-    for name, _, u in config.readouts:
+    estimated = list(zip(config.readouts, readout_unitaries(config)))
+    for (name, _), u in estimated:
         state = register_phase_estimate(state, name, particle_segment, u)
     state, orbital_mass, ambiguous_mass = register_decrement_fock(
         state, config, fock_segment, counter_width)
-    for name, _, u in reversed(config.readouts):
+    for (name, _), u in reversed(estimated):
         state = register_phase_estimate(state, name, particle_segment, u,
                                         adjoint=True)
     # a nonzero outcome flags imperfect uncomputation upstream
     outcomes = []
-    for name, *_ in config.readouts:
+    for name, _ in config.readouts:
         outcome, state = measure_segment(state, name, rng)
         if outcome:
             state = relabel(state, [name], np.arange(
@@ -383,8 +396,8 @@ def register_identify(state, config, fock_segment, particle_segment, rng,
     appended blank, returned on the layout of `state`: the measured resets
     leave the readouts blank.
     """
-    held = RegisterLayout([*((seg.name, seg.role, seg.width)
-                             for seg in state.layout), *config.segments()])
+    held = RegisterLayout([*((seg.name, seg.width) for seg in state.layout),
+                           *config.readouts])
     amps = np.zeros(held.dim, dtype=np.complex128)
     amps[:state.layout.dim] = state.amplitudes
     out, record = register_identify_and_decrement(
@@ -525,7 +538,7 @@ def reference_prepare(kind, species, l, spec, load, head=(), blank=(),
     count toward the qubits only.
     """
     def names(segments):
-        return [name for name, _, _ in segments]
+        return [name for name, _ in segments]
 
     parts = [particle_segments(occ.m, l, prefix=f"{prefix}particle")
              for occ, prefix in species]
@@ -546,7 +559,7 @@ def reference_prepare(kind, species, l, spec, load, head=(), blank=(),
     report = PreparationReport(
         kind=kind, l=l, m=m,
         statistics="+".join(occ.statistics for occ, _ in species),
-        qubits=layout.n_total + sum(width for *_, width in blank),
+        qubits=layout.n_total + sum(width for _, width in blank),
         attempts=attempts, retries=attempts - 1, counters=counters,
         error_bound=(m + len(head)) * load_error_bound(l, spec.epsilon_i),
     )

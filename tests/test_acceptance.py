@@ -46,7 +46,7 @@ QUAD = IntegrationSpec(backend="adaptive-quadrature", epsilon_i=1e-9)
 
 
 def fresh(l):
-    return QuantumState.zero(RegisterLayout([("x", "particle", l)]))
+    return QuantumState.zero(RegisterLayout([("x", l)]))
 
 
 def infidelity(vec, target):

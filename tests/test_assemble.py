@@ -371,10 +371,10 @@ def symmetrization_cases(draw):
     below, above = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     if m == 4 and l == 2:
         below = above = min(below, 1)
-    layout = RegisterLayout([("below", "fock", below)]
+    layout = RegisterLayout([("below", below)]
                             + particle_segments(m, l)
                             + permutation_segments(m)
-                            + [("above", "readout", above)])
+                            + [("above", above)])
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     index = np.arange(layout.dim)
     blank = np.ones(layout.dim, dtype=bool)
@@ -435,9 +435,9 @@ def loaded_cases(draw):
     room = max(0, CLOSED_FORM_MAX_QUBITS - m * (l + quword_width(m)))
     head = draw(st.integers(0, min(2, room)))
     tail = draw(st.integers(0, min(2, room - head)))
-    layout = RegisterLayout([("head", "fock", head)]
+    layout = RegisterLayout([("head", head)]
                             + particle_segments(m, l)
-                            + [("tail", "readout", tail)])
+                            + [("tail", tail)])
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     parts = rng.choice(AMPLITUDE_PARTS, size=(layout.dim, 2),
                        p=[0.4, 0.2, 0.1, 0.1, 0.1, 0.1])
@@ -464,10 +464,9 @@ def _with_bank(state, m):
     the particle bank and the tail, the bank at 0.
     """
     segs = list(state.layout)
-    layout = RegisterLayout([(s.name, s.role, s.width) for s in segs[:-1]]
+    layout = RegisterLayout([(s.name, s.width) for s in segs[:-1]]
                             + permutation_segments(m)
-                            + [(segs[-1].name, segs[-1].role,
-                                segs[-1].width)])
+                            + [(segs[-1].name, segs[-1].width)])
     below = 1 << segs[-1].offset
     amps = np.zeros(layout.dim, dtype=np.complex128)
     amps.reshape(-1, 1 << (m * quword_width(m)), below)[:, 0, :] = \
@@ -492,9 +491,9 @@ class TestClosedFormAgainstCircuit:
 
     @pytest.mark.parametrize("segments, names", [
         # a gap, unequal widths, and registers out of order
-        (particle_segments(1, 2) + [("gap", "fock", 1)]
+        (particle_segments(1, 2) + [("gap", 1)]
          + particle_segments(1, 2, prefix="next"), ["particle0", "next0"]),
-        ([("particle0", "particle", 2), ("particle1", "particle", 3)],
+        ([("particle0", 2), ("particle1", 3)],
          ["particle0", "particle1"]),
         (particle_segments(2, 2), ["particle1", "particle0"]),
     ])

@@ -179,9 +179,16 @@ class TestGridEvaluation:
         # their sites are given as they are: no factors were multiplied in
         assert delta_at_site(5, 3).sample_grid(3)[1] is None
         table = np.array([1, -1j, 0, 2])
-        values, phases = tabulated(table).sample_grid(2)
-        assert phases is None
+        values, _ = tabulated(table).sample_grid(2)
         assert values.tobytes() == (table / np.sqrt(6)).tobytes()
+
+    def test_tabulated_phases_are_its_normalized_values(self):
+        # the unit factors e^{i arg} of the normalized table, None when real
+        # and nonnegative
+        table = np.array([1, -1j, 0, 2 + 2j])
+        values, phases = tabulated(table).sample_grid(2)
+        assert phases.tobytes() == np.exp(1j * np.angle(values)).tobytes()
+        assert tabulated([1, 0, 2, 3]).sample_grid(2)[1] is None
 
 
 class TestSplitRatio:

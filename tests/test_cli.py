@@ -245,6 +245,26 @@ class TestValidate:
              "phase_estimation": BOX_EXACT_PE,
              "sweep": {"occupations": ["110", "011"]}},
             id="sweep-occupations-on-superposition"),
+        # the readouts are built as the driver builds them: plane waves
+        # k = +-1 are not eigenvectors of the reflection, and 3 orbitals do
+        # not fit on the 2 sites of l = 1
+        pytest.param(
+            "prepare-superposition", "phase_estimation.symmetry",
+            {"l": 3, "basis": [
+                {"family": "ring-plane-wave", "k": k, "energy": float(k * k)}
+                for k in (0, 1, -1)],
+             "superposition": [{"amplitude": 0.6, "occupation": "110"},
+                               {"amplitude": 0.8, "occupation": "101"}],
+             "phase_estimation": {"t": 2 * float(np.pi) / 4,
+                                  "symmetry": {"kind": "reflection"}}},
+            id="superposition-orbitals-not-symmetry-eigenvectors"),
+        pytest.param(
+            "prepare-superposition", "basis",
+            {"l": 1, "basis": BOX_BASIS,
+             "superposition": [{"amplitude": 0.6, "occupation": "110"},
+                               {"amplitude": 0.8, "occupation": "011"}],
+             "phase_estimation": BOX_EXACT_PE},
+            id="superposition-basis-wider-than-the-grid"),
     ])
     def test_validate_rejects_what_the_command_rejects(self, tmp_path,
                                                        capsys, command, key,
@@ -352,10 +372,11 @@ class TestPrepareCommands:
                 {"amplitude": 0.8, "occupation": "101"},
             ],
             "phase_estimation": {"t": 2 * float(np.pi) / 4}})
-        assert run(["prepare-superposition", "--config", cfg,
-                    "--out", str(tmp_path / "out")]) == 3
-        err = capsys.readouterr().err
-        assert "1.0" in err  # names the colliding energies
+        for args in (["validate"],
+                     ["prepare-superposition", "--out", str(tmp_path / "o")]):
+            assert run([*args, "--config", cfg]) == 3
+            err = capsys.readouterr().err
+            assert "1.0" in err  # names the colliding energies
 
     def test_prepare_mixed_thermal(self, tmp_path):
         cfg = write_config(tmp_path, "c.yaml", {

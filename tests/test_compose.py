@@ -512,9 +512,9 @@ def _artifacts(prep):
 def _bank_slab(state):
     """The amplitudes of `state` at permutation-bank value 0, and the
     (above, nonzero bank value, below) table of the rest; the banks are
-    the "scratch" segments, which lie next to each other.
+    the "perm" segments, which lie next to each other.
     """
-    banks = [seg for seg in state.layout if seg.role == "scratch"]
+    banks = [seg for seg in state.layout if "perm" in seg.name]
     below = 1 << banks[0].offset
     table = state.amplitudes.reshape(
         -1, 1 << sum(seg.width for seg in banks), below)
@@ -537,14 +537,14 @@ class TestAgainstFullLayoutLoad:
         # the returned layout has neither the banks nor the readouts a
         # Kraus map stands in for, and report.qubits counts both
         layout = prep.state.layout
-        assert all(seg.role != "scratch" for seg in layout)
+        assert not any("perm" in seg.name for seg in layout)
         blank = skeleton.call_args.kwargs.get("blank", ())
-        assert not {name for name, *_ in blank} & {seg.name for seg in layout}
+        assert not {name for name, _ in blank} & {seg.name for seg in layout}
         species = Counter(seg.name.split("particle")[0] for seg in layout
-                          if seg.role == "particle")
+                          if "particle" in seg.name)
         assert prep.report.qubits == layout.n_total + sum(
             m * math.ceil(math.log2(m)) for m in species.values()) + sum(
-            width for *_, width in blank)
+            width for _, width in blank)
 
 
 
@@ -621,7 +621,7 @@ class TestKrausAgainstRegister:
         except DegeneracyError:  # a random t can make two phases collide
             assume(False)
         # keeps the register small
-        assume(sum(width for *_, width in config.segments()) <= 8)
+        assume(sum(width for _, width in config.readouts) <= 8)
         prep, records = _run_recorded(call, identify_and_decrement)
         ref, ref_records = _run_recorded(call, register_identify)
         assert len(records) == len(ref_records)
@@ -639,7 +639,8 @@ class TestKrausAgainstRegister:
         assert prep.report.qubits == ref.report.qubits
         np.testing.assert_allclose(prep.vector, ref.vector, rtol=0,
                                    atol=1e-12)
-        assert all(seg.role != "readout" for seg in prep.state.layout)
+        assert not {name for name, _ in config.readouts} \
+            & {seg.name for seg in prep.state.layout}
 
 
 class TestReadoutLayout:
@@ -663,7 +664,8 @@ class TestReadoutLayout:
         basis = BasisSet([box_sine(n + 1, energy=e)
                           for n, e in enumerate(levels)])
         prep = prepare_superposition(sup, basis, l, CDF, seed=1, **keywords)
-        assert all(seg.role != "readout" for seg in prep.state.layout)
+        assert [seg.name for seg in prep.state.layout] == \
+            ["fock", "particle0", "particle1"]
         assert prep.report.qubits == qubits
         assert pure_infidelity(prep.vector, superposition_oracle(
             sup, basis, l)) <= prep.report.error_bound
@@ -677,7 +679,8 @@ class TestReadoutLayout:
         prep = prepare_superposition(
             sup, ring, 3, CDF, t=2 * np.pi / 4,
             symmetry=SymmetryOperator("cyclic-shift"), seed=1)
-        assert all(seg.role != "readout" for seg in prep.state.layout)
+        assert [seg.name for seg in prep.state.layout] == \
+            ["fock", "particle0", "particle1"]
         assert prep.state.layout.n_total == 9
         assert prep.report.qubits == 16
         assert pure_infidelity(prep.vector, superposition_oracle(

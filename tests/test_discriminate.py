@@ -112,9 +112,9 @@ class TestConfigBuild:
                         box_sine(3, energy=2.0)])
         cfg = PhaseEstimationConfig.build(bas, 3, t=2 * np.pi / 4)
         # thetas 0, 3/4, 1/2 are exact at 2 bits
-        (_, width, (_, thetas)), = cfg.readouts
+        (_, width), = cfg.readouts
         assert width == 2
-        np.testing.assert_allclose(thetas, [0.0, 0.75, 0.5])
+        np.testing.assert_allclose(cfg.phases[:3, 0], [0.0, 0.75, 0.5])
 
     def test_collision_raises_with_energies_in_message(self):
         bas = BasisSet([ring_plane_wave(0, energy=0.0),
@@ -196,7 +196,7 @@ class TestConfigBuild:
         cfg = PhaseEstimationConfig.build(
             ring, 3, t=2 * np.pi / 4, eps_pe=0.05,
             symmetry=SymmetryOperator("cyclic-shift"))
-        assert [width for _, width, _ in cfg.readouts] == [5, 3]
+        assert [width for _, width in cfg.readouts] == [5, 3]
         assert _extra_bits(cfg, 0.05) == [4, 0]
 
     def test_symmetry_collision_raises(self):
@@ -214,8 +214,8 @@ def _extra_bits(cfg, eps_pe):
     exact dyadics at its width, else extra_qubits_for(eps_pe).
     """
     extras = []
-    for phases, (_, width, _) in zip(cfg.phases[:cfg.basis.size].T,
-                                     cfg.readouts):
+    for phases, (_, width) in zip(cfg.phases[:cfg.basis.size].T,
+                                  cfg.readouts):
         scaled = phases * (1 << width)
         exact = np.max(np.abs(scaled - np.round(scaled))) \
             < discriminate.PHASE_TOL
@@ -268,7 +268,7 @@ class TestLookupAgainstWindows:
             return
         cfg = build()
         extras = _extra_bits(cfg, eps_pe)
-        phases = [cfg.readouts[0][2][1]]
+        phases = [cfg.phases[:bas.size, 0]]
         if symmetry is not None:
             phi = bas.grid_matrix(l)
             phases.append([symmetry.eigenphase(phi[:, j])
@@ -276,7 +276,7 @@ class TestLookupAgainstWindows:
         # the (n, p) the config chose: 8 bits read exact levels, and an
         # inexact readout may widen past them until it reads every orbital
         # right
-        bits = [width - p for (_, width, _), p in zip(cfg.readouts, extras)]
+        bits = [width - p for (_, width), p in zip(cfg.readouts, extras)]
         assert len(bits) == 1 + (symmetry is not None)
         assert max(bits) <= (8 if exact else MAX_PHASE_BITS)
         assert np.array_equal(cfg.lookup,
@@ -286,7 +286,7 @@ class TestLookupAgainstWindows:
     @given(lookup_cases(exact=True))
     def test_exact_widths_do_not_depend_on_eps_pe(self, case):
         bas, l, _, symmetry, _ = case
-        widths = [[width for _, width, _ in PhaseEstimationConfig.build(
+        widths = [[width for _, width in PhaseEstimationConfig.build(
             bas, l, t=2 * np.pi, eps_pe=eps, symmetry=symmetry).readouts]
             for eps in (None, 0.3, 0.1, 0.05)]
         assert widths[1:] == widths[:1] * 3
@@ -299,7 +299,7 @@ class TestLookupAgainstWindows:
         cfg = PhaseEstimationConfig.build(
             ring, 4, t=2 * np.pi, eps_pe=0.05,
             symmetry=SymmetryOperator("cyclic-shift"))
-        assert [width for _, width, _ in cfg.readouts] == [8, 4]
+        assert [width for _, width in cfg.readouts] == [8, 4]
 
 
 #: Box-sine orbitals n = 7, 5, 4, 3 at energies sqrt(1.7 n): at t = 1,
@@ -325,7 +325,8 @@ class TestReadoutWidening:
         bas, l, eps_pe, symmetry, _ = case
         assume(eps_pe is not None and symmetry is None)
         cfg = PhaseEstimationConfig.build(bas, l, t=2 * np.pi, eps_pe=eps_pe)
-        (_, width, (_, thetas)), = cfg.readouts
+        (_, width), = cfg.readouts
+        thetas = cfg.phases[:bas.size, 0]
         p, = _extra_bits(cfg, eps_pe)
         right = _read_right(thetas, width - p, p)
         assert np.all(right >= 1.0 - eps_pe)
@@ -336,7 +337,8 @@ class TestReadoutWidening:
 
     def test_edge_phase_widens_the_readout(self):
         cfg = PhaseEstimationConfig.build(EDGE_BASIS, 3, t=1.0, eps_pe=0.05)
-        (_, width, (_, thetas)), = cfg.readouts
+        (_, width), = cfg.readouts
+        thetas = cfg.phases[:EDGE_BASIS.size, 0]
         assert width == 10
         # at the separating width, 5 bits + p = 4, orbital n = 3 misreads
         assert _read_right(thetas, 5, 4)[3] < 0.95 <= min(
@@ -353,7 +355,7 @@ def _pe_distribution(theta, q):
     """Readout distribution for phase estimation of diag(1, e^{2 pi i th})
     applied to the |1> eigenstate.
     """
-    layout = RegisterLayout([("t", "particle", 1), ("r", "readout", q)])
+    layout = RegisterLayout([("t", 1), ("r", q)])
     amps = np.zeros(layout.dim, dtype=complex)
     amps[1] = 1.0  # target |1>, readout |0>
     state = QuantumState(layout, amps)
@@ -381,7 +383,7 @@ class TestPhaseEstimate:
         assert outside <= misidentification_probability(p) + 0.01
 
     def test_adjoint_round_trip(self):
-        layout = RegisterLayout([("t", "particle", 2), ("r", "readout", 3)])
+        layout = RegisterLayout([("t", 2), ("r", 3)])
         rng = np.random.default_rng(2)
         amps = np.zeros(layout.dim, dtype=complex)
         amps[:4] = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -400,8 +402,8 @@ class TestPhaseEstimate:
     def test_closed_form_readout_is_the_textbook_circuit(self, phases, width):
         # the |1> eigenstate of diag(1, e^{2 pi i theta}) leaves the readout
         # at the odd indices of the state
-        layout = RegisterLayout([("t", "particle", 1),
-                                 ("r", "readout", width)])
+        layout = RegisterLayout([("t", 1),
+                                 ("r", width)])
         got = phase_estimate(np.array(phases), width)
         for j, theta in enumerate(phases):
             state = textbook_phase_estimate(
@@ -411,7 +413,7 @@ class TestPhaseEstimate:
                                        rtol=0, atol=1e-12)
 
     def test_symmetry_discriminate_separates_conjugate_pair(self):
-        layout = RegisterLayout([("x", "particle", 3), ("r", "readout", 3)])
+        layout = RegisterLayout([("x", 3), ("r", 3)])
         for k, expected in ((1, 1), (-1, 7)):
             state = QuantumState.zero(layout)
             state, _ = load_orbital(state, "x", ring_plane_wave(k), CDF)
@@ -446,11 +448,11 @@ class TestClosedForm:
            st.booleans(), st.integers(0, 2**31 - 1))
     def test_matches_textbook_circuit(self, kind, l, q, readout_first,
                                       adjoint, seed):
-        pair = [("t", "particle", l), ("r", "readout", q)]
+        pair = [("t", l), ("r", q)]
         if readout_first:
             pair.reverse()
-        layout = RegisterLayout([("lo", "scratch", 1), pair[0],
-                                 ("mid", "scratch", 1), pair[1]])
+        layout = RegisterLayout([("lo", 1), pair[0],
+                                 ("mid", 1), pair[1]])
         rng = np.random.default_rng(seed)
         # every register, the readout included, carries amplitude, and the
         # target carries mass outside the orbitals' span
@@ -471,14 +473,14 @@ class TestClosedForm:
     def test_non_unitary_rejected(self, matrix):
         # u = I + grid diag(e^{2 pi i phases} - 1) grid^dagger is unitary
         # only for orthonormal columns
-        layout = RegisterLayout([("t", "particle", 1), ("r", "readout", 2)])
+        layout = RegisterLayout([("t", 1), ("r", 2)])
         grid = np.array(matrix, dtype=complex)
         with pytest.raises(ValidationError, match="orthonormal"):
             register_phase_estimate(QuantumState.zero(layout), "r", "t",
                                     (grid, np.full(grid.shape[1], 0.25)))
 
     def test_segments_and_phases_checked(self):
-        layout = RegisterLayout([("t", "particle", 2), ("r", "readout", 2)])
+        layout = RegisterLayout([("t", 2), ("r", 2)])
         state = QuantumState.zero(layout)
         for u in ((np.eye(4)[:, :2], [0.5]), np.arange(8),
                   np.array([0, 0, 1, 2])):
@@ -489,8 +491,8 @@ class TestClosedForm:
 
 
 def _loaded_state(bas, orbital_index):
-    layout = RegisterLayout([("fock", "fock", bas.size),
-                             ("particle0", "particle", 3)])
+    layout = RegisterLayout([("fock", bas.size),
+                             ("particle0", 3)])
     state = from_basis_index(layout, 1 << orbital_index)
     state, _ = load_orbital(state, "particle0",
                             bas.orbitals[orbital_index], CDF)
@@ -528,8 +530,8 @@ class TestIdentifyAndDecrement:
 
     def test_superposed_fock_branches(self):
         # (0.6 |001>|phi0> + 0.8 |010>|phi1>) -> fock empty on both branches
-        layout = RegisterLayout([("fock", "fock", 3),
-                                 ("particle0", "particle", 3)])
+        layout = RegisterLayout([("fock", 3),
+                                 ("particle0", 3)])
         amps = np.zeros(layout.dim, dtype=complex)
         state = QuantumState(layout, amps)
         phi0 = self.bas.orbitals[0].grid_values(3)
@@ -549,8 +551,8 @@ class TestIdentifyAndDecrement:
     def test_boson_counter_decrement(self):
         bas = BasisSet([box_sine(1, energy=0.0), box_sine(2, energy=1.0)])
         cfg = PhaseEstimationConfig.build(bas, 3, t=2 * np.pi / 4)
-        layout = RegisterLayout([("fock", "fock", 4),
-                                 ("particle0", "particle", 3)])
+        layout = RegisterLayout([("fock", 4),
+                                 ("particle0", 3)])
         # counters (2, 0): value 0b0010
         state = from_basis_index(layout, 0b0010)
         state, _ = load_orbital(state, "particle0", bas.orbitals[0], CDF)
@@ -562,22 +564,30 @@ class TestIdentifyAndDecrement:
 
     def test_wrong_readout_width_rejected(self):
         # a held readout is rejected at any width
-        layout = RegisterLayout([("fock", "fock", 3),
-                                 ("particle0", "particle", 3),
-                                 ("readout", "readout",
-                                  self.cfg.readouts[0][1] + 1)])
+        layout = RegisterLayout([("fock", 3),
+                                 ("particle0", 3),
+                                 ("readout", self.cfg.readouts[0][1] + 1)])
         state = QuantumState.zero(layout)
         with pytest.raises(StructuralError, match="stands in for"):
             identify_and_decrement(state, self.cfg, "fock", "particle0",
                                    rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_particle_register_must_be_l_wide(self, width):
+        # the map projects onto the grid columns of the config's l = 3
+        layout = RegisterLayout([("fock", 3), ("particle0", width)])
+        with pytest.raises(StructuralError, match="not 3 qubits wide"):
+            identify_and_decrement(QuantumState.zero(layout), self.cfg,
+                                   "fock", "particle0",
+                                   rng=np.random.default_rng(0))
+
     def test_emulated_readout_must_not_be_held(self):
         # the Kraus map stands in for the energy readout, so a layout that
         # holds it, even at its width, is not one the map was made for
-        (name, _, width), = self.cfg.segments()
-        layout = RegisterLayout([("fock", "fock", 3),
-                                 ("particle0", "particle", 3),
-                                 (name, "readout", width)])
+        (name, width), = self.cfg.readouts
+        layout = RegisterLayout([("fock", 3),
+                                 ("particle0", 3),
+                                 (name, width)])
         with pytest.raises(StructuralError, match="stands in for"):
             identify_and_decrement(QuantumState.zero(layout), self.cfg,
                                    "fock", "particle0",
@@ -590,10 +600,10 @@ class TestIdentifyAndDecrement:
         cfg = PhaseEstimationConfig.build(
             ring, 3, t=2 * np.pi / 4,
             symmetry=SymmetryOperator("cyclic-shift"))
-        name, role, width = cfg.segments()[1]
-        layout = RegisterLayout([("fock", "fock", 3),
-                                 ("particle0", "particle", 3),
-                                 (name, role, width + 1)])
+        name, width = cfg.readouts[1]
+        layout = RegisterLayout([("fock", 3),
+                                 ("particle0", 3),
+                                 (name, width + 1)])
         with pytest.raises(StructuralError, match="'symread'.*stands in for"):
             identify_and_decrement(QuantumState.zero(layout), cfg, "fock",
                                    "particle0", rng=np.random.default_rng(0))
@@ -656,8 +666,8 @@ class TestKrausInstrument:
         phases, lookup, size = case
         _, masses = _instrument(phases, lookup, size)
         names = [f"r{a}" for a in range(lookup.ndim)]
-        layout = RegisterLayout([("t", "particle", 1), *(
-            (name, "readout", n) for name, n in zip(names, _widths(lookup)))])
+        layout = RegisterLayout([("t", 1), *(
+            (name, n) for name, n in zip(names, _widths(lookup)))])
         cells = np.arange(size + 1)[:, None] == lookup.ravel() + 1
         for c, row in enumerate(phases):
             state = from_basis_index(layout, 1)
@@ -723,11 +733,11 @@ def kraus_cases(draw):
     counter_width = draw(st.sampled_from([1, 2]))
     counters = draw(st.integers(1, size))
     layout = RegisterLayout([
-        ("fock", "fock", counters * counter_width),
-        ("particle0", "particle", l),
-        ("spectator", "particle", draw(st.integers(0, 2)))])
+        ("fock", counters * counter_width),
+        ("particle0", l),
+        ("spectator", draw(st.integers(0, 2)))])
     # keeps the state that holds the readouts small
-    assume(layout.n_total + sum(w for *_, w in cfg.segments()) <= 18)
+    assume(layout.n_total + sum(w for _, w in cfg.readouts) <= 18)
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
     return (QuantumState(layout, amps / np.linalg.norm(amps)), cfg,
@@ -782,9 +792,9 @@ def decrement_cases(draw):
     readouts = [(f"read{i}", draw(st.integers(1, 3)))
                 for i in range(draw(st.integers(1, 2)))]
     segments = draw(st.permutations(
-        [("fock", "fock", n_counters * counter_width),
-         ("spectator", "particle", draw(st.integers(0, 2)))]
-        + [(name, "readout", width) for name, width in readouts]))
+        [("fock", n_counters * counter_width),
+         ("spectator", draw(st.integers(0, 2)))]
+        + readouts))
     layout = RegisterLayout(segments)
     size = n_counters + draw(st.integers(0, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))

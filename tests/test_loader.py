@@ -30,7 +30,7 @@ CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
 
 
 def fresh(l, extra=()):
-    layout = RegisterLayout([("x", "particle", l), *extra])
+    layout = RegisterLayout([("x", l), *extra])
     return QuantumState.zero(layout)
 
 
@@ -69,8 +69,7 @@ def circuit_load(state, segment, orbital, spec, controls=None,
     """The load as a circuit: per block pair, one split ratio r and one
     rotation with entries sqrt(r) and sqrt(1 - r); l multiplexed-rotation
     passes; one masked pass of the phase factors that the orbital's grid
-    evaluation returns (a tabulated orbital's are the phases of its
-    table).  Returns the state and the circuit's counters.
+    evaluation returns.  Returns the state and the circuit's counters.
     """
     seg = state.layout.segment(segment)
     l = seg.width
@@ -101,9 +100,7 @@ def circuit_load(state, segment, orbital, spec, controls=None,
             c[b], s[b] = np.sqrt(ratio), np.sqrt(1.0 - ratio)
             counts["rotation_applications"] += 1
         state = multiplexed_rotation(state, segment, i, c, s, controls)
-    values, phases = orbital.sample_grid(l)
-    if orbital.family == "tabulated" and np.any(np.angle(values)):
-        phases = np.exp(1j * np.angle(values))
+    _, phases = orbital.sample_grid(l)
     if phases is not None:
         amps = state.amplitudes.copy()
         cube = amps.reshape(amps.size >> (seg.offset + l), seg.dim,
@@ -129,10 +126,10 @@ def load_cases(draw):
     l = draw(st.integers(1, 6))
     below, above = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     gap = draw(st.integers(0, min(1, 10 - l - below - above)))
-    layout = RegisterLayout([("below", "scratch", below),
-                             ("x", "particle", l),
-                             ("gap", "scratch", gap),
-                             ("above", "scratch", above)])
+    layout = RegisterLayout([("below", below),
+                             ("x", l),
+                             ("gap", gap),
+                             ("above", above)])
     controls = [(name, draw(st.integers(0, (1 << width) - 1)))
                 for name, width in (("below", below), ("above", above))
                 if width and draw(st.booleans())]
@@ -212,7 +209,7 @@ class TestLoadOrbital:
             load_orbital(state, "x", uniform(), CDF)
 
     def test_conditional_load(self):
-        layout = RegisterLayout([("x", "particle", 2), ("c", "scratch", 1)])
+        layout = RegisterLayout([("x", 2), ("c", 1)])
         amps = np.zeros(8, dtype=complex)
         amps[0b000] = 0.6  # c=0
         amps[0b100] = 0.8  # c=1
@@ -291,8 +288,8 @@ class TestAgainstCircuit:
         classes at x = 0, the rows above = 1 nonzero amplitudes; the c = 0
         branch holds amplitude at x != 0.
         """
-        layout = RegisterLayout([("below", "scratch", 2), ("x", "particle", 3),
-                                 ("c", "scratch", 1), ("above", "scratch", 1)])
+        layout = RegisterLayout([("below", 2), ("x", 3),
+                                 ("c", 1), ("above", 1)])
         amps = np.zeros(layout.dim, dtype=complex)
         zeros = [complex(0.0, 0.0), complex(0.0, -0.0), complex(-0.0, 0.0),
                  complex(-0.0, -0.0)]
@@ -328,8 +325,8 @@ class TestAgainstCircuit:
         # x != 0, within the blank check's 1e-9.  The load writes the
         # branch as the circuit writes it from the blank register; the
         # circuit itself would rotate the junk into the loaded sites.
-        layout = RegisterLayout([("below", "scratch", 1), ("x", "particle", 2),
-                                 ("c", "scratch", 1)])
+        layout = RegisterLayout([("below", 1), ("x", 2),
+                                 ("c", 1)])
         amps = np.zeros(layout.dim, dtype=complex)
         amps[0b1_00_0] = -0.0
         amps[0b1_01_0] = 1e-10
@@ -347,7 +344,7 @@ class TestAgainstCircuit:
             assert got.amplitudes.tobytes() == ref.amplitudes.tobytes()
 
     def test_controlled_load_needs_blank_branch(self):
-        layout = RegisterLayout([("x", "particle", 2), ("c", "scratch", 1)])
+        layout = RegisterLayout([("x", 2), ("c", 1)])
         amps = np.zeros(8, dtype=complex)
         amps[0b100] = 0.6   # c=1, x=0
         amps[0b101] = 0.8   # c=1, x=1: the target is not blank on c=1
@@ -356,7 +353,7 @@ class TestAgainstCircuit:
                          controls=[("c", 1)])
 
     def test_other_branches_may_fill_the_target(self):
-        layout = RegisterLayout([("x", "particle", 2), ("c", "scratch", 1)])
+        layout = RegisterLayout([("x", 2), ("c", 1)])
         amps = np.zeros(8, dtype=complex)
         amps[0b011] = 0.6   # c=0, x=3
         amps[0b100] = 0.8   # c=1, x=0

@@ -39,7 +39,7 @@ CDF = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
 
 
 def small_layout():
-    return RegisterLayout([("a", "particle", 2), ("b", "scratch", 3)])
+    return RegisterLayout([("a", 2), ("b", 3)])
 
 
 class TestRegisterLayout:
@@ -56,13 +56,9 @@ class TestRegisterLayout:
         assert layout.values("a", idx)[0] == 3
         assert layout.values("b", idx)[0] == 5
 
-    def test_unknown_role_rejected(self):
-        with pytest.raises(StructuralError):
-            RegisterLayout([("a", "banana", 2)])
-
     def test_duplicate_name_rejected(self):
         with pytest.raises(StructuralError):
-            RegisterLayout([("a", "particle", 2), ("a", "scratch", 1)])
+            RegisterLayout([("a", 2), ("a", 1)])
 
     def test_missing_segment_raises(self):
         with pytest.raises(StructuralError):
@@ -73,7 +69,7 @@ class TestRegisterLayout:
     def test_field_write_round_trips(self, data):
         widths = data.draw(st.lists(st.integers(0, 5), min_size=1,
                                     max_size=5))
-        layout = RegisterLayout([(f"s{i}", "scratch", w)
+        layout = RegisterLayout([(f"s{i}", w)
                                  for i, w in enumerate(widths)])
         idx = np.array(data.draw(st.lists(
             st.integers(0, layout.dim - 1), min_size=1, max_size=8)))
@@ -89,14 +85,14 @@ class TestRegisterLayout:
 
     def test_qubit_cap_enforced(self):
         with pytest.raises(ResourceError):
-            RegisterLayout([("big", "particle", qubit_cap() + 1)])
+            RegisterLayout([("big", qubit_cap() + 1)])
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("GRIDPREP_QUBIT_CAP", "4")
         assert qubit_cap() == 4
         with pytest.raises(ResourceError):
-            RegisterLayout([("a", "particle", 5)])
-        RegisterLayout([("a", "particle", 4)])  # exactly at the cap
+            RegisterLayout([("a", 5)])
+        RegisterLayout([("a", 4)])  # exactly at the cap
 
 
 class TestQuantumState:
@@ -116,8 +112,8 @@ class TestQuantumState:
         assert not state.segment_is_blank("b")
 
     def test_segment_blankness_on_branch(self):
-        layout = RegisterLayout([("lo", "scratch", 1), ("a", "particle", 2),
-                                 ("hi", "scratch", 1)])
+        layout = RegisterLayout([("lo", 1), ("a", 2),
+                                 ("hi", 1)])
         state = from_basis_index(layout, 0b0101)  # lo=1, a=2
         assert not state.segment_is_blank("a")
         assert not state.segment_is_blank("a", controls=[("lo", 1)])
@@ -133,7 +129,7 @@ class TestQuantumState:
         # any order decides alike.
         widths = data.draw(st.lists(st.integers(0, 3), min_size=1,
                                     max_size=5))
-        layout = RegisterLayout([(f"s{i}", "scratch", w)
+        layout = RegisterLayout([(f"s{i}", w)
                                  for i, w in enumerate(widths)])
         index = np.arange(layout.dim)
         target, *others = data.draw(st.permutations(
@@ -187,7 +183,7 @@ class TestRotation:
 
     def test_rotation_action(self):
         # one qubit: split ratio cos^2(pi/6) rotates |0> by pi/6
-        layout = RegisterLayout([("a", "particle", 1)])
+        layout = RegisterLayout([("a", 1)])
         orb = tabulated([np.cos(np.pi / 6), np.sin(np.pi / 6)], length=1.0)
         out, _ = load_orbital(QuantumState.zero(layout), "a", orb, CDF)
         assert out.amplitudes[0] == pytest.approx(np.cos(np.pi / 6))
@@ -209,7 +205,7 @@ class TestRotation:
         assert vector_norm(out.amplitudes) == pytest.approx(1.0)
 
     def test_controlled_rotation_only_touches_branch(self):
-        layout = RegisterLayout([("a", "particle", 1), ("c", "scratch", 1)])
+        layout = RegisterLayout([("a", 1), ("c", 1)])
         state = QuantumState(layout, np.array([1, 0, 1, 0]) / np.sqrt(2))
         out, _ = load_orbital(state, "a", tabulated([0, 1], length=1.0), CDF,
                               controls=[("c", 1)])
@@ -225,8 +221,8 @@ class TestRotation:
 
 class TestSegmentUnitary:
     def test_matches_kron_oracle(self):
-        layout = RegisterLayout([("lo", "scratch", 1), ("mid", "particle", 2),
-                                 ("hi", "scratch", 1)])
+        layout = RegisterLayout([("lo", 1), ("mid", 2),
+                                 ("hi", 1)])
         rng = np.random.default_rng(5)
         amps = rng.normal(size=16) + 1j * rng.normal(size=16)
         amps /= np.linalg.norm(amps)
@@ -238,13 +234,13 @@ class TestSegmentUnitary:
         np.testing.assert_allclose(out.amplitudes, full @ amps, atol=1e-12)
 
     def test_non_unitary_rejected(self):
-        state = QuantumState.zero(RegisterLayout([("a", "particle", 1)]))
+        state = QuantumState.zero(RegisterLayout([("a", 1)]))
         with pytest.raises(ValidationError):
             apply_unitary_on_segment(state, "a", np.array([[1, 0], [0, 2]]))
 
     def test_controlled_unitary(self):
         # the controlled apply of the gate-level phase-estimation reference
-        layout = RegisterLayout([("t", "particle", 1), ("c", "scratch", 1)])
+        layout = RegisterLayout([("t", 1), ("c", 1)])
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         state = QuantumState(layout, np.array([1, 0, 1, 0]) / np.sqrt(2))
         out = controlled_unitary(state, "t", x, controls=[(1, 1)])
@@ -264,7 +260,7 @@ class TestQft:
         # |1> -> sum_k e^{+2 pi i k/4} |k> / 2
         expected = np.exp(2j * np.pi * np.arange(4) / 4) / 2
         np.testing.assert_allclose(qft_matrix(2)[:, 1], expected, atol=1e-12)
-        one = from_basis_index(RegisterLayout([("a", "readout", 2)]), 1)
+        one = from_basis_index(RegisterLayout([("a", 2)]), 1)
         np.testing.assert_allclose(qft(one, "a").amplitudes, expected,
                                    atol=1e-12)
 
@@ -272,7 +268,7 @@ class TestQft:
     @given(st.lists(st.integers(1, 4), min_size=1, max_size=3),
            st.data(), st.booleans(), st.integers(0, 2**31 - 1))
     def test_matches_dense_reference(self, widths, data, inverse, seed):
-        layout = RegisterLayout([(f"s{i}", "readout", w)
+        layout = RegisterLayout([(f"s{i}", w)
                                  for i, w in enumerate(widths)])
         name = f"s{data.draw(st.integers(0, len(widths) - 1))}"
         rng = np.random.default_rng(seed)
@@ -284,7 +280,7 @@ class TestQft:
             controlled_unitary(state, name, f).amplitudes, rtol=0, atol=1e-12)
 
     def test_inverse_round_trip(self):
-        layout = RegisterLayout([("a", "readout", 3)])
+        layout = RegisterLayout([("a", 3)])
         rng = np.random.default_rng(0)
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         amps /= np.linalg.norm(amps)
@@ -299,7 +295,7 @@ def relabel_cases(draw):
     in any order, adjacent or not, and amplitudes with signed zeros.
     """
     widths = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
-    layout = RegisterLayout([(f"s{i}", "scratch", w)
+    layout = RegisterLayout([(f"s{i}", w)
                              for i, w in enumerate(widths)])
     names = draw(st.lists(st.sampled_from([s.name for s in layout]),
                           min_size=1, max_size=len(widths), unique=True))
@@ -403,7 +399,7 @@ class TestSwapAndMeasure:
                                    atol=1e-12)
 
     def test_measurement_collapse_and_determinism(self):
-        layout = RegisterLayout([("a", "particle", 2)])
+        layout = RegisterLayout([("a", 2)])
         amps = np.array([0.6, 0.0, 0.8, 0.0])
         state = QuantumState(layout, amps)
         o1, s1 = measure_segment(state, "a", np.random.default_rng(123))
@@ -413,7 +409,7 @@ class TestSwapAndMeasure:
         assert abs(s1.amplitudes[o1]) == pytest.approx(1.0)
 
     def test_measurement_statistics(self):
-        layout = RegisterLayout([("a", "particle", 1)])
+        layout = RegisterLayout([("a", 1)])
         state = QuantumState(layout, np.array([0.6, 0.8]))
         rng = np.random.default_rng(7)
         outcomes = [measure_segment(state, "a", rng)[0] for _ in range(500)]
@@ -421,13 +417,13 @@ class TestSwapAndMeasure:
 
     @pytest.mark.parametrize("bad", [np.nan, 0.9])
     def test_rejects_non_finite_or_unnormalized(self, bad):
-        state = QuantumState(RegisterLayout([("a", "particle", 1)]),
+        state = QuantumState(RegisterLayout([("a", 1)]),
                              np.array([bad, 0.0]))
         with pytest.raises(ValidationError):
             measure_segment(state, "a", np.random.default_rng(0))
 
     def test_zero_mass_impossible(self):
-        layout = RegisterLayout([("a", "particle", 1)])
+        layout = RegisterLayout([("a", 1)])
         state = QuantumState(layout, np.array([1.0, 0.0]))
         probs = segment_probabilities(state, "a")
         assert probs[1] == 0.0
@@ -482,7 +478,7 @@ def extraction_cases(draw):
     segments are blank, blank up to sub-tolerance junk, or leaking.
     """
     widths = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
-    layout = RegisterLayout([(f"s{i}", "scratch", w)
+    layout = RegisterLayout([(f"s{i}", w)
                              for i, w in enumerate(widths)])
     names = [s.name for s in layout]
     keep = draw(st.lists(st.sampled_from(names), min_size=1,
@@ -531,7 +527,7 @@ class TestAgainstDenseExtraction:
 
 class TestDensityOps:
     def test_partial_trace_of_product_is_pure(self):
-        layout = RegisterLayout([("a", "particle", 2), ("b", "scratch", 2)])
+        layout = RegisterLayout([("a", 2), ("b", 2)])
         va = np.array([0.5, 0.5, 0.5, 0.5])
         vb = np.array([1.0, 0.0, 0.0, 0.0])
         state = QuantumState(layout, np.kron(vb, va))
@@ -540,20 +536,20 @@ class TestDensityOps:
         np.testing.assert_allclose(rho.matrix, np.outer(va, va), atol=1e-12)
 
     def test_partial_trace_of_bell_pair_is_mixed(self):
-        layout = RegisterLayout([("a", "particle", 1), ("b", "scratch", 1)])
+        layout = RegisterLayout([("a", 1), ("b", 1)])
         state = QuantumState(layout,
                              np.array([1, 0, 0, 1]) / np.sqrt(2))
         rho = partial_trace(state, ["a"])
         assert purity(rho) == pytest.approx(0.5)
 
     def test_partial_trace_cap(self):
-        layout = RegisterLayout([("a", "particle", 13), ("b", "scratch", 1)])
+        layout = RegisterLayout([("a", 13), ("b", 1)])
         state = QuantumState.zero(layout)
         with pytest.raises(ResourceError):
             partial_trace(state, ["a"])
 
     def test_extract_segment_vector(self):
-        layout = RegisterLayout([("a", "particle", 2), ("b", "scratch", 2)])
+        layout = RegisterLayout([("a", 2), ("b", 2)])
         amps = np.zeros(16, dtype=complex)
         amps[0b0001] = 0.6
         amps[0b0010] = 0.8
@@ -562,7 +558,7 @@ class TestDensityOps:
         np.testing.assert_allclose(vec, [0, 0.6, 0.8, 0], atol=1e-12)
 
     def test_extract_raises_on_leakage(self):
-        layout = RegisterLayout([("a", "particle", 2), ("b", "scratch", 2)])
+        layout = RegisterLayout([("a", 2), ("b", 2)])
         amps = np.zeros(16, dtype=complex)
         amps[0b0001] = 0.6
         amps[0b0110] = 0.8  # b = 1: leakage
@@ -570,7 +566,7 @@ class TestDensityOps:
             extract_segment_vector(QuantumState(layout, amps), ["a"])
 
     def test_extract_rejects_zero_state(self):
-        layout = RegisterLayout([("a", "particle", 2), ("b", "scratch", 2)])
+        layout = RegisterLayout([("a", 2), ("b", 2)])
         state = QuantumState(layout, np.zeros(16, dtype=complex))
         with pytest.raises(ValidationError):
             extract_segment_vector(state, ["a"])
