@@ -302,6 +302,7 @@ def _task_superposition(cfg, config_dir, seed):
     with _reading("phase_estimation"):
         energy_phases(bas.energies, pe.get("t"), pe.get("eps_pe"))
     if "l" in cfg:  # the readouts the driver builds, as it builds them
+        sup.check_cap(cfg["l"])
         with _reading("basis"):
             bas.grid_matrix(cfg["l"])
         with _reading("phase_estimation.symmetry" if "symmetry" in pe

@@ -16,7 +16,7 @@ the load leaves out the readouts as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -125,6 +125,17 @@ class FockSuperposition:
     def max_count(self) -> int:
         return max(max(occ.n) for _, occ in self.terms)
 
+    def check_cap(self, l: int) -> "FockSuperposition":
+        """`self`, unless the occupation register and the particle bank at
+        `l` qubits a particle alone exceed the qubit cap (ResourceError): a
+        check that needs none of the readouts, whose build samples every
+        orbital on the 2^l sites.
+        """
+        width = boson_counter_width(self.max_count)
+        RegisterLayout([("fock", self.num_orbitals * width),
+                        *particle_segments(self.m, l)])
+        return self
+
 
 @dataclass(frozen=True)
 class MixedSpec:
@@ -191,11 +202,11 @@ def _merge_plans(counters: dict, plans: list[LoadPlan]) -> None:
 
 def _load_branches(
     layout: RegisterLayout, segment: str, branches, p_names: list[str],
-    basis: BasisSet, spec: IntegrationSpec, counters: dict, cache: dict,
-) -> QuantumState:
+    basis: BasisSet, spec: IntegrationSpec, cache: dict,
+) -> tuple[QuantumState, list[LoadPlan]]:
     """Prepare sum_b a_b |code_b> |Hartree product of occupation_b> from
     |0>, for (a_b, code_b, occupation_b) branches, the products on the
-    particle registers `p_names`.
+    particle registers `p_names`; returns the state and its loads' plans.
 
     The amplitude table is loaded on branch-register indices 0..K-1 and
     relabeled from index to code (unused indices fill the unused codes in
@@ -206,16 +217,16 @@ def _load_branches(
         QuantumState.zero(layout), segment,
         np.array([a for a, _, _ in branches], dtype=complex), spec,
         cache=cache)
-    _merge_plans(counters, [plan])
+    plans = [plan]
     codes = [code for _, code, _ in branches]
     state = relabel(state, [segment], codes + sorted(
         set(range(layout.segment(segment).dim)) - set(codes)))
     for _, code, occ in branches:
-        state, plans = prepare_hartree_product(
+        state, branch_plans = prepare_hartree_product(
             state, occ, basis, spec, p_names,
             controls=[(segment, code)], cache=cache)
-        _merge_plans(counters, plans)
-    return state
+        plans += branch_plans
+    return state, plans
 
 
 def prepare_orbital(
@@ -378,7 +389,8 @@ def prepare_superposition(
 
     Repeat-until-success: an attempt whose occupation register fails to
     verify as empty after disentangling is discarded and the whole
-    preparation restarts with fresh measurement randomness.
+    preparation restarts from the loaded state with fresh measurement
+    randomness.
 
     The error bound is m + 1 times the load bound of one register, which
     bounds the infidelity of the state exact phase estimation returns;
@@ -388,27 +400,45 @@ def prepare_superposition(
     (`PhaseEstimationConfig.build`), `phase_estimation_error_bound` bounds
     the infidelity of the returned state against that one, and
     `angle_error_bound` adds the two steps.  `max_attempts` must be at least 1.
+
+    Only the measurements depend on `seed`: next to the loader's tables,
+    `cache` keeps the `PhaseEstimationConfig` under ("readouts", basis, l,
+    t, eps_pe, symmetry) and the loaded state with its `LoadPlan`s under
+    ("loaded", sup, basis, l, spec), `basis` keyed by identity (and kept
+    alive).  A hit counts its loads as cached tables do, with no integral
+    evaluations.  The arrays a cache shares are read-only; with
+    `cache=None` nothing outlives the call, and each attempt loads anew.
     """
     _expect(sup=(sup, FockSuperposition), spec=(spec, IntegrationSpec))
     if max_attempts < 1:
         raise ValidationError(f"max_attempts {max_attempts} is not at least 1")
     sup.check_basis(basis)
     load_error_bound(l, spec.epsilon_i)  # rejects a bad l before the readouts
+    sup.check_cap(l)
     counter_width = boson_counter_width(sup.max_count)
     # (amplitude, occupation code, occupation) branches, by ascending code
     branches = sorted(
         ((a, fock_encode(occ, counter_width), occ) for a, occ in sup.terms),
         key=lambda branch: branch[1])
-    config = PhaseEstimationConfig.build(
+    tables = {} if cache is None else cache
+    readouts = ("readouts", basis, l, t, eps_pe, symmetry)
+    config = tables.get(readouts) or PhaseEstimationConfig.build(
         basis, l, t=t, eps_pe=eps_pe, symmetry=symmetry)
-    cache = {} if cache is None else cache
+    tables[readouts] = config
+    loaded = ("loaded", sup, basis, l, spec)
 
     def load(layout, banks, counters):
         seed_seq = np.random.SeedSequence(seed)
         for attempt in range(1, max_attempts + 1):
             rng = np.random.default_rng(seed_seq.spawn(1)[0])
-            state = _load_branches(layout, "fock", branches, banks[0],
-                                   basis, spec, counters, cache)
+            state, plans = tables.get(loaded) or _load_branches(
+                layout, "fock", branches, banks[0], basis, spec, tables)
+            _merge_plans(counters, plans)
+            if cache is not None and loaded not in cache:
+                state.amplitudes.flags.writeable = False
+                # a load on the cached tables evaluates no integral
+                cache[loaded] = state, [replace(plan, integral_evaluations=0)
+                                        for plan in plans]
             ambiguous = 0.0
             for particle in banks[0]:
                 state, record = identify_and_decrement(
@@ -487,8 +517,10 @@ def prepare_mixed(
     cache = {} if cache is None else cache
 
     def load(layout, banks, counters):
-        return _load_branches(layout, "branch", branches, banks[0], basis,
-                              spec, counters, cache), 1
+        state, plans = _load_branches(layout, "branch", branches, banks[0],
+                                      basis, spec, cache)
+        _merge_plans(counters, plans)
+        return state, 1
 
     return _prepare("mixed", [(comps[0][1], "")], l, spec, load,
                     head=(("branch", w_spec),), rho=True)

@@ -244,14 +244,21 @@ class PhaseEstimationConfig:
     components: np.ndarray = field(repr=False)
     symmetry: SymmetryOperator | None
 
+    def __post_init__(self):
+        for array in (self.lookup, self.phases, self.components):
+            array.flags.writeable = False
+
     @cached_property
     def instrument(self) -> tuple[np.ndarray, np.ndarray]:
         """The readouts' Kraus instrument on the components, (C, P) of
         `_instrument`, made on first use: it spans every joint readout
         value, so for readouts wider than any layout holds it would take
-        gigabytes in `build`.
+        gigabytes in `build`.  Like the config's other arrays, C and P are
+        read-only: a cache may share them across preparations.
         """
-        return _instrument(self.phases, self.lookup, self.basis.size)
+        kraus, masses = _instrument(self.phases, self.lookup, self.basis.size)
+        kraus.flags.writeable = masses.flags.writeable = False
+        return kraus, masses
 
     @classmethod
     def build(

@@ -190,7 +190,9 @@ def load_orbital(
     `ratio_perturb(i, k, ratio)` lets callers inject integral noise; it is
     called once per pair with mass, in level order, with k = 2b for pair b.
     `cache` holds one ratio table and phase table per (orbital, l, spec)
-    across loads.
+    across loads, and a load that finds them evaluates no integral;
+    `prepare_superposition` keeps its readouts and loaded state in the
+    same dict.  With `cache=None` nothing is kept.
     """
     l = state.layout.segment(segment).width
     if not state.segment_is_blank(segment, controls):

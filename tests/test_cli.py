@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 from gridprep.analysis import pure_infidelity
-from gridprep.basis import IntegrationSpec
+from gridprep.basis import BasisSet, IntegrationSpec
 from gridprep.cli import SCHEMA, TASKS, _Required, main, read_orbital_csv, \
     write_table
 from gridprep.discriminate import SymmetryOperator
@@ -411,6 +411,29 @@ class TestPrepareCommands:
             "l": 3, "occupation": "110", "basis": BOX_BASIS})
         assert run(["prepare-slater", "--config", cfg,
                     "--out", str(tmp_path / "out")]) == 4
+
+    def test_superposition_cap_checked_before_the_readouts(
+            self, tmp_path, monkeypatch, capsys):
+        # 3 + 2 x 20 qubits before the readouts, against the cap of 26:
+        # found before grid_matrix(20), 2^20 rows, is sampled
+        def grid_matrix(self, l):
+            raise AssertionError("readouts built before the qubit cap")
+
+        monkeypatch.delenv("GRIDPREP_QUBIT_CAP", raising=False)
+        monkeypatch.setattr(BasisSet, "grid_matrix", grid_matrix)
+        cfg = write_config(tmp_path, "c.yaml", {
+            "l": 20, "statistics": "fermionic",
+            "basis": [{"family": "box-sine", "n": n, "energy": float(n - 1)}
+                      for n in (1, 2, 3)],
+            "superposition": [
+                {"amplitude": 0.6, "occupation": "110"},
+                {"amplitude": 0.8, "occupation": "011"},
+            ],
+            "phase_estimation": BOX_EXACT_PE})
+        for args in (["validate"],
+                     ["prepare-superposition", "--out", str(tmp_path / "o")]):
+            assert run([*args, "--config", cfg]) == 4
+            assert "43 qubits" in capsys.readouterr().err
 
     def test_bad_qubit_cap_is_config_error(self, tmp_path, monkeypatch,
                                            capsys):

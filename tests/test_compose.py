@@ -703,6 +703,81 @@ class TestEdgePhases:
                 <= prep.report.error_bound, seed
 
 
+# -- the readouts and the loaded state shared across seeds ------------------
+
+#: `prepare_superposition` keywords but the seed: criterion 5 part B
+#: (irrational phases, eps_pe = 0.05), an exact-phase superposition, and a
+#: degenerate ring pair split by a cyclic-shift readout.
+SHARED_CONFIGS = {
+    "irrational": dict(
+        sup=SUP_110_101,
+        basis=BasisSet([box_sine(n + 1, energy=e)
+                        for n, e in enumerate(IRRATIONAL_LEVELS)]),
+        l=2, spec=CDF, t=2 * np.pi * 0.3 / math.sqrt(2), eps_pe=0.05),
+    "exact": dict(
+        sup=FockSuperposition.from_strings([(0.6, "1100"), (0.8, "1010")]),
+        basis=dyadic_basis(4), l=3, spec=CDF, t=2 * np.pi / 8),
+    "cyclic-shift": dict(
+        sup=SUP_110_101,
+        basis=BasisSet([ring_plane_wave(k, energy=e)
+                        for k, e in [(0, 0.0), (1, 1.0), (-1, 1.0)]]),
+        l=3, spec=CDF, t=2 * np.pi / 4,
+        symmetry=SymmetryOperator("cyclic-shift")),
+}
+
+
+class TestSharedCache:
+    # seed 82 of part B retries, and seed 98 returns a leaked state
+    @pytest.mark.parametrize("kind, seeds", [
+        ("irrational", range(80, 100)), ("exact", range(3)),
+        ("cyclic-shift", range(3))])
+    def test_warm_cache_matches_no_cache(self, kind, seeds):
+        call = SHARED_CONFIGS[kind]
+        cache = {}
+        prepare_superposition(**call, seed=0, cache=cache)
+        attempts = []
+        for seed in seeds:
+            warm = prepare_superposition(**call, seed=seed, cache=cache)
+            cold = prepare_superposition(**call, seed=seed)
+            assert warm.vector.tobytes() == cold.vector.tobytes(), seed
+            assert warm.report.attempts == cold.report.attempts, seed
+            assert cold.report.counters["integral_evaluations"] > 0
+            assert warm.report.counters == {
+                **cold.report.counters, "integral_evaluations": 0}, seed
+            attempts.append(warm.report.attempts)
+        if kind == "irrational":
+            assert attempts[82 - 80] == 2
+
+    def test_build_and_load_run_once_per_configuration(self, monkeypatch):
+        calls = Counter()
+        build, load = PhaseEstimationConfig.build.__func__, \
+            compose._load_branches
+
+        def counted_build(cls, *args, **kwargs):
+            calls["build"] += 1
+            return build(cls, *args, **kwargs)
+
+        def counted_load(*args, **kwargs):
+            calls["load"] += 1
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(PhaseEstimationConfig, "build",
+                            classmethod(counted_build))
+        monkeypatch.setattr(compose, "_load_branches", counted_load)
+        cache = {}
+        preps = [prepare_superposition(**SHARED_CONFIGS["irrational"],
+                                       seed=seed, cache=cache)
+                 for seed in range(80, 90)]
+        assert calls == {"build": 1, "load": 1}
+        assert sum(prep.report.attempts for prep in preps) == 11  # seed 82
+        (config,) = [v for k, v in cache.items() if k[0] == "readouts"]
+        ((state, _),) = [v for k, v in cache.items() if k[0] == "loaded"]
+        with pytest.raises(ValueError, match="read-only"):
+            state.amplitudes[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            config.instrument[0][...] = 0.0
+
+
 # -- every driver within its proved bound -----------------------------------
 
 #: Keyword strategies per continuum or delta family of basis.FAMILIES; some
