@@ -315,7 +315,6 @@ def _prepare(
 def _species_product(
     kind: str, species: list[tuple[OccupationVector, BasisSet, str]],
     l: int, spec: IntegrationSpec, ratio_perturb=None,
-    cache: dict | None = None,
 ) -> PreparedState:
     """Skeleton whose load is an unconditioned Hartree product per
     (occupation, basis, register-name prefix) species.
@@ -325,7 +324,7 @@ def _species_product(
         for (occ, basis, _), names in zip(species, banks):
             state, plans = prepare_hartree_product(
                 state, occ, basis, spec, names,
-                ratio_perturb=ratio_perturb, cache=cache)
+                ratio_perturb=ratio_perturb)
             _merge_plans(counters, plans)
         return state, 1
 
@@ -339,7 +338,6 @@ def prepare_slater(
     l: int,
     spec: IntegrationSpec,
     ratio_perturb=None,
-    cache: dict | None = None,
 ) -> PreparedState:
     """Hartree product of the occupied orbitals, then (anti)symmetrization.
 
@@ -349,7 +347,7 @@ def prepare_slater(
     _expect(occupation=(occupation, OccupationVector))
     kind = "slater" if occupation.statistics == "fermionic" else "permanent"
     return _species_product(kind, [(occupation, basis, "")], l, spec,
-                            ratio_perturb, cache)
+                            ratio_perturb)
 
 
 def prepare_two_species(
@@ -501,7 +499,6 @@ def prepare_mixed(
     basis: BasisSet,
     l: int,
     spec: IntegrationSpec,
-    cache: dict | None = None,
 ) -> PreparedState:
     """Prepare sum_i p_i |Psi_i><Psi_i| by purification: a spec register
     holds sqrt(p_i) amplitudes, orbitals load conditionally per branch, the
@@ -514,11 +511,11 @@ def prepare_mixed(
     comps = mixed.components
     branches = [(math.sqrt(p), i, occ) for i, (p, occ) in enumerate(comps)]
     w_spec = max(1, math.ceil(math.log2(len(comps))))
-    cache = {} if cache is None else cache
 
     def load(layout, banks, counters):
+        # one ratio table per orbital, shared by the branches
         state, plans = _load_branches(layout, "branch", branches, banks[0],
-                                      basis, spec, cache)
+                                      basis, spec, {})
         _merge_plans(counters, plans)
         return state, 1
 

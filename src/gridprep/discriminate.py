@@ -402,15 +402,17 @@ def identify_and_decrement(
     The pass is the Kraus map K_r = sum_c Pi_c (x) sum_o C[c, r, o] D_o,
     with (C, P) the `config.instrument`.  Pi_c projects the particle
     register onto component c: grid column phi_j, or the modes of the rest
-    of one phase; D_o decrements counter o, and is the identity for o = -1
-    or an orbital without a counter.  With x_c the projections, outcome
+    of one phase; D_o decrements counter o (the identity for o = -1 or an
+    orbital without a counter), a permutation of the occupation values, so a
+    0/1 matrix on that axis alone.  With x_c the projections, an outcome
     r = (r_1, ...) has mass p(r) = sum_c |sum_o C[c, r, o] D_o x_c|^2, a
-    quadratic form in the Gram matrix <D_o x_c, D_o' x_c>, so no array
-    spans the readout values and the state at once.  r is drawn one readout
-    at a time, each by `born_draw` on its masses given the outcomes before
-    it, and leaves sum_c sum_o C[c, r, o] D_o x_c / sqrt(p(r)).  The
-    record's masses are the Fejer masses P[c, o] |x_c|^2, as the estimated
-    readouts hold them.
+    quadratic form in the Gram matrix <D_o x_c, D_o' x_c>: a sum of the
+    parts' autocorrelation over the occupation axis, so no array spans the
+    readout values and the state at once, nor K + 1 state copies.  Each
+    readout of r is drawn in turn by `born_draw` on its masses given the
+    outcomes before it, and r leaves sum_c sum_o C[c, r, o] D_o x_c /
+    sqrt(p(r)).  The record's masses are the Fejer masses P[c, o] |x_c|^2,
+    as the estimated readouts hold them.
     """
     names = {seg.name for seg in state.layout}
     for name, _ in config.readouts:
@@ -442,24 +444,21 @@ def identify_and_decrement(
     # columns that hold nothing are left out, so that registers which stay
     # blank (and their size) change no sum
     columns = np.flatnonzero(table.any(axis=(0, 1)))
-    held = table[:, :, columns]
-    # einsum sums in its own loops, whatever BLAS does
-    coef = np.einsum("xj,xfy->jfy", grid.conj(), held)
-    rest = held - np.einsum("xj,jfy->xfy", grid, coef)
+    # the parts: each orbital's coefficients, then the rest, projected in
+    # place (einsum sums in its own loops, whatever BLAS does)
+    coef = np.einsum("xj,xfy->jfy", grid.conj(), table[:, :, columns])
+    parts = np.concatenate([coef, table[:, :, columns]])
+    parts[size:] -= np.einsum("xj,jfy->xfy", grid, coef)
     if config.symmetry is not None:
-        rest = config.symmetry.modes(rest)
-    # each orbital's and mode's part after each decrement D_o
-    shifted = np.concatenate([coef, rest])[:, source]
-    # gram[c, o, p] sums <D_o x, D_p x> over the parts x of component c,
-    # from their float view, with no conjugate copied: re re + im im, and
-    # i (re im - im re)
-    parts = shifted[..., None].view(np.float64)
-    cross = np.einsum("kofy,kpfy->kop", parts[..., 0], parts[..., 1])
+        parts[size:] = config.symmetry.modes(parts[size:])
+    # auto[c, g, h] sums <x[g], x[h]> over the parts x of component c, and
+    # gram[c, o, p], their <D_o x, D_p x>, sums it along source[o], source[p]
     kraus, masses = config.instrument
-    gram = np.zeros((len(kraus), size + 1, size + 1), complex)
-    np.add.at(gram, config.components,
-              np.einsum("kofyz,kpfyz->kop", parts, parts)
-              + 1j * (cross - cross.transpose(0, 2, 1)))
+    auto = np.zeros((len(kraus), fock.dim, fock.dim), complex)
+    for c, part in zip(config.components,
+                       np.einsum("kgy,khy->kgh", parts.conj(), parts)):
+        auto[c] += part  # as np.add.at adds, at a fraction of its cost
+    gram = auto[:, source[:, None], source].sum(axis=-1)
     flat = kraus.reshape(len(gram), -1, size + 1)
     # a quadratic form can round below 0 where p(r) is 0
     probs = np.maximum(np.einsum("cro,cop,crp->r", flat.conj(), gram, flat)
@@ -473,9 +472,10 @@ def identify_and_decrement(
         outcome = born_draw(marginal, rng)
         joint = joint[outcome] / marginal[outcome]
         outcomes.append(outcome)
-    kept = np.einsum("ko,kofy->kfy",
-                     kraus[(slice(None), *outcomes)][config.components],
-                     shifted)
+    # sum_o C[c, r, o] D_o, with D_o the occupation-axis matrix of source[o]
+    step = np.einsum("co,ofg->cfg", kraus[(slice(None), *outcomes)],
+                     np.eye(fock.dim)[source])
+    kept = np.einsum("kfg,kgy->kfy", step[config.components], parts)
     if config.symmetry is not None:
         kept[size:] = config.symmetry.modes(kept[size:], inverse=True)
     out = np.zeros_like(table)

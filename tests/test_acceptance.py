@@ -136,14 +136,13 @@ class TestAcceptance:
     def test_criterion_4_antisymmetrization(self):
         start = time.perf_counter()
         bas = ring_basis()
-        cache = {}
         worst = {"fermionic": 0.0, "bosonic": 0.0}
         worst_swap = 0.0
         for statistics, expected_sign in (("fermionic", -1.0),
                                           ("bosonic", +1.0)):
             for l in (2, 3, 4):
                 for occ in all_occupations(4, 3, statistics):
-                    prep = prepare_slater(occ, bas, l, CDF, cache=cache)
+                    prep = prepare_slater(occ, bas, l, CDF)
                     inf = infidelity(prep.vector, slater_oracle(occ, bas, l))
                     worst[statistics] = max(worst[statistics], inf)
                     if occ.m >= 2:

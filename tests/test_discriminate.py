@@ -1,4 +1,5 @@
 """Phase estimation, lookup windows, symmetry readouts, uncomputation."""
+import tracemalloc
 from functools import partial, reduce
 from types import SimpleNamespace
 from unittest import mock
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from gridprep import discriminate
+from gridprep import compose, discriminate
 from gridprep.basis import BasisSet, IntegrationSpec, box_sine, \
     ring_plane_wave
 from gridprep.discriminate import (
@@ -778,6 +779,35 @@ class TestKrausAgainstRegister:
                                    atol=1e-12)
         assert record.ambiguous_mass == pytest.approx(
             ref_record.ambiguous_mass, rel=0, abs=1e-12)
+
+
+def test_identification_allocates_under_eight_states(monkeypatch):
+    """One identification on a state taken from inside
+    prepare_superposition (l = 6, four box sines, two particles) allocates
+    less than 8 times the state's bytes at its peak: no array holds the
+    K + 1 decremented copies of its parts.
+    """
+    calls = []
+
+    def record(state, config, *args, **kwargs):
+        calls.append((state, config, args, kwargs))
+        return identify_and_decrement(state, config, *args, **kwargs)
+
+    monkeypatch.setattr(compose, "identify_and_decrement", record)
+    basis = BasisSet([box_sine(n + 1, energy=float(n)) for n in range(4)])
+    sup = compose.FockSuperposition.from_strings([(0.6, "1100"),
+                                                  (0.8, "1010")])
+    compose.prepare_superposition(sup, basis, 6, CDF, t=2 * np.pi / 8,
+                                  seed=1)
+    state, config, args, kwargs = calls[0]
+    tracemalloc.start()
+    try:
+        identify_and_decrement(state, config, *args,
+                               **{**kwargs, "rng": np.random.default_rng(1)})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * state.amplitudes.nbytes
 
 
 @st.composite
