@@ -49,6 +49,8 @@ from .statevec import QuantumState, born_draw, measure_segment, segment_view
 MAX_PHASE_BITS = 16
 #: Phases closer than this coincide (with each other, or with a dyadic).
 PHASE_TOL = 1e-9
+#: Bytes of decremented parts `identify_and_decrement` makes at a time.
+DECREMENT_BYTES = 1 << 20
 
 
 def extra_qubits_for(eps_pe: float) -> int:
@@ -376,9 +378,8 @@ def fock_encode(occupation: OccupationVector, counter_width: int = 1) -> int:
     code = 0
     for i, v in enumerate(occupation.n):
         if v > cap:
-            raise ValidationError(
-                f"count {v} exceeds the {counter_width}-bit counter"
-            )
+            raise ValidationError(f"count {v} exceeds the "
+                                  f"{counter_width}-bit counter")
         code |= v << (i * counter_width)
     return code
 
@@ -403,16 +404,15 @@ def identify_and_decrement(
     with (C, P) the `config.instrument`.  Pi_c projects the particle
     register onto component c: grid column phi_j, or the modes of the rest
     of one phase; D_o decrements counter o (the identity for o = -1 or an
-    orbital without a counter), a permutation of the occupation values, so a
-    0/1 matrix on that axis alone.  With x_c the projections, an outcome
-    r = (r_1, ...) has mass p(r) = sum_c |sum_o C[c, r, o] D_o x_c|^2, a
-    quadratic form in the Gram matrix <D_o x_c, D_o' x_c>: a sum of the
-    parts' autocorrelation over the occupation axis, so no array spans the
-    readout values and the state at once, nor K + 1 state copies.  Each
-    readout of r is drawn in turn by `born_draw` on its masses given the
-    outcomes before it, and r leaves sum_c sum_o C[c, r, o] D_o x_c /
-    sqrt(p(r)).  The record's masses are the Fejer masses P[c, o] |x_c|^2,
-    as the estimated readouts hold them.
+    orbital without a counter), a permutation of the occupation values.
+    With x_c the projections, outcome r = (r_1, ...) has mass p(r) =
+    sum_c |sum_o C[c, r, o] D_o x_c|^2, a quadratic form in the Gram matrix
+    <D_o x_c, D_o' x_c>, so no array spans the readout values and the state
+    at once, and the parts' K + 1 decremented copies are made a share at a
+    time (`DECREMENT_BYTES`).  r is drawn readout by readout, by
+    `born_draw` on its masses given the outcomes before it, and leaves
+    sum_c sum_o C[c, r, o] D_o x_c / sqrt(p(r)).  The record's masses are
+    the Fejer masses P[c, o] |x_c|^2, as the estimated readouts hold them.
     """
     names = {seg.name for seg in state.layout}
     for name, _ in config.readouts:
@@ -426,9 +426,8 @@ def identify_and_decrement(
     size = config.basis.size
     fock = state.layout.segment(fock_segment)
     counters = min(fock.width // counter_width, size)
-    # row 1 + o of `source` reads, for each occupation value, the value
-    # that D_o sends there: counter o incremented, or the value itself for
-    # an orbital without a counter and in row 0, which names no orbital
+    # source[1 + o, v] is the value that D_o sends to v, v with counter o
+    # incremented; row 0 and the orbitals without a counter keep v
     values = np.arange(fock.dim)
     shift = np.arange(counters)[:, None] * counter_width
     cmask = (1 << counter_width) - 1
@@ -451,36 +450,38 @@ def identify_and_decrement(
     parts[size:] -= np.einsum("xj,jfy->xfy", grid, coef)
     if config.symmetry is not None:
         parts[size:] = config.symmetry.modes(parts[size:])
-    # auto[c, g, h] sums <x[g], x[h]> over the parts x of component c, and
-    # gram[c, o, p], their <D_o x, D_p x>, sums it along source[o], source[p]
+    # inner[k, o, p] = <D_o x, D_p x> for x = parts[k], a share at a time
+    # (its copies span DECREMENT_BYTES at most); gram[c] sums component c's
     kraus, masses = config.instrument
-    auto = np.zeros((len(kraus), fock.dim, fock.dim), complex)
-    for c, part in zip(config.components,
-                       np.einsum("kgy,khy->kgh", parts.conj(), parts)):
-        auto[c] += part  # as np.add.at adds, at a fraction of its cost
-    gram = auto[:, source[:, None], source].sum(axis=-1)
+    step = max(1, DECREMENT_BYTES // ((size + 1) * max(parts[0].nbytes, 1)))
+    shares = [slice(i, i + step) for i in range(0, len(parts), step)]
+    inner = np.empty((len(parts), size + 1, size + 1), complex)
+    for share in shares:
+        d = parts[share][:, source]
+        np.einsum("kofy,kpfy->kop", d.conj(), d, out=inner[share])
+    gram = np.einsum("ck,kop->cop", np.arange(len(kraus))[:, None]
+                     == config.components, inner)
     flat = kraus.reshape(len(gram), -1, size + 1)
     # a quadratic form can round below 0 where p(r) is 0
     probs = np.maximum(np.einsum("cro,cop,crp->r", flat.conj(), gram, flat)
                        .real, 0.0).reshape(config.lookup.shape)
 
-    # each readout's measured reset in turn, on its masses given the
-    # outcomes drawn before it
     joint, outcomes = probs, []
     for _ in config.readouts:
         marginal = joint.reshape(joint.shape[0], -1).sum(axis=1)
         outcome = born_draw(marginal, rng)
         joint = joint[outcome] / marginal[outcome]
         outcomes.append(outcome)
-    # sum_o C[c, r, o] D_o, with D_o the occupation-axis matrix of source[o]
-    step = np.einsum("co,ofg->cfg", kraus[(slice(None), *outcomes)],
-                     np.eye(fock.dim)[source])
-    kept = np.einsum("kfg,kgy->kfy", step[config.components], parts)
+    # the parts turn into the kept sum_o C[c, r, o] D_o x_c, share by share
+    coeff = kraus[(slice(None), *outcomes)][config.components]
+    for share in shares:
+        np.einsum("ko,kofy->kfy", coeff[share], parts[share][:, source],
+                  out=parts[share])
     if config.symmetry is not None:
-        kept[size:] = config.symmetry.modes(kept[size:], inverse=True)
+        parts[size:] = config.symmetry.modes(parts[size:], inverse=True)
     out = np.zeros_like(table)
-    out[:, :, columns] = (np.einsum("xj,jfy->xfy", grid, kept[:size])
-                          + kept[size:]) / np.sqrt(probs[tuple(outcomes)])
+    out[:, :, columns] = (np.einsum("xj,jfy->xfy", grid, parts[:size])
+                          + parts[size:]) / np.sqrt(probs[tuple(outcomes)])
     out = np.moveaxis(out.reshape(shape), (0, 1), (x, f))
 
     cells = np.einsum("co,c->o", masses, gram[:, 0, 0].real)
@@ -491,9 +492,8 @@ def identify_and_decrement(
         tuple(outcomes))
 
 
-def verify_uncomputation(
-    state: QuantumState, fock_segment: str, rng
-) -> tuple[bool, int, QuantumState]:
+def verify_uncomputation(state: QuantumState, fock_segment: str,
+                         rng) -> tuple[bool, int, QuantumState]:
     """Measure the occupation register; success means it collapsed to zero
     (fully disentangled).  The collapsed state is returned either way so a
     driver can retry on failure.

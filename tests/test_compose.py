@@ -944,27 +944,3 @@ def test_orbital_bytes_do_not_depend_on_blas_threads():
     outputs = outputs_under_blas_threads(["-c", ORBITAL_BYTES, "18", "19"])
     assert len(outputs[0].splitlines()) == 2
     assert outputs[0] == outputs[1]
-
-
-#: Prints a SHA-256 of the vector of prepare_superposition for
-#: 0.6|1100> + 0.8|1010> on four box sines, at each grid size on the command
-#: line: two identifications, each a Kraus map on a state of 2^16 amplitudes
-#: at l = 6.
-SUPERPOSITION_BYTES = """
-import hashlib, sys
-import numpy as np
-from gridprep import BasisSet, FockSuperposition, IntegrationSpec, \\
-    box_sine, prepare_superposition
-basis = BasisSet([box_sine(n + 1, energy=float(n)) for n in range(4)])
-sup = FockSuperposition.from_strings([(0.6, "1100"), (0.8, "1010")])
-spec = IntegrationSpec(backend="analytic-cdf", epsilon_i=1e-9)
-for l in map(int, sys.argv[1:]):
-    prep = prepare_superposition(sup, basis, l, spec, t=2 * np.pi / 8, seed=1)
-    print(l, hashlib.sha256(prep.vector.tobytes()).hexdigest())
-"""
-
-
-def test_superposition_bytes_do_not_depend_on_blas_threads():
-    outputs = outputs_under_blas_threads(["-c", SUPERPOSITION_BYTES, "6"])
-    assert len(outputs[0].splitlines()) == 1
-    assert outputs[0] == outputs[1]

@@ -781,11 +781,15 @@ class TestKrausAgainstRegister:
             ref_record.ambiguous_mass, rel=0, abs=1e-12)
 
 
-def test_identification_allocates_under_eight_states(monkeypatch):
+@pytest.mark.parametrize("orbitals, l", [(4, 6), (8, 4)])
+def test_identification_allocates_under_eight_states(monkeypatch, orbitals,
+                                                     l):
     """One identification on a state taken from inside
-    prepare_superposition (l = 6, four box sines, two particles) allocates
-    less than 8 times the state's bytes at its peak: no array holds the
-    K + 1 decremented copies of its parts.
+    prepare_superposition (box sines, two particles) allocates less than 8
+    times the state's bytes at its peak: no array holds the K + 1
+    decremented copies of all its parts, nor F x F matrices on the 2^K
+    occupation values, which outgrow the state at many orbitals and a small
+    grid (K = 8, l = 4).
     """
     calls = []
 
@@ -794,10 +798,12 @@ def test_identification_allocates_under_eight_states(monkeypatch):
         return identify_and_decrement(state, config, *args, **kwargs)
 
     monkeypatch.setattr(compose, "identify_and_decrement", record)
-    basis = BasisSet([box_sine(n + 1, energy=float(n)) for n in range(4)])
-    sup = compose.FockSuperposition.from_strings([(0.6, "1100"),
-                                                  (0.8, "1010")])
-    compose.prepare_superposition(sup, basis, 6, CDF, t=2 * np.pi / 8,
+    basis = BasisSet([box_sine(n + 1, energy=float(n))
+                      for n in range(orbitals)])
+    blank = "0" * (orbitals - 4)
+    sup = compose.FockSuperposition.from_strings([(0.6, "1100" + blank),
+                                                  (0.8, "1010" + blank)])
+    compose.prepare_superposition(sup, basis, l, CDF, t=2 * np.pi / 8,
                                   seed=1)
     state, config, args, kwargs = calls[0]
     tracemalloc.start()
