@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ResourceError, ValidationError
 
 #: Both exact names compute exact split ratios of the point-sampled grid
 #: distribution; monte-carlo estimates them by sampling grid sites.
@@ -23,6 +23,9 @@ BACKENDS = ("analytic-cdf", "adaptive-quadrature", "monte-carlo")
 
 #: Denominator mass below this is treated as zero (double-precision noise).
 EMPTY_MASS_THRESHOLD = 1e-14
+
+#: Most Monte Carlo samples per integral (about 80 MiB of sampler arrays).
+MC_SAMPLE_CAP = 1 << 20
 
 #: Largest entry of Φ†Φ − I a re-orthonormalized grid matrix may leave.
 ORTHONORMALITY_TOL = 1e-6
@@ -59,7 +62,9 @@ class Orbital:
         """`grid_values(l)` and the unit factors e^{i arg phi(x_j)}, None
         when every arg phi(x_j) is 0: those a continuum family's evaluation
         multiplied in, and for a tabulated orbital those of its normalized
-        values.  A grid-native family's sites are given as they are.
+        values.  A grid-native family's sites are given as they are.  A
+        continuum family is evaluated in place in one float buffer of the
+        2^l sites, besides its sign mask and `hermval`'s temporaries.
         """
         n_sites = 1 << l
         if self.family == "kronecker-delta":
@@ -75,7 +80,8 @@ class Orbital:
                     f"grid needs {n_sites}")
             phases, floor = None, 0.0
         else:
-            xs = np.arange(n_sites) * (self.length / n_sites)
+            xs = np.arange(n_sites, dtype=np.float64)
+            xs *= self.length / n_sites
             mags, phases = self._magnitudes_and_phases(xs)
             vec = mags.astype(np.complex128) if phases is None \
                 else mags * phases
@@ -85,7 +91,7 @@ class Orbital:
         # BLAS thread count.  statevec.vector_norm would also drop the
         # zero squares, every imaginary part where the phase is 0: a pass
         # that costs several times this sum on the grids loaded here.
-        parts = np.ascontiguousarray(vec).view(np.float64)
+        parts = vec.view(np.float64)
         norm = np.sqrt(np.einsum("i,i->", parts, parts))
         if not np.isfinite(norm):
             raise ValidationError("orbital is not finite on the grid")
@@ -99,31 +105,47 @@ class Orbital:
 
     def _magnitudes_and_phases(self, x: np.ndarray):
         """|phi(x)| and the factors e^{i arg phi(x)}, None when every arg
-        is 0, of a continuum family; a real family evaluates sin or hermval
-        once for both, and its factor is e^{i pi} where phi(x) < 0.
+        is 0, of a continuum family, in place in `x` (a Hermite orbital's
+        in its hermval); a real family evaluates sin or hermval once for
+        both, and its factor is e^{i pi} where phi(x) < 0.
         """
         L = self.length
         if self.family in ("uniform", "ring-plane-wave"):
-            mags = np.full_like(x, math.sqrt(1.0 / L))
-            if self.family == "uniform" or self.params[0] == 0:
-                return mags, None
-            return mags, np.exp(1j * (2.0 * np.pi * self.params[0] * x / L))
+            phases = None
+            if self.family == "ring-plane-wave" and self.params[0] != 0:
+                x *= 2.0 * np.pi * self.params[0]
+                x /= L
+                x += 0.0  # as np.exp(1j * t) has imaginary part t + 0.0
+                phases = np.empty(x.size, dtype=np.complex128)
+                np.cos(x, out=phases.real)
+                np.sin(x, out=phases.imag)
+            x.fill(math.sqrt(1.0 / L))
+            return x, phases
         if self.family == "box-sine":
-            phi = np.sin(self.params[0] * np.pi * x / L)
-            density = (2.0 / L) * phi**2
+            x *= self.params[0] * np.pi
+            x /= L
+            phi = np.sin(x, out=x)
+            scale = 2.0 / L
         elif self.family == "harmonic-hermite":
             n, width = self.params
-            u = (x - L / 2.0) / width
-            phi = _hermite_value(n, u)
-            norm = 1.0 / (2.0**n * math.factorial(n) * math.sqrt(math.pi))
-            density = norm * phi**2 * np.exp(-(u**2)) / width
+            if n > 170:  # 2^n n! exceeds every double
+                raise ValidationError("orbital is not finite on the grid")
+            scale = 1.0 / (2.0**n * math.factorial(n) * math.sqrt(math.pi))
+            x -= L / 2.0
+            x /= width
+            phi = _hermite_value(n, x)
+            np.exp(np.negative(np.square(x, out=x), out=x), out=x)
         else:
             raise ValidationError(
                 f"family {self.family!r} has no continuum oracle")
         negative = phi < 0
-        if not negative.any():
-            return np.sqrt(density), None
-        return np.sqrt(density), np.where(negative, MINUS_ONE, 1.0)
+        density = np.square(phi, out=phi)
+        density *= scale
+        if self.family == "harmonic-hermite":
+            density *= x
+            density /= width
+        return np.sqrt(density, out=density), \
+            np.where(negative, MINUS_ONE, 1.0) if negative.any() else None
 
 
 def _hermite_value(n: int, u: np.ndarray) -> np.ndarray:
@@ -212,6 +234,13 @@ class IntegrationSpec:
                     "values")
             if self.bounds[0] > self.bounds[1]:
                 raise ValidationError("lower bound exceeds upper bound")
+        if self.backend == "monte-carlo" and (
+                self.bounds is not None or self.sigma2 is not None):
+            n = mc_sample_count(self, bounded=self.bounds is not None)
+            if n > MC_SAMPLE_CAP:
+                raise ResourceError(f"integration.epsilon_i = {self.epsilon_i:g}"
+                                    f" needs {n} Monte Carlo samples per "
+                                    f"integral, cap is {MC_SAMPLE_CAP}")
 
 
 def normal_quantile(p: float) -> float:

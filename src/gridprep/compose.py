@@ -240,9 +240,9 @@ def prepare_orbital(
     bound = load_error_bound(l, spec.epsilon_i)  # rejects a bad l first
     parts = particle_segments(1, l)
     layout = RegisterLayout(parts)
-    state = QuantumState.zero(layout)
-    state, plan = load_orbital(state, _names(parts)[0], orbital, spec,
-                               ratio_perturb=ratio_perturb)
+    # the zero state goes straight in, so the load can drop it
+    state, plan = load_orbital(QuantumState.zero(layout), _names(parts)[0],
+                               orbital, spec, ratio_perturb=ratio_perturb)
     counters: dict = {}
     _merge_plans(counters, [plan])
     report = PreparationReport(

@@ -66,18 +66,21 @@ def _split_ratios(prob: np.ndarray, l: int,
                   spec: IntegrationSpec) -> list[np.ndarray]:
     """Split ratios of the discrete site distribution, one array per level:
     entry b of level i belongs to block pair (2b, 2b + 1) of the 2^i blocks
-    at that level.  NaN marks pairs that carry no mass.
+    at that level.  NaN marks pairs that carry no mass.  The running sums
+    of `prob` overwrite it, except with Monte Carlo, which samples it.
     """
-    prefix = np.concatenate([[0.0], np.cumsum(prob)])
+    mc = spec.backend == "monte-carlo"
+    total = np.cumsum(prob) if mc else np.cumsum(prob, out=prob)
     table = []
     for i in range(1, l + 1):
         stride = 1 << (l - i)
-        edges = prefix[::stride]
+        # the mass left of each block edge: 0.0, then every stride-th sum
+        edges = np.concatenate([[0.0], total[stride - 1::stride]])
         lo, mid, hi = edges[:-1:2], edges[1::2], edges[2::2]
         den = hi - lo
         full = den >= EMPTY_MASS_THRESHOLD
         ratio = np.full(den.size, np.nan)
-        if spec.backend != "monte-carlo":
+        if not mc:
             np.divide(mid - lo, den, out=ratio, where=full)
             np.clip(ratio, 0.0, 1.0, out=ratio)
         else:
@@ -116,18 +119,27 @@ def _mc_grid_ratio(prob: np.ndarray, lo: int, mid: int, hi: int,
     return float(np.mean(hits < (mid - lo)))
 
 
-def _split(values: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """One level of the product on rows of prefixes: prefix b becomes
-    prefixes 2b <- c[b] t and 2b + 1 <- s[b] t + 0.0.  The `+ 0.0` is what
-    the rotation adds from the blank partner (s a0 + c 0); it turns -0
-    into +0.
+def _fan_out(seeds: np.ndarray, levels, phases,
+             buffer: np.ndarray | None = None) -> np.ndarray:
+    """Rows of 2^l sites: seeds[k] times the split factors along each
+    site's dyadic path, kicked back by `phases`.  Level i turns prefix b
+    into 2b <- c[b] t and 2b + 1 <- s[b] t + 0.0 (what the rotation adds
+    from the blank partner, s a0 + c 0, which turns -0 into +0), in the
+    returned array when l - i is even and else in a half-size spare, which
+    for one seed and l >= 1 is `buffer` (2^l float64s) when given.
     """
-    rows, n = values.shape
-    out = np.empty((rows, n, 2), dtype=np.complex128)
-    np.multiply(c, values, out=out[:, :, 0])
-    np.multiply(s, values, out=out[:, :, 1])
-    np.add(out[:, :, 1], 0.0, out=out[:, :, 1])
-    return out.reshape(rows, 2 * n)
+    rows, l = seeds.size, len(levels)
+    out = np.empty(rows << l, dtype=np.complex128)
+    spare = buffer.view(np.complex128) if rows == 1 and l and \
+        buffer is not None else np.empty(rows << max(l - 1, 0), np.complex128)
+    values = seeds[:, None]
+    for i, (c, s) in enumerate(levels, start=1):
+        pairs = (spare if (l - i) % 2 else out)[:rows << i].reshape(rows, -1, 2)
+        np.multiply(c, values, out=pairs[:, :, 0])
+        np.multiply(s, values, out=pairs[:, :, 1])
+        np.add(pairs[:, :, 1], 0.0, out=pairs[:, :, 1])
+        values = pairs.reshape(rows, -1)
+    return apply_phases(values, phases)
 
 
 def _fan_seeds(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,12 +197,19 @@ def load_orbital(
     product of the split factors along each dyadic path, one level at a
     time; sites of an empty pair get no rotation.  The fan-out depends on
     that amplitude alone, so it runs once per nonzero amplitude and once
-    per signed-zero class, and the branch is written from those rows in
-    one gather; what sat off value 0 on the branch is overwritten.
+    per signed-zero class (the seeds); what sat off value 0 on the branch
+    is overwritten.  Budget: the input state is dropped once the seeds are
+    taken, unless part of it stays.  Besides its tables a load allocates
+    2^l amplitudes per seed and a spare of half that, the spent masses if
+    it computed the tables (`_fan_out`).  When one seed fills the state,
+    those are the returned amplitudes; else they are gathered into the
+    branch of a copy of the state, or of a new vector (`_gather_rows`).
+
     `ratio_perturb(i, k, ratio)` lets callers inject integral noise; it is
     called once per pair with mass, in level order, with k = 2b for pair b.
-    `cache` holds one ratio table and phase table per (orbital, l, spec)
-    across loads, and a load that finds them evaluates no integral;
+    `cache` holds one table per (orbital, l, spec) across loads, read-only,
+    and a load that finds it evaluates no integral; a load with
+    `ratio_perturb` evaluates its own and leaves `cache` alone.
     `prepare_superposition` keeps its readouts and loaded state in the
     same dict.  With `cache=None` nothing is kept.
     """
@@ -200,48 +219,61 @@ def load_orbital(
             f"segment {segment!r} must be blank on the branch it loads"
         )
     branch, (axis,) = segment_view(state, [segment], controls)
+    layout, shape = state.layout, branch.shape
+    seeds, seed_of = _fan_seeds(branch.take(0, axis))
+    kept = None if branch.size == layout.dim else state.amplitudes
+    del state, branch
     plan = LoadPlan(l=l, integral_requests=(1 << l) - 1)
     if spec.backend == "monte-carlo" and spec.bounds is not None:
         plan.mc_samples_per_integral = mc_sample_count(spec, bounded=True)
+    shared = cache if ratio_perturb is None else None
     key = (orbital, l, spec)
-    tables = None if cache is None else cache.get(key)
+    tables, masses = None if shared is None else shared.get(key), None
     if tables is None:
-        tables = _load_tables(orbital, l, spec)
+        tables, masses = _load_tables(orbital, l, spec, ratio_perturb)
         plan.integral_evaluations = plan.integral_requests
-        if cache is not None:
-            cache[key] = tables
-    table, phases = tables
-
-    seeds, seed_of = _fan_seeds(branch.take(0, axis))
-    values = seeds[:, None]
-    for i, ratio in enumerate(table, start=1):
-        active = ~np.isnan(ratio)
-        plan.rotation_applications += int(np.count_nonzero(active))
-        if ratio_perturb is not None:
-            ratio = ratio.copy()
-            for b in map(int, np.flatnonzero(active)):
-                ratio[b] = ratio_perturb(i, 2 * b, float(ratio[b]))
-            np.clip(ratio, 0.0, 1.0, out=ratio)
-        ratio = np.where(active, ratio, 1.0)  # c = 1, s = 0: no rotation
-        values = _split(values, np.sqrt(ratio), np.sqrt(1.0 - ratio))
+        if shared is not None:
+            shared[key] = tables
+    levels, plan.rotation_applications, phases = tables
     plan.empty_blocks = plan.integral_requests - plan.rotation_applications
-    block = _gather_rows(apply_phases(values, phases), seed_of.reshape(
-        math.prod(branch.shape[:axis]), -1)).reshape(branch.shape)
-    if branch.size == state.layout.dim:  # the branch is the whole state
-        return QuantumState(state.layout, block.reshape(-1)), plan
-    out = QuantumState(state.layout, state.amplitudes.copy())
+    block = _gather_rows(_fan_out(seeds, levels, phases, masses), seed_of
+                         .reshape(math.prod(shape[:axis]), -1)).reshape(shape)
+    if kept is None:  # the branch is the whole state
+        return QuantumState(layout, block.reshape(-1)), plan
+    out = QuantumState(layout, kept.copy())
     segment_view(out, [segment], controls)[0][...] = block
     return out, plan
 
 
-def _load_tables(orbital: Orbital, l: int, spec: IntegrationSpec):
-    """Split ratios and phase-kickback factors from one evaluation of the
-    orbital on the grid (`Orbital.sample_grid`): the ratios of its site
-    masses |phi(x)|^2, and its unit factors e^{i arg phi(x)} (None when
-    every arg phi(x) is 0).
+def _load_tables(orbital: Orbital, l: int, spec: IntegrationSpec,
+                 ratio_perturb=None):
+    """Read-only (levels, rotations, phases) from one evaluation of the
+    orbital on the grid (`Orbital.sample_grid`): per level the entries
+    sqrt(r) and sqrt(1 - r) of the split ratios r of its masses |phi(x)|^2
+    (`ratio_perturb` applied; c = 1, s = 0 for an empty pair), the count of
+    pairs with mass, and the factors e^{i arg phi(x)} (None if all args
+    are 0); and the spent buffer of the masses.
     """
     values, phases = orbital.sample_grid(l)
-    return _split_ratios(np.abs(values) ** 2, l, spec), phases
+    prob = np.abs(values)
+    del values
+    table = _split_ratios(np.square(prob, out=prob), l, spec)
+    levels, rotations = [], 0
+    for i, ratio in enumerate(table, start=1):
+        empty = np.isnan(ratio)
+        rotations += ratio.size - int(np.count_nonzero(empty))
+        if ratio_perturb is not None:
+            for b in map(int, np.flatnonzero(~empty)):
+                ratio[b] = ratio_perturb(i, 2 * b, float(ratio[b]))
+            np.clip(ratio, 0.0, 1.0, out=ratio)
+        ratio[empty] = 1.0  # c = 1, s = 0: no rotation
+        s = np.sqrt(1.0 - ratio)
+        c = np.sqrt(ratio, out=ratio)
+        c.flags.writeable = s.flags.writeable = False
+        levels.append((c, s))
+    if phases is not None:
+        phases.flags.writeable = False
+    return (levels, rotations, phases), prob
 
 
 def apply_phases(values: np.ndarray, phases: np.ndarray | None) -> np.ndarray:

@@ -151,13 +151,15 @@ class QuantumState:
         return np.einsum(f"{axes},{axes}->", rest, rest) <= BLANK_TOL ** 2
 
 
-def vector_norm(values: np.ndarray) -> float:
+def vector_norm(values: np.ndarray, scratch: np.ndarray | None = None) -> float:
     """Euclidean norm: the square root of np.sum (a pairwise sum in index
     order, whatever the BLAS thread count) over the nonzero squares of the
     float64 view, so a state and its slab in a wider layout have one norm.
+    The squares go into `scratch` when given, a float64 array of that
+    view's size, instead of a new array.
     """
     values = np.ascontiguousarray(values, dtype=np.complex128)
-    squares = np.square(values.view(np.float64))
+    squares = np.square(values.view(np.float64), out=scratch)
     return float(np.sqrt(np.sum(squares[squares != 0])))
 
 
@@ -378,7 +380,9 @@ def extract_segment_vector(
 ) -> np.ndarray:
     """Pure-state shortcut for partial_trace: slice out the kept segments
     assuming every other segment sits in |0>, and normalize.  Raises if
-    leakage outside that slice exceeds LEAK_TOL or the slice is zero.
+    leakage outside that slice exceeds LEAK_TOL or the slice is zero.  It
+    forms the squares and the quotient in the array it returns, so besides
+    that it allocates only `vector_norm`'s nonzero squares.
     """
     table = _kept_table(state, keep_segments)
     leak = vector_norm(table[:, 1:])
@@ -386,7 +390,8 @@ def extract_segment_vector(
         raise ValidationError(
             f"segments outside {keep_segments} are not blank (leak {leak:.3g})"
         )
-    n = vector_norm(table[:, 0])
+    out = np.empty(table.shape[0], dtype=np.complex128)
+    n = vector_norm(table[:, 0], scratch=out.view(np.float64))
     if n == 0:
         raise ValidationError(f"segments {keep_segments} carry no amplitude")
-    return table[:, 0] / n
+    return np.divide(table[:, 0], n, out=out)

@@ -21,7 +21,8 @@ from gridprep.basis import (
     tabulated,
     uniform,
 )
-from gridprep.errors import ValidationError
+from gridprep.compose import prepare_orbital
+from gridprep.errors import ResourceError, ValidationError
 from gridprep.loader import _split_ratios
 from helpers import delta_at_site, fock_matrix, gap, grid_prob, perturbed, \
     reference_density, reference_grid_values, reference_phase
@@ -175,6 +176,15 @@ class TestGridEvaluation:
         assert orb.grid_values(l).tobytes() == \
             reference_grid_values(orb, l).tobytes()
 
+    @pytest.mark.parametrize("n", [171, 200])
+    def test_hermite_normalization_past_the_double_range(self, n):
+        # 2^n n! exceeds every double from n = 171 on: the orbital is not
+        # finite on the grid, as it already is at n = 160
+        with pytest.raises(ValidationError, match="not finite on the grid"):
+            harmonic_hermite(n).sample_grid(4)
+        with pytest.raises(ValidationError, match="not finite on the grid"):
+            prepare_orbital(harmonic_hermite(n), 4, QUAD)
+
     def test_grid_native_families(self):
         # their sites are given as they are: no factors were multiplied in
         assert delta_at_site(5, 3).sample_grid(3)[1] is None
@@ -265,6 +275,16 @@ class TestMonteCarlo:
         spec = IntegrationSpec(backend="monte-carlo", epsilon_i=0.02)
         with pytest.raises(ValidationError):
             grid_ratio(box_sine(1), 4, 1, 0, spec)
+
+    @pytest.mark.parametrize("spread", [{"bounds": (0.0, 1.0)},
+                                        {"sigma2": 0.25}])
+    def test_sample_count_over_the_cap(self, spread):
+        # epsilon_i = 1e-6 asks for about 9.6e11 samples per integral: the
+        # spec is refused when it is made, before any draw
+        with pytest.raises(ResourceError,
+                           match=r"integration\.epsilon_i = 1e-06 needs "
+                                 r"96036470517\d Monte Carlo samples"):
+            IntegrationSpec(backend="monte-carlo", epsilon_i=1e-6, **spread)
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):

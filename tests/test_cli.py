@@ -412,6 +412,31 @@ class TestPrepareCommands:
         assert run(["prepare-slater", "--config", cfg,
                     "--out", str(tmp_path / "out")]) == 4
 
+    @pytest.mark.parametrize("command", [
+        "validate", "prepare-orbital", "prepare-slater",
+        "prepare-superposition", "prepare-two-species", "prepare-mixed"])
+    def test_monte_carlo_sample_cap_exit_code(self, tmp_path, capsys,
+                                              command):
+        # epsilon_i = 1e-6 on [0, 1] needs 960364705174 samples per
+        # integral; the integration section is refused as it is read
+        cfg = write_config(tmp_path, "c.yaml", {
+            "l": 2, "basis": [{"family": "box-sine", "n": 1}],
+            "integration": {"backend": "monte-carlo", "epsilon_i": 1e-6,
+                            "bounds": [0.0, 1.0]}})
+        assert run([command, "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert "integration.epsilon_i" in err and "960364705174" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n", [171, 200])
+    def test_hermite_index_past_the_double_range(self, tmp_path, capsys, n):
+        cfg = write_config(tmp_path, "c.yaml", {
+            "l": 4, "basis": [{"family": "harmonic-hermite", "n": n}]})
+        assert run(["prepare-orbital", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 2
+        assert "not finite on the grid" in capsys.readouterr().err
+
     def test_superposition_cap_checked_before_the_readouts(
             self, tmp_path, monkeypatch, capsys):
         # 3 + 2 x 20 qubits before the readouts, against the cap of 26:

@@ -1,6 +1,8 @@
 """Amplitude loading: product of dyadic splits, phase kickback, error
 bounds, and the gate-level multiplexed-rotation circuit as reference.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from gridprep.basis import (
     tabulated,
     uniform,
 )
+from gridprep.compose import prepare_orbital
 from gridprep.errors import StructuralError, ValidationError
 from gridprep.loader import (
     _mc_grid_ratio,
@@ -134,7 +137,7 @@ def load_cases(draw):
                 for name, width in (("below", below), ("above", above))
                 if width and draw(st.booleans())]
     family = draw(st.sampled_from(["delta", "tabulated", "box-sine",
-                                   "ring"]))
+                                   "ring", "hermite"]))
     if family == "delta":
         orbital = delta_at_site(draw(st.integers(0, (1 << l) - 1)), l)
     elif family == "tabulated":
@@ -148,8 +151,12 @@ def load_cases(draw):
         # box-sine 2 vanishes on the two sites of l = 1, a ValidationError
         orbital = box_sine(draw(st.integers(1, 3).filter(
             lambda n: n % (1 << l))))
-    else:
+    elif family == "ring":
         orbital = ring_plane_wave(draw(st.integers(-2, 2)))
+    else:
+        # widths at which no grid from two sites up vanishes
+        orbital = harmonic_hermite(draw(st.integers(0, 3)),
+                                   width=draw(st.sampled_from([0.15, 0.3])))
     if draw(st.booleans()):
         spec = IntegrationSpec(backend="monte-carlo", epsilon_i=0.2,
                                delta=0.2, bounds=(0.0, 1.0),
@@ -281,6 +288,33 @@ class TestAgainstCircuit:
             assert getattr(plan, key) == value
         if spec.backend == "monte-carlo":
             assert plan.mc_samples_per_integral > 0
+
+    @pytest.mark.parametrize("l", [13, 14])
+    @pytest.mark.parametrize("orbital", [
+        box_sine(3), ring_plane_wave(-5), harmonic_hermite(2)])
+    def test_bitwise_equal_to_circuit_at_depth(self, orbital, l):
+        # the levels alternate between the returned buffer and the spare,
+        # so the two parities of l start the fan-out in different buffers;
+        # ring-plane-wave(-5) has -0 at x = 0 before the kickback
+        state = fresh(l)
+        got, _ = load_orbital(state, "x", orbital, CDF)
+        ref, _ = circuit_load(state, "x", orbital, CDF)
+        assert got.amplitudes.tobytes() == ref.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("extra", [(), (("y", 2),)])
+    @pytest.mark.parametrize("orbital", [uniform(), tabulated([1.0])])
+    def test_width_zero_target(self, orbital, extra):
+        # one site and no level: the seed is the loaded amplitude
+        state = fresh(0, extra)
+        got, _ = load_orbital(state, "x", orbital, CDF)
+        ref, _ = circuit_load(state, "x", orbital, CDF)
+        assert got.amplitudes.tobytes() == ref.amplitudes.tobytes()
+
+    def test_bitwise_equal_to_circuit_on_a_benchmark_grid(self):
+        state = fresh(17)
+        got, _ = load_orbital(state, "x", ring_plane_wave(-8), CDF)
+        ref, _ = circuit_load(state, "x", ring_plane_wave(-8), CDF)
+        assert got.amplitudes.tobytes() == ref.amplitudes.tobytes()
 
     def _signed_zero_branch(self):
         """Target x between spectators `below` and `above`, controlled on
@@ -459,3 +493,23 @@ class TestQuadratureFamilies:
         l = 5
         state, _ = load_orbital(fresh(l), "x", orb, spec)
         assert infidelity(state.amplitudes, orb.grid_values(l)) < 1e-9
+
+
+@pytest.mark.parametrize("orbital, spec", [
+    (box_sine(3), CDF), (ring_plane_wave(-5), CDF),
+    (harmonic_hermite(2),
+     IntegrationSpec(backend="adaptive-quadrature", epsilon_i=1e-9))])
+def test_orbital_preparation_allocates_under_four_states(orbital, spec):
+    """prepare_orbital on 2^16 sites peaks below 4 times the bytes of the
+    state it returns: the grid is evaluated in place, the zero state is
+    dropped before the tables are built, the levels alternate between the
+    returned amplitudes and one half-size spare, and the extraction forms
+    its squares in its output.
+    """
+    tracemalloc.start()
+    try:
+        prep = prepare_orbital(orbital, 16, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * prep.state.amplitudes.nbytes
